@@ -20,6 +20,10 @@ Layout
     needs for a given accuracy (Figure 1).
 ``min_matches`` / ``concentration_cache``
     The two inference-avoidance optimisations of Section 4.3.
+``rounds``
+    The round engine: the decision tables and the per-pair
+    ``status``/``matches``/``hashes_seen`` state every execution path of
+    Algorithms 1 and 2 advances (serial, blocked, pooled, serving).
 ``bayeslsh`` / ``lite``
     Algorithms 1 and 2.
 """

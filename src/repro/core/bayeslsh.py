@@ -28,6 +28,7 @@ from repro.core.concentration_cache import ConcentrationCache
 from repro.core.min_matches import MinMatchesTable
 from repro.core.params import BayesLSHParams
 from repro.core.posteriors import PosteriorModel
+from repro.core.rounds import PairState, RoundTables
 from repro.hashing.base import HashFamily
 
 __all__ = ["BayesLSH", "VerificationOutput"]
@@ -124,8 +125,6 @@ class VerificationOutput:
         )
 
 
-_ACTIVE, _PRUNED, _EMITTED = 0, 1, 2
-
 #: Round index from which verify() starts gathering multi-round super-blocks.
 #: Rounds 0 and 1 prune the bulk of the candidates, so super-blocking them
 #: gathers columns most pairs never look at — measured ~1.5x slower on the
@@ -163,32 +162,32 @@ class BayesLSH:
 
     def __init__(self, family: HashFamily, posterior: PosteriorModel, params: BayesLSHParams):
         self._family = family
-        self._posterior = posterior
-        self._params = params
-        self._min_matches = MinMatchesTable(
-            posterior,
-            threshold=params.threshold,
-            epsilon=params.epsilon,
-            k=params.k,
-            max_hashes=params.max_hashes,
-        )
-        self._concentration = ConcentrationCache(posterior, delta=params.delta, gamma=params.gamma)
+        self._tables = RoundTables(posterior, params)
+
+    @property
+    def family(self) -> HashFamily:
+        return self._family
 
     @property
     def params(self) -> BayesLSHParams:
-        return self._params
+        return self._tables.params
 
     @property
     def posterior(self) -> PosteriorModel:
-        return self._posterior
+        return self._tables.posterior
+
+    @property
+    def tables(self) -> RoundTables:
+        """The decision tables (shared with the pooled execution paths)."""
+        return self._tables
 
     @property
     def min_matches_table(self) -> MinMatchesTable:
-        return self._min_matches
+        return self._tables.min_matches
 
     @property
     def concentration_cache(self) -> ConcentrationCache:
-        return self._concentration
+        return self._tables.concentration
 
     def verify(self, left, right) -> VerificationOutput:
         """Verify candidate pairs given as parallel index arrays.
@@ -202,103 +201,60 @@ class BayesLSH:
         right = np.asarray(right, dtype=np.int64)
         if left.shape != right.shape:
             raise ValueError("left and right index arrays must have the same shape")
-        n_pairs = len(left)
-        params = self._params
+        params = self._tables.params
+        state = PairState(self._tables, len(left))
 
-        status = np.full(n_pairs, _ACTIVE, dtype=np.int8)
-        matches = np.zeros(n_pairs, dtype=np.int64)
-        hashes_seen = np.zeros(n_pairs, dtype=np.int64)
-        trace: list[tuple[int, int]] = []
-        hash_comparisons = 0
+        round_index = 0
+        while round_index < params.n_rounds and len(state.active):
+            active = state.active
+            n_prev = round_index * params.k
 
-        if n_pairs:
-            round_index = 0
-            while round_index < params.n_rounds:
-                active = np.flatnonzero(status == _ACTIVE)
-                if len(active) == 0:
-                    break
-                n_prev = round_index * params.k
-
-                # Survivor-side super-block: once the cheap early rounds have
-                # pruned the bulk of the pairs, the remaining long-surviving
-                # pairs gather several rounds' worth of signature columns in
-                # one wide row gather instead of one narrow gather per round.
-                # Only rounds whose hashes are already materialised are
-                # super-blocked, so the family's lazy hash-generation pattern
-                # (and hence its RNG stream consumption) is unchanged.
-                n_rounds_block = 1
-                if round_index >= _SUPERBLOCK_START:
-                    materialised = (self._family.n_hashes - n_prev) // params.k
-                    n_rounds_block = max(
-                        1,
-                        min(
-                            _SUPERBLOCK_ROUNDS,
-                            params.n_rounds - round_index,
-                            materialised,
-                        ),
-                    )
-                n_block_end = n_prev + n_rounds_block * params.k
-                store = self._family.signatures(n_block_end)
-                round_counts = store.count_matches_rounds(
-                    left[active], right[active], n_prev, n_block_end, params.k
+            # Survivor-side super-block: once the cheap early rounds have
+            # pruned the bulk of the pairs, the remaining long-surviving
+            # pairs gather several rounds' worth of signature columns in
+            # one wide row gather instead of one narrow gather per round.
+            # Only rounds whose hashes are already materialised are
+            # super-blocked, so the family's lazy hash-generation pattern
+            # (and hence its RNG stream consumption) is unchanged.
+            n_rounds_block = 1
+            if round_index >= _SUPERBLOCK_START:
+                materialised = (self._family.n_hashes - n_prev) // params.k
+                n_rounds_block = max(
+                    1,
+                    min(
+                        _SUPERBLOCK_ROUNDS,
+                        params.n_rounds - round_index,
+                        materialised,
+                    ),
                 )
+            n_block_end = n_prev + n_rounds_block * params.k
+            store = self._family.signatures(n_block_end)
+            round_counts = store.count_matches_rounds(
+                left[active], right[active], n_prev, n_block_end, params.k
+            )
 
-                # Replay the rounds over the cached counts.  Decisions are
-                # identical to the one-round-at-a-time loop: each pair's
-                # (m, n) evolves exactly as before, and pairs decided inside
-                # the super-block simply ignore their remaining cached
-                # columns.  Counters track the live set, not the gathers.
-                local_active = np.arange(len(active))
-                for s in range(n_rounds_block):
-                    n_now = n_prev + (s + 1) * params.k
-                    rows = active[local_active]
-                    matches[rows] += round_counts[local_active, s]
-                    hashes_seen[rows] = n_now
-                    hash_comparisons += len(rows) * params.k
+            # Replay the rounds over the cached counts.  Decisions are
+            # identical to the one-round-at-a-time loop: each pair's
+            # (m, n) evolves exactly as before, and pairs decided inside
+            # the super-block simply ignore their remaining cached
+            # columns.  Counters track the live set, not the gathers.
+            local_active = np.arange(len(active))
+            for s in range(n_rounds_block):
+                still = state.advance(
+                    round_counts[local_active, s], n_prev + (s + 1) * params.k
+                )
+                local_active = local_active[still]
+                if len(local_active) == 0:
+                    break
+            round_index += s + 1
 
-                    # Pruning test (line 10): m < minMatches(n).
-                    keep_mask = self._min_matches.passes_many(matches[rows], n_now)
-                    status[rows[~keep_mask]] = _PRUNED
-
-                    # Concentration test (line 15) for the pairs that
-                    # survived pruning.
-                    survivors = rows[keep_mask]
-                    if len(survivors):
-                        concentrated = self._concentration.is_concentrated_many(
-                            matches[survivors], n_now
-                        )
-                        status[survivors[concentrated]] = _EMITTED
-                        local_active = local_active[keep_mask][~concentrated]
-                    else:
-                        local_active = local_active[keep_mask]
-
-                    n_alive = int(np.sum(status != _PRUNED))
-                    trace.append((n_now, n_alive))
-                    if len(local_active) == 0:
-                        break
-                round_index += s + 1
-
-        output_mask = status != _PRUNED
-        output_left = left[output_mask]
-        output_right = right[output_mask]
-        output_matches = matches[output_mask]
-        output_hashes = hashes_seen[output_mask]
-        if len(output_matches):
-            # Batched MAP estimates (bit-identical to the scalar map_estimate
-            # per pair); pairs that never saw a hash report estimate 0.
-            estimates = np.where(
-                output_hashes > 0,
-                self._posterior.map_estimate_many(output_matches, output_hashes),
-                0.0,
-            ).astype(np.float64, copy=False)
-        else:
-            estimates = np.zeros(0, dtype=np.float64)
+        mask, estimates = state.survivors()
         return VerificationOutput(
-            left=output_left,
-            right=output_right,
+            left=left[mask],
+            right=right[mask],
             estimates=estimates,
-            n_candidates=n_pairs,
-            n_pruned=int(np.sum(status == _PRUNED)),
-            trace=trace,
-            hash_comparisons=hash_comparisons,
+            n_candidates=len(left),
+            n_pruned=state.n_pruned,
+            trace=state.trace,
+            hash_comparisons=state.hash_comparisons,
         )

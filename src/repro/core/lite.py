@@ -15,10 +15,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.bayeslsh import VerificationOutput, _ACTIVE, _PRUNED
+from repro.core.bayeslsh import VerificationOutput
 from repro.core.min_matches import MinMatchesTable
 from repro.core.params import BayesLSHLiteParams
 from repro.core.posteriors import PosteriorModel
+from repro.core.rounds import PRUNED, RoundTables, run_rounds
 from repro.hashing.base import HashFamily
 
 __all__ = ["BayesLSHLite"]
@@ -56,25 +57,26 @@ class BayesLSHLite:
         exact_similarity_many=None,
     ):
         self._family = family
-        self._posterior = posterior
-        self._params = params
+        self._tables = RoundTables(posterior, params)
         self._exact_similarity = exact_similarity
         self._exact_similarity_many = exact_similarity_many
-        self._min_matches = MinMatchesTable(
-            posterior,
-            threshold=params.threshold,
-            epsilon=params.epsilon,
-            k=params.k,
-            max_hashes=params.h,
-        )
+
+    @property
+    def family(self) -> HashFamily:
+        return self._family
 
     @property
     def params(self) -> BayesLSHLiteParams:
-        return self._params
+        return self._tables.params
+
+    @property
+    def tables(self) -> RoundTables:
+        """The decision tables (shared with the pooled execution paths)."""
+        return self._tables
 
     @property
     def min_matches_table(self) -> MinMatchesTable:
-        return self._min_matches
+        return self._tables.min_matches
 
     def verify(self, left, right) -> VerificationOutput:
         """Verify candidate pairs given as parallel index arrays.
@@ -87,35 +89,13 @@ class BayesLSHLite:
         right = np.asarray(right, dtype=np.int64)
         if left.shape != right.shape:
             raise ValueError("left and right index arrays must have the same shape")
-        n_pairs = len(left)
-        params = self._params
 
-        status = np.full(n_pairs, _ACTIVE, dtype=np.int8)
-        matches = np.zeros(n_pairs, dtype=np.int64)
-        trace: list[tuple[int, int]] = []
-        hash_comparisons = 0
+        def count_matches(active: np.ndarray, n_prev: int, n_now: int) -> np.ndarray:
+            store = self._family.signatures(n_now)
+            return store.count_matches_many(left[active], right[active], n_prev, n_now)
 
-        if n_pairs:
-            for round_index in range(params.n_rounds):
-                active = np.flatnonzero(status == _ACTIVE)
-                if len(active) == 0:
-                    break
-                n_prev = round_index * params.k
-                n_now = n_prev + params.k
-                store = self._family.signatures(n_now)
-                new_matches = store.count_matches_many(
-                    left[active], right[active], n_prev, n_now
-                )
-                hash_comparisons += len(active) * params.k
-                matches[active] += new_matches
-
-                keep_mask = self._min_matches.passes_many(matches[active], n_now)
-                status[active[~keep_mask]] = _PRUNED
-
-                n_alive = int(np.sum(status != _PRUNED))
-                trace.append((n_now, n_alive))
-
-        survivors = np.flatnonzero(status != _PRUNED)
+        state = run_rounds(self._tables, len(left), count_matches)
+        survivors = np.flatnonzero(state.status != PRUNED)
         if self._exact_similarity_many is not None:
             exact_values = np.asarray(
                 self._exact_similarity_many(left[survivors], right[survivors]),
@@ -126,14 +106,14 @@ class BayesLSHLite:
                 [self._exact_similarity(int(left[idx]), int(right[idx])) for idx in survivors],
                 dtype=np.float64,
             )
-        above = exact_values > params.threshold
+        above = exact_values > self._tables.params.threshold
         return VerificationOutput(
             left=left[survivors][above],
             right=right[survivors][above],
             estimates=exact_values[above],
-            n_candidates=n_pairs,
-            n_pruned=int(np.sum(status == _PRUNED)),
-            trace=trace,
-            hash_comparisons=hash_comparisons,
+            n_candidates=len(left),
+            n_pruned=state.n_pruned,
+            trace=state.trace,
+            hash_comparisons=state.hash_comparisons,
             exact_computations=len(survivors),
         )

@@ -43,6 +43,8 @@ __all__ = [
     "BitSignatures",
     "IntSignatures",
     "count_packed_matches",
+    "store_from_parts",
+    "store_parts",
 ]
 
 _WORD_BITS = 32
@@ -397,15 +399,13 @@ class BitSignatures(SignatureStore):
             raise ValueError(
                 "cannot append to a store whose current size is not a multiple of 32"
             )
-        bits = bits.astype(np.uint8)
-        # Pack LSB-first into uint32 words.
+        # Pack LSB-first into little-endian uint32 words (the layout
+        # ``get_bits`` unpacks), zero-padding the last word.
         n_words_new = -(-n_new // _WORD_BITS)
         padded = np.zeros((self._n_vectors, n_words_new * _WORD_BITS), dtype=np.uint8)
-        padded[:, :n_new] = bits
-        shaped = padded.reshape(self._n_vectors, n_words_new, _WORD_BITS)
-        weights = (1 << np.arange(_WORD_BITS, dtype=np.uint64)).astype(np.uint64)
-        new_words = (shaped.astype(np.uint64) * weights).sum(axis=2).astype(np.uint32)
-        self._matrix.append(new_words)
+        padded[:, :n_new] = bits != 0
+        packed = np.packbits(padded, axis=1, bitorder="little")
+        self._matrix.append(packed.view("<u4").astype(np.uint32, copy=False))
         self._n_hashes += n_new
 
     def _word_columns(self, word_start: int, word_end: int) -> np.ndarray:
@@ -837,3 +837,27 @@ class IntSignatures(SignatureStore):
             raise IndexError(f"hash index {end} out of range (have {self.n_hashes})")
         columns = self._matrix.columns(start, end)
         return np.ascontiguousarray(columns[np.asarray(rows, dtype=np.int64)])
+
+
+def store_parts(store: SignatureStore) -> tuple[str, np.ndarray, int]:
+    """``(kind, matrix, n_hashes)`` of a store, for snapshots and worker hand-off."""
+    if isinstance(store, BitSignatures):
+        return "bits", store.words, store.n_hashes
+    if isinstance(store, IntSignatures):
+        return "ints", store.values, store.n_hashes
+    raise TypeError(f"cannot serialise a {type(store).__name__} signature store")
+
+
+def store_from_parts(kind: str, matrix: np.ndarray, n_hashes: int) -> SignatureStore:
+    """Rebuild a signature store from its :func:`store_parts`."""
+    if kind == "bits":
+        return BitSignatures.from_words(matrix, int(n_hashes))
+    if kind == "ints":
+        store = IntSignatures.from_values(matrix)
+        if store.n_hashes != int(n_hashes):
+            raise ValueError(
+                f"store parts declare {n_hashes} hashes but the matrix "
+                f"holds {store.n_hashes}"
+            )
+        return store
+    raise ValueError(f"unknown signature store kind {kind!r}")

@@ -1,19 +1,50 @@
 """Sharded, block-streamed execution of the candidate/verify pipeline.
 
-One shared-memory, round-synchronous worker pool serves **two call sites**:
+Everything here exists to run the *same* computation as the serial paths on
+more cores or in less memory.  Three ideas carry the module:
 
-* the offline all-pairs engine (:class:`StreamExecutor`, used by
-  :meth:`SearchEngine.run` when ``block_size``/``n_workers`` is set), and
-* the online serving layer (:class:`ServingPool`, used by
-  :meth:`QueryIndex.query_many` / :meth:`QueryIndex.top_k_many` when their
-  ``n_workers`` knob is set), which shards band-key probing, the round-lazy
-  cross-store BayesLSH pruning and exact/estimate ranking across forked
-  workers.
+**One round engine.**  Algorithm 1's per-round decision step lives in
+:mod:`repro.core.rounds` (:class:`~repro.core.rounds.PairState`); the serial
+verifiers, the all-pairs workers (:func:`_worker_main`), the serving workers
+(:func:`_serving_worker_main`) and the serial serving path
+(:func:`serial_verify_bayes`) all advance that one object.  Every prune/emit
+decision depends only on the pair's own ``(m, n)``, so sharding pairs across
+blocks or processes is semantics-free.
 
-The serial :meth:`SearchEngine.run` path materialises every candidate pair in
-one array and verifies it on one core.  This module provides the streaming
-alternative the engine switches to when ``block_size`` or ``n_workers`` is
-set:
+**One pool mechanism.**  :class:`_WorkerPool` is the process/queue/
+shared-memory plumbing with worker supervision.  The offline engine
+(:class:`StreamExecutor`, used by :meth:`SearchEngine.run` when
+``block_size``/``n_workers`` is set) drives it through the round protocol
+(:func:`run_round_protocol`); the serving layer wraps it in
+:class:`ServingPool`, which ``QueryIndex.start_pool`` keeps attached across
+calls and ``query_many(..., n_workers=k)`` opens and closes around a single
+call.  The *parent* extends the hash families round by round (so the RNG
+stream consumption is identical to the serial path) and exports the fresh
+signature columns into POSIX shared memory; workers gather hash columns
+straight out of the shared segments without ever pickling a signature store.
+
+**The serial path is the fallback.**  Worker loss is survivable, not fatal.
+The pool *supervises* its workers: every gather polls worker liveness (a
+SIGKILLed or crashed worker surfaces through its exit code) and, when a
+``round_timeout`` is configured, applies a per-gather deadline after which a
+live-but-silent worker is declared hung and SIGKILLed.  The failed worker is
+retired and its work re-runs in the parent *through the function the serial
+path already uses* — ``algorithm.verify`` for a pair block of the all-pairs
+protocol, :func:`serial_verify_bayes` and the stores' own kernels for a
+serving shard (:meth:`_WorkerPool.map_shards` is the one scatter / gather /
+recompute-lost-shards helper).  The parent is the sole RNG/extension
+authority, so results after any single- or multi-worker loss are
+bit-identical to the all-serial run (enforced by ``tests/faults/``).
+:class:`WorkerFailure` (naming the workers, the task tag and the round) is
+what the supervisor raises to those recovery paths.  Shutdown is
+unconditional: every call site tears its pool down under ``try``/``finally``
+and :meth:`~_WorkerPool.shutdown` force-kills stragglers before unlinking
+the shared-memory segments, so no exception path leaks ``/dev/shm``.
+
+Streaming
+---------
+The serial :meth:`SearchEngine.run` path materialises every candidate pair
+in one array and verifies it on one core.  The streamed engine instead has:
 
 * **Streamed generation** — candidate generators yield raw pair blocks
   (:meth:`CandidateGenerator.generate_blocks`); the executor canonicalises
@@ -23,19 +54,8 @@ set:
   count (for LSH the raw count is often many times the unique count).
 * **Blocked verification** — the deduplicated pairs are verified in
   ``block_size`` slices (:class:`PairBlockSource`), so the per-pair
-  verification state (status/matches/gather scratch) is bounded by the block
-  size.  Per-block outputs are combined with
-  :meth:`~repro.core.bayeslsh.VerificationOutput.merge`.
-* **Multicore round-synchronous verification** — with ``n_workers > 1`` a
-  pool of forked worker processes verifies each block's pairs in contiguous
-  shards.  The *parent* extends the shared hash family round by round (so the
-  RNG stream consumption is identical to the serial path) and exports the
-  fresh signature columns into POSIX shared memory; workers gather hash
-  columns straight out of the shared segments without ever pickling the
-  signature store.  Every prune/emit decision depends only on the pair's own
-  ``(m, n)`` counts, so sharding pairs across processes is semantics-free:
-  pairs, estimates, counters and the per-round trace are bit-identical to
-  the serial path (enforced by ``tests/property/test_execution_invariance``).
+  verification state is bounded by the block size.  Per-block outputs are
+  combined with :meth:`~repro.core.bayeslsh.VerificationOutput.merge`.
 
 Determinism contract
 --------------------
@@ -48,26 +68,10 @@ For every pipeline, every ``block_size`` and every ``n_workers``:
   round-by-round across blocks and shards);
 * hash families are extended by the parent only, in the same order as the
   serial path, so a given ``(seed, hash index)`` yields the same hash
-  function everywhere.
+  function everywhere
 
-Fault tolerance
----------------
-Worker loss is survivable, not fatal.  The pool *supervises* its workers:
-every gather polls worker liveness (a SIGKILLed or crashed worker surfaces
-through its exit code) and, when a ``round_timeout`` is configured, applies
-a per-gather deadline after which a live-but-silent worker is declared hung
-and SIGKILLed.  Either way the failed worker is retired — it receives no
-further work — and its shard is **re-executed serially in the parent** with
-the same kernels: the parent is the sole RNG/extension authority and every
-per-pair decision depends only on that pair's own counts, so results after
-any single- or multi-worker loss are bit-identical to the all-serial run
-(enforced by ``tests/faults/``).  The serving pool recovers at shard
-granularity; the all-pairs round protocol re-runs the affected block.
-:class:`WorkerFailure` (naming the workers, the task tag and the round) is
-raised only when no fallback exists for the failing operation.  Shutdown is
-unconditional: every call site tears the pool down under ``try``/``finally``
-and :meth:`~_WorkerPool.shutdown` force-kills stragglers before unlinking
-the shared-memory segments, so no exception path leaks ``/dev/shm``.
+(enforced by ``tests/property/test_execution_invariance.py`` and
+``tests/property/test_query_serving.py``).
 """
 
 from __future__ import annotations
@@ -85,14 +89,20 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.bayeslsh import VerificationOutput
-from repro.hashing.signatures import BitSignatures, _tile_rows, count_packed_matches
+from repro.core.rounds import PRUNED, PairState, RoundTables, run_rounds
+from repro.hashing.signatures import (
+    BitSignatures,
+    _tile_rows,
+    count_packed_matches,
+    store_from_parts,
+    store_parts,
+)
 from repro.testing import faults as _faults
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "PairBlockSource",
     "PoolDegradedWarning",
-    "ResidentServingPool",
     "ServingPool",
     "ServingTask",
     "StreamExecutor",
@@ -394,9 +404,6 @@ class PoolDegradedWarning(UserWarning):
 # --------------------------------------------------------------------- #
 # worker process
 # --------------------------------------------------------------------- #
-_ACTIVE, _PRUNED, _EMITTED = 0, 1, 2
-
-
 def _worker_main(worker_id: int, verifier, task_queue, result_queue) -> None:
     """Worker loop: verifies pair shards round-synchronously.
 
@@ -408,12 +415,9 @@ def _worker_main(worker_id: int, verifier, task_queue, result_queue) -> None:
     with the parent's.
     """
     segments = _SegmentTable()
-    mode = None
-    posterior = None
-    params = None
-    min_matches = None
-    concentration = None
-    shard: dict | None = None
+    tables: RoundTables | None = None
+    state: PairState | None = None
+    left = right = None
     while True:
         message = task_queue.get()
         tag = message[0]
@@ -427,86 +431,39 @@ def _worker_main(worker_id: int, verifier, task_queue, result_queue) -> None:
                 segments.attach(message[1])
                 continue  # broadcast; no reply
             if tag == "setup":
-                mode, blob = message[1], message[2]
-                posterior, params = pickle.loads(blob)
-                from repro.core.concentration_cache import ConcentrationCache
-                from repro.core.min_matches import MinMatchesTable
-
-                max_hashes = params.max_hashes if mode == "bayes" else params.h
-                min_matches = MinMatchesTable(
-                    posterior,
-                    threshold=params.threshold,
-                    epsilon=params.epsilon,
-                    k=params.k,
-                    max_hashes=max_hashes,
-                )
-                concentration = (
-                    ConcentrationCache(posterior, delta=params.delta, gamma=params.gamma)
-                    if mode == "bayes"
-                    else None
-                )
+                tables = RoundTables(*pickle.loads(message[1]))
                 continue  # broadcast; no reply
             if tag == "begin":
                 left, right = message[1], message[2]
-                shard = {
-                    "left": left,
-                    "right": right,
-                    "status": np.full(len(left), _ACTIVE, dtype=np.int8),
-                    "matches": np.zeros(len(left), dtype=np.int64),
-                    "hashes_seen": np.zeros(len(left), dtype=np.int64),
-                }
+                state = PairState(tables, len(left))
                 result_queue.put(("ok", worker_id, len(left)))
             elif tag == "round":
                 n_prev, n_now = message[1], message[2]
-                status = shard["status"]
-                matches = shard["matches"]
-                active = np.flatnonzero(status == _ACTIVE)
+                active = state.active
                 if len(active):
-                    new_matches = segments.count_matches_many(
-                        shard["left"][active], shard["right"][active], n_prev, n_now
+                    state.advance(
+                        segments.count_matches_many(
+                            left[active], right[active], n_prev, n_now
+                        ),
+                        n_now,
                     )
-                    matches[active] += new_matches
-                    shard["hashes_seen"][active] = n_now
-                    keep_mask = min_matches.passes_many(matches[active], n_now)
-                    status[active[~keep_mask]] = _PRUNED
-                    survivors = active[keep_mask]
-                    if concentration is not None and len(survivors):
-                        concentrated = concentration.is_concentrated_many(
-                            matches[survivors], n_now
-                        )
-                        status[survivors[concentrated]] = _EMITTED
-                n_alive = int(np.sum(status != _PRUNED))
-                n_active = int(np.sum(status == _ACTIVE))
-                result_queue.put(("ok", worker_id, (len(active), n_alive, n_active)))
+                result_queue.put(
+                    ("ok", worker_id, (len(active), state.n_alive, len(state.active)))
+                )
             elif tag == "finish":
-                status = shard["status"]
-                if mode == "bayes":
-                    mask = status != _PRUNED
-                    out_matches = shard["matches"][mask]
-                    out_hashes = shard["hashes_seen"][mask]
-                    if len(out_matches):
-                        estimates = np.where(
-                            out_hashes > 0,
-                            posterior.map_estimate_many(out_matches, out_hashes),
-                            0.0,
-                        ).astype(np.float64, copy=False)
-                    else:
-                        estimates = np.zeros(0, dtype=np.float64)
-                    result_queue.put(("ok", worker_id, (mask, estimates)))
+                if tables.concentration is not None:
+                    result_queue.put(("ok", worker_id, state.survivors()))
                 else:  # lite: exact-verify the survivors
-                    mask = status != _PRUNED
-                    survivors = np.flatnonzero(mask)
+                    mask = state.status != PRUNED
                     exact_values = np.array(
                         [
-                            verifier.exact_similarity(
-                                int(shard["left"][idx]), int(shard["right"][idx])
-                            )
-                            for idx in survivors
+                            verifier.exact_similarity(int(left[idx]), int(right[idx]))
+                            for idx in np.flatnonzero(mask)
                         ],
                         dtype=np.float64,
                     )
                     result_queue.put(("ok", worker_id, (mask, exact_values)))
-                shard = None
+                state = None
             elif tag == "exact":
                 from repro.verification.base import exact_similarities_for_pairs
 
@@ -523,6 +480,22 @@ def _worker_main(worker_id: int, verifier, task_queue, result_queue) -> None:
                 result_queue.put(("error", worker_id, f"unknown task {tag!r}"))
         except Exception:
             result_queue.put(("error", worker_id, traceback.format_exc()))
+
+
+def _run_worker(target, *args) -> None:
+    """Process entry point of every pool worker: ``target(*args)``.
+
+    The forked child has exactly one thread, so a lock some *other* parent
+    thread held at the instant of the fork can never be released in it.
+    The one such lock a worker goes on to take is the shared-memory resource
+    tracker's (attaching a published segment registers with the tracker, and
+    a concurrent reader thread of the parent takes the same lock whenever
+    it publishes or unlinks a segment), so it is re-initialised first.
+    """
+    from multiprocessing import resource_tracker
+
+    resource_tracker._resource_tracker._lock._at_fork_reinit()
+    target(*args)
 
 
 # --------------------------------------------------------------------- #
@@ -575,8 +548,9 @@ class _WorkerPool:
         # survivor's replies (alive-but-silent forever).  Per-worker queues
         # confine the damage to the dead worker, whose queue is never read
         # again once the liveness sweep retires it.
-        self._result_queues = [context.Queue() for _ in range(self._n_workers)]
-        self._task_queues = [context.Queue() for _ in range(self._n_workers)]
+        self._result_queues: list = [None] * self._n_workers
+        self._task_queues: list = [None] * self._n_workers
+        self._processes: list = [None] * self._n_workers
         self._segments: list = []
         # Two-generation transient segment tracking (resident pools only):
         # ``_transient`` holds batch-scoped segments still possibly unread by
@@ -586,18 +560,27 @@ class _WorkerPool:
         self._transient: list = []
         self._retired_transient: list = []
         self._dead: dict[int, str] = {}
-        self._processes = [
-            context.Process(
-                target=target,
-                args=(wid, payload, self._task_queues[wid], self._result_queues[wid]),
-                daemon=True,
-            )
-            for wid in range(self._n_workers)
-        ]
-        for process in self._processes:
-            process.start()
+        for wid in range(self._n_workers):
+            self._start_worker(wid)
         self._shard_workers: list[int] = []
         _faults.fire("pool_start", pool=self)
+
+    def _start_worker(self, wid: int) -> None:
+        """Fork a worker process into slot ``wid``, on fresh queues."""
+        self._task_queues[wid] = self._context.Queue()
+        self._result_queues[wid] = self._context.Queue()
+        self._processes[wid] = self._context.Process(
+            target=_run_worker,
+            args=(
+                self._target,
+                wid,
+                self._payload,
+                self._task_queues[wid],
+                self._result_queues[wid],
+            ),
+            daemon=True,
+        )
+        self._processes[wid].start()
 
     @property
     def n_workers(self) -> int:
@@ -659,15 +642,7 @@ class _WorkerPool:
                 queue.close()
             except Exception:
                 pass
-        self._task_queues[wid] = self._context.Queue()
-        self._result_queues[wid] = self._context.Queue()
-        process = self._context.Process(
-            target=self._target,
-            args=(wid, self._payload, self._task_queues[wid], self._result_queues[wid]),
-            daemon=True,
-        )
-        self._processes[wid] = process
-        process.start()
+        self._start_worker(wid)
         del self._dead[wid]
 
     def set_round_timeout(self, round_timeout: float | None) -> None:
@@ -824,8 +799,8 @@ class _WorkerPool:
         """Gather one reply per listed worker id (:class:`WorkerFailure` on loss)."""
         return self._collect(worker_ids, tag=tag, round_index=round_index)
 
-    def setup(self, mode: str, posterior, params) -> None:
-        self._broadcast(("setup", mode, pickle.dumps((posterior, params))))
+    def setup(self, posterior, params) -> None:
+        self._broadcast(("setup", pickle.dumps((posterior, params))))
 
     # --------------------------- block protocol -------------------------- #
     def begin_block(self, left: np.ndarray, right: np.ndarray) -> None:
@@ -851,53 +826,42 @@ class _WorkerPool:
         replies = self._collect(self._shard_workers, tag="finish")
         return [replies[wid] for wid in self._shard_workers]
 
-    def map_exact(self, left: np.ndarray, right: np.ndarray, fallback=None) -> np.ndarray:
-        """Sharded exact similarities, with serial recovery of failed shards.
+    def map_shards(self, tag: str, arrays: tuple, fallback, extra: tuple = ()) -> list:
+        """Scatter ``arrays``, gather one reply per shard, recover lost shards.
 
-        ``fallback(left_slice, right_slice)`` computes a shard in the parent
-        with the serial kernel; it is used for every shard when no worker
-        survives, and for exactly the failed shards when some do.  Without a
-        fallback, worker loss raises :class:`WorkerFailure`.
+        ``fallback(*slices)`` computes a shard in the parent with the serial
+        kernel; it runs for the whole input when no worker survives, and for
+        exactly the failed shards when some do, so the result is independent
+        of how many workers were lost.  Returns ``(start offset, reply)``
+        per shard in shard order.
         """
-        issued = self.scatter("exact", (left, right))
+        issued = self.scatter(tag, arrays, extra)
         if not issued:
-            if fallback is None:
-                raise WorkerFailure(dict(self._dead), {}, "exact")
-            return fallback(left, right)
+            return [(0, fallback(*arrays))]
         try:
-            replies = self._collect([wid for wid, _, _ in issued], tag="exact")
+            replies = self._collect([wid for wid, _, _ in issued], tag=tag)
         except WorkerFailure as failure:
-            if fallback is None:
-                raise
             replies = failure.replies
             for wid, lo, hi in issued:
                 if wid in failure.failed:
-                    replies[wid] = fallback(left[lo:hi], right[lo:hi])
-        return np.concatenate([replies[wid] for wid, _, _ in issued])
+                    replies[wid] = fallback(*(array[lo:hi] for array in arrays))
+        return [(lo, replies[wid]) for wid, lo, _ in issued]
+
+    def map_exact(self, left: np.ndarray, right: np.ndarray, fallback) -> np.ndarray:
+        """Sharded exact similarities (see :meth:`map_shards` for recovery)."""
+        shards = self.map_shards("exact", (left, right), fallback)
+        return np.concatenate([reply for _, reply in shards])
 
     def map_count(
-        self, left: np.ndarray, right: np.ndarray, start: int, end: int, fallback=None
+        self, left: np.ndarray, right: np.ndarray, start: int, end: int, fallback
     ) -> np.ndarray:
-        """Sharded hash-agreement counts, with serial recovery of failed shards.
+        """Sharded hash-agreement counts over hashes ``[start, end)``.
 
-        Same supervision contract as :meth:`map_exact`; ``fallback`` takes
-        ``(left_slice, right_slice)`` and counts with the parent's store.
+        ``fallback`` takes ``(left_slice, right_slice)`` and counts with the
+        parent's store.
         """
-        issued = self.scatter("count", (left, right), extra=(start, end))
-        if not issued:
-            if fallback is None:
-                raise WorkerFailure(dict(self._dead), {}, "count")
-            return fallback(left, right)
-        try:
-            replies = self._collect([wid for wid, _, _ in issued], tag="count")
-        except WorkerFailure as failure:
-            if fallback is None:
-                raise
-            replies = failure.replies
-            for wid, lo, hi in issued:
-                if wid in failure.failed:
-                    replies[wid] = fallback(left[lo:hi], right[lo:hi])
-        return np.concatenate([replies[wid] for wid, _, _ in issued])
+        shards = self.map_shards("count", (left, right), fallback, extra=(start, end))
+        return np.concatenate([reply for _, reply in shards])
 
     def shutdown(self) -> None:
         """Stop every worker and release the shared-memory segments.
@@ -949,156 +913,15 @@ class _WorkerPool:
 # --------------------------------------------------------------------- #
 # round-synchronous block verification (shared by BayesLSH / Lite)
 # --------------------------------------------------------------------- #
-def _block_output(
-    left: np.ndarray,
-    right: np.ndarray,
-    mask: np.ndarray,
-    values: np.ndarray,
-    trace: list,
-    hash_comparisons: int,
-    mode: str,
-    threshold: float,
-) -> VerificationOutput:
-    """Assemble one block's :class:`VerificationOutput` from survivor data.
-
-    Shared by the pooled path and the serial-fallback path so both produce
-    byte-identical outputs from identical ``(mask, values)`` inputs.
-    """
-    n_pruned = int(len(left) - mask.sum())
-    if mode == "bayes":
-        return VerificationOutput(
-            left=left[mask],
-            right=right[mask],
-            estimates=values,
-            n_candidates=len(left),
-            n_pruned=n_pruned,
-            trace=trace,
-            hash_comparisons=hash_comparisons,
-        )
-    # lite: threshold the exact survivor similarities
-    survivors_left = left[mask]
-    survivors_right = right[mask]
-    above = values > threshold
-    return VerificationOutput(
-        left=survivors_left[above],
-        right=survivors_right[above],
-        estimates=values[above],
-        n_candidates=len(left),
-        n_pruned=n_pruned,
-        trace=trace,
-        hash_comparisons=hash_comparisons,
-        exact_computations=int(mask.sum()),
-    )
-
-
-def _serial_block_verify(
-    family,
-    params,
-    mode: str,
-    posterior,
-    verifier,
-    left: np.ndarray,
-    right: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list, int]:
-    """Verify one pair block in the parent with the serial kernels.
-
-    The recovery path behind :func:`run_round_protocol`: when workers are
-    lost mid-block, the whole block re-executes here.  Bit-identity to the
-    all-serial run holds because (a) every per-pair decision depends only on
-    that pair's own ``(matches, hashes_seen)`` counts, so re-deriving them
-    from round zero reproduces the serial decisions exactly, and (b) the
-    parent is the sole hash/RNG authority — ``family.signatures(n)`` only
-    appends columns beyond what the aborted pooled attempt already
-    materialised, never redraws, so store contents match the serial run's.
-
-    Returns ``(survivor mask, survivor values, trace, hash comparisons)``
-    in the exact shapes the pooled merge produces.
-    """
-    from repro.core.concentration_cache import ConcentrationCache
-    from repro.core.min_matches import MinMatchesTable
-
-    max_hashes = params.max_hashes if mode == "bayes" else params.h
-    min_matches = MinMatchesTable(
-        posterior,
-        threshold=params.threshold,
-        epsilon=params.epsilon,
-        k=params.k,
-        max_hashes=max_hashes,
-    )
-    concentration = (
-        ConcentrationCache(posterior, delta=params.delta, gamma=params.gamma)
-        if mode == "bayes"
-        else None
-    )
-    status = np.full(len(left), _ACTIVE, dtype=np.int8)
-    matches = np.zeros(len(left), dtype=np.int64)
-    hashes_seen = np.zeros(len(left), dtype=np.int64)
-    trace: list[tuple[int, int]] = []
-    hash_comparisons = 0
-    n_active = len(left)
-    for round_index in range(params.n_rounds if len(left) else 0):
-        if n_active == 0:
-            break
-        n_prev = round_index * params.k
-        n_now = n_prev + params.k
-        store = family.signatures(n_now)
-        active = np.flatnonzero(status == _ACTIVE)
-        if len(active):
-            matches[active] += store.count_matches_many(
-                left[active], right[active], n_prev, n_now
-            )
-            hashes_seen[active] = n_now
-            keep_mask = min_matches.passes_many(matches[active], n_now)
-            status[active[~keep_mask]] = _PRUNED
-            survivors = active[keep_mask]
-            if concentration is not None and len(survivors):
-                concentrated = concentration.is_concentrated_many(
-                    matches[survivors], n_now
-                )
-                status[survivors[concentrated]] = _EMITTED
-        hash_comparisons += len(active) * params.k
-        trace.append((n_now, int(np.sum(status != _PRUNED))))
-        n_active = int(np.sum(status == _ACTIVE))
-    mask = status != _PRUNED
-    if mode == "bayes":
-        out_matches = matches[mask]
-        out_hashes = hashes_seen[mask]
-        if len(out_matches):
-            values = np.where(
-                out_hashes > 0,
-                posterior.map_estimate_many(out_matches, out_hashes),
-                0.0,
-            ).astype(np.float64, copy=False)
-        else:
-            values = np.zeros(0, dtype=np.float64)
-    else:  # lite: exact-verify the survivors
-        if verifier is None:
-            raise RuntimeError(
-                "serial fallback for 'lite' mode needs the verifier for exact "
-                "similarities; pass verifier= to run_round_protocol"
-            )
-        survivors = np.flatnonzero(mask)
-        values = np.array(
-            [
-                verifier.exact_similarity(int(left[idx]), int(right[idx]))
-                for idx in survivors
-            ],
-            dtype=np.float64,
-        )
-    return mask, values, trace, hash_comparisons
-
-
 def _pooled_block(
     pool: _WorkerPool,
     exporter: _SignatureExporter,
-    family,
-    params,
-    mode: str,
-    threshold: float,
+    algorithm,
     left: np.ndarray,
     right: np.ndarray,
 ) -> VerificationOutput:
     """Run one pair block through the worker pool (raises WorkerFailure on loss)."""
+    params = algorithm.params
     _faults.fire("allpairs_begin", pool=pool)
     pool.begin_block(left, right)
     trace: list[tuple[int, int]] = []
@@ -1109,71 +932,70 @@ def _pooled_block(
             break
         n_prev = round_index * params.k
         n_now = n_prev + params.k
-        store = family.signatures(n_now)
+        store = algorithm.family.signatures(n_now)
         exporter.ensure(store, n_now)
         _faults.fire("allpairs_round", pool=pool, round_index=round_index)
         processed, alive, n_active = pool.round(n_prev, n_now)
         hash_comparisons += processed * params.k
         trace.append((n_now, alive))
     shard_results = pool.finish_block()
-    masks = [mask for mask, _ in shard_results]
-    mask = np.concatenate(masks) if masks else np.zeros(0, dtype=bool)
-    values = (
-        np.concatenate([vals for _, vals in shard_results])
-        if shard_results
-        else np.zeros(0, dtype=np.float64)
+    mask = np.concatenate([mask for mask, _ in shard_results])
+    values = np.concatenate([values for _, values in shard_results])
+    left, right = left[mask], right[mask]
+    exact_computations = 0
+    if algorithm.tables.concentration is None:
+        # lite: the workers scored the survivors exactly; threshold them
+        exact_computations = len(values)
+        above = values > params.threshold
+        left, right, values = left[above], right[above], values[above]
+    return VerificationOutput(
+        left=left,
+        right=right,
+        estimates=values,
+        n_candidates=len(mask),
+        n_pruned=int(len(mask) - mask.sum()),
+        trace=trace,
+        hash_comparisons=hash_comparisons,
+        exact_computations=exact_computations,
     )
-    return _block_output(left, right, mask, values, trace, hash_comparisons, mode, threshold)
 
 
-def run_round_protocol(
-    pool: _WorkerPool,
-    family,
-    params,
-    mode: str,
-    posterior,
-    source: PairBlockSource,
-    threshold: float,
-    verifier=None,
-) -> VerificationOutput:
+def run_round_protocol(pool: _WorkerPool, algorithm, source: PairBlockSource) -> VerificationOutput:
     """Drive the workers through the round-synchronous verification of
     every block of ``source``.
 
-    The parent owns hash generation: each round it lazily extends ``family``
+    ``algorithm`` is the verifier's :class:`~repro.core.bayeslsh.BayesLSH`
+    or :class:`~repro.core.lite.BayesLSHLite`.  The parent owns hash
+    generation: each round it lazily extends the algorithm's family
     (identical RNG stream consumption to the serial path) and publishes the
     fresh columns to shared memory before broadcasting the round.
 
     Fault tolerance: a block that loses workers (death, hang past the pool's
-    ``round_timeout``, in-task error) is re-executed whole in the parent via
-    :func:`_serial_block_verify` — partial shard results from the survivors
-    are discarded, so the block's output (including trace and counter
-    bookkeeping) is bit-identical to the all-serial run.  Retired workers
-    stay excluded from later blocks; once every worker is gone all remaining
-    blocks run serially without touching the queues.  ``verifier`` supplies
-    the exact-similarity kernel the ``"lite"`` fallback needs.
+    ``round_timeout``, in-task error) is re-executed whole through
+    ``algorithm.verify`` — the function the serial streamed path runs per
+    block — and the survivors' partial shard results are discarded.  Every
+    per-pair decision depends only on that pair's own counts, and
+    ``family.signatures(n)`` only appends columns beyond what the aborted
+    pooled attempt already materialised, so the block's output (including
+    trace and counters) is bit-identical to the all-serial run.  Retired
+    workers stay excluded from later blocks; once every worker is gone all
+    remaining blocks run serially without touching the queues.
     """
-    pool.setup(mode, posterior, params)
-    exporter = _SignatureExporter(pool, family.produces_bits)
+    pool.setup(algorithm.tables.posterior, algorithm.params)
+    exporter = _SignatureExporter(pool, algorithm.family.produces_bits)
     outputs: list[VerificationOutput] = []
     for block_index, (left, right) in enumerate(source.blocks()):
         try:
             if not pool.live_workers:
                 raise WorkerFailure(dict(pool._dead), {}, "begin")
-            outputs.append(
-                _pooled_block(pool, exporter, family, params, mode, threshold, left, right)
-            )
+            outputs.append(_pooled_block(pool, exporter, algorithm, left, right))
         except WorkerFailure as failure:
             _LOGGER.warning(
                 "pair block %d: %s; re-executing the block serially in the parent",
                 block_index,
                 failure,
             )
-            mask, values, trace, comparisons = _serial_block_verify(
-                family, params, mode, posterior, verifier, left, right
-            )
-            outputs.append(
-                _block_output(left, right, mask, values, trace, comparisons, mode, threshold)
-            )
+            outputs.append(algorithm.verify(left, right))
     return VerificationOutput.merge(outputs)
 
 
@@ -1184,29 +1006,26 @@ def run_round_protocol(
 class ServingTask:
     """Everything a serving worker inherits through the fork.
 
-    Built by :class:`~repro.search.query.QueryIndex` per batched call, after
-    the query batch has been hashed to the banding width: the workers read
-    the postings, the per-segment stores and the query store from their
-    forked copy of this object, and only signature columns materialised
-    *after* the fork travel through POSIX shared memory.  Nothing here is
-    ever pickled.
+    Built by :class:`~repro.search.query.QueryIndex` (under its update lock)
+    each time a pool forks or refreshes: the workers read the postings and
+    the per-segment stores from their forked copy of this object.  The query
+    batch is the only per-batch state — each batch installs it with one
+    ``"batch"`` message — and only signature columns materialised *after*
+    the fork travel through POSIX shared memory.
     """
 
     #: the index's :class:`~repro.serving.segments.SegmentedCollection`
     segments: object
     #: the index's band postings (already rebuilt if the staleness budget required it)
     postings: object
-    #: the prepared query batch (measure-specific view)
-    query_prepared: object
-    #: the query batch's signature store, materialised to the banding width
-    query_store: object
-    #: BayesLSH decision machinery shared with the serial path
-    min_matches: object
-    concentration: object
-    posterior: object
-    params: object
+    #: the index's BayesLSH decision tables (:class:`~repro.core.rounds.RoundTables`)
+    tables: RoundTables
     #: total collection rows (probe-result encoding span)
     n_vectors: int
+    #: the current batch's prepared queries (measure-specific view)
+    query_prepared: object = None
+    #: the current batch's signature store, materialised to the banding width
+    query_store: object = None
 
 
 #: key under which the query batch's signature columns are published
@@ -1388,7 +1207,8 @@ def _serving_worker_main(worker_id: int, task: ServingTask, task_queue, result_q
             sources[key] = source
         return source
 
-    shard: dict | None = None
+    state: PairState | None = None
+    shard: tuple | None = None  # (query rows, segment ids, local rows)
     while True:
         message = task_queue.get()
         tag = message[0]
@@ -1407,15 +1227,13 @@ def _serving_worker_main(worker_id: int, task: ServingTask, task_queue, result_q
                 # task).  The store is rebuilt from its raw matrix — fresh
                 # locks, one contiguous chunk — and the cached query source
                 # is dropped so the next round snapshots the new store.
-                from repro.serving.snapshot import _store_from_parts
-
                 query_prepared, kind, matrix, n_hashes = pickle.loads(message[1])
                 task.query_prepared = query_prepared
-                task.query_store = _store_from_parts(kind, matrix, n_hashes)
+                task.query_store = store_from_parts(kind, matrix, n_hashes)
                 stale = sources.pop(_QUERY_KEY, None)
                 if stale is not None:
                     stale.close()
-                shard = None
+                state = None
                 result_queue.put(("ok", worker_id, True))
             elif tag == "probe":
                 query_rows = message[1]
@@ -1424,68 +1242,40 @@ def _serving_worker_main(worker_id: int, task: ServingTask, task_queue, result_q
                 )
                 result_queue.put(("ok", worker_id, (positions, rows)))
             elif tag == "verify":
-                query_rows, segment_ids, local_rows = message[1], message[2], message[3]
-                shard = {
-                    "query_rows": query_rows,
-                    "segment_ids": segment_ids,
-                    "local_rows": local_rows,
-                    "status": np.full(len(query_rows), _ACTIVE, dtype=np.int8),
-                    "matches": np.zeros(len(query_rows), dtype=np.int64),
-                    "hashes_seen": np.zeros(len(query_rows), dtype=np.int64),
-                }
-                result_queue.put(("ok", worker_id, len(query_rows)))
+                shard = message[1:4]
+                state = PairState(task.tables, len(shard[0]))
+                result_queue.put(("ok", worker_id, len(shard[0])))
             elif tag == "round":
                 n_prev, n_now = message[1], message[2]
-                status = shard["status"]
-                matches = shard["matches"]
-                active = np.flatnonzero(status == _ACTIVE)
+                query_rows, segment_ids, local_rows = shard
+                active = state.active
                 if len(active):
                     # Group the active pairs by owning segment (same stable
                     # grouping as SegmentedCollection._grouped) and count
                     # each group against its segment's column source.
                     query_source = source_for(_QUERY_KEY)
-                    segment_ids = shard["segment_ids"][active]
-                    order = np.argsort(segment_ids, kind="stable")
-                    boundaries = np.flatnonzero(np.diff(segment_ids[order])) + 1
+                    new_matches = np.empty(len(active), dtype=np.int64)
+                    owners = segment_ids[active]
+                    order = np.argsort(owners, kind="stable")
+                    boundaries = np.flatnonzero(np.diff(owners[order])) + 1
                     for positions in np.split(order, boundaries):
                         pairs = active[positions]
-                        matches[pairs] += _cross_window_counts(
+                        new_matches[positions] = _cross_window_counts(
                             query_source,
-                            source_for(int(segment_ids[positions[0]])),
-                            shard["query_rows"][pairs],
-                            shard["local_rows"][pairs],
+                            source_for(int(owners[positions[0]])),
+                            query_rows[pairs],
+                            local_rows[pairs],
                             n_prev,
                             n_now,
                         )
-                    shard["hashes_seen"][active] = n_now
-                    keep_mask = task.min_matches.passes_many(matches[active], n_now)
-                    status[active[~keep_mask]] = _PRUNED
-                    survivors = active[keep_mask]
-                    if len(survivors):
-                        concentrated = task.concentration.is_concentrated_many(
-                            matches[survivors], n_now
-                        )
-                        status[survivors[concentrated]] = _EMITTED
-                still_active = status == _ACTIVE
-                active_segments = np.unique(shard["segment_ids"][still_active])
+                    state.advance(new_matches, n_now)
+                active_segments = np.unique(segment_ids[state.active])
                 result_queue.put(
-                    ("ok", worker_id, (int(still_active.sum()), active_segments.tolist()))
+                    ("ok", worker_id, (len(state.active), active_segments.tolist()))
                 )
             elif tag == "estimates":
-                status = shard["status"]
-                estimates = np.full(len(status), np.nan, dtype=np.float64)
-                emitted = np.flatnonzero(status != _PRUNED)
-                if len(emitted):
-                    hashes_seen = shard["hashes_seen"][emitted]
-                    estimates[emitted] = np.where(
-                        hashes_seen > 0,
-                        task.posterior.map_estimate_many(
-                            shard["matches"][emitted], hashes_seen
-                        ),
-                        0.0,
-                    )
-                result_queue.put(("ok", worker_id, estimates))
-                shard = None
+                result_queue.put(("ok", worker_id, _estimates_or_nan(state)))
+                state = None
             elif tag == "exact":
                 query_rows, rows = message[1], message[2]
                 values = task.segments.cross_similarities(
@@ -1498,59 +1288,53 @@ def _serving_worker_main(worker_id: int, task: ServingTask, task_queue, result_q
             result_queue.put(("error", worker_id, traceback.format_exc()))
 
 
-def _serial_serving_verify(
-    task: ServingTask, query_family, query_rows: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """Verify (query, candidate) pairs serially with the serving kernels.
-
-    The recovery path behind :meth:`ServingPool.verify_bayes`: a shard whose
-    worker is lost re-executes here, in the parent, against the same
-    segments/decision tables the workers inherited.  This is a line-for-line
-    twin of ``QueryIndex._verify_bayes``'s serial loop, so a recovered shard
-    is bit-identical to the serial batch path: per-pair decisions depend only
-    on the pair's own ``(m, n)`` counts, and the parent's round-lazy store
-    extension draws the same RNG stream regardless of which component (pool
-    round loop or this fallback) requests a width first.
-    """
-    params = task.params
-    n_pairs = len(query_rows)
-    status = np.full(n_pairs, _ACTIVE, dtype=np.int8)
-    matches = np.zeros(n_pairs, dtype=np.int64)
-    hashes_seen = np.zeros(n_pairs, dtype=np.int64)
-    for round_index in range(params.n_rounds if n_pairs else 0):
-        active = np.flatnonzero(status == _ACTIVE)
-        if len(active) == 0:
-            break
-        n_prev = round_index * params.k
-        n_now = n_prev + params.k
-        query_store = query_family.signatures(n_now)
-        matches[active] += task.segments.count_matches_cross(
-            query_store, query_rows[active], rows[active], n_prev, n_now
-        )
-        hashes_seen[active] = n_now
-        keep_mask = task.min_matches.passes_many(matches[active], n_now)
-        status[active[~keep_mask]] = _PRUNED
-        survivors = active[keep_mask]
-        if len(survivors):
-            concentrated = task.concentration.is_concentrated_many(
-                matches[survivors], n_now
-            )
-            status[survivors[concentrated]] = _EMITTED
-    estimates = np.full(n_pairs, np.nan, dtype=np.float64)
-    emitted = np.flatnonzero(status != _PRUNED)
-    if len(emitted):
-        estimates[emitted] = np.where(
-            hashes_seen[emitted] > 0,
-            task.posterior.map_estimate_many(matches[emitted], hashes_seen[emitted]),
-            0.0,
-        )
+def _estimates_or_nan(state: PairState) -> np.ndarray:
+    """Per-pair MAP estimates with NaN marking the pruned pairs."""
+    estimates = np.full(len(state.status), np.nan, dtype=np.float64)
+    mask, values = state.survivors()
+    estimates[mask] = values
     return estimates
 
 
-class ServingPool:
-    """Forked worker pool serving one batched query call.
+def serial_verify_bayes(
+    segments, tables: RoundTables, query_family, query_rows: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Round-synchronous BayesLSH verification of (query, candidate) pairs.
 
-    Shards the batched serving pipeline across workers in two dimensions:
+    The serial serving path, and therefore also what the pool re-runs for a
+    shard whose worker was lost.  Hash agreements are counted between the
+    query store (``query_family``'s) and the per-segment collection stores
+    (global ``rows`` routed to their owning segments).  Hashing is lazy and
+    round-synchronous: rounds no pair reaches are never hashed, and only
+    segments that still own active pairs extend their stores.  Every
+    decision depends only on the pair's own ``(m, n)`` and the store
+    extension draws the same RNG stream whichever component requests a width
+    first, so a recovered shard is bit-identical to the all-serial batch.
+
+    Returns the pair estimates with NaN marking pruned pairs.
+    """
+
+    def count_matches(active: np.ndarray, n_prev: int, n_now: int) -> np.ndarray:
+        return segments.count_matches_cross(
+            query_family.signatures(n_now), query_rows[active], rows[active], n_prev, n_now
+        )
+
+    return _estimates_or_nan(run_rounds(tables, len(query_rows), count_matches))
+
+
+class ServingPool:
+    """A self-healing pool of forked workers serving batched query calls.
+
+    The pool is forked once and serves any number of batches: workers keep
+    the fork-inherited segment columns warm and receive only deltas — each
+    batch ships its query state in one ``"batch"`` control message (the
+    query store travels as its raw matrix and is rebuilt worker-side with
+    fresh locks), and verification rounds publish only columns materialised
+    after the fork.  ``QueryIndex.start_pool`` keeps one attached across
+    calls; ``n_workers=k`` on a query call opens one, serves the one batch
+    and closes it — the same object with a shorter lifetime.
+
+    A batch is sharded across the workers in two dimensions:
 
     * **probing** is sharded by query slice (each worker probes a contiguous
       run of query rows against the full inherited postings);
@@ -1571,41 +1355,79 @@ class ServingPool:
     restores the exact serial pair order — outputs are bit-identical to the
     serial batch path (enforced by ``tests/property/test_query_serving.py``).
 
-    Fault tolerance: each stage's failed shards (worker death, hang past
-    ``round_timeout``, in-task error) are re-executed serially in the parent
-    with the same kernels (:func:`_serial_serving_verify` and the stores'
-    own methods), so results stay bit-identical to the serial path after any
-    worker loss — including losing every worker.
+    **Fault tolerance.**  Each stage's failed shards (worker death, hang
+    past ``round_timeout``, in-task error) are re-executed in the parent on
+    the serial path (:func:`serial_verify_bayes` and the stores' own
+    methods), so results stay bit-identical after any worker loss —
+    including losing every worker.
+
+    **Self-healing.**  A retired worker's slot is *respawned* at a later
+    batch boundary after a capped exponential backoff
+    (``respawn_backoff * 2**(failures-1)``, capped at
+    ``respawn_backoff_cap``).  A slot that crash-loops —
+    ``max_worker_failures`` consecutive failures without completing a batch
+    — is quarantined for the pool's lifetime, degrading the pool to fewer
+    workers and, once no slot remains, to the serial path; both transitions
+    emit :class:`PoolDegradedWarning`.  A batch survived by a worker resets
+    its consecutive-failure count.
+
+    **Epochs.**  The pool records the index epoch it forked from; segment
+    churn (``insert``, posting rebuilds) bumps the index's epoch under its
+    update lock, and the index refreshes the pool (full re-fork via
+    :meth:`refresh`) before admitting the next batch — forked state is
+    copy-on-write, so without a refresh the workers would silently serve
+    the pre-churn corpus.  Quarantine and backoff state reset at refresh:
+    the replacement workers share nothing with the crash-looping ones.
+
+    Batches are serialised by an internal lease lock (concurrent
+    ``query_many`` callers queue up): open one with :meth:`lease`, end it
+    with :meth:`end_batch`.
     """
 
-    #: publication-stream keys whose shared-memory segments are batch-scoped
-    #: (reclaimed early by a resident pool); empty for the per-call pool,
-    #: which unlinks everything at shutdown anyway.
-    _transient_keys: frozenset = frozenset()
-
-    def __init__(self, n_workers: int, task: ServingTask, round_timeout: float | None = None):
+    def __init__(
+        self,
+        n_workers: int,
+        task: ServingTask,
+        round_timeout: float | None = None,
+        epoch: int = 0,
+        max_worker_failures: int = 3,
+        respawn_backoff: float = 0.1,
+        respawn_backoff_cap: float = 5.0,
+    ):
         if n_workers < 2:
             raise ValueError(f"ServingPool needs n_workers >= 2, got {n_workers}")
+        if max_worker_failures < 1:
+            raise ValueError(
+                f"max_worker_failures must be at least 1, got {max_worker_failures}"
+            )
         self._requested_workers = int(n_workers)
         self._round_timeout = None if round_timeout is None else float(round_timeout)
+        self._max_worker_failures = int(max_worker_failures)
+        self._respawn_backoff = float(respawn_backoff)
+        self._respawn_backoff_cap = float(respawn_backoff_cap)
+        self._lease_lock = threading.Lock()
+        self._closed = False
+        self._warned_serial = False
+        self._respawn_total = 0
+        self._batches_served = 0
+        self._serial_batches = 0
+        self._refreshes = 0
+        self.epoch = int(epoch)
         self._fork_pool(task)
 
+    # ----------------------------- lifecycle ----------------------------- #
     def _fork_pool(self, task: ServingTask) -> None:
         """Snapshot the fork-time store widths, then fork the worker set.
 
         Publication of post-fork columns starts at the snapshotted bases;
         the snapshot is taken *before* forking so a base can only
         under-shoot a worker's fork-time width (benign overlap), never
-        over-shoot it (coverage gap).  A ``task.query_store`` of ``None``
-        (a resident pool forked between batches) publishes the query stream
-        from zero until the first batch installs its width.
+        over-shoot it (coverage gap).  The query stream publishes from zero
+        until the first batch installs its width.  Healing state starts
+        clean: the new workers share nothing with any earlier set.
         """
         self._task = task
-        self._bases = {
-            _QUERY_KEY: (
-                int(task.query_store.n_hashes) if task.query_store is not None else 0
-            )
-        }
+        self._bases = {_QUERY_KEY: 0}
         for index, segment in enumerate(task.segments.segments):
             self._bases[index] = int(segment.store.n_hashes)
         self._pool = _WorkerPool(
@@ -1615,11 +1437,178 @@ class ServingPool:
             round_timeout=self._round_timeout,
         )
         self._exporters: dict = {}
+        self._consecutive_failures = [0] * self._requested_workers
+        self._respawn_at = [0.0] * self._requested_workers
+        self._quarantined: set[int] = set()
+        self._pool._on_retire = self._note_retire
 
-    @property
-    def n_workers(self) -> int:
-        """Number of forked worker processes serving this call."""
-        return self._pool.n_workers
+    def _note_retire(self, wid: int, reason: str) -> str:
+        """Decide a retired slot's fate; returns the decision for the warning.
+
+        Called by the worker pool's supervisor the moment it retires a
+        worker.  The current batch always completes via serial fallback;
+        this only schedules what happens to the slot at later batch
+        boundaries.
+        """
+        self._consecutive_failures[wid] += 1
+        failures = self._consecutive_failures[wid]
+        if failures >= self._max_worker_failures:
+            self._quarantined.add(wid)
+            live = len(self._pool.live_workers)
+            warnings.warn(
+                f"resident pool worker slot {wid} quarantined after {failures} "
+                f"consecutive failures; pool degraded to {live} live worker(s)",
+                PoolDegradedWarning,
+                stacklevel=2,
+            )
+            return f"quarantined after {failures} consecutive failures"
+        backoff = min(
+            self._respawn_backoff * (2 ** (failures - 1)), self._respawn_backoff_cap
+        )
+        self._respawn_at[wid] = time.monotonic() + backoff
+        return (
+            f"slot respawns at a later batch boundary after {backoff:.2f}s backoff "
+            f"(failure {failures}/{self._max_worker_failures})"
+        )
+
+    def _heal(self) -> None:
+        """Respawn retired slots whose backoff elapsed (quarantine excepted)."""
+        now = time.monotonic()
+        for wid in sorted(self._pool._dead):
+            if wid in self._quarantined or now < self._respawn_at[wid]:
+                continue
+            self._pool.respawn(wid)
+            self._respawn_total += 1
+            _faults.fire("pool_respawn", pool=self._pool, worker=wid)
+
+    def lease(
+        self,
+        query_prepared,
+        query_store,
+        round_timeout: float | None = None,
+        refresh=None,
+    ) -> bool:
+        """Acquire the pool for one batch and install the batch's query state.
+
+        Serialises concurrent callers, then (optionally) runs ``refresh`` —
+        the index's epoch check, which may call :meth:`refresh` under the
+        index's update lock — and finally opens the batch with
+        :meth:`begin_batch`.  Returns ``True`` with the lease held; the
+        caller must :meth:`end_batch` in a ``finally`` block.  Returns
+        ``False``, holding nothing, when the pool has been closed — a caller
+        that raced :meth:`close` serves its batch on the serial path.
+        """
+        leased = False
+        self._lease_lock.acquire()
+        try:
+            if not self._closed:
+                if refresh is not None:
+                    refresh()
+                self.begin_batch(query_prepared, query_store, round_timeout=round_timeout)
+                leased = True
+        finally:
+            if not leased:
+                self._lease_lock.release()
+        return leased
+
+    def begin_batch(
+        self, query_prepared, query_store, round_timeout: float | None = None
+    ) -> None:
+        """Open a batch: heal slots, ship the query state, sync the workers.
+
+        The ``"batch"`` broadcast doubles as the full-pool queue barrier
+        that makes reclaiming the *previous* batch's query columns safe
+        (every live worker acks it, proving its queue drained past them).
+        Workers that fail at the hand-off are retired through the normal
+        supervision path; with no live worker left the batch runs serially
+        in the parent (every stage falls back when ``scatter`` finds
+        nobody), bit-identically.
+        """
+        self._heal()
+        self._pool.set_round_timeout(
+            self._round_timeout if round_timeout is None else float(round_timeout)
+        )
+        task = self._task
+        task.query_prepared = query_prepared
+        task.query_store = query_store
+        self._bases[_QUERY_KEY] = int(query_store.n_hashes)
+        self._exporters.pop(_QUERY_KEY, None)
+        self._batches_served += 1
+        live = self._pool.live_workers
+        if not live:
+            if not self._warned_serial:
+                self._warned_serial = True
+                warnings.warn(
+                    "resident pool has no live workers left; serving continues "
+                    "on the serial path (bit-identical, reduced throughput)",
+                    PoolDegradedWarning,
+                    stacklevel=2,
+                )
+            self._serial_batches += 1
+            return
+        blob = pickle.dumps((query_prepared, *store_parts(query_store)))
+        self._pool.send(live, ("batch", blob))
+        try:
+            self._pool.collect(live, tag="batch")
+        except WorkerFailure:
+            # The failed workers are already retired (and counted by
+            # _note_retire); the survivors acked and serve the batch.
+            pass
+        self._pool.release_transient()
+
+    def end_batch(self) -> None:
+        """Close the batch: reset survivors' failure counts, free the lease."""
+        try:
+            for wid in self._pool.live_workers:
+                self._consecutive_failures[wid] = 0
+        finally:
+            self._lease_lock.release()
+
+    def refresh(self, task: ServingTask, epoch: int) -> None:
+        """Re-fork the worker set against post-churn index state.
+
+        Called by the index (under its update lock, with the lease held)
+        when the pool's epoch trails the index's: forked state is
+        copy-on-write, so segment churn is invisible to the old workers.
+        Tears the old worker set down — unlinking every shared segment —
+        and forks a fresh one that inherits the current segments/postings.
+        """
+        self._pool.shutdown()
+        self._fork_pool(task)
+        self.epoch = int(epoch)
+        self._refreshes += 1
+
+    def stats(self) -> dict:
+        """Pool-health snapshot for ops endpoints (all values JSON-safe).
+
+        Keys: ``epoch``, ``n_workers`` (configured), ``live_workers``,
+        ``quarantined`` (sorted slot ids), ``respawns`` (total),
+        ``consecutive_failures`` (per slot), ``batches_served``,
+        ``serial_batches``, ``refreshes``, ``closed``.
+        """
+        return {
+            "epoch": self.epoch,
+            "n_workers": self._requested_workers,
+            "live_workers": len(self._pool.live_workers),
+            "quarantined": sorted(self._quarantined),
+            "respawns": self._respawn_total,
+            "consecutive_failures": list(self._consecutive_failures),
+            "batches_served": self._batches_served,
+            "serial_batches": self._serial_batches,
+            "refreshes": self._refreshes,
+            "closed": self._closed,
+        }
+
+    def close(self) -> None:
+        """Shut the pool down for good (idempotent; waits for a live batch).
+
+        Stops every worker and unlinks every shared-memory segment the pool
+        published; a later :meth:`lease` returns ``False``.
+        """
+        with self._lease_lock:
+            if not self._closed:
+                self._closed = True
+                self._pool.shutdown()
 
     # ----------------------------- plumbing ----------------------------- #
     def _publish(self, key, store) -> None:
@@ -1634,15 +1623,17 @@ class ServingPool:
         pieces — whereas a too-high base would leave a worker with a
         coverage gap.  Bases from the snapshot can only under-shoot a
         worker's fork width (stores grow monotonically), never over-shoot.
+        The query stream's segments are batch-scoped and reclaimed at the
+        next batch boundary (see :meth:`_WorkerPool.release_transient`).
         """
         exporter = self._exporters.get(key)
         if exporter is None:
             exporter = _SignatureExporter(
                 self._pool,
-                store_produces_bits(store),
+                isinstance(store, BitSignatures),
                 key=key,
                 base=self._bases.get(key, 0),
-                transient=key in self._transient_keys,
+                transient=key == _QUERY_KEY,
             )
             self._exporters[key] = exporter
         exporter.ensure(store, store.n_hashes)
@@ -1666,40 +1657,27 @@ class ServingPool:
             )
 
         _faults.fire("serving_probe", pool=self._pool)
-        issued = self._pool.scatter("probe", (query_rows,))
-        if not issued:
-            if len(query_rows) == 0:
-                empty = np.zeros(0, dtype=np.int64)
-                return empty, empty
-            positions, rows = serial(query_rows)
-            return positions, rows
-        try:
-            replies = self._pool.collect([wid for wid, _, _ in issued], tag="probe")
-        except WorkerFailure as failure:
-            replies = failure.replies
-            for wid, lo, hi in issued:
-                if wid in failure.failed:
-                    replies[wid] = serial(query_rows[lo:hi])
-        positions = np.concatenate([replies[wid][0] + lo for wid, lo, _ in issued])
-        rows = np.concatenate([replies[wid][1] for wid, _, _ in issued])
+        shards = self._pool.map_shards("probe", (query_rows,), serial)
+        positions = np.concatenate([reply[0] + lo for lo, reply in shards])
+        rows = np.concatenate([reply[1] for _, reply in shards])
         return positions, rows
 
     # ---------------------------- verification --------------------------- #
     def verify_bayes(self, query_family, query_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Round-synchronous parallel twin of ``QueryIndex._verify_bayes``.
+        """Round-synchronous parallel twin of :func:`serial_verify_bayes`.
 
         Returns the per-pair posterior MAP estimates with NaN marking pruned
         pairs, in the pair order given (bit-identical to the serial path).
 
         Recovery: a shard whose worker fails — at hand-off, during any round,
         or at the estimates gather — is re-verified from round zero in the
-        parent by :func:`_serial_serving_verify`, and its estimates slice
+        parent by :func:`serial_verify_bayes`, and its estimates slice
         replaces the lost worker's.  Per-pair decisions depend only on the
         pair's own counts and store extension is monotone in the requested
         width, so the recovered slice matches the serial path bit for bit.
         """
-        params = self._task.params
         task = self._task
+        params = task.tables.params
         n_pairs = len(rows)
         if n_pairs == 0:
             return np.zeros(0, dtype=np.float64)
@@ -1708,7 +1686,9 @@ class ServingPool:
         _faults.fire("serving_verify", pool=self._pool)
         issued = self._pool.scatter("verify", (query_rows, segment_ids, local_rows))
         if not issued:
-            return _serial_serving_verify(task, query_family, query_rows, rows)
+            return serial_verify_bayes(
+                task.segments, task.tables, query_family, query_rows, rows
+            )
         shards = {wid: (lo, hi) for wid, lo, hi in issued}
         live = [wid for wid, _, _ in issued]
 
@@ -1717,8 +1697,8 @@ class ServingPool:
             nonlocal live
             for wid in failure.failed:
                 lo, hi = shards[wid]
-                estimates[lo:hi] = _serial_serving_verify(
-                    task, query_family, query_rows[lo:hi], rows[lo:hi]
+                estimates[lo:hi] = serial_verify_bayes(
+                    task.segments, task.tables, query_family, query_rows[lo:hi], rows[lo:hi]
                 )
             live = [wid for wid in live if wid not in failure.failed]
             return failure.replies
@@ -1780,8 +1760,6 @@ class ServingPool:
         segment-routed kernel (exact similarities are per-pair and
         row-local, so shard recovery is trivially bit-identical).
         """
-        if len(rows) == 0:
-            return np.zeros(0, dtype=np.float64)
         task = self._task
 
         def serial(slice_queries: np.ndarray, slice_rows: np.ndarray) -> np.ndarray:
@@ -1790,289 +1768,8 @@ class ServingPool:
             )
 
         _faults.fire("serving_exact", pool=self._pool)
-        issued = self._pool.scatter("exact", (query_rows, rows))
-        if not issued:
-            return serial(query_rows, rows)
-        try:
-            replies = self._pool.collect([wid for wid, _, _ in issued], tag="exact")
-        except WorkerFailure as failure:
-            replies = failure.replies
-            for wid, lo, hi in issued:
-                if wid in failure.failed:
-                    replies[wid] = serial(query_rows[lo:hi], rows[lo:hi])
-        return np.concatenate([replies[wid] for wid, _, _ in issued])
-
-    def shutdown(self) -> None:
-        """Stop the workers and release the shared-memory segments."""
-        self._pool.shutdown()
-
-    def release(self) -> None:
-        """End this pool's involvement in the current call.
-
-        For the per-call pool this is :meth:`shutdown`; a resident pool
-        overrides it to end the batch lease instead.  ``QueryIndex``'s
-        ``finally`` blocks call this one method for either pool kind.
-        """
-        self.shutdown()
-
-
-class ResidentServingPool(ServingPool):
-    """A self-healing :class:`ServingPool` that outlives individual calls.
-
-    Instead of forking (and paying full shared-memory export) per batched
-    call, the pool is forked once — workers keep the fork-inherited segment
-    columns warm across batches and receive only deltas: each batch ships
-    the new query state in one ``"batch"`` control message (the query store
-    travels as its raw matrix and is rebuilt worker-side with fresh locks),
-    and verification rounds publish only columns materialised after the
-    fork, through the same keyed base-offset streams as the per-call pool.
-    The probe/verify/rank methods are inherited unchanged, so a resident
-    batch is bit-identical to the per-call pool and to the serial path.
-
-    **Self-healing.**  A worker the supervisor retires (death, hang past the
-    batch's ``round_timeout``, in-task error) finishes the current batch on
-    the per-call pool's serial-fallback path, then its slot is *respawned*
-    at a later batch boundary after a capped exponential backoff
-    (``respawn_backoff * 2**(failures-1)``, capped at
-    ``respawn_backoff_cap``).  A slot that crash-loops —
-    ``max_worker_failures`` consecutive failures without completing a batch
-    — is quarantined for the pool's lifetime, degrading the pool to fewer
-    workers and, once no slot remains, to the serial path; both transitions
-    emit :class:`PoolDegradedWarning`.  A batch survived by a worker resets
-    its consecutive-failure count.
-
-    **Epochs.**  The pool records the index epoch it forked from; segment
-    churn (``insert``, posting rebuilds) bumps the index's epoch under its
-    update lock, and the index refreshes the pool (full re-fork via
-    :meth:`refresh`) before admitting the next batch — forked state is
-    copy-on-write, so without a refresh the workers would silently serve
-    the pre-churn corpus.  Quarantine and backoff state reset at refresh:
-    the replacement workers share nothing with the crash-looping ones.
-
-    Batches are serialised by an internal lease lock (concurrent
-    ``query_many`` callers queue up); acquire it through :meth:`lease` and
-    release via :meth:`end_batch`/:meth:`release`.
-    """
-
-    _transient_keys = frozenset({_QUERY_KEY})
-
-    def __init__(
-        self,
-        n_workers: int,
-        task: ServingTask,
-        round_timeout: float | None = None,
-        epoch: int = 0,
-        max_worker_failures: int = 3,
-        respawn_backoff: float = 0.1,
-        respawn_backoff_cap: float = 5.0,
-    ):
-        if max_worker_failures < 1:
-            raise ValueError(
-                f"max_worker_failures must be at least 1, got {max_worker_failures}"
-            )
-        self._max_worker_failures = int(max_worker_failures)
-        self._respawn_backoff = float(respawn_backoff)
-        self._respawn_backoff_cap = float(respawn_backoff_cap)
-        self._lease_lock = threading.Lock()
-        self._closed = False
-        self._warned_serial = False
-        self._respawn_total = 0
-        self._batches_served = 0
-        self._serial_batches = 0
-        self._refreshes = 0
-        self.epoch = int(epoch)
-        super().__init__(n_workers, task, round_timeout=round_timeout)
-        self._wire_supervision()
-
-    # ----------------------------- lifecycle ----------------------------- #
-    def _wire_supervision(self) -> None:
-        """(Re)attach healing state to a freshly forked worker set."""
-        n = self._requested_workers
-        self._consecutive_failures = [0] * n
-        self._respawn_at = [0.0] * n
-        self._quarantined: set[int] = set()
-        self._pool._on_retire = self._note_retire
-
-    def _note_retire(self, wid: int, reason: str) -> str:
-        """Decide a retired slot's fate; returns the decision for the warning.
-
-        Called by the worker pool's supervisor the moment it retires a
-        worker.  The current batch always completes via serial fallback;
-        this only schedules what happens to the slot at later batch
-        boundaries.
-        """
-        self._consecutive_failures[wid] += 1
-        failures = self._consecutive_failures[wid]
-        if failures >= self._max_worker_failures:
-            self._quarantined.add(wid)
-            live = len(self._pool.live_workers)
-            warnings.warn(
-                f"resident pool worker slot {wid} quarantined after {failures} "
-                f"consecutive failures; pool degraded to {live} live worker(s)",
-                PoolDegradedWarning,
-                stacklevel=2,
-            )
-            return f"quarantined after {failures} consecutive failures"
-        backoff = min(
-            self._respawn_backoff * (2 ** (failures - 1)), self._respawn_backoff_cap
-        )
-        self._respawn_at[wid] = time.monotonic() + backoff
-        return (
-            f"slot respawns at a later batch boundary after {backoff:.2f}s backoff "
-            f"(failure {failures}/{self._max_worker_failures})"
-        )
-
-    def _heal(self) -> None:
-        """Respawn retired slots whose backoff elapsed (quarantine excepted)."""
-        now = time.monotonic()
-        for wid in sorted(self._pool._dead):
-            if wid in self._quarantined or now < self._respawn_at[wid]:
-                continue
-            self._pool.respawn(wid)
-            self._respawn_total += 1
-            _faults.fire("pool_respawn", pool=self._pool, worker=wid)
-
-    def lease(
-        self,
-        query_prepared,
-        query_store,
-        round_timeout: float | None = None,
-        refresh=None,
-    ) -> "ResidentServingPool":
-        """Acquire the pool for one batch and install the batch's query state.
-
-        Serialises concurrent callers, then (optionally) runs ``refresh`` —
-        the index's epoch check, which may call :meth:`refresh` under the
-        index's update lock — and finally opens the batch with
-        :meth:`begin_batch`.  The caller must :meth:`release` (==
-        :meth:`end_batch`) in a ``finally`` block.
-        """
-        if self._closed:
-            raise RuntimeError("resident pool is closed")
-        self._lease_lock.acquire()
-        try:
-            if self._closed:
-                raise RuntimeError("resident pool is closed")
-            if refresh is not None:
-                refresh()
-            self.begin_batch(query_prepared, query_store, round_timeout=round_timeout)
-        except BaseException:
-            self._lease_lock.release()
-            raise
-        return self
-
-    def begin_batch(
-        self, query_prepared, query_store, round_timeout: float | None = None
-    ) -> None:
-        """Open a batch: heal slots, ship the query state, sync the workers.
-
-        The ``"batch"`` broadcast doubles as the full-pool queue barrier
-        that makes reclaiming the *previous* batch's query columns safe
-        (every live worker acks it, proving its queue drained past them).
-        Workers that fail at the hand-off are retired through the normal
-        supervision path; with no live worker left the batch runs serially
-        in the parent (the inherited methods already fall back when
-        ``scatter`` finds nobody), bit-identically.
-        """
-        self._heal()
-        self._pool.set_round_timeout(
-            self._round_timeout if round_timeout is None else float(round_timeout)
-        )
-        task = self._task
-        task.query_prepared = query_prepared
-        task.query_store = query_store
-        self._bases[_QUERY_KEY] = int(query_store.n_hashes)
-        self._exporters.pop(_QUERY_KEY, None)
-        self._batches_served += 1
-        live = self._pool.live_workers
-        if not live:
-            if not self._warned_serial:
-                self._warned_serial = True
-                warnings.warn(
-                    "resident pool has no live workers left; serving continues "
-                    "on the serial path (bit-identical, reduced throughput)",
-                    PoolDegradedWarning,
-                    stacklevel=2,
-                )
-            self._serial_batches += 1
-            return
-        from repro.serving.snapshot import _store_parts
-
-        blob = pickle.dumps((query_prepared, *_store_parts(query_store)))
-        self._pool.send(live, ("batch", blob))
-        try:
-            self._pool.collect(live, tag="batch")
-        except WorkerFailure:
-            # The failed workers are already retired (and counted by
-            # _note_retire); the survivors acked and serve the batch.
-            pass
-        self._pool.release_transient()
-
-    def end_batch(self) -> None:
-        """Close the batch: reset survivors' failure counts, free the lease."""
-        try:
-            for wid in self._pool.live_workers:
-                self._consecutive_failures[wid] = 0
-        finally:
-            self._lease_lock.release()
-
-    def release(self) -> None:
-        """End the current batch lease (the resident twin of ``shutdown``)."""
-        self.end_batch()
-
-    def refresh(self, task: ServingTask, epoch: int) -> None:
-        """Re-fork the worker set against post-churn index state.
-
-        Called by the index (under its update lock, with the lease held)
-        when the pool's epoch trails the index's: forked state is
-        copy-on-write, so segment churn is invisible to the old workers.
-        Tears the old worker set down — unlinking every shared segment —
-        and forks a fresh one that inherits the current segments/postings.
-        Healing state resets: the new workers share nothing with the old.
-        """
-        self._pool.shutdown()
-        self._fork_pool(task)
-        self._wire_supervision()
-        self.epoch = int(epoch)
-        self._refreshes += 1
-
-    def stats(self) -> dict:
-        """Pool-health snapshot for ops endpoints (all values JSON-safe).
-
-        Keys: ``epoch``, ``n_workers`` (configured), ``live_workers``,
-        ``quarantined`` (sorted slot ids), ``respawns`` (total),
-        ``consecutive_failures`` (per slot), ``batches_served``,
-        ``serial_batches``, ``refreshes``, ``closed``.
-        """
-        return {
-            "epoch": self.epoch,
-            "n_workers": self._requested_workers,
-            "live_workers": len(self._pool.live_workers),
-            "quarantined": sorted(self._quarantined),
-            "respawns": self._respawn_total,
-            "consecutive_failures": list(self._consecutive_failures),
-            "batches_served": self._batches_served,
-            "serial_batches": self._serial_batches,
-            "refreshes": self._refreshes,
-            "closed": self._closed,
-        }
-
-    def close(self) -> None:
-        """Shut the pool down for good (idempotent; waits for a live batch)."""
-        with self._lease_lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._pool.shutdown()
-
-    def shutdown(self) -> None:
-        """Alias of :meth:`close`, matching the per-call pool's teardown name."""
-        self.close()
-
-
-def store_produces_bits(store) -> bool:
-    """Whether a signature store holds packed bits (vs integer hashes)."""
-    return isinstance(store, BitSignatures)
+        shards = self._pool.map_shards("exact", (query_rows, rows), serial)
+        return np.concatenate([reply for _, reply in shards])
 
 
 # --------------------------------------------------------------------- #

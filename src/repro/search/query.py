@@ -20,11 +20,13 @@ is verified against its candidates with the same Bayesian pruning.
   unioned array-wise, and all (query, candidate) pairs are verified together
   through the vectorised cross-store kernels — bit-identical to calling the
   singular ``query(vector, ...)`` / ``top_k(vector, k)`` per row;
-* ``n_workers > 1`` additionally forks a shared-memory worker pool
-  (:class:`~repro.search.executor.ServingPool`) for the call and shards
-  probing, verification and ranking across it — bit-identical to the serial
-  batch for every worker count, with the parent as sole hash/RNG authority
-  (see ``docs/serving.md`` for when the fork overhead pays off);
+* ``n_workers > 1`` additionally opens a shared-memory worker pool
+  (:class:`~repro.search.executor.ServingPool`) for the duration of the
+  call and shards probing, verification and ranking across it —
+  bit-identical to the serial batch for every worker count, with the parent
+  as sole hash/RNG authority; ``start_pool`` keeps the same pool attached
+  across calls instead (see ``docs/serving.md`` for when the fork overhead
+  pays off);
 * ``top_k_many(..., rank_by="estimate")`` skips exact verification and ranks
   survivors by the BayesLSH posterior MAP estimates already computed during
   pruning — the estimate-driven path trades exact scores for latency (see
@@ -44,24 +46,23 @@ is verified against its candidates with the same Bayesian pruning.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.candidates.lsh_index import BandPostings, signatures_for_false_negative_rate
-from repro.core.concentration_cache import ConcentrationCache
-from repro.core.min_matches import MinMatchesTable
 from repro.core.params import BayesLSHParams
 from repro.core.posteriors import make_posterior
+from repro.core.rounds import RoundTables
 from repro.search.engine import as_collection
+from repro.search.executor import ServingPool, ServingTask, serial_verify_bayes
 from repro.search.results import ScoredPair
 from repro.serving.segments import SegmentedCollection
 from repro.similarity.measures import get_measure
 from repro.similarity.vectors import VectorCollection
 
 __all__ = ["QueryIndex"]
-
-_ACTIVE, _PRUNED, _EMITTED = 0, 1, 2
 
 
 class QueryIndex:
@@ -209,37 +210,21 @@ class QueryIndex:
         which would otherwise dominate a memory-mapped cold start.
         """
         self._tables_lock = threading.Lock()
-        self._tables: tuple | None = None
+        self._tables: RoundTables | None = None
         if not defer:
-            self._build_tables()
+            self._round_tables()
 
-    def _build_tables(self) -> tuple:
-        """Materialise the decision tables exactly once (thread-safe)."""
-        with self._tables_lock:
-            if self._tables is None:
-                params = self._params
-                posterior = make_posterior(self._measure.name)
-                min_matches = MinMatchesTable(
-                    posterior, self._threshold, params.epsilon, params.k, params.max_hashes
-                )
-                concentration = ConcentrationCache(posterior, params.delta, params.gamma)
-                self._tables = (posterior, min_matches, concentration)
-            return self._tables
-
-    @property
-    def _posterior(self):
-        """The similarity posterior (lazily built after a snapshot load)."""
-        return (self._tables or self._build_tables())[0]
-
-    @property
-    def _min_matches(self):
-        """The min-matches pruning table (lazily built after a snapshot load)."""
-        return (self._tables or self._build_tables())[1]
-
-    @property
-    def _concentration(self):
-        """The posterior concentration cache (lazily built after a snapshot load)."""
-        return (self._tables or self._build_tables())[2]
+    def _round_tables(self) -> RoundTables:
+        """The decision tables, materialised exactly once (thread-safe)."""
+        tables = self._tables
+        if tables is None:
+            with self._tables_lock:
+                if self._tables is None:
+                    self._tables = RoundTables(
+                        make_posterior(self._measure.name), self._params
+                    )
+                tables = self._tables
+        return tables
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -440,114 +425,90 @@ class QueryIndex:
         query_store = query_family.signatures(self._banding_hashes)
         return query_rows, query_family, query_store
 
-    def _serving_task(self, query_prepared, query_store):
-        """Build the fork-inherited worker state for the current index state.
+    def _fork_pool(self, n_workers: int, round_timeout, **healing) -> ServingPool:
+        """Fork a :class:`~repro.search.executor.ServingPool` on the current state.
 
-        The caller must hold the update lock: the task captures the segment
-        list, postings and row count as one consistent snapshot.  A resident
-        pool forked between batches passes ``None`` query state — the first
-        ``"batch"`` message installs it.
+        Holds the update lock so a concurrent ``insert`` cannot commit a
+        segment between the fork-time snapshot and the worker forks — every
+        worker inherits the same segment list, postings and row count
+        (writers block for the few milliseconds of forking; other readers
+        are unaffected).
         """
-        from repro.search.executor import ServingTask
+        with self._update_lock:
+            return ServingPool(
+                n_workers,
+                self._serving_task(),
+                round_timeout=round_timeout,
+                epoch=self._epoch,
+                **healing,
+            )
 
+    def _serving_task(self) -> ServingTask:
+        """The fork-inherited worker state (caller holds the update lock)."""
         return ServingTask(
             segments=self._segments,
             postings=self._postings,
-            query_prepared=query_prepared,
-            query_store=query_store,
-            min_matches=self._min_matches,
-            concentration=self._concentration,
-            posterior=self._posterior,
-            params=self._params,
+            tables=self._round_tables(),
             n_vectors=self._segments.n_vectors,
         )
 
-    def _make_serving_pool(
-        self, n_workers, query_prepared, query_store, round_timeout=None
-    ):
-        """Fork a :class:`~repro.search.executor.ServingPool` for this batch.
+    @contextmanager
+    def _serving_pool(self, n_workers, query_prepared, query_store, round_timeout):
+        """Lease the pool serving this call; yields ``None`` for the serial path.
 
-        Called after the query batch is hashed to the banding width, so the
-        workers inherit the query store (and every per-segment store) through
-        the fork; only columns materialised later travel via shared memory.
-        Construction holds the update lock so a concurrent ``insert`` cannot
-        commit a segment between the pool's fork-time snapshot and the worker
-        forks — every worker then inherits the same segment list and
-        postings (writers block for the few milliseconds of forking; other
-        readers are unaffected).
-        """
-        from repro.search.executor import ServingPool
-
-        with self._update_lock:
-            task = self._serving_task(query_prepared, query_store)
-            return ServingPool(n_workers, task, round_timeout=round_timeout)
-
-    def _lease_pool(self, n_workers, query_prepared, query_store, round_timeout):
-        """The pool serving this call: resident lease, per-call fork, or ``None``.
-
-        ``n_workers=None`` routes to the resident pool when one is attached
-        (serial otherwise); an explicit count keeps the historical per-call
-        semantics — ``1`` forces serial, ``> 1`` forks a throwaway
-        :class:`~repro.search.executor.ServingPool`.  A resident lease first
-        runs the epoch check under the update lock, re-forking the pool if
-        segment churn outdated its copy-on-write view.
+        ``n_workers=None`` uses the attached pool (serial when there is
+        none), ``1`` is serial, and ``> 1`` forks a pool whose lifetime is
+        this call.  Leasing first runs the epoch check under the update
+        lock, re-forking the pool if segment churn outdated its
+        copy-on-write view.  A pool that was closed under us (a reader
+        racing :meth:`close`) refuses the lease and the call runs serially.
+        On exit the batch is ended and a call-scoped pool is closed, on
+        every path, so neither the lease nor a ``/dev/shm`` segment outlives
+        the call.
         """
         if n_workers is None:
-            resident = self._resident
-            if resident is None:
-                return None
+            pool = self._resident
+        else:
+            pool = self._fork_pool(n_workers, round_timeout) if n_workers > 1 else None
 
-            def refresh():
-                with self._update_lock:
-                    if resident.epoch != self._epoch:
-                        resident.refresh(self._serving_task(None, None), self._epoch)
+        def refresh():
+            with self._update_lock:
+                if pool.epoch != self._epoch:
+                    pool.refresh(self._serving_task(), self._epoch)
 
-            return resident.lease(
-                query_prepared,
-                query_store,
-                round_timeout=round_timeout,
-                refresh=refresh,
-            )
-        if n_workers > 1:
-            return self._make_serving_pool(
-                n_workers, query_prepared, query_store, round_timeout=round_timeout
-            )
-        return None
-
-    @staticmethod
-    def _check_n_workers(n_workers):
-        if n_workers is None:
-            return None  # defer to the resident pool when one is attached
-        n_workers = int(n_workers)
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be at least 1, got {n_workers}")
-        return n_workers
-
-    def _probe(
-        self,
-        query_prepared: VectorCollection,
-        n_workers: int | None = 1,
-        round_timeout: float | None = None,
-    ):
-        """Candidate ``(query row, collection row)`` pairs from the band index.
-
-        Only non-empty query rows probe, and tombstoned collection rows are
-        filtered out.  Pairs come back deduplicated and sorted by
-        ``(query row, collection row)``, together with the query batch's hash
-        family.  With a pool (a per-call fork for ``n_workers > 1``, or the
-        resident pool's batch lease for ``n_workers=None`` — see
-        :meth:`_lease_pool`) probing is sharded by query slice across its
-        workers (bit-identical merge); the pool is returned as the fourth
-        element and the *caller* must ``release()`` it.  Any exception on
-        this path releases the pool before propagating, so neither a
-        ``/dev/shm`` segment nor the resident lease outlives the call.
-        """
-        query_rows, query_family, query_store = self._hash_queries(query_prepared)
-        if query_family is None:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, None, None
-        pool = self._lease_pool(n_workers, query_prepared, query_store, round_timeout)
+        leased = False
         try:
+            leased = pool is not None and pool.lease(
+                query_prepared, query_store, round_timeout=round_timeout, refresh=refresh
+            )
+            yield pool if leased else None
+        finally:
+            if leased:
+                pool.end_batch()
+            if pool is not None and n_workers is not None:
+                pool.close()
+
+    def _scored_candidates(self, queries, bayes: bool, n_workers, round_timeout):
+        """Probe and score one query batch: the body of every query call.
+
+        Returns ``(n queries, query rows, collection rows, values)`` with the
+        pairs sorted by ``(query row, collection row)``.  Only non-empty
+        query rows probe, and tombstoned collection rows are filtered out.
+        ``values`` are the BayesLSH estimates (NaN for pruned pairs) when
+        ``bayes`` is set and the exact similarities otherwise.  With a pool,
+        probing is sharded by query slice and scoring by pair slice; the
+        merges are bit-identical to the serial kernels.
+        """
+        if n_workers is not None:
+            n_workers = int(n_workers)
+            if n_workers < 1:
+                raise ValueError(f"n_workers must be at least 1, got {n_workers}")
+        query_prepared = self._queries_collection(queries)
+        query_rows, query_family, query_store = self._hash_queries(query_prepared)
+        empty = np.zeros(0, dtype=np.int64)
+        if query_family is None:
+            return query_prepared.n_vectors, empty, empty, np.zeros(0)
+        with self._serving_pool(n_workers, query_prepared, query_store, round_timeout) as pool:
             if pool is not None:
                 positions, rows = pool.probe(query_rows)
             else:
@@ -555,92 +516,24 @@ class QueryIndex:
                     query_store, query_rows, self._segments.n_vectors
                 )
             keep = ~self._deleted[rows]
-            return query_rows[positions[keep]], rows[keep], query_family, pool
-        except BaseException:
-            if pool is not None:
-                pool.release()
-            raise
-
-    # ------------------------------------------------------------------ #
-    # verification kernels
-    # ------------------------------------------------------------------ #
-    def _verify_bayes(
-        self, query_family, query_rows: np.ndarray, rows: np.ndarray, pool=None
-    ) -> np.ndarray:
-        """Round-synchronous BayesLSH verification of (query, candidate) pairs.
-
-        The batched twin of Algorithm 1's per-pair loop, with hash agreements
-        counted between the query store (``query_family``'s, from the probe
-        phase) and the per-segment collection stores (global rows routed to
-        their owning segments, which extend round-lazily and independently).
-        Every prune/emit decision depends only on the pair's own ``(m, n)``,
-        so the outcome per pair is independent of which other pairs share the
-        batch — the bit-identity contract between ``query_many`` and looped
-        ``query`` — and of how the collection is segmented.  With a
-        :class:`~repro.search.executor.ServingPool` the pairs are sharded
-        across its workers round-synchronously (the parent stays the sole
-        hash-extension authority); the merged estimates are bit-identical.
-
-        Returns the pair estimates with NaN marking pruned pairs.
-        """
-        if pool is not None:
-            return pool.verify_bayes(query_family, query_rows, rows)
-        params = self._params
-        n_pairs = len(query_rows)
-        status = np.full(n_pairs, _ACTIVE, dtype=np.int8)
-        matches = np.zeros(n_pairs, dtype=np.int64)
-        hashes_seen = np.zeros(n_pairs, dtype=np.int64)
-        for round_index in range(params.n_rounds if n_pairs else 0):
-            active = np.flatnonzero(status == _ACTIVE)
-            if len(active) == 0:
-                break
-            n_prev = round_index * params.k
-            n_now = n_prev + params.k
-            # Lazy, round-synchronous hashing — exactly the core verifier's
-            # pattern: rounds most pairs never reach are never hashed, and
-            # only segments that still own active pairs extend their stores
-            # (the families round requests up to their block size, so the
-            # whole batch still extends in a handful of kernel calls).
-            query_store = query_family.signatures(n_now)
-            matches[active] += self._segments.count_matches_cross(
-                query_store, query_rows[active], rows[active], n_prev, n_now
-            )
-            hashes_seen[active] = n_now
-            keep_mask = self._min_matches.passes_many(matches[active], n_now)
-            status[active[~keep_mask]] = _PRUNED
-            survivors = active[keep_mask]
-            if len(survivors):
-                concentrated = self._concentration.is_concentrated_many(
-                    matches[survivors], n_now
-                )
-                status[survivors[concentrated]] = _EMITTED
-
-        estimates = np.full(n_pairs, np.nan, dtype=np.float64)
-        emitted = np.flatnonzero(status != _PRUNED)
-        if len(emitted):
-            estimates[emitted] = np.where(
-                hashes_seen[emitted] > 0,
-                self._posterior.map_estimate_many(matches[emitted], hashes_seen[emitted]),
-                0.0,
-            )
-        return estimates
-
-    def _cross_exact(
-        self,
-        query_prepared: VectorCollection,
-        query_rows: np.ndarray,
-        rows: np.ndarray,
-        pool=None,
-    ) -> np.ndarray:
-        """Exact similarities for (query, global row) pairs, segment-routed.
-
-        With a pool the pair array is sharded across the workers (exact
-        similarities are per-pair and row-local, so the shard merge is
-        bit-identical to the one-shot kernel).
-        """
-        if pool is not None:
-            return pool.map_exact(query_rows, rows)
-        return self._segments.cross_similarities(query_prepared, query_rows, rows)
+            query_rows, rows = query_rows[positions[keep]], rows[keep]
+            if len(rows) == 0:
+                values = np.zeros(0)
+            elif bayes:
+                # Every prune/emit decision depends only on the pair's own
+                # (m, n), so a pair's outcome is independent of which other
+                # pairs share the batch and of how the corpus is segmented.
+                if pool is not None:
+                    values = pool.verify_bayes(query_family, query_rows, rows)
+                else:
+                    values = serial_verify_bayes(
+                        self._segments, self._round_tables(), query_family, query_rows, rows
+                    )
+            elif pool is not None:
+                values = pool.map_exact(query_rows, rows)
+            else:
+                values = self._segments.cross_similarities(query_prepared, query_rows, rows)
+        return query_prepared.n_vectors, query_rows, rows, values
 
     @staticmethod
     def _group_pairs(
@@ -681,10 +574,11 @@ class QueryIndex:
         filters the estimates, but a threshold far below the index's cannot
         recover pairs the index-level pruning already discarded.
 
-        ``n_workers > 1`` forks a shared-memory worker pool for this call and
-        shards probing, verification and scoring across it — results are
-        bit-identical to the serial batch for every worker count (see
-        ``docs/serving.md`` for when the fork overhead pays off).  Leaving
+        ``n_workers > 1`` opens a shared-memory worker pool scoped to this
+        call (forked, leased for the one batch, closed) and shards probing,
+        verification and scoring across it — results are bit-identical to
+        the serial batch for every worker count (see ``docs/serving.md``
+        for when the fork overhead pays off).  Leaving
         ``n_workers`` unset runs on the index's resident pool when
         :meth:`start_pool` attached one (serial otherwise).  Worker
         loss degrades gracefully: failed shards re-execute serially in the
@@ -696,27 +590,13 @@ class QueryIndex:
         threshold = self._threshold if threshold is None else float(threshold)
         if not 0.0 < threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-        n_workers = self._check_n_workers(n_workers)
-        query_prepared = self._queries_collection(queries)
-        query_rows, rows, query_family, pool = self._probe(
-            query_prepared, n_workers=n_workers, round_timeout=round_timeout
+        n_queries, query_rows, rows, values = self._scored_candidates(
+            queries, self._verification == "bayes", n_workers, round_timeout
         )
-        try:
-            if len(query_rows) == 0:
-                return [[] for _ in range(query_prepared.n_vectors)]
-
-            if self._verification == "exact":
-                values = self._cross_exact(query_prepared, query_rows, rows, pool=pool)
-                keep = values > threshold
-            else:
-                values = self._verify_bayes(query_family, query_rows, rows, pool=pool)
-                keep = ~np.isnan(values) & (values > threshold)
-        finally:
-            if pool is not None:
-                pool.release()
-        return self._group_pairs(
-            query_prepared.n_vectors, query_rows[keep], rows[keep], values[keep]
-        )
+        keep = values > threshold
+        if self._verification == "bayes":
+            keep &= ~np.isnan(values)
+        return self._group_pairs(n_queries, query_rows[keep], rows[keep], values[keep])
 
     def query(
         self,
@@ -771,12 +651,12 @@ class QueryIndex:
           vectors (measured in ``benchmarks/test_bench_serving.py`` and
           documented in ``docs/serving.md``).
 
-        ``n_workers > 1`` forks a shared-memory worker pool for this call and
-        shards probing, verification and ranking across it, bit-identically
-        to the serial batch (see ``docs/serving.md``); leaving it unset runs
-        on the resident pool when :meth:`start_pool` attached one (serial
-        otherwise).  Worker loss degrades
-        gracefully — failed shards re-execute serially in the parent, still
+        ``n_workers > 1`` opens a shared-memory worker pool scoped to this
+        call and shards probing, verification and ranking across it,
+        bit-identically to the serial batch (see ``docs/serving.md``);
+        leaving it unset runs on the resident pool when :meth:`start_pool`
+        attached one (serial otherwise).  Worker loss degrades gracefully —
+        failed shards re-execute on the serial path in the parent, still
         bit-identically — and ``round_timeout`` bounds how long a hung
         worker may stall the call (see "Operational robustness" in
         ``docs/serving.md``).
@@ -790,24 +670,12 @@ class QueryIndex:
                 "rank_by='estimate' requires verification='bayes' "
                 "(the exact index computes no posterior estimates)"
             )
-        n_workers = self._check_n_workers(n_workers)
-        query_prepared = self._queries_collection(queries)
-        n_queries = query_prepared.n_vectors
-        query_rows, rows, query_family, pool = self._probe(
-            query_prepared, n_workers=n_workers, round_timeout=round_timeout
+        n_queries, query_rows, rows, values = self._scored_candidates(
+            queries, rank_by == "estimate", n_workers, round_timeout
         )
-        try:
-            if len(query_rows) == 0:
-                return [[] for _ in range(n_queries)]
-            if rank_by == "estimate":
-                values = self._verify_bayes(query_family, query_rows, rows, pool=pool)
-                keep = ~np.isnan(values)
-                query_rows, rows, values = query_rows[keep], rows[keep], values[keep]
-            else:
-                values = self._cross_exact(query_prepared, query_rows, rows, pool=pool)
-        finally:
-            if pool is not None:
-                pool.release()
+        if rank_by == "estimate":
+            keep = ~np.isnan(values)
+            query_rows, rows, values = query_rows[keep], rows[keep], values[keep]
         grouped = self._group_pairs(n_queries, query_rows, rows, values)
         results: list[list[ScoredPair]] = []
         for scored in grouped:
@@ -855,16 +723,16 @@ class QueryIndex:
         ``top_k_many`` call that leaves ``n_workers`` unset runs on the pool
         — paying a per-batch control message instead of a per-call fork —
         and stays bit-identical to the serial path.  An explicit
-        ``n_workers`` still behaves as before (``1`` forces serial, ``> 1``
-        forks a throwaway pool for that call).  Concurrent callers share
-        the pool; their batches serialise on its lease.
+        ``n_workers`` is unaffected (``1`` forces serial, ``> 1`` opens a
+        second pool scoped to that call).  Concurrent callers share the
+        pool; their batches serialise on its lease.
 
         ``round_timeout`` is the default hung-worker deadline per gather
         (overridable per call); ``max_worker_failures`` consecutive failures
         quarantine a crash-looping worker slot, and failed slots otherwise
         respawn at batch boundaries after a capped exponential backoff
         (``respawn_backoff``/``respawn_backoff_cap`` seconds) — see
-        :class:`~repro.search.executor.ResidentServingPool`.
+        :class:`~repro.search.executor.ServingPool`.
 
         Returns the pool (handy for :meth:`pool_stats`-style inspection).
         The pool must be shut down with :meth:`close` — or use the index as
@@ -872,23 +740,18 @@ class QueryIndex:
         time; ``insert`` and posting rebuilds are safe while it runs (the
         epoch mechanism refreshes the pool before its next batch).
         """
-        from repro.search.executor import ResidentServingPool
-
         if self._resident is not None:
             raise RuntimeError(
                 "a resident pool is already attached; close() it before "
                 "starting another"
             )
-        with self._update_lock:
-            self._resident = ResidentServingPool(
-                n_workers,
-                self._serving_task(None, None),
-                round_timeout=round_timeout,
-                epoch=self._epoch,
-                max_worker_failures=max_worker_failures,
-                respawn_backoff=respawn_backoff,
-                respawn_backoff_cap=respawn_backoff_cap,
-            )
+        self._resident = self._fork_pool(
+            n_workers,
+            round_timeout,
+            max_worker_failures=max_worker_failures,
+            respawn_backoff=respawn_backoff,
+            respawn_backoff_cap=respawn_backoff_cap,
+        )
         return self._resident
 
     def close(self) -> None:
@@ -897,7 +760,9 @@ class QueryIndex:
         Waits for an in-flight batch, stops every worker and unlinks every
         ``/dev/shm`` segment the pool published.  Idempotent; the index
         remains fully usable afterwards on the serial path (or a fresh
-        :meth:`start_pool`).
+        :meth:`start_pool`) — including for a reader thread that picked the
+        pool up just before it closed, whose lease is refused and whose
+        batch runs serially.
         """
         resident = self._resident
         self._resident = None
@@ -905,7 +770,7 @@ class QueryIndex:
             resident.close()
 
     def pool_stats(self) -> dict | None:
-        """Resident-pool health (see ``ResidentServingPool.stats``), or ``None``.
+        """Resident-pool health (see ``ServingPool.stats``), or ``None``.
 
         Exposes ``live_workers``, ``quarantined``, ``respawns``, ``epoch``
         and batch counters — the dict the serving daemon's ``stats``

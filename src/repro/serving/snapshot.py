@@ -39,19 +39,16 @@ function of the above: the measures' prepared views, the per-segment family
 clones, the BayesLSH decision tables and the posting dictionaries themselves
 are rebuilt on load.
 
-Version history
----------------
-* **v1** — monolithic layout: one ``collection_*`` group and one
-  ``store_matrix``.  Still readable; loads as a single-segment index.
-* **v2** — segmented layout as described above, plus **compaction**:
-  :func:`save_query_index` with ``compact=True`` merges all segments into
-  one and physically drops tombstoned rows.  Surviving rows are renumbered
-  (order and external ids preserved), the postings member sequence is
-  remapped accordingly, and the written tombstone mask is empty.
-* **v3** (current) — crash safety: ``meta`` gains a mandatory ``checksums``
-  document mapping every array member to its CRC32, verified on load, and
-  the writer goes through a temp file + ``fsync`` + atomic ``os.replace``
-  so a crash mid-save can never tear an existing snapshot.
+The current format is **version 3**: ``meta`` carries a mandatory
+``checksums`` document mapping every array member to its CRC32, verified on
+load, and the writer goes through a temp file + ``fsync`` + atomic
+``os.replace`` so a crash mid-save can never tear an existing snapshot.
+Archives of any other version are rejected with a plain ``ValueError`` (no
+writer has produced the unchecksummed v1/v2 layouts since v3 landed).
+:func:`save_query_index` with ``compact=True`` writes the same format in
+**compacted** form: all segments merged into one, tombstoned rows physically
+dropped, surviving rows renumbered (order and external ids preserved) and
+the postings member sequence remapped accordingly.
 
 Layouts and storage backends
 ----------------------------
@@ -112,7 +109,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.datasets.io import atomic_writer, collection_arrays, collection_from_arrays
-from repro.hashing.signatures import BitSignatures, IntSignatures
+from repro.hashing.signatures import (
+    BitSignatures,
+    IntSignatures,
+    store_from_parts,
+    store_parts,
+)
 from repro.similarity.vectors import VectorCollection
 
 __all__ = [
@@ -126,10 +128,8 @@ __all__ = [
 
 #: magic string identifying QueryIndex snapshot archives
 SNAPSHOT_FORMAT = "repro-query-index"
-#: current snapshot format version (see module docstring for the history)
+#: current snapshot format version — the only one this build reads
 SNAPSHOT_VERSION = 3
-#: versions this build can read
-_READABLE_VERSIONS = (1, 2, 3)
 
 
 class SnapshotCorruptError(ValueError):
@@ -176,37 +176,13 @@ def _resolve_load_path(path) -> Path:
     return _snapshot_path(path)
 
 
-def _store_parts(store) -> tuple[str, np.ndarray, int]:
-    """``(kind, matrix, n_hashes)`` of a signature store for serialisation."""
-    if isinstance(store, BitSignatures):
-        return "bits", store.words, store.n_hashes
-    if isinstance(store, IntSignatures):
-        return "ints", store.values, store.n_hashes
-    raise TypeError(f"cannot snapshot a {type(store).__name__} signature store")
-
-
-def _store_from_parts(kind: str, matrix: np.ndarray, n_hashes: int):
-    """Rebuild a signature store from its serialised parts."""
-    if kind == "bits":
-        return BitSignatures.from_words(matrix, int(n_hashes))
-    if kind == "ints":
-        store = IntSignatures.from_values(matrix)
-        if store.n_hashes != int(n_hashes):
-            raise ValueError(
-                f"snapshot declares {n_hashes} hashes but the store matrix "
-                f"holds {store.n_hashes}"
-            )
-        return store
-    raise ValueError(f"unknown signature store kind {kind!r}")
-
-
 def _segment_payload(index) -> tuple[list[dict], str, list[int], np.ndarray, np.ndarray]:
-    """Per-segment arrays for a plain (non-compacted) v2 snapshot."""
+    """Per-segment arrays for a plain (non-compacted) snapshot."""
     arrays: list[dict] = []
     kinds: set[str] = set()
     widths: list[int] = []
     for segment in index._segments.segments:
-        kind, matrix, n_hashes = _store_parts(segment.store)
+        kind, matrix, n_hashes = store_parts(segment.store)
         kinds.add(kind)
         widths.append(int(n_hashes))
         packed = collection_arrays(
@@ -231,7 +207,7 @@ def _store_matrix_at_width(segment, width: int) -> np.ndarray:
     """
     store = segment.store
     if store.n_hashes >= width:
-        return _store_parts(store)[1]
+        return store_parts(store)[1]
     if isinstance(store, BitSignatures):
         scratch = BitSignatures.from_words(store.words.copy(), store.n_hashes)
     else:
@@ -239,7 +215,7 @@ def _store_matrix_at_width(segment, width: int) -> np.ndarray:
     family = segment.family.clone_for(segment.prepared)
     family.attach_store(scratch)
     family.signatures(width)
-    return _store_parts(scratch)[1]
+    return store_parts(scratch)[1]
 
 
 def _compacted_payload(index) -> tuple[list[dict], str, list[int], np.ndarray, np.ndarray]:
@@ -258,20 +234,20 @@ def _compacted_payload(index) -> tuple[list[dict], str, list[int], np.ndarray, n
 
     matrix_parts = []
     ids_parts = []
-    store_parts = []
+    store_blocks = []
     kinds: set[str] = set()
     for segment in segments.segments:
         local_alive = np.flatnonzero(alive[segment.offset : segment.offset + segment.n_vectors])
         matrix_parts.append(segment.collection.matrix[local_alive])
         ids_parts.append(np.asarray(segment.ids)[local_alive])
-        kinds.add(_store_parts(segment.store)[0])
-        store_parts.append(_store_matrix_at_width(segment, width)[local_alive])
+        kinds.add(store_parts(segment.store)[0])
+        store_blocks.append(_store_matrix_at_width(segment, width)[local_alive])
     (kind,) = kinds or {"bits"}
 
     if matrix_parts:
         merged_matrix = sp.vstack(matrix_parts, format="csr")
         merged_ids = np.concatenate(ids_parts)
-        merged_store = np.concatenate(store_parts, axis=0)
+        merged_store = np.concatenate(store_blocks, axis=0)
     else:
         merged_matrix = sp.csr_matrix((0, segments.n_features), dtype=np.float64)
         merged_ids = np.zeros(0, dtype=np.int64)
@@ -436,17 +412,8 @@ def save_query_index(index, path, compact: bool = False, layout: str | None = No
     return path
 
 
-def _load_segments_v1(archive, meta) -> list[tuple]:
-    """Read the monolithic v1 layout as a single sealed segment."""
-    collection = collection_from_arrays(archive, prefix="collection_", trusted=True)
-    store = _store_from_parts(
-        meta["store_kind"], archive["store_matrix"], int(meta["store_n_hashes"])
-    )
-    return [(collection, store, collection.ids)]
-
-
-def _load_segments_v2(archive, meta) -> list[tuple]:
-    """Read the segmented v2 layout.
+def _load_segments(archive, meta) -> list[tuple]:
+    """Read the per-segment collections and signature stores.
 
     Collections are adopted through the trusted restore path — the arrays
     were canonical when written, and skipping re-canonicalisation is what
@@ -458,21 +425,21 @@ def _load_segments_v2(archive, meta) -> list[tuple]:
         collection = collection_from_arrays(
             archive, prefix=f"seg{i}_collection_", trusted=True
         )
-        store = _store_from_parts(
+        store = store_from_parts(
             meta["store_kind"], archive[f"seg{i}_store"], int(widths[i])
         )
         segments.append((collection, store, collection.ids))
     return segments
 
 
-def _read_verified(path: Path) -> tuple[int, dict, dict]:
+def _read_verified(path: Path) -> tuple[dict, dict]:
     """Read an archive fully, mapping every malformed path to a typed error.
 
-    Returns ``(version, meta, arrays)`` with every member materialised in
-    memory: reading everything up front forces the zip layer's per-member
-    CRC checks, and lets v3's manifest checksums verify the raw bytes before
-    any of them are interpreted.  An unsupported (but intact) version stays
-    a plain ``ValueError`` — that archive is not corrupt, just newer/older
+    Returns ``(meta, arrays)`` with every member materialised in memory:
+    reading everything up front forces the zip layer's per-member CRC
+    checks, and lets the manifest checksums verify the raw bytes before any
+    of them are interpreted.  An unsupported (but intact) version stays a
+    plain ``ValueError`` — that archive is not corrupt, just newer/older
     than this build.
     """
     try:
@@ -488,10 +455,10 @@ def _read_verified(path: Path) -> tuple[int, dict, dict]:
         version = int(raw["version"][()])
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotCorruptError(path, f"unreadable version field ({exc})") from exc
-    if version not in _READABLE_VERSIONS:
+    if version != SNAPSHOT_VERSION:
         raise ValueError(
             f"snapshot version {version} is not supported "
-            f"(this build reads versions {list(_READABLE_VERSIONS)})"
+            f"(this build reads version {SNAPSHOT_VERSION})"
         )
     try:
         meta = json.loads(str(raw["meta"][()]))
@@ -502,29 +469,28 @@ def _read_verified(path: Path) -> tuple[int, dict, dict]:
         for name, value in raw.items()
         if name not in ("format", "version", "meta")
     }
-    if version >= 3:
-        checksums = meta.get("checksums")
-        if not isinstance(checksums, dict):
+    checksums = meta.get("checksums")
+    if not isinstance(checksums, dict):
+        raise SnapshotCorruptError(
+            path, "archive is missing its per-array checksum manifest"
+        )
+    for name in sorted(set(checksums) - set(arrays)):
+        raise SnapshotCorruptError(
+            path, f"array {name!r} is in the checksum manifest but absent"
+        )
+    for name in sorted(set(arrays) - set(checksums)):
+        raise SnapshotCorruptError(
+            path, f"array {name!r} has no entry in the checksum manifest"
+        )
+    for name, value in arrays.items():
+        actual = _array_crc(value)
+        if actual != int(checksums[name]):
             raise SnapshotCorruptError(
-                path, "v3 archive is missing its per-array checksum manifest"
+                path,
+                f"checksum mismatch for array {name!r} "
+                f"(stored {int(checksums[name])}, computed {actual})",
             )
-        for name in sorted(set(checksums) - set(arrays)):
-            raise SnapshotCorruptError(
-                path, f"array {name!r} is in the checksum manifest but absent"
-            )
-        for name in sorted(set(arrays) - set(checksums)):
-            raise SnapshotCorruptError(
-                path, f"array {name!r} has no entry in the checksum manifest"
-            )
-        for name, value in arrays.items():
-            actual = _array_crc(value)
-            if actual != int(checksums[name]):
-                raise SnapshotCorruptError(
-                    path,
-                    f"checksum mismatch for array {name!r} "
-                    f"(stored {int(checksums[name])}, computed {actual})",
-                )
-    return version, meta, arrays
+    return meta, arrays
 
 
 def load_query_index(path, storage: str | None = None, wal=None):
@@ -547,12 +513,11 @@ def load_query_index(path, storage: str | None = None, wal=None):
     record is truncated; interior log corruption raises
     :class:`SnapshotCorruptError` like any other corrupt artefact.
 
-    Reads the current checksummed v3 layout plus the legacy v2 (segmented,
-    no checksums) and v1 (monolithic) layouts; anything else is rejected.
-    Every malformed-snapshot path — missing magic, truncated or bit-flipped
-    data, missing members, checksum mismatch — raises
-    :class:`SnapshotCorruptError` with the offending path; an intact
-    snapshot of an unsupported version raises a plain ``ValueError``.
+    Reads the current checksummed format only.  Every malformed-snapshot
+    path — missing magic, truncated or bit-flipped data, missing members,
+    checksum mismatch — raises :class:`SnapshotCorruptError` with the
+    offending path; an intact snapshot of another version (the retired v1/v2
+    layouts included) raises a plain ``ValueError``.
     Wrong data is never returned silently.
     """
     from repro.search.query import QueryIndex
@@ -560,13 +525,11 @@ def load_query_index(path, storage: str | None = None, wal=None):
 
     path = _resolve_load_path(path)
     if flat_storage.is_flat_snapshot(path):
-        version, meta, arrays = flat_storage.read_flat(
-            path,
-            storage=storage or flat_storage.default_storage(),
-            readable_versions=_READABLE_VERSIONS,
+        _, meta, arrays = flat_storage.read_flat(
+            path, storage=storage or flat_storage.default_storage()
         )
     else:
-        version, meta, arrays = _read_verified(path)
+        meta, arrays = _read_verified(path)
     try:
         # The tombstone mask is mutated in place by ``delete`` and the
         # family arrays may be grown by later draws — copy both out of any
@@ -581,22 +544,16 @@ def load_query_index(path, storage: str | None = None, wal=None):
                     value = np.array(value)
                 family_state[name[len("family_"):]] = value
 
-        if version == 1:
-            segments_data = _load_segments_v1(arrays, meta)
-        else:
-            segments_data = _load_segments_v2(arrays, meta)
+        segments_data = _load_segments(arrays, meta)
+        n_features = int(meta["n_features"])
     except SnapshotCorruptError:
         raise
     except (KeyError, IndexError) as exc:
         raise SnapshotCorruptError(path, f"missing or malformed member ({exc})") from exc
 
-    n_features = meta.get("n_features")
-    if n_features is None:  # v1 archives predate the explicit field
-        n_features = segments_data[0][0].n_features
-
     index = QueryIndex._from_snapshot(
         segments_data=segments_data,
-        n_features=int(n_features),
+        n_features=n_features,
         meta=meta,
         family_state=family_state,
         deleted=deleted,

@@ -276,7 +276,7 @@ def _member_file(path: Path, name: str, entry) -> tuple[Path, np.dtype, tuple, i
     return path / file_name, dtype, shape, nbytes
 
 
-def read_flat(path, storage: str = "ram", readable_versions=(1, 2, 3)) -> tuple[int, dict, dict]:
+def read_flat(path, storage: str = "ram", readable_versions=(3,)) -> tuple[int, dict, dict]:
     """Read a flat-layout snapshot; returns ``(version, meta, arrays)``.
 
     With ``storage="ram"`` every member is loaded into memory and verified

@@ -32,6 +32,21 @@ __all__ = ["BayesLSHVerifier", "BayesLSHLiteVerifier"]
 DEFAULT_LITE_HASHES = {"cosine": 128, "binary_cosine": 128, "jaccard": 64}
 
 
+def _verify_blocks(algorithm, source, pool) -> VerificationOutput:
+    """Verify ``source`` block by block, serially or through the worker pool.
+
+    The pooled path falls back to the same per-block ``algorithm.verify``
+    call when it loses workers, so both paths merge to identical outputs.
+    """
+    if pool is None:
+        return VerificationOutput.merge(
+            [algorithm.verify(left, right) for left, right in source.blocks()]
+        )
+    from repro.search.executor import run_round_protocol
+
+    return run_round_protocol(pool, algorithm, source)
+
+
 class _BayesVerifierBase(Verifier):
     """Shared plumbing of the two Bayesian verifiers."""
 
@@ -184,22 +199,7 @@ class BayesLSHVerifier(_BayesVerifierBase):
         posterior = self._posterior_for_pairs(source)
         algorithm = BayesLSH(self._family, posterior, self._params)
         self._last_algorithm = algorithm
-        if pool is None:
-            return VerificationOutput.merge(
-                [algorithm.verify(left, right) for left, right in source.blocks()]
-            )
-        from repro.search.executor import run_round_protocol
-
-        return run_round_protocol(
-            pool,
-            self._family,
-            self._params,
-            "bayes",
-            posterior,
-            source,
-            self._threshold,
-            verifier=self,
-        )
+        return _verify_blocks(algorithm, source, pool)
 
 
 class BayesLSHLiteVerifier(_BayesVerifierBase):
@@ -266,22 +266,7 @@ class BayesLSHLiteVerifier(_BayesVerifierBase):
     def verify_source(self, source, pool=None) -> VerificationOutput:
         """Block-streamed (and optionally multicore round-synchronous) verify."""
         posterior = self._posterior_for_pairs(source)
-        if pool is None:
-            algorithm = BayesLSHLite(
-                self._family, posterior, self._params, self.exact_similarity
-            )
-            return VerificationOutput.merge(
-                [algorithm.verify(left, right) for left, right in source.blocks()]
-            )
-        from repro.search.executor import run_round_protocol
-
-        return run_round_protocol(
-            pool,
-            self._family,
-            self._params,
-            "lite",
-            posterior,
-            source,
-            self._threshold,
-            verifier=self,
+        algorithm = BayesLSHLite(
+            self._family, posterior, self._params, self.exact_similarity
         )
+        return _verify_blocks(algorithm, source, pool)

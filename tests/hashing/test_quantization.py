@@ -50,6 +50,36 @@ class TestQuantizedGaussian:
         all_at_once = fresh.columns(0, 20)
         np.testing.assert_allclose(np.hstack([chunk_a, chunk_b]), all_at_once)
 
+    @pytest.mark.parametrize("quantize", [True, False])
+    def test_rows32_is_a_row_subset_of_columns32(self, quantize):
+        rows = np.array([0, 7, 8, 49])
+        subset = QuantizedGaussian(50, seed=3, quantize=quantize).rows32(rows, 4, 20)
+        full = QuantizedGaussian(50, seed=3, quantize=quantize).columns32(4, 20)
+        assert subset.dtype == np.float32
+        np.testing.assert_array_equal(subset, full[rows])
+
+    @pytest.mark.parametrize("quantize", [True, False])
+    def test_growth_pattern_leaves_no_trace(self, quantize):
+        # Columns land in a buffer that doubles; however the requests arrive,
+        # the matrix, the generator position and what a reader already holds
+        # are the same.
+        stepwise = QuantizedGaussian(23, seed=9, quantize=quantize)
+        held = stepwise.columns32(0, 3)
+        before = held.copy()
+        for n_columns in (3, 4, 40, 41, 130, 700):
+            stepwise.columns(0, n_columns)
+        at_once = QuantizedGaussian(23, seed=9, quantize=quantize)
+        at_once.columns(0, 700)
+        np.testing.assert_array_equal(held, before)
+        assert stepwise.n_columns == at_once.n_columns == 700
+        assert stepwise.nbytes == at_once.nbytes
+        a, b = stepwise.state_dict(), at_once.state_dict()
+        np.testing.assert_array_equal(a["matrix"], b["matrix"])
+        assert a["rng_state"] == b["rng_state"]
+        restored = QuantizedGaussian(23, seed=0, quantize=quantize)
+        restored.restore_state(a)
+        np.testing.assert_array_equal(restored.columns(690, 800), at_once.columns(690, 800))
+
     def test_different_seeds_differ(self):
         a = QuantizedGaussian(20, seed=0).columns(0, 5)
         b = QuantizedGaussian(20, seed=1).columns(0, 5)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.hashing.signatures import BitSignatures
 from repro.hashing.simhash import (
     SimHashFamily,
     collision_to_cosine,
@@ -91,6 +92,38 @@ class TestSimHashFamily:
             np.bitwise_count(np.bitwise_xor(quantized.words, exact.words)).astype(int)
         )
         assert differing / total < 0.01
+
+    @pytest.mark.parametrize("quantize", [True, False])
+    @pytest.mark.parametrize("n_rows", [1, 2, 40])
+    def test_few_touched_features_hash_like_the_float64_product(self, n_rows, quantize):
+        # A query vector or an inserted segment touches few of the features and
+        # is multiplied against those rows of the projection matrix only; its
+        # bits must be the signs of the full float64 product all the same
+        # (values down to 1e-30 put products next to zero).
+        rng = np.random.default_rng(n_rows)
+        dense = np.zeros((n_rows, 3000))
+        for row in dense:
+            touched = rng.choice(3000, size=25, replace=False)
+            row[touched] = rng.random(25) * rng.choice([1e-30, 1.0, 1e6], size=25)
+        collection = VectorCollection.from_dense(dense)
+        family = SimHashFamily(collection, seed=5, quantize=quantize)
+        family.signatures(64)
+        store = family.signatures(700)
+        products = collection.matrix @ family.projections.columns(0, store.n_hashes)
+        expected = BitSignatures(n_rows)
+        expected.append_bits((np.asarray(products) >= 0.0).astype(np.uint8))
+        np.testing.assert_array_equal(store.words, expected.words)
+
+    def test_block_is_projected_in_column_slices(self, small_dense_collection):
+        # 96 is not a multiple of the product width: the last slice of each
+        # block is narrower, and the bits are the float64 product's signs.
+        family = SimHashFamily(small_dense_collection, seed=5, block_size=96)
+        store = family.signatures(200)
+        assert store.n_hashes == 288
+        products = small_dense_collection.matrix @ family.projections.columns(0, 288)
+        expected = BitSignatures(small_dense_collection.n_vectors)
+        expected.append_bits((np.asarray(products) >= 0.0).astype(np.uint8))
+        np.testing.assert_array_equal(store.words, expected.words)
 
     def test_collision_similarity_mapping(self, small_dense_collection):
         family = SimHashFamily(small_dense_collection)

@@ -352,6 +352,56 @@ def test_parallel_serving_non_word_aligned_rounds(measure):
     )
 
 
+def _hash_state(index: QueryIndex) -> list:
+    """Per-segment store width and hash-family state (RNG position included)."""
+
+    def plain(state: dict) -> dict:
+        return {
+            key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in state.items()
+        }
+
+    return [plain(index._family.state_dict())] + [
+        (segment.store.n_hashes, plain(segment.family.state_dict()))
+        for segment in index._segments.segments
+    ]
+
+
+@pytest.mark.parametrize("measure", ["cosine", "jaccard"])
+def test_call_scoped_pool_leaves_nothing_behind(measure):
+    """``n_workers=k`` is a pool whose lifetime is the call.
+
+    After the call there is no attached pool, no live worker process and no
+    new ``/dev/shm/psm_*`` segment, and the index is in the same hash state
+    (store widths and RNG stream positions) as after serial execution.
+    """
+    import multiprocessing
+    from pathlib import Path
+
+    shm = Path("/dev/shm")
+
+    def segments() -> set:
+        return {entry.name for entry in shm.glob("psm_*")} if shm.is_dir() else set()
+
+    serial_index = _layout_index("grown", measure, "bayes")
+    pooled_index = _layout_index("grown", measure, "bayes")
+    queries = _random_collection(31, n=9)[:, :80]
+    queries[:3] = _random_collection(29, n=70)[:3]
+    children_before = {child.pid for child in multiprocessing.active_children()}
+    segments_before = segments()
+
+    for call in (
+        lambda index, **kw: index.query_many(queries, threshold=0.55, **kw),
+        lambda index, **kw: index.top_k_many(queries, k=5, rank_by="estimate", **kw),
+        lambda index, **kw: index.top_k_many(queries, k=5, **kw),
+    ):
+        assert call(pooled_index, n_workers=3) == call(serial_index)
+        assert pooled_index.pool_stats() is None
+        assert {child.pid for child in multiprocessing.active_children()} == children_before
+        assert segments() == segments_before
+        assert _hash_state(pooled_index) == _hash_state(serial_index)
+
+
 def test_parallel_serving_validates_n_workers():
     index = QueryIndex(_random_collection(35, n=20), measure="cosine", threshold=0.6)
     with pytest.raises(ValueError, match="n_workers"):

@@ -109,7 +109,7 @@ def test_readers_during_insert_see_consistent_answers(measure):
 def test_pooled_readers_during_insert():
     """Readers using ``n_workers > 1`` while the writer ingests.
 
-    Exercises the pool-creation vs ingest race: `_make_serving_pool` holds
+    Exercises the pool-creation vs ingest race: `QueryIndex._fork_pool` holds
     the update lock across the fork-time snapshot and the worker forks, so
     every worker inherits a mutually consistent segment list / postings /
     tombstone mask no matter when ``insert`` commits.  The oracle is the

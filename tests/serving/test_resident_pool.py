@@ -122,6 +122,81 @@ def test_close_is_idempotent_and_context_manager_closes(batch):
     assert index.pool_stats() is None
 
 
+def test_reader_holding_a_pool_across_close_degrades_to_serial(index, batch):
+    """A reader that picked the pool up just before ``close()`` still answers.
+
+    ``query_many`` reads ``index._resident`` and then leases it; ``close()``
+    can land in between.  Re-attaching the closed pool reproduces exactly
+    what that reader holds: its lease is refused and the batch runs on the
+    serial path, bit-identically, instead of raising.
+    """
+    oracle = index.query_many(batch, threshold=0.55, n_workers=1)
+    stale = index.start_pool(2)
+    index.close()
+    index._resident = stale
+    try:
+        assert index.query_many(batch, threshold=0.55) == oracle
+        assert index.top_k_many(batch, k=5, floor_threshold=0.2) == index.top_k_many(
+            batch, k=5, floor_threshold=0.2, n_workers=1
+        )
+        assert stale.stats()["closed"] is True
+    finally:
+        index._resident = None
+
+
+def test_worker_forked_while_the_tracker_lock_is_held_still_serves(batch, monkeypatch):
+    """A fork that captures the resource tracker's lock must not wedge the worker.
+
+    Another reader thread publishing or unlinking a shared segment holds the
+    tracker's lock for an instant; a worker forked in that instant inherits
+    it locked, with no thread to release it, and used to block forever on
+    its first segment attach.  Forking while a helper thread holds the lock
+    reproduces that deterministically.
+    """
+    import os
+    import threading
+    from multiprocessing import resource_tracker
+
+    # A narrow banding width, so verification outruns the fork-inherited
+    # columns and the workers really attach published segments.
+    index = QueryIndex(
+        planted_collection(29, n=70),
+        measure="cosine",
+        threshold=0.6,
+        seed=13,
+        false_negative_rate=0.5,
+    )
+    oracle = index.query_many(batch, threshold=0.55, n_workers=1)
+    lock = resource_tracker._resource_tracker._lock
+    real_fork = os.fork
+
+    def fork_with_tracker_lock_held():
+        held, forked = threading.Event(), threading.Event()
+
+        def hold():
+            with lock:
+                held.set()
+                forked.wait()
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        held.wait()
+        pid = real_fork()
+        if pid:
+            forked.set()
+            holder.join()
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_with_tracker_lock_held)
+    index.start_pool(2, round_timeout=5.0)
+    monkeypatch.undo()
+    try:
+        assert index.query_many(batch, threshold=0.55) == oracle
+        assert index.pool_stats()["live_workers"] == 2, "a worker wedged and was retired"
+    finally:
+        index.close()
+
+
 def test_start_pool_twice_raises(index):
     index.start_pool(2)
     try:

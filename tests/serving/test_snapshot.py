@@ -15,6 +15,7 @@ from repro.search.query import QueryIndex
 from repro.serving.snapshot import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
+    SnapshotCorruptError,
     load_query_index,
     save_query_index,
 )
@@ -275,34 +276,22 @@ def test_compacting_save_does_not_mutate_the_live_index(tmp_path, corpus, querie
     assert widths_after == widths_before
 
 
-def test_legacy_v1_archive_loads_as_single_segment(tmp_path, corpus, queries):
-    """The v1 monolithic layout stays readable (loaded as one segment)."""
+@pytest.mark.parametrize("legacy_version", [1, 2])
+def test_legacy_archive_versions_are_rejected_as_unsupported(tmp_path, corpus, legacy_version):
+    """v1/v2 archives are refused as unsupported, not reported as corrupt.
+
+    No writer has produced them since v3; the readers are gone.  An intact
+    archive of another version is not damaged, so the error is the plain
+    "version not supported" ``ValueError``.
+    """
     index = QueryIndex(corpus, measure="cosine", threshold=0.6, seed=9)
-    expected = index.query_many(queries, threshold=0.5)
-    path = index.save(tmp_path / "v2.npz")
+    path = index.save(tmp_path / "current.npz")
     with np.load(path, allow_pickle=False) as archive:
         contents = {name: archive[name] for name in archive.files}
-    meta = json.loads(str(contents["meta"][()]))
+    contents["version"] = np.array(legacy_version, dtype=np.int64)
+    legacy_path = tmp_path / f"v{legacy_version}.npz"
+    np.savez(legacy_path, **contents)
 
-    # Rewrite the v2 single-segment archive in the v1 monolithic layout.
-    legacy_meta = dict(meta)
-    legacy_meta["store_n_hashes"] = meta["store_n_hashes"][0]
-    for key in ("n_features", "n_segments", "compacted"):
-        legacy_meta.pop(key)
-    legacy = {
-        name: value
-        for name, value in contents.items()
-        if not name.startswith("seg0_") and name not in ("meta", "version")
-    }
-    for name, value in contents.items():
-        if name.startswith("seg0_collection_"):
-            legacy[name.replace("seg0_", "")] = value
-    legacy["store_matrix"] = contents["seg0_store"]
-    legacy["meta"] = np.array(json.dumps(legacy_meta))
-    legacy["version"] = np.array(1, dtype=np.int64)
-    legacy_path = tmp_path / "v1.npz"
-    np.savez(legacy_path, **legacy)
-
-    loaded = load_query_index(legacy_path)
-    assert loaded.n_segments == 1
-    assert loaded.query_many(queries, threshold=0.5) == expected
+    with pytest.raises(ValueError, match="not supported") as excinfo:
+        load_query_index(legacy_path)
+    assert not isinstance(excinfo.value, SnapshotCorruptError)
