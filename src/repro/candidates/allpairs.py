@@ -56,7 +56,7 @@ import numpy as np
 
 from typing import Iterator
 
-from repro.candidates.arrayops import budgeted_batches, ragged_arange
+from repro.candidates.arrayops import budgeted_batches, ragged_arange, sorted_unique
 from repro.candidates.base import (
     UNBOUNDED_BLOCK,
     BlockStream,
@@ -214,7 +214,7 @@ class AllPairsGenerator(CandidateGenerator):
                     continue
                 ys = posting_row[gathered]
                 xs = np.repeat(rows_of_entries[batch], hit_counts[batch])
-                pair_keys = np.unique(xs * n_vectors + ys)
+                pair_keys = sorted_unique(xs * n_vectors + ys)
                 for start in range(0, len(pair_keys), block_size):
                     chunk = pair_keys[start : start + block_size]
                     yield chunk // n_vectors, chunk % n_vectors

@@ -1,24 +1,42 @@
-"""Ragged-array primitives shared by the candidate generators.
+"""Flat-array primitives shared by the candidate generators.
 
 The array-based candidate generators all manipulate *ragged* structures —
 inverted-index postings of different lengths, hash buckets of different
-sizes — without per-element Python loops.  The two primitives here cover
-the patterns they need:
+sizes — without per-element Python loops.  The primitives here cover the
+patterns they need:
 
 * :func:`ragged_arange` — concatenated ``arange`` segments, the core of every
   "gather a variable-length prefix per key" step;
 * :func:`pairs_within_groups` — all intra-group index pairs of a grouped
-  array, the core of LSH bucket pair enumeration.
+  array, the core of LSH bucket pair enumeration;
+* :func:`sorted_unique` — the one definition of "sorted distinct integer
+  keys", which every pair/probe deduplication goes through.
 
-Both are built from ``repeat``/``cumsum`` only, so their cost is linear in
-the output size.
+The first two are built from ``repeat``/``cumsum`` only, so their cost is
+linear in the output size; the third is one sort.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ragged_arange", "pairs_within_groups", "budgeted_batches"]
+__all__ = ["ragged_arange", "pairs_within_groups", "budgeted_batches", "sorted_unique"]
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D integer array: one sort, one neighbour mask.
+
+    Same values, order and dtype as ``np.unique(keys)``.  Call this instead:
+    from NumPy 2.3 a plain ``np.unique`` on integers builds a hash table
+    before it sorts, which costs ~16x this on the pair-key arrays of a join.
+
+    >>> sorted_unique(np.array([3, 1, 3, 2, 1]))
+    array([1, 2, 3])
+    """
+    ordered = np.sort(keys)
+    distinct = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+    return ordered[distinct]
 
 
 def budgeted_batches(

@@ -8,6 +8,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.candidates.arrayops import sorted_unique
 from repro.similarity.measures import SimilarityMeasure, get_measure
 from repro.similarity.vectors import VectorCollection
 
@@ -105,12 +106,12 @@ class CandidateSet:
         high = np.maximum(left[keep], right[keep])
         if len(low):
             # Deduplicate via a composite integer key: one flat int64 sort
-            # instead of np.unique's lexicographic row sort.
+            # instead of a lexicographic row sort.
             span = int(high.max()) + 1
             if span >= (1 << 31):  # key would overflow int64; take the slow path
                 stacked = np.unique(np.stack([low, high], axis=1), axis=0)
                 return cls(left=stacked[:, 0], right=stacked[:, 1], metadata=dict(metadata))
-            keys = np.unique(low * span + high)
+            keys = sorted_unique(low * span + high)
             return cls(left=keys // span, right=keys % span, metadata=dict(metadata))
         return cls(
             left=np.zeros(0, dtype=np.int64),

@@ -18,7 +18,7 @@ BayesLSH.
 
 Bucketing is array-based: each band's contents are fetched for all rows at
 once (:meth:`SignatureStore.band_keys_many`), rows are grouped into buckets
-with one ``np.unique`` sort per band, and intra-bucket pairs are enumerated
+with one lexicographic sort per band, and intra-bucket pairs are enumerated
 with the ragged-array primitives in :mod:`repro.candidates.arrayops` — no
 per-row dict or per-pair Python loop.  Pairs, collision counts and the
 emitted candidate set are identical to the dict-of-buckets reference
@@ -33,7 +33,7 @@ import numpy as np
 
 from typing import Iterator, Protocol
 
-from repro.candidates.arrayops import pairs_within_groups
+from repro.candidates.arrayops import pairs_within_groups, sorted_unique
 from repro.candidates.base import (
     UNBOUNDED_BLOCK,
     BlockStream,
@@ -72,13 +72,15 @@ def group_by_band_content(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order is preserved inside each group) and group ``g`` spans
     ``order[offsets[g]:offsets[g + 1]]``.  Shared by the all-pairs bucketing
     and the serving-layer postings so both group with literally the same
-    procedure.
+    procedure.  Groups come out in lexicographic order of their content
+    (column 0 most significant).
     """
-    _, inverse = np.unique(keys, axis=0, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    counts = np.bincount(inverse)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return order, offsets
+    order = np.lexsort(keys.T[::-1])
+    if not len(order):
+        return order, np.zeros(1, dtype=np.int64)
+    ordered = keys[order]
+    starts = np.flatnonzero(np.any(ordered[1:] != ordered[:-1], axis=1)) + 1
+    return order, np.concatenate([[0], starts, [len(order)]])
 
 #: default signature widths (number of hashes concatenated per signature)
 _DEFAULT_WIDTH = {"simhash": 8, "minhash": 4}
@@ -122,8 +124,8 @@ class BandPostings:
     bucketing: each band maps band content (as bytes) to the list of member
     rows holding that content.  Members are added in batches — initial build
     and every serving-layer ingest use the same vectorised path (one
-    ``band_keys_many`` + ``np.unique`` grouping per band) — and probing looks
-    up a whole batch of query signatures at once.
+    ``band_keys_many`` + :func:`group_by_band_content` sort per band) — and
+    probing looks up a whole batch of query signatures at once.
 
     Deletions are *not* represented here: the owner tombstones rows and
     filters probe results, then rebuilds the postings from scratch once the
@@ -138,9 +140,10 @@ class BandPostings:
     staleness rebuild under its update lock — the rebuild builds a fresh
     instance and swaps the reference atomically), while :meth:`probe_many`
     may run concurrently from reader threads: probes only ``get`` bucket
-    lists and snapshot them into arrays, and :meth:`add` grows buckets with
-    single atomic ``extend`` calls, so a concurrent probe observes each
-    bucket either before or after a batch — never a torn list.
+    lists and read each exactly once (one atomic ``extend`` into the probe's
+    own flat list), and :meth:`add` grows buckets with single atomic
+    ``extend`` calls, so a concurrent probe observes each bucket either
+    before or after a batch — never a torn list.
     """
 
     def __init__(self, n_bands: int, band_width: int):
@@ -220,23 +223,29 @@ class BandPostings:
         query_rows = np.asarray(query_rows, dtype=np.int64)
         if len(query_rows) == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        position_parts: list[np.ndarray] = []
-        member_parts: list[np.ndarray] = []
+        # Every hit bucket is chained into one flat list and converted once.
+        # A hit's length is the growth of the flat list, so each bucket list
+        # is read exactly once (the ``extend``): a concurrent ``add`` cannot
+        # make the recorded length disagree with the members copied.
+        hit_members: list[int] = []
+        hit_positions: list[int] = []
+        hit_lengths: list[int] = []
         for band in range(self._n_bands):
             keys = query_store.band_keys_many(query_rows, band, self._band_width)
             bucket = self._buckets[band]
             for position in range(len(query_rows)):
                 members = bucket.get(keys[position].tobytes())
-                if members:
-                    hits = np.asarray(members, dtype=np.int64)
-                    member_parts.append(hits)
-                    position_parts.append(np.full(len(hits), position, dtype=np.int64))
-        if not member_parts:
+                if members is not None:
+                    n_before = len(hit_members)
+                    hit_members.extend(members)
+                    hit_positions.append(position)
+                    hit_lengths.append(len(hit_members) - n_before)
+        if not hit_members:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        span = max(int(n_vectors), max(int(part.max()) for part in member_parts) + 1)
-        encoded = np.unique(
-            np.concatenate(position_parts) * span + np.concatenate(member_parts)
-        )
+        members = np.asarray(hit_members, dtype=np.int64)
+        positions = np.repeat(np.asarray(hit_positions, dtype=np.int64), hit_lengths)
+        span = max(int(n_vectors), int(members.max()) + 1)
+        encoded = sorted_unique(positions * span + members)
         return encoded // span, encoded % span
 
 
@@ -351,7 +360,7 @@ class LSHGenerator(CandidateGenerator):
             for band in range(n_signatures if len(non_empty) else 0):
                 # Group rows by band content with one sort per band instead
                 # of a dict of per-row byte keys: rows whose band columns
-                # compare equal land in the same np.unique group.
+                # compare equal land in the same group.
                 keys = store.band_keys_many(non_empty, band, width)
                 order, offsets = group_by_band_content(keys)
                 bucket_rows = non_empty[order]

@@ -88,6 +88,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.candidates.arrayops import sorted_unique
 from repro.core.bayeslsh import VerificationOutput
 from repro.core.rounds import PRUNED, PairState, RoundTables, run_rounds
 from repro.hashing.signatures import (
@@ -151,7 +152,7 @@ class _PairKeyAccumulator:
         high = np.maximum(left[keep], right[keep])
         if not len(low):
             return
-        self._pending.append(np.unique(low * self._span + high))
+        self._pending.append(sorted_unique(low * self._span + high))
         self._pending_total += len(self._pending[-1])
         if self._pending_total >= max(len(self._sorted), 1 << 16):
             self._consolidate()
@@ -159,7 +160,7 @@ class _PairKeyAccumulator:
     def _consolidate(self) -> None:
         if not self._pending:
             return
-        self._sorted = np.unique(np.concatenate([self._sorted, *self._pending]))
+        self._sorted = sorted_unique(np.concatenate([self._sorted, *self._pending]))
         self._pending = []
         self._pending_total = 0
 
@@ -1269,7 +1270,7 @@ def _serving_worker_main(worker_id: int, task: ServingTask, task_queue, result_q
                             n_now,
                         )
                     state.advance(new_matches, n_now)
-                active_segments = np.unique(segment_ids[state.active])
+                active_segments = sorted_unique(segment_ids[state.active])
                 result_queue.put(
                     ("ok", worker_id, (len(state.active), active_segments.tolist()))
                 )
@@ -1712,7 +1713,7 @@ class ServingPool:
         for wid in live:
             lo, hi = shards[wid]
             live_mask[lo:hi] = True
-        active_segments = set(np.unique(segment_ids[live_mask]).tolist())
+        active_segments = set(sorted_unique(segment_ids[live_mask]).tolist())
         segments = task.segments.segments
         for round_index in range(params.n_rounds):
             if active_total == 0 or not live:

@@ -51,6 +51,7 @@ from contextlib import contextmanager
 import numpy as np
 import scipy.sparse as sp
 
+from repro.candidates.arrayops import sorted_unique
 from repro.candidates.lsh_index import BandPostings, signatures_for_false_negative_rate
 from repro.core.params import BayesLSHParams
 from repro.core.posteriors import make_posterior
@@ -673,16 +674,16 @@ class QueryIndex:
         n_queries, query_rows, rows, values = self._scored_candidates(
             queries, rank_by == "estimate", n_workers, round_timeout
         )
-        if rank_by == "estimate":
-            keep = ~np.isnan(values)
-            query_rows, rows, values = query_rows[keep], rows[keep], values[keep]
-        grouped = self._group_pairs(n_queries, query_rows, rows, values)
-        results: list[list[ScoredPair]] = []
-        for scored in grouped:
-            scored = [pair for pair in scored if pair.similarity > floor_threshold]
-            scored.sort(key=lambda pair: pair.similarity, reverse=True)
-            results.append(scored[:k])
-        return results
+        # Rank on the arrays; ScoredPairs are built only for returned rows.
+        # NaN estimates (pruned pairs) compare False and drop out here too.
+        keep = values > floor_threshold
+        query_rows, rows, values = query_rows[keep], rows[keep], values[keep]
+        # Stable, so equal similarities keep ascending collection-row order.
+        order = np.lexsort((-values, query_rows))
+        query_rows, rows, values = query_rows[order], rows[order], values[order]
+        first = np.searchsorted(query_rows, np.arange(n_queries))
+        top = np.arange(len(query_rows)) - first[query_rows] < k
+        return self._group_pairs(n_queries, query_rows[top], rows[top], values[top])
 
     def top_k(
         self,
@@ -978,7 +979,7 @@ class QueryIndex:
         deleted row is a no-op.  Tombstones are physically dropped only by
         ``save(path, compact=True)``.
         """
-        rows = np.unique(np.asarray(rows, dtype=np.int64).ravel())
+        rows = sorted_unique(np.asarray(rows, dtype=np.int64).ravel())
         with self._update_lock:
             if len(rows) and (rows[0] < 0 or rows[-1] >= self._segments.n_vectors):
                 raise IndexError(

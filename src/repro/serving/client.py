@@ -33,6 +33,7 @@ import time
 import uuid
 
 from repro.serving.daemon import (
+    MAX_LINE_BYTES,
     DaemonError,
     DeadlineExceeded,
     Draining,
@@ -159,9 +160,17 @@ class DaemonClient:
         schedule; daemon-reported failures are raised as typed errors
         without retrying — the daemon answered, so the transport is fine
         and the rejection (overloaded, draining, bad request) is the
-        caller's to handle.
+        caller's to handle.  A request too long for the protocol is
+        refused here, as the daemon would refuse it: the daemon closes the
+        connection of an over-long line mid-send, which would otherwise
+        read as a transport failure and be retried.
         """
         payload = json.dumps(request).encode() + b"\n"
+        if len(payload) > MAX_LINE_BYTES:
+            raise DaemonError(
+                f"request line exceeds {MAX_LINE_BYTES} bytes "
+                f"(got {len(payload)}); split the batch"
+            )
         return self._with_retries(lambda: self._exchange(payload))
 
     def _with_retries(self, fn):

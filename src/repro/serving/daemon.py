@@ -44,9 +44,9 @@ Operational behaviour, in the order a request experiences it:
   everything admitted, then shut down).
 
 The wire protocol is JSON lines (one request object per line, one response
-object per line) — see :class:`~repro.serving.client.DaemonClient` for the
-matching client.  See ``docs/serving.md`` ("Running the daemon") for the
-knob-by-knob ops guide.
+object per line, a request line at most :data:`MAX_LINE_BYTES` long) — see
+:class:`~repro.serving.client.DaemonClient` for the matching client.  See
+``docs/serving.md`` ("Running the daemon") for the knob-by-knob ops guide.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ import scipy.sparse as sp
 from repro.testing import faults as _faults
 
 __all__ = [
+    "MAX_LINE_BYTES",
     "DaemonError",
     "DeadlineExceeded",
     "Draining",
@@ -73,6 +74,12 @@ __all__ = [
     "decode_vector",
     "encode_vector",
 ]
+
+#: Longest request line the protocol allows, newline included (16 MiB — a
+#: few thousand dense rows per insert).  A longer line is answered with a
+#: ``bad_request`` error and its connection is closed: the rest of the line
+#: is still in flight, so the stream cannot be resynchronised.
+MAX_LINE_BYTES = 16 * 1024 * 1024
 
 
 class DaemonError(RuntimeError):
@@ -374,7 +381,7 @@ class ServingDaemon:
         )
         self._batcher_task = asyncio.ensure_future(self._batch_loop())
         self._server = await asyncio.start_unix_server(
-            self._handle_connection, path=self._socket_path
+            self._handle_connection, path=self._socket_path, limit=MAX_LINE_BYTES
         )
         self._started.set()
         try:
@@ -410,7 +417,18 @@ class ServingDaemon:
     async def _handle_connection(self, reader, writer) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # asyncio's report of a line over `limit`
+                    self._stats["bad_requests"] += 1
+                    response = {
+                        "ok": False,
+                        "error": "bad_request",
+                        "message": f"request line exceeds {MAX_LINE_BYTES} bytes",
+                    }
+                    writer.write(json.dumps(response).encode() + b"\n")
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 try:

@@ -10,7 +10,10 @@ readiness, stats, snapshot, drain) behave as the runbook documents.
 
 from __future__ import annotations
 
+import json
+import logging
 import os
+import socket
 import threading
 
 import pytest
@@ -22,9 +25,10 @@ from repro.serving import (
     Draining,
     ServingDaemon,
 )
-from repro.serving.daemon import decode_vector, encode_vector
+from repro.serving.daemon import MAX_LINE_BYTES, decode_vector, encode_vector
 
 from tests.daemon.conftest import as_pairs
+from tests.faults.conftest import planted_collection
 
 
 def test_concurrent_clients_bit_identical_and_coalesced(index, batch, socket_path):
@@ -111,6 +115,59 @@ def test_bad_requests_get_typed_errors_not_dropped_connections(
             # The connection survived all three errors.
             assert client.health()["ok"]
             assert client.stats()["bad_requests"] == 3
+
+
+def test_request_line_far_over_64_kib_is_served(index, socket_path):
+    """A 256-row insert (~0.5 MB line) fits the protocol's stated bound.
+
+    The stream reader's implicit 64 KiB default used to kill the connection
+    with no reply, which the client retried to exhaustion.
+    """
+    rows = planted_collection(37, n=256)
+    with ServingDaemon(index, socket_path):
+        with DaemonClient(socket_path) as client:
+            before = index.n_indexed
+            assigned = client.insert(rows)
+            assert assigned == list(range(before, before + 256))
+            assert client.retry_stats == {"retries": 0, "reconnects": 0}
+    assert index.n_indexed == before + 256
+
+
+def test_over_limit_line_gets_bad_request_and_only_its_connection_closes(
+    index, socket_path, caplog
+):
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        with ServingDaemon(index, socket_path):
+            with DaemonClient(socket_path) as bystander:
+                raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                raw.settimeout(30)
+                with raw, raw.makefile("rb") as replies:
+                    raw.connect(socket_path)
+                    try:
+                        raw.sendall(b"x" * (MAX_LINE_BYTES + 2))
+                    except (BrokenPipeError, ConnectionResetError):
+                        pass  # the daemon stopped reading and hung up mid-send
+                    reply = json.loads(replies.readline())
+                    assert reply == {
+                        "ok": False,
+                        "error": "bad_request",
+                        "message": f"request line exceeds {MAX_LINE_BYTES} bytes",
+                    }
+                    assert replies.readline() == b"", "connection must be closed"
+                # Other connections — open before, opened after — keep working.
+                assert bystander.health()["ok"]
+                with DaemonClient(socket_path) as fresh:
+                    assert fresh.stats()["bad_requests"] == 1
+    assert not [r for r in caplog.records if "Unhandled" in r.getMessage()]
+
+
+def test_client_refuses_an_over_limit_request_without_retrying(index, socket_path):
+    with ServingDaemon(index, socket_path):
+        with DaemonClient(socket_path) as client:
+            with pytest.raises(DaemonError, match="request line exceeds"):
+                client._call({"op": "health", "padding": "x" * MAX_LINE_BYTES})
+            assert client.retry_stats == {"retries": 0, "reconnects": 0}
+            assert client.health()["ok"]  # nothing was sent; same connection
 
 
 def test_ops_endpoints_and_snapshot(index, batch, socket_path, tmp_path):

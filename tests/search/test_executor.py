@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.candidates.base import CandidateSet
+from repro.candidates.allpairs import AllPairsGenerator
+from repro.candidates.base import UNBOUNDED_BLOCK, CandidateSet
+from repro.candidates.lsh_index import LSHGenerator
 from repro.core.bayeslsh import VerificationOutput
 from repro.search.executor import (
     DEFAULT_BLOCK_SIZE,
@@ -133,3 +135,47 @@ class TestStreamExecutor:
         executor = StreamExecutor()
         assert executor.block_size == DEFAULT_BLOCK_SIZE
         assert executor.n_workers == 1
+
+
+class _RecordingVerifier:
+    """Stands in for a verifier: keeps the pairs the executor hands over."""
+
+    def verify_source(self, source, pool=None):
+        self.left, self.right = source.all_pairs()
+        self.blocks = list(source.blocks())
+        return None
+
+
+class TestStreamedDeduplication:
+    """The executor's incremental dedup == ``CandidateSet.from_stream`` on raw
+    streams whose blocks repeat pairs, for every block size."""
+
+    @pytest.mark.parametrize("kind", ["allpairs", "lsh"])
+    @pytest.mark.parametrize("block_size", [1, 4096, UNBOUNDED_BLOCK])
+    def test_equals_from_stream(self, kind, block_size, sparse_text_collection):
+        if kind == "allpairs":
+            generator = AllPairsGenerator("cosine", 0.3)
+        else:
+            generator = LSHGenerator("cosine", 0.5, seed=4)
+        n_raw = sum(
+            len(left) for left, _ in generator.generate_blocks(sparse_text_collection, block_size)
+        )
+        reference = CandidateSet.from_stream(
+            generator.generate_blocks(sparse_text_collection, block_size)
+        )
+        assert len(reference) > 0
+        if kind == "lsh" or block_size != UNBOUNDED_BLOCK:
+            # (one unbounded AllPairs probe batch deduplicates itself)
+            assert n_raw > len(reference), "the stream must repeat pairs across blocks"
+
+        verifier = _RecordingVerifier()
+        metadata, _, _ = StreamExecutor(block_size=block_size).run(
+            generator, verifier, sparse_text_collection
+        )
+        np.testing.assert_array_equal(verifier.left, reference.left)
+        np.testing.assert_array_equal(verifier.right, reference.right)
+        assert verifier.left.dtype == verifier.right.dtype == np.int64
+        assert metadata == reference.metadata
+        np.testing.assert_array_equal(
+            np.concatenate([left for left, _ in verifier.blocks]), reference.left
+        )

@@ -166,3 +166,61 @@ class TestQueryIndexJaccard:
         query = {int(f): 1.0 for f in binary_sets_collection.row_features(row)}
         hits = index.query(query)
         assert row in {pair.j for pair in hits}
+
+
+def _top_k_by_python_sort(index, queries, k, floor_threshold, rank_by):
+    """The per-object ranking ``top_k_many`` replaced, kept as the reference:
+    wrap every candidate, filter, ``list.sort`` and slice, one query at a time."""
+    n_queries, query_rows, rows, values = index._scored_candidates(
+        queries, rank_by == "estimate", None, None
+    )
+    if rank_by == "estimate":
+        keep = ~np.isnan(values)
+        query_rows, rows, values = query_rows[keep], rows[keep], values[keep]
+    results = []
+    for scored in QueryIndex._group_pairs(n_queries, query_rows, rows, values):
+        scored = [pair for pair in scored if pair.similarity > floor_threshold]
+        scored.sort(key=lambda pair: pair.similarity, reverse=True)
+        results.append(scored[:k])
+    return results
+
+
+class TestTopKSelection:
+    """Array-side top-k selection == the per-object Python sort, ties included."""
+
+    @pytest.fixture(scope="class")
+    def duplicated(self):
+        """15 distinct sparse rows, each present five times, plus an empty query."""
+        rng = np.random.default_rng(23)
+        distinct = rng.random((15, 40)) * (rng.random((15, 40)) < 0.3)
+        corpus = np.tile(distinct, (5, 1))
+        queries = np.vstack([distinct, np.zeros((1, 40))])
+        index = QueryIndex(corpus, measure="cosine", threshold=0.6, seed=5)
+        return index, queries
+
+    @pytest.mark.parametrize("rank_by", ["exact", "estimate"])
+    @pytest.mark.parametrize("k", [1, 10, 1000])
+    @pytest.mark.parametrize("floor_threshold", [0.1, 0.7])
+    def test_equals_python_sort(self, duplicated, rank_by, k, floor_threshold):
+        index, queries = duplicated
+        result = index.top_k_many(queries, k=k, floor_threshold=floor_threshold, rank_by=rank_by)
+        assert result == _top_k_by_python_sort(index, queries, k, floor_threshold, rank_by)
+        assert len(result) == len(queries) and result[-1] == []
+        assert all(len(hits) <= k for hits in result)
+
+    @pytest.mark.parametrize("rank_by", ["exact", "estimate"])
+    def test_ties_are_real_and_keep_ascending_row_order(self, duplicated, rank_by):
+        index, queries = duplicated
+        for hits in index.top_k_many(queries[:15], k=10, rank_by=rank_by):
+            copies = [pair.j for pair in hits if pair.similarity == hits[0].similarity]
+            assert len(copies) >= 5, "every query row has five identical copies indexed"
+            assert copies == sorted(copies)
+            similarities = [pair.similarity for pair in hits]
+            assert similarities == sorted(similarities, reverse=True)
+
+    @pytest.mark.parametrize("rank_by", ["exact", "estimate"])
+    def test_floor_above_every_similarity_returns_nothing(self, duplicated, rank_by):
+        index, queries = duplicated
+        result = index.top_k_many(queries, k=10, floor_threshold=1.5, rank_by=rank_by)
+        assert result == [[] for _ in range(len(queries))]
+        assert result == _top_k_by_python_sort(index, queries, 10, 1.5, rank_by)

@@ -21,11 +21,16 @@ index.  Any torn state shows up as an exception, a missing original pair or
 a wrong similarity.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.candidates.lsh_index import BandPostings
+from repro.hashing.base import get_hash_family
+from repro.search.engine import as_collection
 from repro.search.query import QueryIndex
 
 _N_INITIAL = 80
@@ -202,4 +207,90 @@ def test_readers_during_delete_and_posting_rebuild():
     assert not errors, errors[0]
     assert index.query_many(queries, threshold=0.5) == reference.query_many(
         queries, threshold=0.5
+    )
+
+
+class _SlowToMeasure(list):
+    """A bucket list whose ``len`` dawdles before answering.
+
+    The length is taken first and returned after a pause that lets the writer
+    run, so code that asks for the length and then copies the list reliably
+    meets a list that grew in between — the interleaving a thread switch
+    between those two reads produces by chance.
+    """
+
+    def __len__(self):
+        length = super().__len__()
+        time.sleep(2e-4)
+        return length
+
+
+def test_probes_during_adds_into_the_probed_buckets_see_whole_batches():
+    """Readers probe the very buckets a writer is growing.
+
+    ``BandPostings.probe_many`` copies every hit bucket into one flat list and
+    takes the hit's length from that copy, so a bucket is read exactly once.
+    Reading it twice (``len(members)`` for the length, ``extend(members)`` for
+    the copy) lets a concurrent ``add`` land between the two reads, and the
+    (position, member) arrays fall out of step.
+
+    The corpus is eight mutually disjoint token sets, each present in many
+    identical copies; copy ``c`` of every set is inserted by batch ``c``, so
+    each batch lands in every bucket the eight queries hit, in every band.
+    Whatever a probe observes, the members it reports for a query must be
+    that query's copies from a *prefix* of the batches — what a race-free
+    probe returns after some number of whole inserts.
+    """
+    n_sets, n_copies, n_bands, width = 8, 100, 16, 2
+    distinct = [set(range(40 * s, 40 * s + 30)) for s in range(n_sets)]
+    collection = as_collection(distinct * n_copies, n_features=40 * n_sets)
+    store = get_hash_family("minhash", collection, seed=3).signatures(n_bands * width)
+    queries = np.arange(n_sets)
+    postings = BandPostings.build(store, queries, n_bands, width)
+    for bucket in postings._buckets:
+        for key, members in bucket.items():
+            bucket[key] = _SlowToMeasure(members)
+
+    errors: list = []
+    done = threading.Event()
+
+    def probe_loop():
+        try:
+            while not done.is_set():
+                positions, members = postings.probe_many(store, queries, n_sets)
+                for position in range(n_sets):
+                    seen = members[positions == position]
+                    prefix = position + n_sets * np.arange(len(seen))
+                    if len(seen) == 0 or not np.array_equal(seen, prefix):
+                        raise AssertionError(
+                            f"query {position}: {seen.tolist()} is not its copies "
+                            "from a prefix of the inserted batches"
+                        )
+        except Exception as error:  # propagate to the main thread
+            errors.append(error)
+            done.set()
+
+    readers = [threading.Thread(target=probe_loop) for _ in range(_N_READERS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in readers:
+            thread.start()
+        for copy in range(1, n_copies):
+            if done.is_set():
+                break
+            postings.add(store, n_sets * copy + queries)
+            time.sleep(1e-3)
+        done.set()
+        for thread in readers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert not any(thread.is_alive() for thread in readers)
+    assert not errors, errors[0]
+    positions, members = postings.probe_many(store, queries, n_sets)
+    np.testing.assert_array_equal(positions, np.repeat(queries, n_copies))
+    np.testing.assert_array_equal(
+        members, (queries[:, None] + n_sets * np.arange(n_copies)).ravel()
     )
