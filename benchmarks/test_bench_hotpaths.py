@@ -8,7 +8,10 @@ experiment, so regressions in any one of them are visible in isolation:
   minwise and signed-random-projection families;
 * **candidate verification** — ``BayesLSH.verify`` on 100k candidate pairs,
   a workload dominated by prefix match counting, the pruning/concentration
-  table lookups and the batched MAP estimates;
+  table lookups and the batched MAP estimates (each call builds its own
+  decision tables, so the table build is timed too), and
+  ``BayesLSHLiteVerifier.verify`` on the same pairs: prior fit, pruning
+  rounds and the exact scoring of the survivors;
 * **candidate generation** — the LSH banding index, AllPairs and PPJoin on
   the synthetic corpus.
 
@@ -25,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.candidates.allpairs import AllPairsGenerator
+from repro.candidates.base import CandidateSet
 from repro.candidates.lsh_index import LSHGenerator
 from repro.candidates.ppjoin import PPJoinGenerator
 from repro.core.bayeslsh import BayesLSH
@@ -34,6 +38,7 @@ from repro.datasets.synthetic import synthetic_text_corpus
 from repro.hashing.minhash import MinHashFamily
 from repro.hashing.simhash import SimHashFamily
 from repro.similarity.transforms import tfidf_weighting
+from repro.verification.bayes import BayesLSHLiteVerifier
 
 #: corpus scale for the hot-path workloads
 _N_DOCUMENTS = 2000
@@ -155,6 +160,24 @@ def test_bench_bayeslsh_verify_cosine(benchmark, tfidf_collection, candidate_pai
     output = benchmark.pedantic(run, rounds=3, iterations=1)
     assert output.n_candidates == len(left)
     assert 0 < output.n_output < len(left)
+
+
+def test_bench_bayeslsh_lite_verify_jaccard(benchmark, binary_collection, candidate_pairs):
+    """BayesLSHLiteVerifier.verify on ~100k mixed candidate pairs (Jaccard / minhash).
+
+    Everything Lite does besides hashing: the Beta prior fitted to a
+    1,000-pair sample, the decision-table build, two pruning rounds and the
+    exact similarities of the pairs that survive them.
+    """
+    left, right = candidate_pairs
+    candidates = CandidateSet(left=left, right=right)
+    family = MinHashFamily(binary_collection, seed=11)
+    family.signatures(64)  # pre-hash to Lite's Jaccard budget
+    verifier = BayesLSHLiteVerifier(binary_collection, "jaccard", 0.3, family=family, seed=11)
+
+    output = benchmark.pedantic(lambda: verifier.verify(candidates), rounds=3, iterations=1)
+    assert output.n_candidates == len(left)
+    assert 0 < output.n_output <= output.exact_computations < len(left)
 
 
 @pytest.fixture(scope="module")

@@ -122,6 +122,10 @@ class CandidateSet:
     def __len__(self) -> int:
         return len(self.left)
 
+    def __getitem__(self, positions) -> tuple[np.ndarray, np.ndarray]:
+        """``(left, right)`` of the pairs at ``positions`` (an index or an index array)."""
+        return self.left[positions], self.right[positions]
+
     def __iter__(self) -> Iterator[tuple[int, int]]:
         for i, j in zip(self.left, self.right):
             yield int(i), int(j)

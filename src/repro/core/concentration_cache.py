@@ -124,7 +124,11 @@ class ConcentrationCache:
             self._posterior.concentration_probability(bad, n, self._delta)
         row = self._row(n)
         states = row[matches]
-        unknown = np.unique(matches[states == _UNKNOWN])
+        # Distinct undecided counts, ascending: marked in an (n + 1)-slot row
+        # rather than deduplicated (np.unique hashes from NumPy 2.3 on).
+        fresh = np.zeros(n + 1, dtype=bool)
+        fresh[matches[states == _UNKNOWN]] = True
+        unknown = np.flatnonzero(fresh)
         if len(unknown):
             probabilities = self._posterior.concentration_probability_many(
                 unknown, n, self._delta

@@ -36,16 +36,10 @@ class BayesLSHLite:
         Posterior model used for the pruning test.
     params:
         ``threshold`` / ``epsilon`` / ``h`` / ``k``.
-    exact_similarity:
-        Callable ``(i, j) -> float`` computing the exact similarity of a pair
-        of rows; invoked once per pair that survives pruning.
-    exact_similarity_many:
-        Optional batched variant taking parallel index arrays and returning
-        an array of similarities; when provided, survivors are verified in
-        one call instead of one Python call per pair.  The caller must
-        guarantee it returns bit-for-bit the same floats as
-        ``exact_similarity`` — the ``> threshold`` emission test is exact,
-        so even last-ulp rounding differences change the output pair set.
+    exact_similarities:
+        Batched callable ``(left, right) -> float64 array`` computing the exact
+        similarities of pairs of rows given as parallel index arrays; invoked
+        once per :meth:`verify` call, on the pairs that survive pruning.
     """
 
     def __init__(
@@ -53,13 +47,11 @@ class BayesLSHLite:
         family: HashFamily,
         posterior: PosteriorModel,
         params: BayesLSHLiteParams,
-        exact_similarity: Callable[[int, int], float],
-        exact_similarity_many=None,
+        exact_similarities: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ):
         self._family = family
         self._tables = RoundTables(posterior, params)
-        self._exact_similarity = exact_similarity
-        self._exact_similarity_many = exact_similarity_many
+        self._exact_similarities = exact_similarities
 
     @property
     def family(self) -> HashFamily:
@@ -96,16 +88,9 @@ class BayesLSHLite:
 
         state = run_rounds(self._tables, len(left), count_matches)
         survivors = np.flatnonzero(state.status != PRUNED)
-        if self._exact_similarity_many is not None:
-            exact_values = np.asarray(
-                self._exact_similarity_many(left[survivors], right[survivors]),
-                dtype=np.float64,
-            )
-        else:
-            exact_values = np.array(
-                [self._exact_similarity(int(left[idx]), int(right[idx])) for idx in survivors],
-                dtype=np.float64,
-            )
+        exact_values = np.asarray(
+            self._exact_similarities(left[survivors], right[survivors]), dtype=np.float64
+        )
         above = exact_values > self._tables.params.threshold
         return VerificationOutput(
             left=left[survivors][above],

@@ -9,7 +9,8 @@ the test is equivalent to ``m < minMatches(n)`` where
 The table is computed once per (posterior, threshold, epsilon) by binary
 search over ``m`` for every ``n`` that the algorithm will actually encounter
 (multiples of the batch size ``k`` up to the hash budget), removing all
-per-pair inference from the pruning step.
+per-pair inference from the pruning step.  The searches of all those ``n``
+run in lockstep: one batched posterior call per bisection step.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class MinMatchesTable:
         self._k = int(k)
         self._max_hashes = int(max_hashes)
         self._ns = np.arange(k, max_hashes + 1, k, dtype=np.int64)
-        self._table = {int(n): self._compute_min_matches(int(n)) for n in self._ns}
+        self._table = dict(zip(self._ns.tolist(), self._search(self._ns).tolist()))
 
     @property
     def threshold(self) -> float:
@@ -72,31 +73,38 @@ class MinMatchesTable:
         """The ``n`` values for which the table holds entries."""
         return self._ns
 
-    def _compute_min_matches(self, n: int) -> int:
-        """Binary search for the smallest ``m`` with Pr[S >= t | M(m, n)] >= epsilon.
+    def _reaches(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """Element-wise ``Pr[S >= t | M(m, n)] >= epsilon``."""
+        return (
+            self._posterior.prob_above_threshold_many(m, n, self._threshold) >= self._epsilon
+        )
 
-        Returns ``n + 1`` when even ``m = n`` cannot reach the target, which
-        makes ``passes()`` False for every possible match count.
+    def _search(self, ns: np.ndarray) -> np.ndarray:
+        """Binary search, per ``n``, for the smallest ``m`` reaching ``epsilon``.
+
+        An entry is ``n + 1`` when even ``m = n`` cannot reach the target,
+        which makes ``passes()`` False for every possible match count.
         """
-        posterior = self._posterior
-        if posterior.prob_above_threshold(n, n, self._threshold) < self._epsilon:
-            return n + 1
-        if posterior.prob_above_threshold(0, n, self._threshold) >= self._epsilon:
-            return 0
-        low, high = 0, n  # invariant: prob(low) < eps <= prob(high)
-        while high - low > 1:
-            mid = (low + high) // 2
-            if posterior.prob_above_threshold(mid, n, self._threshold) >= self._epsilon:
-                high = mid
-            else:
-                low = mid
-        return high
+        entries = ns + 1
+        searching = np.flatnonzero(self._reaches(ns, ns))
+        immediate = self._reaches(np.zeros_like(searching), ns[searching])
+        entries[searching[immediate]] = 0
+        searching = searching[~immediate]
+        low = np.zeros_like(searching)  # invariant: prob(low) < eps <= prob(high)
+        high = ns[searching]
+        while len(still := np.flatnonzero(high - low > 1)):
+            mid = (low[still] + high[still]) // 2
+            reached = self._reaches(mid, ns[searching[still]])
+            high[still[reached]] = mid[reached]
+            low[still[~reached]] = mid[~reached]
+        entries[searching] = high
+        return entries
 
     def min_matches(self, n: int) -> int:
         """``minMatches(n)``; computed on demand for ``n`` outside the table."""
         entry = self._table.get(int(n))
         if entry is None:
-            entry = self._compute_min_matches(int(n))
+            entry = int(self._search(np.array([n], dtype=np.int64))[0])
             self._table[int(n)] = entry
         return entry
 

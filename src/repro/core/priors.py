@@ -131,15 +131,20 @@ def fit_beta_prior(
 
 
 def sample_pair_similarities(
-    pairs: Sequence[tuple[int, int]],
-    exact_similarity,
+    pairs,
+    exact_similarities,
     sample_size: int = 1000,
     seed: int = 0,
 ) -> np.ndarray:
     """Exact similarities of a uniform random sample of candidate pairs.
 
-    Used to fit the Beta prior for Jaccard BayesLSH.  ``exact_similarity`` is
-    a callable ``(i, j) -> float``.
+    Used to fit the Beta prior for Jaccard BayesLSH.  ``pairs`` is an ordered
+    pair sequence answering ``len()`` and ``pairs[positions] -> (left, right)``
+    for an array of positions (a :class:`~repro.candidates.base.CandidateSet`
+    or a :class:`~repro.search.executor.PairBlockSource`); only the sampled
+    positions are read.  ``exact_similarities`` is a batched callable
+    ``(left, right) -> float64 array`` and is called once, with the pairs in
+    the order they were drawn.
     """
     if sample_size <= 0:
         raise ValueError(f"sample_size must be positive, got {sample_size}")
@@ -148,7 +153,7 @@ def sample_pair_similarities(
         return np.zeros(0, dtype=np.float64)
     rng = np.random.default_rng(seed)
     if n_pairs <= sample_size:
-        chosen = range(n_pairs)
+        chosen = np.arange(n_pairs)
     else:
         chosen = rng.choice(n_pairs, size=sample_size, replace=False)
-    return np.array([exact_similarity(*pairs[int(idx)]) for idx in chosen], dtype=np.float64)
+    return np.asarray(exact_similarities(*pairs[chosen]), dtype=np.float64)

@@ -172,10 +172,11 @@ class _PairKeyAccumulator:
 class PairBlockSource:
     """Deduplicated candidate pairs, readable in contiguous sorted blocks.
 
-    Also acts as a lazy ``Sequence[(i, j)]`` (``len`` / indexing), which is
-    what the Jaccard prior fitting samples from — the sampled indices and
-    hence the fitted prior are identical to the serial path's, which samples
-    from the same pairs in the same sorted order.
+    Also acts as a lazy pair sequence (``len`` / indexing by position or by
+    an array of positions), which is what the Jaccard prior fitting samples
+    from — the sampled positions and hence the fitted prior are identical to
+    the serial path's, which samples from the same pairs in the same sorted
+    order.
     """
 
     def __init__(self, keys: np.ndarray, n_vectors: int, block_size: int):
@@ -191,9 +192,9 @@ class PairBlockSource:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def __getitem__(self, index: int) -> tuple[int, int]:
-        key = int(self._keys[index])
-        return key // self._span, key % self._span
+    def __getitem__(self, positions) -> tuple[np.ndarray, np.ndarray]:
+        keys = self._keys[positions]
+        return keys // self._span, keys % self._span
 
     def all_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The full (sorted, deduplicated) pair arrays."""
@@ -456,22 +457,11 @@ def _worker_main(worker_id: int, verifier, task_queue, result_queue) -> None:
                     result_queue.put(("ok", worker_id, state.survivors()))
                 else:  # lite: exact-verify the survivors
                     mask = state.status != PRUNED
-                    exact_values = np.array(
-                        [
-                            verifier.exact_similarity(int(left[idx]), int(right[idx]))
-                            for idx in np.flatnonzero(mask)
-                        ],
-                        dtype=np.float64,
-                    )
+                    exact_values = verifier.exact_similarities(left[mask], right[mask])
                     result_queue.put(("ok", worker_id, (mask, exact_values)))
                 state = None
             elif tag == "exact":
-                from repro.verification.base import exact_similarities_for_pairs
-
-                left, right = message[1], message[2]
-                values = exact_similarities_for_pairs(
-                    verifier.prepared, verifier.measure, left, right
-                )
+                values = verifier.exact_similarities(message[1], message[2])
                 result_queue.put(("ok", worker_id, values))
             elif tag == "count":
                 left, right, start, end = message[1], message[2], message[3], message[4]

@@ -36,8 +36,14 @@ __all__ = [
 
 
 def _sparse_dot(a: sp.csr_matrix, b: sp.csr_matrix) -> float:
-    """Dot product of two 1 x d CSR rows."""
-    return float(a.multiply(b).sum())
+    """Dot product of two 1 x d CSR rows.
+
+    Summed with ``sum(axis=1)`` — the expression the batched pair kernel
+    (:func:`repro.verification.base.cross_similarities_for_pairs`) applies to
+    its stacked row products — because a full ``sum()`` adds the same
+    products in another order and lands one ulp away on a third of pairs.
+    """
+    return float(a.multiply(b).sum(axis=1)[0, 0])
 
 
 def cosine_similarity(collection: VectorCollection, i: int, j: int) -> float:
@@ -93,7 +99,11 @@ class SimilarityMeasure(ABC):
 
     @abstractmethod
     def exact(self, collection: VectorCollection, i: int, j: int) -> float:
-        """Exact similarity between rows ``i`` and ``j`` of a *prepared* collection."""
+        """Exact similarity between rows ``i`` and ``j`` of a *prepared* collection.
+
+        Bit for bit the value ``exact_similarities_for_pairs`` returns for
+        the pair, alone or inside any batch.
+        """
 
     def pairwise_matrix(self, collection: VectorCollection) -> np.ndarray:
         """Dense ``n x n`` matrix of exact similarities (for ground truth / tests).

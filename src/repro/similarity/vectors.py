@@ -42,7 +42,7 @@ def _as_csr(matrix) -> sp.csr_matrix:
             )
         csr = sp.csr_matrix(array)
     csr = csr.astype(np.float64)
-    csr.sort_indices()
+    csr.sum_duplicates()  # also sorts the indices; scipy accepts repeated columns
     csr.eliminate_zeros()
     return csr
 

@@ -131,8 +131,16 @@ class Verifier(ABC):
         return self._prepared
 
     def exact_similarity(self, i: int, j: int) -> float:
-        """Exact similarity of one pair (used by BayesLSH-Lite and tests)."""
+        """Exact similarity of one pair; equals :meth:`exact_similarities` on it."""
         return self._measure.exact(self._prepared, i, j)
+
+    def exact_similarities(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Exact similarities of pairs given as parallel index arrays.
+
+        The one scoring call of BayesLSH-Lite's survivors (in the parent and
+        in the pool workers alike) and of the Jaccard prior sample.
+        """
+        return exact_similarities_for_pairs(self._prepared, self._measure, left, right)
 
     @abstractmethod
     def verify(self, candidates: CandidateSet) -> VerificationOutput:

@@ -15,8 +15,6 @@ core algorithms leave to the caller:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.candidates.base import CandidateSet
 from repro.core.bayeslsh import BayesLSH, VerificationOutput
 from repro.core.lite import BayesLSHLite
@@ -24,7 +22,7 @@ from repro.core.params import BayesLSHLiteParams, BayesLSHParams
 from repro.core.posteriors import BetaPosterior, PosteriorModel, make_posterior
 from repro.core.priors import fit_beta_prior, sample_pair_similarities
 from repro.hashing.base import HashFamily, get_hash_family
-from repro.verification.base import Verifier, exact_similarities_for_pairs
+from repro.verification.base import Verifier
 
 __all__ = ["BayesLSHVerifier", "BayesLSHLiteVerifier"]
 
@@ -72,30 +70,24 @@ class _BayesVerifierBase(Verifier):
     def family(self) -> HashFamily:
         return self._family
 
-    def _posterior_for_pairs(self, pairs) -> PosteriorModel:
+    def _posterior_for(self, pairs) -> PosteriorModel:
         """Posterior model, fitting the Jaccard Beta prior to the candidates if asked.
 
-        ``pairs`` is any sequence of ``(i, j)`` index pairs (a materialised
-        list or a lazy :class:`~repro.search.executor.PairBlockSource`); the
-        prior sampling only reads ``len(pairs)`` and a seeded random subset
-        of positions, so the fitted prior is identical for any representation
-        of the same ordered pair sequence.
+        ``pairs`` is a :class:`~repro.candidates.base.CandidateSet` or a lazy
+        :class:`~repro.search.executor.PairBlockSource`; the prior sampling
+        only reads ``len(pairs)`` and a seeded random subset of positions, so
+        the fitted prior is identical for any representation of the same
+        ordered pair sequence.
         """
         if self._measure.name != "jaccard" or not self._fit_prior or len(pairs) == 0:
             return make_posterior(self._measure.name)
         samples = sample_pair_similarities(
             pairs,
-            self.exact_similarity,
+            self.exact_similarities,
             sample_size=min(self._prior_sample_size, len(pairs)),
             seed=self._seed,
         )
         return BetaPosterior(fit_beta_prior(samples))
-
-    def _posterior_for(self, candidates: CandidateSet) -> PosteriorModel:
-        if self._measure.name != "jaccard" or not self._fit_prior or len(candidates) == 0:
-            return make_posterior(self._measure.name)
-        pairs = list(zip(candidates.left.tolist(), candidates.right.tolist()))
-        return self._posterior_for_pairs(pairs)
 
 
 class BayesLSHVerifier(_BayesVerifierBase):
@@ -196,7 +188,7 @@ class BayesLSHVerifier(_BayesVerifierBase):
         only on the pair's own ``(m, n)``, so the merged output is
         bit-identical to one monolithic verify() call.
         """
-        posterior = self._posterior_for_pairs(source)
+        posterior = self._posterior_for(source)
         algorithm = BayesLSH(self._family, posterior, self._params)
         self._last_algorithm = algorithm
         return _verify_blocks(algorithm, source, pool)
@@ -244,9 +236,6 @@ class BayesLSHLiteVerifier(_BayesVerifierBase):
         """The ``epsilon``/``h``/``k`` knobs in force."""
         return self._params
 
-    def _exact_many(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        return exact_similarities_for_pairs(self._prepared, self._measure, left, right)
-
     def verify(self, candidates: CandidateSet) -> VerificationOutput:
         """BayesLSH-Lite: Bayesian pruning, exact similarities for survivors.
 
@@ -254,19 +243,15 @@ class BayesLSHLiteVerifier(_BayesVerifierBase):
         decisions are independent of batching, as for the full verifier.
         """
         posterior = self._posterior_for(candidates)
-        # Deliberately NOT wired to exact_similarities_for_pairs: its chunked
-        # sparse products round differently from measure.exact in the last
-        # ulp, which could flip the `> threshold` emission for boundary pairs
-        # and break the bit-identity contract with the scalar path.
         algorithm = BayesLSHLite(
-            self._family, posterior, self._params, self.exact_similarity
+            self._family, posterior, self._params, self.exact_similarities
         )
         return algorithm.verify(candidates.left, candidates.right)
 
     def verify_source(self, source, pool=None) -> VerificationOutput:
         """Block-streamed (and optionally multicore round-synchronous) verify."""
-        posterior = self._posterior_for_pairs(source)
+        posterior = self._posterior_for(source)
         algorithm = BayesLSHLite(
-            self._family, posterior, self._params, self.exact_similarity
+            self._family, posterior, self._params, self.exact_similarities
         )
         return _verify_blocks(algorithm, source, pool)

@@ -7,11 +7,9 @@ baselines (AllPairs, plain LSH, PPJoin+) in the paper's evaluation.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.candidates.base import CandidateSet
 from repro.core.bayeslsh import VerificationOutput
-from repro.verification.base import Verifier, exact_similarities_for_pairs
+from repro.verification.base import Verifier
 
 __all__ = ["ExactVerifier"]
 
@@ -41,9 +39,7 @@ class ExactVerifier(Verifier):
         Deterministic and batching-independent: similarities are row-local
         computations on the prepared collection.
         """
-        similarities = exact_similarities_for_pairs(
-            self._prepared, self._measure, candidates.left, candidates.right
-        )
+        similarities = self.exact_similarities(candidates.left, candidates.right)
         return self._verify_arrays(candidates.left, candidates.right, similarities)
 
     def verify_source(self, source, pool=None) -> VerificationOutput:
@@ -51,19 +47,14 @@ class ExactVerifier(Verifier):
 
         Exact similarities are computed row-pair-wise, so any block/shard
         split produces the same floats as the monolithic call — the serial
-        fallback the pool uses for failed shards is the very kernel below.
+        fallback the pool uses for failed shards is the very kernel the
+        workers run.
         """
-
-        def serial(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-            return exact_similarities_for_pairs(
-                self._prepared, self._measure, left, right
-            )
-
         outputs = []
         for left, right in source.blocks():
             if pool is not None:
-                similarities = pool.map_exact(left, right, fallback=serial)
+                similarities = pool.map_exact(left, right, fallback=self.exact_similarities)
             else:
-                similarities = serial(left, right)
+                similarities = self.exact_similarities(left, right)
             outputs.append(self._verify_arrays(left, right, similarities))
         return VerificationOutput.merge(outputs)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.concentration_cache import ConcentrationCache
+from repro.core.concentration_cache import _NO, _UNKNOWN, _YES, ConcentrationCache
 from repro.core.posteriors import BetaPosterior, TruncatedCollisionPosterior
 
 
@@ -58,3 +58,82 @@ class TestConcentrationCache:
         cache = ConcentrationCache(BetaPosterior(), delta=0.04, gamma=0.02)
         assert cache.delta == 0.04
         assert cache.gamma == 0.02
+
+
+class _UniqueFillCache(ConcentrationCache):
+    """The cache with its batch fill as first written: fresh keys by ``np.unique``.
+
+    Kept as the reference for the mask-and-``flatnonzero`` fill that replaced
+    it (``np.unique`` on plain ints is a hash table from NumPy 2.3 on).
+    """
+
+    def is_concentrated_many(self, matches, n):
+        n = int(n)
+        matches = np.asarray(matches, dtype=np.int64)
+        row = self._row(n)
+        states = row[matches]
+        unknown = np.unique(matches[states == _UNKNOWN])
+        if len(unknown):
+            probabilities = self._posterior.concentration_probability_many(
+                unknown, n, self._delta
+            )
+            row[unknown] = np.where(probabilities >= 1.0 - self._gamma, _YES, _NO)
+            self._misses += len(unknown)
+            self._hits += int(np.count_nonzero(states != _UNKNOWN))
+            states = row[matches]
+        else:
+            self._hits += matches.size
+        return states == _YES
+
+
+class TestBatchFill:
+    @pytest.mark.parametrize(
+        "posterior", [BetaPosterior(), TruncatedCollisionPosterior()], ids=["beta", "cosine"]
+    )
+    def test_equals_the_np_unique_fill(self, posterior):
+        """Decisions, hits, misses and len() after every batch of a mixed sequence."""
+        n = 96
+        rng = np.random.default_rng(4)
+        batches = [
+            np.array([0, n, 0, n, 40, 40, 40]),  # boundaries, repeats
+            rng.integers(0, n + 1, size=500),  # mostly fresh, many repeats
+            rng.integers(0, n + 1, size=500),  # mostly cached by now
+            np.array([], dtype=np.int64),
+            np.arange(n + 1)[::-1],  # every key, descending
+            np.arange(n + 1),  # all cached
+        ]
+        cache = ConcentrationCache(posterior, delta=0.05, gamma=0.03)
+        reference = _UniqueFillCache(posterior, delta=0.05, gamma=0.03)
+        cache.is_concentrated(17, n)  # one key arrives through the scalar door
+        reference.is_concentrated(17, n)
+        for batch in batches:
+            assert (
+                cache.is_concentrated_many(batch, n).tolist()
+                == reference.is_concentrated_many(batch, n).tolist()
+            )
+            assert (cache.hits, cache.misses, len(cache)) == (
+                reference.hits,
+                reference.misses,
+                len(reference),
+            )
+        assert len(cache) == n + 1 and cache.misses == n + 1
+
+    def test_fresh_keys_resolved_in_one_ascending_call(self):
+        calls = []
+
+        class Recording(BetaPosterior):
+            def concentration_probability_many(self, m, n, delta):
+                calls.append(np.asarray(m).tolist())
+                return super().concentration_probability_many(m, n, delta)
+
+        cache = ConcentrationCache(Recording(), delta=0.05, gamma=0.05)
+        cache.is_concentrated_many(np.array([9, 3, 9, 32, 0, 3]), 32)
+        cache.is_concentrated_many(np.array([3, 4, 4, 0]), 32)
+        assert calls == [[0, 3, 9, 32], [4]]
+
+    @pytest.mark.parametrize("bad", [-1, 33])
+    def test_out_of_range_message_unchanged(self, bad):
+        cache = ConcentrationCache(BetaPosterior(), delta=0.05, gamma=0.05)
+        with pytest.raises(ValueError, match=rf"invalid hash counts m={bad}, n=32"):
+            cache.is_concentrated_many(np.array([5, bad, 7]), 32)
+        assert len(cache) == 0 and cache.misses == 0

@@ -9,6 +9,7 @@ thresholds) so a future "optimisation" that changes results gets caught.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import reference
@@ -22,10 +23,17 @@ from repro.core.posteriors import (
     GridCollisionPosterior,
     TruncatedCollisionPosterior,
 )
+from repro.candidates.base import CandidateSet
 from repro.core.priors import BetaPrior
+from repro.core.rounds import PRUNED, RoundTables
+from repro.hashing.base import get_hash_family
 from repro.hashing.minhash import MinHashFamily
 from repro.hashing.simhash import SimHashFamily
+from repro.similarity.measures import get_measure
 from repro.similarity.vectors import VectorCollection
+from repro.verification.base import exact_similarities_for_pairs
+from repro.verification.bayes import BayesLSHLiteVerifier
+from tests.core.test_rounds import _scalar_pair
 
 _SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -192,6 +200,97 @@ class TestCandidateGeneratorEquivalence:
         assert candidates.as_set() == expected_pairs
         for key, value in expected_meta.items():
             assert candidates.metadata[key] == value, key
+
+
+def _pair_kernel_collection(seed: int, n_rows: int = 12, n_features: int = 48):
+    """Random weighted rows plus the shapes the pair kernel must not trip on.
+
+    Row 0 is empty, rows 1 and 2 are identical, rows 3 and 4 have disjoint
+    supports, and rows 5 and 6 are fully dense — a 48-term intersection with
+    each other, well past the 8 terms at which NumPy's pairwise summation
+    starts to block, which is where two summation orders part ways.
+    """
+    rng = np.random.default_rng(seed)
+    density = rng.choice([0.1, 0.4, 0.8])
+    dense = rng.random((n_rows, n_features)) * (rng.random((n_rows, n_features)) < density)
+    dense[0] = 0.0
+    dense[2] = dense[1]
+    dense[3, ::2] = 0.0
+    dense[4, 1::2] = 0.0
+    dense[5:7] = rng.random((2, n_features)) + 0.1
+    return VectorCollection.from_dense(dense)
+
+
+class TestExactSimilarityEquivalence:
+    """One definition of an exact similarity: ``measure.exact`` == the pair kernel."""
+
+    @_SETTINGS
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(["cosine", "jaccard", "binary_cosine"]),
+    )
+    def test_scalar_equals_batched_bit_for_bit(self, seed, name):
+        measure = get_measure(name)
+        prepared = measure.prepare(_pair_kernel_collection(seed))
+        n = prepared.n_vectors
+        lefts, rights = (axis.ravel() for axis in np.indices((n, n)))  # incl. i == j
+        batched = exact_similarities_for_pairs(prepared, measure, lefts, rights)
+        chunked = exact_similarities_for_pairs(prepared, measure, lefts, rights, chunk_size=7)
+        scalar = [measure.exact(prepared, int(i), int(j)) for i, j in zip(lefts, rights)]
+        assert batched.tolist() == scalar  # inside a larger batch
+        assert chunked.tolist() == scalar  # whatever the batch's composition
+        for p in np.random.default_rng(seed).choice(len(lefts), size=30, replace=False):
+            alone = exact_similarities_for_pairs(prepared, measure, lefts[[p]], rights[[p]])
+            assert alone[0] == scalar[p]  # and as a batch of one
+
+    def test_planted_rows_have_the_intended_shapes(self):
+        """Guard: the empty / identical / disjoint / long-intersection cases exist."""
+        prepared = _pair_kernel_collection(3).binarized()
+        overlap = (prepared.matrix @ prepared.matrix.T).toarray()
+        assert prepared.row_nnz[0] == 0
+        assert overlap[1, 2] == prepared.row_nnz[1] == prepared.row_nnz[2] > 0
+        assert overlap[3, 4] == 0 and prepared.row_nnz[3] and prepared.row_nnz[4]
+        assert overlap[5, 6] >= 8
+
+    @pytest.mark.parametrize("name", ["cosine", "jaccard"])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_lite_verifier_equals_scalar_rounds_then_scalar_exact(self, name, seed):
+        """BayesLSH-Lite == Algorithm 2 pair by pair, with ``measure.exact`` as its scorer.
+
+        The emitted pairs are exactly the survivors of the scalar round loop
+        whose scalar exact similarity exceeds the threshold, in candidate
+        order, and every emitted value *is* that scalar similarity — a last-ulp
+        disagreement between the scorers would flip a ``> threshold`` test.
+        """
+        rng = np.random.default_rng(seed)
+        dense = rng.random((40, 60)) * (rng.random((40, 60)) < 0.3)
+        dense[:10] = dense[20:30]
+        dense[:10][rng.random((10, 60)) < 0.1] = 0.0
+        collection = VectorCollection.from_dense(dense)
+        measure = get_measure(name)
+        left, right = np.triu_indices(40, k=1)
+        candidates = CandidateSet(left=left.astype(np.int64), right=right.astype(np.int64))
+        verifier = BayesLSHLiteVerifier(
+            collection, name, 0.5, seed=seed, h=64, k=16, prior_sample_size=300
+        )
+        output = verifier.verify(candidates)
+
+        prepared, params = verifier.prepared, verifier.params
+        tables = RoundTables(verifier._posterior_for(candidates), params)
+        store = get_hash_family(measure.lsh_family, prepared, seed=seed).signatures(params.h)
+        expected = []
+        for i, j in zip(left.tolist(), right.tolist()):
+            stream = [
+                store.count_matches(i, j, start, start + params.k)
+                for start in range(0, params.h, params.k)
+            ]
+            if _scalar_pair(tables, stream)[0] != PRUNED:
+                value = measure.exact(prepared, i, j)
+                if value > params.threshold:
+                    expected.append((i, j, value))
+        assert expected, "no pair survived: the comparison would be vacuous"
+        emitted = list(zip(output.left.tolist(), output.right.tolist(), output.estimates.tolist()))
+        assert emitted == expected
 
 
 class TestArrayOps:

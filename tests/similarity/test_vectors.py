@@ -72,6 +72,54 @@ class TestConstruction:
         assert collection.row_nnz.tolist() == [1, 0]
 
 
+class TestRepeatedColumnIndices:
+    """scipy accepts a CSR row that names a column twice; the entries add up."""
+
+    @pytest.fixture()
+    def pair(self):
+        # row 0 names column 1 twice (and column 2 once); row 1 is canonical
+        repeated = sp.csr_matrix(
+            ([1.0, 1.0, 1.0, 1.0, 1.0], [1, 1, 2, 1, 2], [0, 3, 5]), shape=(2, 4)
+        )
+        dense = np.array([[0.0, 2.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+        return repeated, VectorCollection(repeated), VectorCollection.from_dense(dense)
+
+    def test_collection_equals_the_dense_input(self, pair):
+        repeated, collection, expected = pair
+        for got, want in (
+            (collection, expected),
+            (collection.binarized(), expected.binarized()),
+            (collection.normalized(), expected.normalized()),
+        ):
+            assert got.matrix.has_canonical_format
+            assert got.matrix.indptr.tolist() == want.matrix.indptr.tolist()
+            assert got.matrix.indices.tolist() == want.matrix.indices.tolist()
+            assert got.matrix.data.tolist() == want.matrix.data.tolist()
+            assert got.row_nnz.tolist() == want.row_nnz.tolist()
+            assert got.norms.tolist() == want.norms.tolist()
+        assert collection.row_nnz.tolist() == [2, 2]
+        assert repeated.indices.tolist() == [1, 1, 2, 1, 2]  # the caller's matrix is untouched
+
+    @pytest.mark.parametrize("name", ["cosine", "jaccard", "binary_cosine"])
+    def test_measures_return_the_dense_input_values(self, pair, name):
+        from repro.similarity.measures import get_measure
+        from repro.verification.base import exact_similarities_for_pairs
+
+        _, collection, expected = pair
+        measure = get_measure(name)
+        want = measure.exact(measure.prepare(expected), 0, 1)
+        prepared = measure.prepare(collection)
+        assert want <= 1.0
+        assert measure.exact(prepared, 0, 1) == want
+        assert exact_similarities_for_pairs(prepared, measure, [0], [1]).tolist() == [want]
+
+    def test_cancelling_duplicates_leave_no_stored_zero(self):
+        matrix = sp.csr_matrix(([1.0, -1.0, 2.0], [0, 0, 1], [0, 3]), shape=(1, 2))
+        collection = VectorCollection(matrix)
+        assert collection.row_nnz.tolist() == [1]
+        assert collection.matrix.indices.tolist() == [1]
+
+
 class TestStatistics:
     def test_norms(self, tiny_collection):
         assert tiny_collection.norms[0] == pytest.approx(np.sqrt(3.0))
