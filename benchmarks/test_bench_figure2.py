@@ -7,6 +7,7 @@ LSH+BayesLSH pipeline at the extreme values of each parameter.
 
 import pytest
 
+from repro.experiments.common import PAPER_BAYESLSH
 from repro.search.pipelines import make_pipeline
 
 _THRESHOLD = 0.7
@@ -14,7 +15,13 @@ _THRESHOLD = 0.7
 
 def _run(dataset, **kwargs):
     engine = make_pipeline(
-        "lsh_bayeslsh", dataset, measure="cosine", threshold=_THRESHOLD, seed=1, **kwargs
+        "lsh_bayeslsh",
+        dataset,
+        measure="cosine",
+        threshold=_THRESHOLD,
+        seed=1,
+        **PAPER_BAYESLSH,
+        **kwargs,
     )
     return engine.run(dataset)
 

@@ -7,6 +7,7 @@ produced by ``bayeslsh-experiments figure3``.
 
 import pytest
 
+from repro.experiments.common import PAPER_BAYESLSH
 from repro.search.pipelines import make_pipeline
 
 _COSINE_PIPELINES = [
@@ -25,7 +26,9 @@ _BINARY_PIPELINES = ["lsh", "lsh_approx", "lsh_bayeslsh", "lsh_bayeslsh_lite", "
 def test_bench_figure3_text_cosine(benchmark, rcv1_dataset, pipeline):
     """Weighted-cosine panel on the RCV1 stand-in at t = 0.7."""
     def run():
-        engine = make_pipeline(pipeline, rcv1_dataset, measure="cosine", threshold=0.7, seed=1)
+        engine = make_pipeline(
+            pipeline, rcv1_dataset, measure="cosine", threshold=0.7, seed=1, **PAPER_BAYESLSH
+        )
         return engine.run(rcv1_dataset)
 
     result = benchmark.pedantic(run, rounds=2, iterations=1)
@@ -37,7 +40,7 @@ def test_bench_figure3_graph_cosine(benchmark, wikilinks_dataset, pipeline):
     """Weighted-cosine panel on the WikiLinks stand-in at t = 0.7."""
     def run():
         engine = make_pipeline(
-            pipeline, wikilinks_dataset, measure="cosine", threshold=0.7, seed=1
+            pipeline, wikilinks_dataset, measure="cosine", threshold=0.7, seed=1, **PAPER_BAYESLSH
         )
         return engine.run(wikilinks_dataset)
 
@@ -50,7 +53,12 @@ def test_bench_figure3_binary_jaccard(benchmark, binary_wikiwords_dataset, pipel
     """Binary-Jaccard panel on the WikiWords500K stand-in at t = 0.5."""
     def run():
         engine = make_pipeline(
-            pipeline, binary_wikiwords_dataset, measure="jaccard", threshold=0.5, seed=1
+            pipeline,
+            binary_wikiwords_dataset,
+            measure="jaccard",
+            threshold=0.5,
+            seed=1,
+            **PAPER_BAYESLSH,
         )
         return engine.run(binary_wikiwords_dataset)
 
@@ -63,7 +71,12 @@ def test_bench_figure3_binary_cosine(benchmark, binary_wikiwords_dataset, pipeli
     """Binary-cosine panel on the WikiWords500K stand-in at t = 0.7."""
     def run():
         engine = make_pipeline(
-            pipeline, binary_wikiwords_dataset, measure="binary_cosine", threshold=0.7, seed=1
+            pipeline,
+            binary_wikiwords_dataset,
+            measure="binary_cosine",
+            threshold=0.7,
+            seed=1,
+            **PAPER_BAYESLSH,
         )
         return engine.run(binary_wikiwords_dataset)
 

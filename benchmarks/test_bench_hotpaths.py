@@ -6,12 +6,17 @@ experiment, so regressions in any one of them are visible in isolation:
 
 * **signature generation** — hashing every vector of a corpus with the
   minwise and signed-random-projection families;
-* **candidate verification** — ``BayesLSH.verify`` on 100k candidate pairs,
-  a workload dominated by prefix match counting, the pruning/concentration
-  table lookups and the batched MAP estimates (each call builds its own
-  decision tables, so the table build is timed too), and
-  ``BayesLSHLiteVerifier.verify`` on the same pairs: prior fit, pruning
-  rounds and the exact scoring of the survivors;
+* **candidate verification** — ``BayesLSH.verify`` on 100k candidate pairs
+  as Algorithm 1 (``on_budget="estimate"``), a workload dominated by prefix
+  match counting, the pruning/concentration table lookups and the batched
+  MAP estimates (each call builds its own decision tables, so the table
+  build is timed too); the same pairs through the default hybrid
+  (``BayesLSHVerifier.verify``: one hash block, then exact scores) and
+  through ``BayesLSHLiteVerifier.verify``: prior fit, pruning rounds and the
+  exact scoring of the survivors;
+* **the two cost constants behind the hybrid's hash budget** — hashing and
+  comparing one more hash for a pair, and scoring a pair exactly
+  (``PosteriorModel.exact_budget``, ``docs/reproduction.md``);
 * **candidate generation** — the LSH banding index, AllPairs and PPJoin on
   the synthetic corpus.
 
@@ -37,8 +42,10 @@ from repro.core.posteriors import BetaPosterior, TruncatedCollisionPosterior
 from repro.datasets.synthetic import synthetic_text_corpus
 from repro.hashing.minhash import MinHashFamily
 from repro.hashing.simhash import SimHashFamily
+from repro.similarity.measures import get_measure
 from repro.similarity.transforms import tfidf_weighting
-from repro.verification.bayes import BayesLSHLiteVerifier
+from repro.verification.base import exact_similarities_for_pairs
+from repro.verification.bayes import BayesLSHLiteVerifier, BayesLSHVerifier
 
 #: corpus scale for the hot-path workloads
 _N_DOCUMENTS = 2000
@@ -134,7 +141,8 @@ def test_bench_bayeslsh_verify_jaccard(benchmark, binary_collection, candidate_p
     family = MinHashFamily(binary_collection, seed=11)
     family.signatures(_MAX_HASHES)  # pre-hash so only verification is timed
     params = BayesLSHParams(
-        threshold=0.3, epsilon=0.03, delta=0.05, gamma=0.03, k=32, max_hashes=_MAX_HASHES
+        threshold=0.3, epsilon=0.03, delta=0.05, gamma=0.03, k=32, max_hashes=_MAX_HASHES,
+        on_budget="estimate",
     )
 
     def run():
@@ -151,7 +159,8 @@ def test_bench_bayeslsh_verify_cosine(benchmark, tfidf_collection, candidate_pai
     family = SimHashFamily(tfidf_collection, seed=11)
     family.signatures(_MAX_HASHES)
     params = BayesLSHParams(
-        threshold=0.5, epsilon=0.03, delta=0.05, gamma=0.03, k=32, max_hashes=_MAX_HASHES
+        threshold=0.5, epsilon=0.03, delta=0.05, gamma=0.03, k=32, max_hashes=_MAX_HASHES,
+        on_budget="estimate",
     )
 
     def run():
@@ -178,6 +187,57 @@ def test_bench_bayeslsh_lite_verify_jaccard(benchmark, binary_collection, candid
     output = benchmark.pedantic(lambda: verifier.verify(candidates), rounds=3, iterations=1)
     assert output.n_candidates == len(left)
     assert 0 < output.n_output <= output.exact_computations < len(left)
+
+
+def test_bench_hybrid_verify_cosine(benchmark, tfidf_collection, candidate_pairs):
+    """BayesLSHVerifier.verify, the default hybrid, on the same pairs (cosine / simhash).
+
+    Eight rounds over one pre-hashed 256-bit block, then the batched exact
+    kernel on the pairs still undecided — the verification half of a default
+    ``ap_bayeslsh`` join.
+    """
+    left, right = candidate_pairs
+    candidates = CandidateSet(left=left, right=right)
+    family = SimHashFamily(tfidf_collection, seed=11)
+    family.signatures(256)
+    verifier = BayesLSHVerifier(tfidf_collection, "cosine", 0.5, family=family, seed=11)
+
+    output = benchmark.pedantic(lambda: verifier.verify(candidates), rounds=3, iterations=1)
+    assert output.n_candidates == len(left)
+    assert 0 < output.n_output <= output.exact_computations < len(left)
+    assert output.trace[-1][0] == 256
+
+
+def test_bench_cost_hash_and_compare_block(benchmark, tfidf_collection, candidate_pairs):
+    """Cost constant 1: one more simhash block for every row, compared for 100k pairs.
+
+    What it costs a join to look 256 hashes deeper: 2,000 rows x 256
+    projections plus eight 32-bit comparison rounds over every pair (no
+    pruning).  Per pair per hash = this / (pairs x 256).
+    """
+    left, right = candidate_pairs
+
+    def run():
+        store = SimHashFamily(tfidf_collection, seed=11).signatures(256)
+        return sum(
+            int(store.count_matches_many(left, right, start, start + 32).sum())
+            for start in range(0, 256, 32)
+        )
+
+    assert benchmark.pedantic(run, rounds=3, iterations=1) > 0
+
+
+def test_bench_cost_exact_score(benchmark, tfidf_collection, candidate_pairs):
+    """Cost constant 2: the batched exact cosine kernel on 100k pairs."""
+    left, right = candidate_pairs
+    measure = get_measure("cosine")
+    prepared = measure.prepare(tfidf_collection)
+    values = benchmark.pedantic(
+        lambda: exact_similarities_for_pairs(prepared, measure, left, right),
+        rounds=3,
+        iterations=1,
+    )
+    assert len(values) == len(left)
 
 
 @pytest.fixture(scope="module")

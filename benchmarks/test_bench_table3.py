@@ -4,6 +4,7 @@ import pytest
 
 from repro.evaluation.ground_truth import exact_all_pairs
 from repro.evaluation.metrics import recall
+from repro.experiments.common import PAPER_BAYESLSH
 from repro.search.pipelines import make_pipeline
 
 
@@ -13,7 +14,9 @@ def test_bench_table3_recall(benchmark, rcv1_dataset, pipeline):
     truth = exact_all_pairs(rcv1_dataset, threshold, "cosine")
 
     def run():
-        engine = make_pipeline(pipeline, rcv1_dataset, measure="cosine", threshold=threshold, seed=1)
+        engine = make_pipeline(
+            pipeline, rcv1_dataset, measure="cosine", threshold=threshold, seed=1, **PAPER_BAYESLSH
+        )
         return engine.run(rcv1_dataset)
 
     result = benchmark.pedantic(run, rounds=2, iterations=1)

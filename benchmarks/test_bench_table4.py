@@ -3,6 +3,7 @@
 import pytest
 
 from repro.evaluation.metrics import error_statistics
+from repro.experiments.common import PAPER_BAYESLSH
 from repro.search.pipelines import make_pipeline
 from repro.similarity.measures import get_measure
 from repro.verification.base import exact_similarities_for_pairs
@@ -20,7 +21,9 @@ def test_bench_table4_error_rates(benchmark, rcv1_dataset, pipeline):
     threshold = 0.6
 
     def run():
-        engine = make_pipeline(pipeline, rcv1_dataset, measure="cosine", threshold=threshold, seed=1)
+        engine = make_pipeline(
+            pipeline, rcv1_dataset, measure="cosine", threshold=threshold, seed=1, **PAPER_BAYESLSH
+        )
         return engine.run(rcv1_dataset)
 
     result = benchmark.pedantic(run, rounds=2, iterations=1)

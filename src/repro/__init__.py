@@ -24,7 +24,7 @@ The public API is intentionally small.  Most users only need:
 
 ``BayesLSHParams``
     The ``epsilon`` (recall), ``delta``/``gamma`` (accuracy) knobs from the
-    paper.
+    paper, the hash budget and the terminal rule ``on_budget``.
 
 Example
 -------
@@ -38,7 +38,6 @@ Example
 
 from repro.core.params import BayesLSHParams
 from repro.core.bayeslsh import BayesLSH
-from repro.core.lite import BayesLSHLite
 from repro.datasets.base import Dataset
 from repro.search.engine import SearchEngine, all_pairs_similarity
 from repro.search.pipelines import make_pipeline, PIPELINES
@@ -50,7 +49,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BayesLSH",
-    "BayesLSHLite",
     "BayesLSHParams",
     "Dataset",
     "PIPELINES",

@@ -4,7 +4,9 @@ Layout
 ------
 ``params``
     The user-facing knobs (``threshold``, ``epsilon``, ``delta``, ``gamma``,
-    hash batch size ``k``, BayesLSH-Lite's ``h``).
+    hash batch size ``k``, the hash budget and what happens at it —
+    ``on_budget`` — which is all that separates Algorithm 1, BayesLSH-Lite
+    and the default hybrid).
 ``priors``
     Prior distributions over the similarity: the conjugate Beta prior for
     Jaccard (with method-of-moments fitting from a sample of candidate
@@ -22,10 +24,13 @@ Layout
     The two inference-avoidance optimisations of Section 4.3.
 ``rounds``
     The round engine: the decision tables and the per-pair
-    ``status``/``matches``/``hashes_seen`` state every execution path of
-    Algorithms 1 and 2 advances (serial, blocked, pooled, serving).
-``bayeslsh`` / ``lite``
-    Algorithms 1 and 2.
+    ``status``/``matches``/``hashes_seen`` state every execution path
+    advances (serial, blocked, pooled, serving), and the terminal rule.
+``bayeslsh``
+    The verifier over a bound hash family (Algorithms 1 and 2, the hybrid).
+``operating``
+    The operating characteristic of a set of decision tables: what the
+    rounds do to a pair of given similarity, computed exactly.
 """
 
 from repro.core.params import BayesLSHParams, BayesLSHLiteParams
@@ -45,11 +50,9 @@ from repro.core.estimators import (
 from repro.core.min_matches import MinMatchesTable
 from repro.core.concentration_cache import ConcentrationCache
 from repro.core.bayeslsh import BayesLSH, VerificationOutput
-from repro.core.lite import BayesLSHLite
 
 __all__ = [
     "BayesLSH",
-    "BayesLSHLite",
     "BayesLSHLiteParams",
     "BayesLSHParams",
     "BetaPosterior",

@@ -1,4 +1,4 @@
-"""Algorithm 1: BayesLSH — candidate pruning and similarity estimation.
+"""BayesLSH — candidate pruning, similarity estimation and the terminal rule.
 
 For every candidate pair the algorithm compares hashes in batches of ``k``.
 After each batch it can take one of three actions:
@@ -9,6 +9,12 @@ After each batch it can take one of three actions:
   concentrated, ``Pr[|S - S_hat| < delta] >= 1 - gamma``
   (implemented with the :class:`~repro.core.concentration_cache.ConcentrationCache`);
 * continue with the next batch of hashes.
+
+A pair still undecided at the hash budget meets the terminal rule
+(:attr:`~repro.core.params.BayesLSHParams.on_budget`): Algorithm 1 emits its
+current estimate, Algorithm 2 (BayesLSH-Lite, which also skips the
+concentration test) and the default hybrid score it exactly and keep it only
+above the threshold.
 
 The implementation is round-synchronous rather than pair-at-a-time: all still
 -active pairs advance one batch per round, which produces exactly the same
@@ -21,11 +27,10 @@ are what Figure 4 plots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from repro.core.concentration_cache import ConcentrationCache
-from repro.core.min_matches import MinMatchesTable
 from repro.core.params import BayesLSHParams
 from repro.core.posteriors import PosteriorModel
 from repro.core.rounds import PairState, RoundTables
@@ -43,8 +48,10 @@ class VerificationOutput:
     left, right:
         Row indices of the pairs that were *not* pruned, parallel arrays.
     estimates:
-        Similarity estimate for each output pair (MAP estimates for BayesLSH,
-        exact similarities for BayesLSH-Lite and the exact baselines).
+        Reported similarity of each output pair: a MAP estimate, or the exact
+        value where ``exact_mask`` is set.
+    exact_mask:
+        Which ``estimates`` are exact similarities (defaults to none).
     n_candidates:
         Number of candidate pairs that entered verification.
     n_pruned:
@@ -55,8 +62,12 @@ class VerificationOutput:
     hash_comparisons:
         Total number of individual hash comparisons performed.
     exact_computations:
-        Number of exact similarity computations performed (zero for plain
-        BayesLSH, one per surviving pair for BayesLSH-Lite).
+        Number of exact similarity computations performed (one per pair that
+        exhausted the hash budget under ``on_budget="exact"``).
+    n_unconcentrated:
+        Output pairs whose estimate is a budget-exhausted, *unconcentrated*
+        one (``on_budget="estimate"`` only): the accuracy guarantee does not
+        cover them.
     """
 
     left: np.ndarray
@@ -67,6 +78,12 @@ class VerificationOutput:
     trace: list[tuple[int, int]] = field(default_factory=list)
     hash_comparisons: int = 0
     exact_computations: int = 0
+    exact_mask: np.ndarray | None = None
+    n_unconcentrated: int = 0
+
+    def __post_init__(self):
+        if self.exact_mask is None:
+            self.exact_mask = np.zeros(len(self.left), dtype=bool)
 
     @property
     def n_output(self) -> int:
@@ -122,6 +139,8 @@ class VerificationOutput:
             trace=trace,
             hash_comparisons=sum(o.hash_comparisons for o in outputs),
             exact_computations=sum(o.exact_computations for o in outputs),
+            exact_mask=np.concatenate([o.exact_mask for o in outputs]),
+            n_unconcentrated=sum(o.n_unconcentrated for o in outputs),
         )
 
 
@@ -145,7 +164,7 @@ _SUPERBLOCK_ROUNDS = 4
 
 
 class BayesLSH:
-    """The BayesLSH candidate verifier (Algorithm 1).
+    """The BayesLSH candidate verifier (Algorithms 1 and 2 and the hybrid).
 
     Parameters
     ----------
@@ -157,12 +176,26 @@ class BayesLSH:
         Posterior model matching the similarity measure (Beta posterior for
         Jaccard, truncated collision posterior for cosine).
     params:
-        The ``threshold`` / ``epsilon`` / ``delta`` / ``gamma`` knobs.
+        The ``threshold`` / ``epsilon`` / ``delta`` / ``gamma`` knobs, the
+        hash budget and the terminal rule.
+    exact_similarities:
+        Batched callable ``(left, right) -> float64 array`` computing the exact
+        similarities of pairs of rows given as parallel index arrays; required
+        by ``on_budget="exact"``, never called under ``"estimate"``.
     """
 
-    def __init__(self, family: HashFamily, posterior: PosteriorModel, params: BayesLSHParams):
+    def __init__(
+        self,
+        family: HashFamily,
+        posterior: PosteriorModel,
+        params: BayesLSHParams,
+        exact_similarities: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    ):
+        if params.on_budget == "exact" and exact_similarities is None:
+            raise ValueError('on_budget="exact" needs an exact_similarities callable')
         self._family = family
         self._tables = RoundTables(posterior, params)
+        self.exact_similarities = exact_similarities
 
     @property
     def family(self) -> HashFamily:
@@ -181,31 +214,65 @@ class BayesLSH:
         """The decision tables (shared with the pooled execution paths)."""
         return self._tables
 
-    @property
-    def min_matches_table(self) -> MinMatchesTable:
-        return self._tables.min_matches
+    def output(
+        self,
+        left: np.ndarray,
+        right: np.ndarray,
+        values: np.ndarray,
+        exhausted: np.ndarray,
+        trace: list,
+        hash_comparisons: int,
+        exact_similarities=None,
+    ) -> VerificationOutput:
+        """Apply the terminal rule to a block's :meth:`PairState.outcome`.
 
-    @property
-    def concentration_cache(self) -> ConcentrationCache:
-        return self._tables.concentration
+        Under ``"exact"`` the exhausted pairs are scored (through
+        ``exact_similarities``, which the pooled path points at its workers)
+        and dropped unless they exceed the threshold; under ``"estimate"``
+        every pair that was not pruned is output.  ``n_pruned`` counts the
+        pruning test's eliminations only.
+        """
+        exact = self._tables.on_budget == "exact"
+        pruned = np.isnan(values) & ~exhausted
+        keep = ~pruned
+        if exact:
+            score = exact_similarities or self.exact_similarities
+            scored = np.asarray(score(left[exhausted], right[exhausted]), dtype=np.float64)
+            values[exhausted] = scored
+            keep[exhausted] = scored > self._tables.params.threshold
+        n_exhausted = int(np.count_nonzero(exhausted))
+        return VerificationOutput(
+            left=left[keep],
+            right=right[keep],
+            estimates=values[keep],
+            n_candidates=len(left),
+            n_pruned=int(np.count_nonzero(pruned)),
+            trace=trace,
+            hash_comparisons=hash_comparisons,
+            exact_computations=n_exhausted if exact else 0,
+            exact_mask=exhausted[keep] if exact else None,
+            n_unconcentrated=0 if exact else n_exhausted,
+        )
 
     def verify(self, left, right) -> VerificationOutput:
         """Verify candidate pairs given as parallel index arrays.
 
-        Returns every pair that was not pruned, together with its MAP
-        similarity estimate.  Pairs that exhaust the hash budget without
-        meeting the concentration requirement are emitted with their current
-        estimate (and counted in the trace as alive throughout).
+        Returns the pairs that were neither pruned nor, under
+        ``on_budget="exact"``, scored at or below the threshold at the
+        budget; concentrated pairs carry their MAP estimate, exhausted ones
+        what the terminal rule says (they count as alive throughout the
+        trace either way).
         """
         left = np.asarray(left, dtype=np.int64)
         right = np.asarray(right, dtype=np.int64)
         if left.shape != right.shape:
             raise ValueError("left and right index arrays must have the same shape")
         params = self._tables.params
+        n_rounds = self._tables.budget // params.k
         state = PairState(self._tables, len(left))
 
         round_index = 0
-        while round_index < params.n_rounds and len(state.active):
+        while round_index < n_rounds and len(state.active):
             active = state.active
             n_prev = round_index * params.k
 
@@ -223,7 +290,7 @@ class BayesLSH:
                     1,
                     min(
                         _SUPERBLOCK_ROUNDS,
-                        params.n_rounds - round_index,
+                        n_rounds - round_index,
                         materialised,
                     ),
                 )
@@ -248,13 +315,7 @@ class BayesLSH:
                     break
             round_index += s + 1
 
-        mask, estimates = state.survivors()
-        return VerificationOutput(
-            left=left[mask],
-            right=right[mask],
-            estimates=estimates,
-            n_candidates=len(left),
-            n_pruned=state.n_pruned,
-            trace=state.trace,
-            hash_comparisons=state.hash_comparisons,
+        values, exhausted = state.outcome(self._tables.on_budget)
+        return self.output(
+            left, right, values, exhausted, state.trace, state.hash_comparisons
         )

@@ -73,6 +73,20 @@ class PosteriorModel(ABC):
     same ufuncs applied element-wise, hence the same floats.
     """
 
+    #: Default hash budget under ``on_budget="exact"``
+    #: (:class:`~repro.core.params.BayesLSHParams`): the depth past which
+    #: scoring a still-undecided pair exactly is cheaper than hashing on.
+    #: One extension block of the matching hash family, so a join never
+    #: extends its store twice: 256 bits of simhash here, 64 minhashes for
+    #: :class:`BetaPosterior`, whose comparisons cost ~14x more per hash
+    #: (``docs/reproduction.md`` has the operating curves and the two cost
+    #: constants, ``benchmarks/test_bench_hotpaths.py`` measures them).
+    exact_budget: int = 256
+
+    @abstractmethod
+    def collision_probability(self, similarity):
+        """Probability that one hash agrees for a pair of that similarity."""
+
     @abstractmethod
     def prob_above_threshold(self, m: int, n: int, threshold: float) -> float:
         """``Pr[S >= threshold | M(m, n)]`` (Equation 3)."""
@@ -126,12 +140,17 @@ class BetaPosterior(PosteriorModel):
     is ``Beta(m + alpha, n - m + beta)``.
     """
 
+    exact_budget = 64
+
     def __init__(self, prior: BetaPrior | None = None):
         self._prior = prior if prior is not None else BetaPrior(1.0, 1.0)
 
     @property
     def prior(self) -> BetaPrior:
         return self._prior
+
+    def collision_probability(self, similarity):
+        return similarity
 
     def _posterior_params(self, m: int, n: int) -> tuple[float, float]:
         _validate_counts(m, n)
@@ -237,6 +256,9 @@ class TruncatedCollisionPosterior(PosteriorModel):
     @property
     def prior(self) -> UniformCollisionPrior:
         return self._prior
+
+    def collision_probability(self, similarity):
+        return cosine_to_collision(similarity)
 
     def _fallback(self) -> "GridCollisionPosterior":
         """Log-space numerical posterior used when the support holds almost no mass.
@@ -450,6 +472,9 @@ class GridCollisionPosterior(PosteriorModel):
     @property
     def grid(self) -> np.ndarray:
         return self._grid
+
+    def collision_probability(self, similarity):
+        return self._from_similarity(similarity)
 
     def posterior_density_r(self, m: int, n: int) -> np.ndarray:
         """Normalised posterior density evaluated on the grid."""

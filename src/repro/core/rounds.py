@@ -1,25 +1,28 @@
-"""The round engine shared by every execution path of Algorithms 1 and 2.
+"""The round engine shared by every execution path of BayesLSH.
 
-Both algorithms are one small loop per candidate pair: compare ``k`` more
-hashes, prune the pair if ``m < minMatches(n)``, (BayesLSH only) emit it if
-the posterior is concentrated, otherwise continue.  Every decision depends
+Algorithms 1 and 2 and the hybrid are one small loop per candidate pair:
+compare ``k`` more hashes, prune the pair if ``m < minMatches(n)``, emit it
+if the posterior is concentrated (unless the parameters turn the test off),
+otherwise continue until the hash budget; what a pair still undecided at the
+budget reports is the terminal rule, ``on_budget``.  Every decision depends
 only on the pair's own ``(m, n)``, which is why the loop can be run
 round-synchronously over arrays of pairs, split into blocks, sharded across
 worker processes and re-executed after a worker loss with bit-identical
 results.  This module holds that loop's state and its one decision step, so
-the serial verifiers, the all-pairs workers, the serving workers and the
+the serial verifier, the all-pairs workers, the serving workers and the
 serial serving path all make decisions with the same code:
 
 * :class:`RoundTables` builds the decision tables for a posterior and a
-  parameter object (:class:`~repro.core.params.BayesLSHLiteParams` selects
-  the Lite variant: the budget is ``h`` and there is no concentration test);
+  :class:`~repro.core.params.BayesLSHParams` and resolves the hash budget;
 * :class:`PairState` holds ``status`` / ``matches`` / ``hashes_seen`` for a
-  block of pairs and advances them one round at a time;
+  block of pairs, advances them one round at a time and reports their
+  :meth:`~PairState.outcome` under a terminal rule;
 * :func:`run_rounds` drives a :class:`PairState` to completion for callers
   that count agreements one round at a time.
 
-``src/repro/reference.py`` keeps the scalar per-pair loops these are tested
-against.
+``src/repro/reference.py`` keeps the scalar per-pair loop these are tested
+against, and :mod:`repro.core.operating` computes what the loop does to a
+pair of given similarity.
 """
 
 from __future__ import annotations
@@ -30,13 +33,26 @@ import numpy as np
 
 from repro.core.concentration_cache import ConcentrationCache
 from repro.core.min_matches import MinMatchesTable
-from repro.core.params import BayesLSHLiteParams
+from repro.core.params import BayesLSHParams
 from repro.core.posteriors import PosteriorModel
 
-__all__ = ["ACTIVE", "EMITTED", "PRUNED", "PairState", "RoundTables", "run_rounds"]
+__all__ = [
+    "ACTIVE",
+    "EMITTED",
+    "ESTIMATE_BUDGET",
+    "PRUNED",
+    "PairState",
+    "RoundTables",
+    "run_rounds",
+]
 
-#: per-pair status codes
+#: per-pair status codes; a pair still ``ACTIVE`` when the rounds end has
+#: exhausted the hash budget
 ACTIVE, PRUNED, EMITTED = 0, 1, 2
+
+#: default budget under ``on_budget="estimate"``: the paper's LSH-Approx
+#: setting for cosine, which is what an exhausted estimate amounts to
+ESTIMATE_BUDGET = 2048
 
 
 class RoundTables:
@@ -44,26 +60,38 @@ class RoundTables:
 
     The tables are deterministic functions of their inputs, so a worker
     process that rebuilds them from the broadcast posterior and parameters
-    agrees with the parent's.  ``concentration`` is ``None`` for
-    BayesLSH-Lite, which never estimates.
+    agrees with the parent's.  ``minMatches(n)`` and the concentration row
+    at ``n`` do not depend on the budget, so one instance serves every
+    terminal rule: ``budget`` / ``on_budget`` are the parameters' own, and a
+    caller that runs another rule on the same tables (the serving index
+    ranks by estimate beside its default) asks :meth:`budget_for` and names
+    the deepest budget it will use as ``depth``.  ``concentration`` is
+    ``None`` when the parameters turn the test off (BayesLSH-Lite).
     """
 
-    def __init__(self, posterior: PosteriorModel, params):
-        lite = isinstance(params, BayesLSHLiteParams)
+    def __init__(self, posterior: PosteriorModel, params: BayesLSHParams, depth: int = 0):
         self.posterior = posterior
         self.params = params
+        self.on_budget = params.on_budget
+        self.budget = self.budget_for(params.on_budget)
         self.min_matches = MinMatchesTable(
             posterior,
             threshold=params.threshold,
             epsilon=params.epsilon,
             k=params.k,
-            max_hashes=params.h if lite else params.max_hashes,
+            max_hashes=max(self.budget, depth),
         )
         self.concentration = (
-            None
-            if lite
-            else ConcentrationCache(posterior, delta=params.delta, gamma=params.gamma)
+            ConcentrationCache(posterior, delta=params.delta, gamma=params.gamma)
+            if params.concentrate
+            else None
         )
+
+    def budget_for(self, on_budget: str) -> int:
+        """Hashes a pair may see under ``on_budget``; an explicit ``max_hashes`` wins."""
+        if self.params.max_hashes is not None:
+            return self.params.max_hashes
+        return ESTIMATE_BUDGET if on_budget == "estimate" else self.posterior.exact_budget
 
 
 class PairState:
@@ -128,28 +156,36 @@ class PairState:
         self.trace.append((n_now, self.n_alive))
         return still
 
-    def survivors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The not-pruned mask and those pairs' MAP similarity estimates.
+    def outcome(self, on_budget: str) -> tuple[np.ndarray, np.ndarray]:
+        """Per-pair values once the rounds have ended, and the exhausted mask.
 
-        Pairs that exhausted the hash budget without concentrating report
-        their current estimate; a pair that never saw a hash reports 0.
-        Estimates are bit-identical to the scalar ``map_estimate`` per pair.
+        A pruned pair's value is NaN and a concentrated pair's its MAP
+        estimate (bit-identical to the scalar ``map_estimate``).  A pair
+        that exhausted the budget undecided reports its current estimate
+        under ``"estimate"`` (0 if it never saw a hash); under ``"exact"``
+        its value is left NaN for the caller, who holds the vectors, to
+        fill with the exact similarity.
         """
-        mask = self.status != PRUNED
-        matches = self.matches[mask]
-        if not len(matches):
-            return mask, np.zeros(0, dtype=np.float64)
-        hashes = self.hashes_seen[mask]
-        estimates = np.where(
-            hashes > 0, self._tables.posterior.map_estimate_many(matches, hashes), 0.0
-        )
-        return mask, estimates.astype(np.float64, copy=False)
+        exhausted = self.status == ACTIVE
+        estimated = self.status == EMITTED
+        if on_budget == "estimate":
+            estimated |= exhausted
+        values = np.full(len(self.status), np.nan, dtype=np.float64)
+        if estimated.any():
+            hashes = self.hashes_seen[estimated]
+            values[estimated] = np.where(
+                hashes > 0,
+                self._tables.posterior.map_estimate_many(self.matches[estimated], hashes),
+                0.0,
+            )
+        return values, exhausted
 
 
 def run_rounds(
     tables: RoundTables,
     n_pairs: int,
     count_matches: Callable[[np.ndarray, int, int], np.ndarray],
+    budget: int | None = None,
 ) -> PairState:
     """Run every pair to a decision, one ``k``-hash round at a time.
 
@@ -157,13 +193,13 @@ def run_rounds(
     pairs ``active`` over hashes ``[n_prev, n_now)``; it is only called
     while pairs remain undecided, so hashes no pair reaches are never
     requested (the lazy hashing the paper's cost argument rests on).
+    ``budget`` defaults to the tables' own.
     """
-    params = tables.params
+    k = tables.params.k
     state = PairState(tables, n_pairs)
-    for round_index in range(params.n_rounds):
+    for n_prev in range(0, (tables.budget if budget is None else budget) // k * k, k):
         active = state.active
         if len(active) == 0:
             break
-        n_prev = round_index * params.k
-        state.advance(count_matches(active, n_prev, n_prev + params.k), n_prev + params.k)
+        state.advance(count_matches(active, n_prev, n_prev + k), n_prev + k)
     return state

@@ -15,7 +15,7 @@ alongside, as in the original figure.
 from __future__ import annotations
 
 from repro.evaluation.timing import time_pipeline
-from repro.experiments.common import ExperimentResult, load_experiment_dataset
+from repro.experiments.common import PAPER_BAYESLSH, ExperimentResult, load_experiment_dataset
 
 __all__ = ["run", "PARAMETER_VALUES"]
 
@@ -48,13 +48,20 @@ def run(
                 repeats=repeats,
                 seed=seed,
                 **settings,
+                **PAPER_BAYESLSH,
             )
             rows.append([parameter, float(value), round(timed.mean_time, 4)])
 
     reference_rows = []
     for pipeline in ("lsh", "lsh_approx"):
         timed = time_pipeline(
-            pipeline, dataset, measure=measure, threshold=threshold, repeats=repeats, seed=seed
+            pipeline,
+            dataset,
+            measure=measure,
+            threshold=threshold,
+            repeats=repeats,
+            seed=seed,
+            **PAPER_BAYESLSH,
         )
         reference_rows.append([pipeline, round(timed.mean_time, 4)])
 

@@ -34,6 +34,7 @@ from repro.experiments.common import (
     ExperimentResult,
     GRAPH_DATASETS,
     JACCARD_THRESHOLDS,
+    PAPER_BAYESLSH,
     TEXT_DATASETS,
     load_experiment_dataset,
 )
@@ -97,6 +98,7 @@ def run_sweep(
                     repeats=repeats,
                     timeout=timeout,
                     seed=seed,
+                    **PAPER_BAYESLSH,
                 )
                 result = timed.result
                 records.append(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.candidates.allpairs import AllPairsGenerator
 from repro.candidates.lsh_index import LSHGenerator
 from repro.evaluation.ground_truth import exact_all_pairs
-from repro.experiments.common import ExperimentResult, load_experiment_dataset
+from repro.experiments.common import PAPER_BAYESLSH, ExperimentResult, load_experiment_dataset
 from repro.verification.bayes import BayesLSHVerifier
 
 __all__ = ["run", "prune_trace_for"]
@@ -58,6 +58,7 @@ def prune_trace_for(
         seed=seed,
         epsilon=epsilon,
         max_hashes=max_hashes,
+        **PAPER_BAYESLSH,
     )
     output = verifier.verify(candidates)
     return {

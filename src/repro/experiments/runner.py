@@ -12,6 +12,10 @@ Examples
 
    # a specific figure at a specific scale, written to a file
    bayeslsh-experiments figure3 --scale 0.4 --output figure3.txt
+
+   # not a paper experiment: what a parameter set achieves against what it
+   # promises, per terminal rule (see repro.experiments.operating)
+   bayeslsh-experiments operating --measure cosine --threshold 0.5
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import argparse
 import sys
 import time
 
-from repro.experiments import EXPERIMENT_IDS
+from repro.experiments import EXPERIMENT_IDS, operating
 # Imported for dispatch: run_experiment resolves experiment modules through
 # sys.modules, so every module must be imported here even though no name is
 # referenced directly.
@@ -90,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiments",
         nargs="+",
-        help=f"experiment ids ({', '.join(EXPERIMENT_IDS)}) or 'all'",
+        help=f"experiment ids ({', '.join(EXPERIMENT_IDS)}), 'all', or 'operating'",
     )
     parser.add_argument("--scale", type=float, default=0.5, help="dataset scale factor (default 0.5)")
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
@@ -98,17 +102,33 @@ def main(argv: list[str] | None = None) -> int:
         "--quick", action="store_true", help="reduced datasets/thresholds for a fast sanity run"
     )
     parser.add_argument("--output", type=str, default=None, help="write the report to this file")
+    characteristic = parser.add_argument_group("'operating' only")
+    characteristic.add_argument("--measure", default="cosine", help="cosine, jaccard or binary_cosine")
+    characteristic.add_argument("--threshold", type=float, default=0.5)
+    characteristic.add_argument("--epsilon", type=float, default=0.03)
+    characteristic.add_argument("--delta", type=float, default=0.05)
+    characteristic.add_argument("--gamma", type=float, default=0.03)
+    characteristic.add_argument("--k", type=int, default=32, help="hashes per round")
     args = parser.parse_args(argv)
 
     requested = list(EXPERIMENT_IDS) if "all" in args.experiments else args.experiments
-    unknown = [experiment for experiment in requested if experiment not in EXPERIMENT_IDS]
+    unknown = [
+        experiment for experiment in requested if experiment not in (*EXPERIMENT_IDS, "operating")
+    ]
     if unknown:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
 
     blocks = []
     for experiment_id in requested:
         start = time.perf_counter()
-        result = run_experiment(experiment_id, scale=args.scale, seed=args.seed, quick=args.quick)
+        if experiment_id == "operating":
+            result = operating.run(
+                args.measure, args.threshold, args.epsilon, args.delta, args.gamma, args.k
+            )
+        else:
+            result = run_experiment(
+                experiment_id, scale=args.scale, seed=args.seed, quick=args.quick
+            )
         elapsed = time.perf_counter() - start
         blocks.append(result.render() + f"\n\n(experiment wall-clock: {elapsed:.1f}s)")
     report = ("\n\n" + "=" * 78 + "\n\n").join(blocks)

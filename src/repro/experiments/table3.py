@@ -14,6 +14,7 @@ from repro.experiments.common import (
     COSINE_THRESHOLDS,
     ExperimentResult,
     GRAPH_DATASETS,
+    PAPER_BAYESLSH,
     TEXT_DATASETS,
     load_experiment_dataset,
 )
@@ -60,6 +61,7 @@ def run(
                     threshold=threshold,
                     seed=seed,
                     epsilon=epsilon,
+                    **PAPER_BAYESLSH,
                 )
                 search_result = engine.run(dataset)
                 row.append(round(100.0 * recall_metric(search_result, truth), 2))

@@ -16,6 +16,7 @@ from repro.experiments.common import (
     COSINE_THRESHOLDS,
     ExperimentResult,
     GRAPH_DATASETS,
+    PAPER_BAYESLSH,
     TEXT_DATASETS,
     load_experiment_dataset,
 )
@@ -70,7 +71,12 @@ def run(
             row = [dataset_name]
             for threshold in thresholds:
                 engine = make_pipeline(
-                    pipeline, dataset, measure=measure, threshold=threshold, seed=seed
+                    pipeline,
+                    dataset,
+                    measure=measure,
+                    threshold=threshold,
+                    seed=seed,
+                    **PAPER_BAYESLSH,
                 )
                 search_result = engine.run(dataset)
                 exact_map = _exact_map_for_result(dataset, measure, search_result)

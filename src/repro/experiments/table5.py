@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.evaluation.ground_truth import exact_all_pairs
 from repro.evaluation.metrics import error_statistics, recall as recall_metric
-from repro.experiments.common import ExperimentResult, load_experiment_dataset
+from repro.experiments.common import PAPER_BAYESLSH, ExperimentResult, load_experiment_dataset
 from repro.experiments.table4 import _exact_map_for_result
 from repro.search.pipelines import make_pipeline
 
@@ -49,6 +49,7 @@ def run(
             measure=measure,
             threshold=threshold,
             seed=seed,
+            **PAPER_BAYESLSH,
             gamma=value,
             delta=_DEFAULT,
             epsilon=_DEFAULT,
@@ -68,6 +69,7 @@ def run(
             measure=measure,
             threshold=threshold,
             seed=seed,
+            **PAPER_BAYESLSH,
             gamma=_DEFAULT,
             delta=value,
             epsilon=_DEFAULT,
@@ -87,6 +89,7 @@ def run(
             measure=measure,
             threshold=threshold,
             seed=seed,
+            **PAPER_BAYESLSH,
             gamma=_DEFAULT,
             delta=_DEFAULT,
             epsilon=value,

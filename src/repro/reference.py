@@ -33,6 +33,7 @@ __all__ = [
     "concentration_decisions_reference",
     "map_estimates_reference",
     "prob_above_threshold_reference",
+    "bayeslsh_pair_reference",
     "lsh_candidates_reference",
     "allpairs_candidates_reference",
     "ppjoin_candidates_reference",
@@ -104,6 +105,41 @@ def prob_above_threshold_reference(
         [posterior.prob_above_threshold(int(m), int(n), threshold) for m in np.asarray(matches)],
         dtype=np.float64,
     )
+
+
+def bayeslsh_pair_reference(
+    posterior: PosteriorModel, params, budget: int, agreements, exact_similarity: float = np.nan
+) -> tuple[str, int, int, float]:
+    """The paper's pair-at-a-time loop for one pair, under any terminal rule.
+
+    ``agreements[i]`` is the number of hashes of round ``i`` on which the pair
+    agrees.  Each round the pair is pruned when ``Pr[S >= t | M(m, n)] <
+    epsilon`` (line 10 of Algorithm 1) and, if ``params.concentrate``,
+    emitted with its MAP estimate once the estimate is concentrated (line
+    15); the posterior is queried per ``(m, n)``, no table involved.  A pair
+    still undecided after ``budget`` hashes reports its current estimate
+    under ``on_budget="estimate"`` (Algorithm 1) and ``exact_similarity``
+    under ``"exact"`` (Algorithm 2 and the hybrid), where it is kept only if
+    that exceeds the threshold.
+
+    Returns ``(outcome, m, n, value)``: ``outcome`` is ``"pruned"``,
+    ``"concentrated"`` or ``"exhausted"``, and ``value`` is NaN for a pair
+    that is not output.
+    """
+    m = n = 0
+    for round_index in range(budget // params.k):
+        n += params.k
+        m += int(agreements[round_index])
+        if posterior.prob_above_threshold(m, n, params.threshold) < params.epsilon:
+            return "pruned", m, n, np.nan
+        if params.concentrate and (
+            posterior.concentration_probability(m, n, params.delta) >= 1.0 - params.gamma
+        ):
+            return "concentrated", m, n, posterior.map_estimate(m, n)
+    if params.on_budget == "estimate":
+        return "exhausted", m, n, posterior.map_estimate(m, n) if n else 0.0
+    kept = exact_similarity > params.threshold
+    return "exhausted", m, n, exact_similarity if kept else np.nan
 
 
 # --------------------------------------------------------------------- #

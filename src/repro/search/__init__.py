@@ -11,10 +11,11 @@ convenience entry point.
 from repro.search.engine import SearchEngine, all_pairs_similarity
 from repro.search.pipelines import PIPELINES, make_pipeline, pipelines_for_measure
 from repro.search.query import QueryIndex
-from repro.search.results import ScoredPair, SearchResult
+from repro.search.results import QueryHits, ScoredPair, SearchResult
 
 __all__ = [
     "PIPELINES",
+    "QueryHits",
     "QueryIndex",
     "ScoredPair",
     "SearchEngine",

@@ -190,12 +190,18 @@ class SearchEngine:
         verification_time = time.perf_counter() - start
 
         total_time = time.perf_counter() - start_total
-        metadata = {
-            "candidate_metadata": dict(candidates.metadata),
-            "hash_comparisons": output.hash_comparisons,
-            "exact_computations": output.exact_computations,
-            "prune_trace": list(output.trace),
-        }
+        return self._result(
+            output,
+            dict(candidates.metadata),
+            {
+                "generation": generation_time,
+                "verification": verification_time,
+                "total": total_time,
+            },
+        )
+
+    def _result(self, output, candidate_metadata: dict, timings: dict, **metadata) -> SearchResult:
+        """Package a verification output (either execution path) as a result."""
         return SearchResult(
             left=output.left,
             right=output.right,
@@ -205,13 +211,18 @@ class SearchEngine:
             measure=self._verifier.measure.name,
             n_candidates=output.n_candidates,
             n_pruned=output.n_pruned,
-            timings={
-                "generation": generation_time,
-                "verification": verification_time,
-                "total": total_time,
-            },
+            timings=timings,
             exact_similarities=self._verifier.exact_output,
-            metadata=metadata,
+            metadata={
+                "candidate_metadata": candidate_metadata,
+                "hash_comparisons": output.hash_comparisons,
+                "exact_computations": output.exact_computations,
+                "n_exact": int(np.count_nonzero(output.exact_mask)),
+                "n_unconcentrated": output.n_unconcentrated,
+                "prune_trace": list(output.trace),
+                **metadata,
+            },
+            exact_mask=output.exact_mask,
         )
 
     def _run_streamed(
@@ -230,29 +241,15 @@ class SearchEngine:
         candidate_metadata, output, timings = executor.run(
             self._generator, self._verifier, collection
         )
-        metadata = {
-            "candidate_metadata": candidate_metadata,
-            "hash_comparisons": output.hash_comparisons,
-            "exact_computations": output.exact_computations,
-            "prune_trace": list(output.trace),
-            "execution": {
+        return self._result(
+            output,
+            candidate_metadata,
+            timings,
+            execution={
                 "mode": "streamed",
                 "block_size": executor.block_size,
                 "n_workers": executor.n_workers,
             },
-        }
-        return SearchResult(
-            left=output.left,
-            right=output.right,
-            similarities=output.estimates,
-            method=self._name,
-            threshold=self._verifier.threshold,
-            measure=self._verifier.measure.name,
-            n_candidates=output.n_candidates,
-            n_pruned=output.n_pruned,
-            timings=timings,
-            exact_similarities=self._verifier.exact_output,
-            metadata=metadata,
         )
 
     def __repr__(self) -> str:

@@ -3,9 +3,9 @@
 Everything here exists to run the *same* computation as the serial paths on
 more cores or in less memory.  Three ideas carry the module:
 
-**One round engine.**  Algorithm 1's per-round decision step lives in
-:mod:`repro.core.rounds` (:class:`~repro.core.rounds.PairState`); the serial
-verifiers, the all-pairs workers (:func:`_worker_main`), the serving workers
+**One round engine.**  BayesLSH's per-round decision step and its terminal
+rule live in :mod:`repro.core.rounds` (:class:`~repro.core.rounds.PairState`);
+the serial verifier, the all-pairs workers (:func:`_worker_main`), the serving workers
 (:func:`_serving_worker_main`) and the serial serving path
 (:func:`serial_verify_bayes`) all advance that one object.  Every prune/emit
 decision depends only on the pair's own ``(m, n)``, so sharding pairs across
@@ -90,7 +90,7 @@ import numpy as np
 
 from repro.candidates.arrayops import sorted_unique
 from repro.core.bayeslsh import VerificationOutput
-from repro.core.rounds import PRUNED, PairState, RoundTables, run_rounds
+from repro.core.rounds import PairState, RoundTables, run_rounds
 from repro.hashing.signatures import (
     BitSignatures,
     _tile_rows,
@@ -210,79 +210,6 @@ class PairBlockSource:
 # --------------------------------------------------------------------- #
 # shared-memory signature export
 # --------------------------------------------------------------------- #
-class _SegmentTable:
-    """Worker-side registry of shared-memory signature segments.
-
-    Counts hash agreements straight from the shared buffers with the same
-    integer kernels the in-process stores use (`count_packed_matches` for
-    packed bits, gather + ``np.equal`` + row sum for integer signatures), so
-    worker counts are bit-identical to store counts.
-    """
-
-    def __init__(self):
-        self._segments: list[dict] = []
-        self._handles: list = []  # keep SharedMemory objects alive
-
-    def attach(self, descriptor: dict) -> None:
-        from multiprocessing import shared_memory
-
-        # The worker is forked, so it shares the parent's resource-tracker
-        # process: attaching re-registers the same name (a set, no-op) and
-        # the parent's unlink() deregisters it exactly once.
-        shm = shared_memory.SharedMemory(name=descriptor["name"])
-        array = np.ndarray(
-            tuple(descriptor["shape"]), dtype=np.dtype(descriptor["dtype"]), buffer=shm.buf
-        )
-        self._handles.append(shm)
-        self._segments.append(
-            {
-                "hash_start": descriptor["hash_start"],
-                "hash_end": descriptor["hash_end"],
-                "bits": descriptor["bits"],
-                "array": array,
-            }
-        )
-
-    def count_matches_many(
-        self, left: np.ndarray, right: np.ndarray, start: int, end: int
-    ) -> np.ndarray:
-        counts = np.zeros(len(left), dtype=np.int64)
-        if end <= start:
-            return counts
-        covered = start
-        for segment in self._segments:
-            lo = max(covered, segment["hash_start"])
-            hi = min(end, segment["hash_end"])
-            if hi <= lo or lo != covered:
-                continue
-            array = segment["array"]
-            if segment["bits"]:
-                word_base = segment["hash_start"] // _WORD_BITS
-                word_lo = lo // _WORD_BITS - word_base
-                word_hi = -(-hi // _WORD_BITS) - word_base
-                words = np.ascontiguousarray(array[:, word_lo:word_hi])
-                counts += count_packed_matches(
-                    words[left],
-                    words[right],
-                    lo - (word_lo + word_base) * _WORD_BITS,
-                    hi - lo,
-                )
-            else:
-                columns = np.ascontiguousarray(
-                    array[:, lo - segment["hash_start"] : hi - segment["hash_start"]]
-                )
-                equal = np.equal(columns[left], columns[right])
-                counts += equal.sum(axis=1, dtype=np.int64)
-            covered = hi
-            if covered >= end:
-                break
-        if covered < end:
-            raise RuntimeError(
-                f"shared segments cover hashes up to {covered}, needed {end}"
-            )
-        return counts
-
-
 class _SignatureExporter:
     """Parent-side publication of signature columns into shared memory.
 
@@ -416,7 +343,7 @@ def _worker_main(worker_id: int, verifier, task_queue, result_queue) -> None:
     deterministic functions of those inputs, so every worker's tables agree
     with the parent's.
     """
-    segments = _SegmentTable()
+    columns = _ColumnSource()  # nothing inherited: the parent publishes from hash 0
     tables: RoundTables | None = None
     state: PairState | None = None
     left = right = None
@@ -430,7 +357,7 @@ def _worker_main(worker_id: int, verifier, task_queue, result_queue) -> None:
             continue
         try:
             if tag == "segment":
-                segments.attach(message[1])
+                columns.attach(message[1])
                 continue  # broadcast; no reply
             if tag == "setup":
                 tables = RoundTables(*pickle.loads(message[1]))
@@ -444,8 +371,8 @@ def _worker_main(worker_id: int, verifier, task_queue, result_queue) -> None:
                 active = state.active
                 if len(active):
                     state.advance(
-                        segments.count_matches_many(
-                            left[active], right[active], n_prev, n_now
+                        _cross_window_counts(
+                            columns, columns, left[active], right[active], n_prev, n_now
                         ),
                         n_now,
                     )
@@ -453,19 +380,14 @@ def _worker_main(worker_id: int, verifier, task_queue, result_queue) -> None:
                     ("ok", worker_id, (len(active), state.n_alive, len(state.active)))
                 )
             elif tag == "finish":
-                if tables.concentration is not None:
-                    result_queue.put(("ok", worker_id, state.survivors()))
-                else:  # lite: exact-verify the survivors
-                    mask = state.status != PRUNED
-                    exact_values = verifier.exact_similarities(left[mask], right[mask])
-                    result_queue.put(("ok", worker_id, (mask, exact_values)))
+                result_queue.put(("ok", worker_id, state.outcome(tables.on_budget)))
                 state = None
             elif tag == "exact":
                 values = verifier.exact_similarities(message[1], message[2])
                 result_queue.put(("ok", worker_id, values))
             elif tag == "count":
                 left, right, start, end = message[1], message[2], message[3], message[4]
-                values = segments.count_matches_many(left, right, start, end)
+                values = _cross_window_counts(columns, columns, left, right, start, end)
                 result_queue.put(("ok", worker_id, values))
             else:
                 result_queue.put(("error", worker_id, f"unknown task {tag!r}"))
@@ -902,7 +824,7 @@ class _WorkerPool:
 
 
 # --------------------------------------------------------------------- #
-# round-synchronous block verification (shared by BayesLSH / Lite)
+# round-synchronous block verification
 # --------------------------------------------------------------------- #
 def _pooled_block(
     pool: _WorkerPool,
@@ -912,42 +834,33 @@ def _pooled_block(
     right: np.ndarray,
 ) -> VerificationOutput:
     """Run one pair block through the worker pool (raises WorkerFailure on loss)."""
-    params = algorithm.params
+    k = algorithm.params.k
     _faults.fire("allpairs_begin", pool=pool)
     pool.begin_block(left, right)
     trace: list[tuple[int, int]] = []
     hash_comparisons = 0
     n_active = len(left)
-    for round_index in range(params.n_rounds if len(left) else 0):
+    for round_index in range(algorithm.tables.budget // k):
         if n_active == 0:
             break
-        n_prev = round_index * params.k
-        n_now = n_prev + params.k
+        n_prev = round_index * k
+        n_now = n_prev + k
         store = algorithm.family.signatures(n_now)
         exporter.ensure(store, n_now)
         _faults.fire("allpairs_round", pool=pool, round_index=round_index)
         processed, alive, n_active = pool.round(n_prev, n_now)
-        hash_comparisons += processed * params.k
+        hash_comparisons += processed * k
         trace.append((n_now, alive))
     shard_results = pool.finish_block()
-    mask = np.concatenate([mask for mask, _ in shard_results])
-    values = np.concatenate([values for _, values in shard_results])
-    left, right = left[mask], right[mask]
-    exact_computations = 0
-    if algorithm.tables.concentration is None:
-        # lite: the workers scored the survivors exactly; threshold them
-        exact_computations = len(values)
-        above = values > params.threshold
-        left, right, values = left[above], right[above], values[above]
-    return VerificationOutput(
-        left=left,
-        right=right,
-        estimates=values,
-        n_candidates=len(mask),
-        n_pruned=int(len(mask) - mask.sum()),
-        trace=trace,
-        hash_comparisons=hash_comparisons,
-        exact_computations=exact_computations,
+    return algorithm.output(
+        left,
+        right,
+        np.concatenate([values for values, _ in shard_results]),
+        np.concatenate([exhausted for _, exhausted in shard_results]),
+        trace,
+        hash_comparisons,
+        # the workers score the exhausted pairs; a lost shard is recomputed here
+        exact_similarities=lambda l, r: pool.map_exact(l, r, algorithm.exact_similarities),
     )
 
 
@@ -955,8 +868,8 @@ def run_round_protocol(pool: _WorkerPool, algorithm, source: PairBlockSource) ->
     """Drive the workers through the round-synchronous verification of
     every block of ``source``.
 
-    ``algorithm`` is the verifier's :class:`~repro.core.bayeslsh.BayesLSH`
-    or :class:`~repro.core.lite.BayesLSHLite`.  The parent owns hash
+    ``algorithm`` is the verifier's :class:`~repro.core.bayeslsh.BayesLSH`.
+    The parent owns hash
     generation: each round it lazily extends the algorithm's family
     (identical RNG stream consumption to the serial path) and publishes the
     fresh columns to shared memory before broadcasting the round.
@@ -1040,16 +953,17 @@ class _ColumnSource:
     thread exists in the child to release it).
     """
 
-    def __init__(self, store):
+    def __init__(self, store=None):
         self._bits = isinstance(store, BitSignatures)
-        base = int(store.n_hashes)  # fork-time width
-        if self._bits and base % _WORD_BITS:
-            raise RuntimeError(
-                f"fork-time bit store width {base} is not word-aligned"
-            )
         #: (hash_start, hash_end, array) pieces: fork-inherited chunks first,
         #: shared-memory chunks appended as the parent publishes them
-        self._pieces: list[tuple[int, int, np.ndarray]] = list(store.chunk_map())
+        self._pieces: list[tuple[int, int, np.ndarray]] = []
+        if store is not None:  # the all-pairs workers inherit nothing
+            if self._bits and store.n_hashes % _WORD_BITS:
+                raise RuntimeError(
+                    f"fork-time bit store width {store.n_hashes} is not word-aligned"
+                )
+            self._pieces = list(store.chunk_map())
         self._handles: list = []  # keep SharedMemory objects alive
 
     @property
@@ -1067,6 +981,7 @@ class _ColumnSource:
             tuple(descriptor["shape"]), dtype=np.dtype(descriptor["dtype"]), buffer=shm.buf
         )
         self._handles.append(shm)
+        self._bits = descriptor["bits"]
         self._pieces.append((descriptor["hash_start"], descriptor["hash_end"], array))
 
     def close(self) -> None:
@@ -1264,8 +1179,8 @@ def _serving_worker_main(worker_id: int, task: ServingTask, task_queue, result_q
                 result_queue.put(
                     ("ok", worker_id, (len(state.active), active_segments.tolist()))
                 )
-            elif tag == "estimates":
-                result_queue.put(("ok", worker_id, _estimates_or_nan(state)))
+            elif tag == "outcome":
+                result_queue.put(("ok", worker_id, state.outcome(message[1])))
                 state = None
             elif tag == "exact":
                 query_rows, rows = message[1], message[2]
@@ -1279,17 +1194,14 @@ def _serving_worker_main(worker_id: int, task: ServingTask, task_queue, result_q
             result_queue.put(("error", worker_id, traceback.format_exc()))
 
 
-def _estimates_or_nan(state: PairState) -> np.ndarray:
-    """Per-pair MAP estimates with NaN marking the pruned pairs."""
-    estimates = np.full(len(state.status), np.nan, dtype=np.float64)
-    mask, values = state.survivors()
-    estimates[mask] = values
-    return estimates
-
-
 def serial_verify_bayes(
-    segments, tables: RoundTables, query_family, query_rows: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
+    segments,
+    tables: RoundTables,
+    query_family,
+    query_rows: np.ndarray,
+    rows: np.ndarray,
+    on_budget: str,
+) -> tuple[np.ndarray, np.ndarray]:
     """Round-synchronous BayesLSH verification of (query, candidate) pairs.
 
     The serial serving path, and therefore also what the pool re-runs for a
@@ -1302,7 +1214,10 @@ def serial_verify_bayes(
     extension draws the same RNG stream whichever component requests a width
     first, so a recovered shard is bit-identical to the all-serial batch.
 
-    Returns the pair estimates with NaN marking pruned pairs.
+    Returns :meth:`PairState.outcome` under ``on_budget`` (run to the budget
+    the tables resolve for it): the pair values with NaN marking pruned
+    pairs — and, under ``"exact"``, the exhausted pairs the caller still has
+    to score — and the exhausted mask.
     """
 
     def count_matches(active: np.ndarray, n_prev: int, n_now: int) -> np.ndarray:
@@ -1310,7 +1225,8 @@ def serial_verify_bayes(
             query_family.signatures(n_now), query_rows[active], rows[active], n_prev, n_now
         )
 
-    return _estimates_or_nan(run_rounds(tables, len(query_rows), count_matches))
+    state = run_rounds(tables, len(query_rows), count_matches, tables.budget_for(on_budget))
+    return state.outcome(on_budget)
 
 
 class ServingPool:
@@ -1654,31 +1570,34 @@ class ServingPool:
         return positions, rows
 
     # ---------------------------- verification --------------------------- #
-    def verify_bayes(self, query_family, query_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def verify_bayes(
+        self, query_family, query_rows: np.ndarray, rows: np.ndarray, on_budget: str
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Round-synchronous parallel twin of :func:`serial_verify_bayes`.
 
-        Returns the per-pair posterior MAP estimates with NaN marking pruned
-        pairs, in the pair order given (bit-identical to the serial path).
+        Returns the same ``(values, exhausted)`` in the pair order given
+        (bit-identical to the serial path).
 
         Recovery: a shard whose worker fails — at hand-off, during any round,
-        or at the estimates gather — is re-verified from round zero in the
-        parent by :func:`serial_verify_bayes`, and its estimates slice
-        replaces the lost worker's.  Per-pair decisions depend only on the
+        or at the outcome gather — is re-verified from round zero in the
+        parent by :func:`serial_verify_bayes`, and its slice replaces the
+        lost worker's.  Per-pair decisions depend only on the
         pair's own counts and store extension is monotone in the requested
         width, so the recovered slice matches the serial path bit for bit.
         """
         task = self._task
-        params = task.tables.params
+        k = task.tables.params.k
         n_pairs = len(rows)
+        values = np.full(n_pairs, np.nan, dtype=np.float64)
+        exhausted = np.zeros(n_pairs, dtype=bool)
         if n_pairs == 0:
-            return np.zeros(0, dtype=np.float64)
+            return values, exhausted
         segment_ids, local_rows = task.segments.locate(rows)
-        estimates = np.full(n_pairs, np.nan, dtype=np.float64)
         _faults.fire("serving_verify", pool=self._pool)
         issued = self._pool.scatter("verify", (query_rows, segment_ids, local_rows))
         if not issued:
             return serial_verify_bayes(
-                task.segments, task.tables, query_family, query_rows, rows
+                task.segments, task.tables, query_family, query_rows, rows, on_budget
             )
         shards = {wid: (lo, hi) for wid, lo, hi in issued}
         live = [wid for wid, _, _ in issued]
@@ -1688,8 +1607,13 @@ class ServingPool:
             nonlocal live
             for wid in failure.failed:
                 lo, hi = shards[wid]
-                estimates[lo:hi] = serial_verify_bayes(
-                    task.segments, task.tables, query_family, query_rows[lo:hi], rows[lo:hi]
+                values[lo:hi], exhausted[lo:hi] = serial_verify_bayes(
+                    task.segments,
+                    task.tables,
+                    query_family,
+                    query_rows[lo:hi],
+                    rows[lo:hi],
+                    on_budget,
                 )
             live = [wid for wid in live if wid not in failure.failed]
             return failure.replies
@@ -1705,11 +1629,11 @@ class ServingPool:
             live_mask[lo:hi] = True
         active_segments = set(sorted_unique(segment_ids[live_mask]).tolist())
         segments = task.segments.segments
-        for round_index in range(params.n_rounds):
+        for round_index in range(task.tables.budget_for(on_budget) // k):
             if active_total == 0 or not live:
                 break
-            n_prev = round_index * params.k
-            n_now = n_prev + params.k
+            n_prev = round_index * k
+            n_now = n_prev + k
             # The parent is the sole extension authority: the query family
             # extends every round any pair is still active, and exactly the
             # segments owning active pairs extend — the identical lazy
@@ -1733,15 +1657,15 @@ class ServingPool:
                 active_segments.update(replies[wid][1])
         if live:
             _faults.fire("serving_estimates", pool=self._pool)
-            self._pool.send(live, ("estimates",))
+            self._pool.send(live, ("outcome", on_budget))
             try:
-                replies = self._pool.collect(live, tag="estimates")
+                replies = self._pool.collect(live, tag="outcome")
             except WorkerFailure as failure:
                 replies = handle_failure(failure)
             for wid in live:
                 lo, hi = shards[wid]
-                estimates[lo:hi] = replies[wid]
-        return estimates
+                values[lo:hi], exhausted[lo:hi] = replies[wid]
+        return values, exhausted
 
     # --------------------------- exact ranking --------------------------- #
     def map_exact(self, query_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:

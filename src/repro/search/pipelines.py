@@ -45,10 +45,18 @@ PIPELINES: dict[str, str] = {
     "ppjoin": "PPJoin+ (exact, binary vectors only)",
 }
 
-_BAYES_KEYS = {"epsilon", "delta", "gamma", "k", "max_hashes", "fit_prior", "prior_sample_size"}
+_BAYES_KEYS = {
+    "epsilon", "delta", "gamma", "k", "max_hashes", "on_budget", "fit_prior", "prior_sample_size"
+}
 _LITE_KEYS = {"epsilon", "h", "k", "fit_prior", "prior_sample_size"}
 _LSH_GEN_KEYS = {"false_negative_rate", "signature_width"}
 _APPROX_KEYS = {"num_hashes"}
+#: pipeline-name suffix -> (verifier, the keyword arguments it takes)
+_VERIFIERS = {
+    "bayeslsh": (BayesLSHVerifier, _BAYES_KEYS),
+    "bayeslsh_lite": (BayesLSHLiteVerifier, _LITE_KEYS),
+    "approx": (LSHApproxVerifier, _APPROX_KEYS),
+}
 
 
 def pipelines_for_measure(measure: str) -> list[str]:
@@ -93,7 +101,9 @@ def make_pipeline(
         Query parameters.
     kwargs:
         Forwarded to the underlying components where applicable:
-        ``epsilon``/``delta``/``gamma``/``k``/``max_hashes`` (BayesLSH),
+        ``epsilon``/``delta``/``gamma``/``k``/``max_hashes``/``on_budget``
+        (BayesLSH; the default ``on_budget="exact"`` is the hybrid,
+        ``"estimate"`` is Algorithm 1 as published),
         ``h`` (BayesLSH-Lite), ``num_hashes`` (LSH Approx),
         ``false_negative_rate``/``signature_width`` (LSH generation),
         ``fit_prior``/``prior_sample_size`` (Jaccard prior fitting).
@@ -113,72 +123,25 @@ def make_pipeline(
         raise TypeError(f"unknown pipeline arguments: {', '.join(sorted(unknown))}")
 
     collection = as_collection(data)
-    prepared = measure_obj.prepare(collection)
-
-    if name.startswith("lsh"):
+    generator_name, _, verifier_name = name.partition("_")
+    if generator_name == "lsh":
         # One hash family shared by candidate generation and verification.
-        family = get_hash_family(measure_obj.lsh_family, prepared, seed=seed)
-        generator = LSHGenerator(
-            measure_obj,
-            threshold,
-            seed=seed,
-            family=family,
-            **_split_kwargs(kwargs, _LSH_GEN_KEYS),
+        family = get_hash_family(
+            measure_obj.lsh_family, measure_obj.prepare(collection), seed=seed
         )
-        if name == "lsh":
-            verifier = ExactVerifier(collection, measure_obj, threshold)
-        elif name == "lsh_approx":
-            verifier = LSHApproxVerifier(
-                collection,
-                measure_obj,
-                threshold,
-                family=family,
-                seed=seed,
-                **_split_kwargs(kwargs, _APPROX_KEYS),
-            )
-        elif name == "lsh_bayeslsh":
-            verifier = BayesLSHVerifier(
-                collection,
-                measure_obj,
-                threshold,
-                family=family,
-                seed=seed,
-                **_split_kwargs(kwargs, _BAYES_KEYS),
-            )
-        else:  # lsh_bayeslsh_lite
-            verifier = BayesLSHLiteVerifier(
-                collection,
-                measure_obj,
-                threshold,
-                family=family,
-                seed=seed,
-                **_split_kwargs(kwargs, _LITE_KEYS),
-            )
-        return SearchEngine(generator, verifier, name=name)
-
-    if name.startswith("ap") or name == "allpairs":
-        generator = AllPairsGenerator(measure_obj, threshold)
-        if name == "allpairs":
-            verifier = ExactVerifier(collection, measure_obj, threshold)
-        elif name == "ap_bayeslsh":
-            verifier = BayesLSHVerifier(
-                collection,
-                measure_obj,
-                threshold,
-                seed=seed,
-                **_split_kwargs(kwargs, _BAYES_KEYS),
-            )
-        else:  # ap_bayeslsh_lite
-            verifier = BayesLSHLiteVerifier(
-                collection,
-                measure_obj,
-                threshold,
-                seed=seed,
-                **_split_kwargs(kwargs, _LITE_KEYS),
-            )
-        return SearchEngine(generator, verifier, name=name)
-
-    # ppjoin
-    generator = PPJoinGenerator(measure_obj, threshold)
-    verifier = ExactVerifier(collection, measure_obj, threshold)
+        generator = LSHGenerator(
+            measure_obj, threshold, seed=seed, family=family, **_split_kwargs(kwargs, _LSH_GEN_KEYS)
+        )
+        shared = {"family": family}
+    elif generator_name == "ppjoin":
+        generator, shared = PPJoinGenerator(measure_obj, threshold), {}
+    else:  # allpairs / ap_*
+        generator, shared = AllPairsGenerator(measure_obj, threshold), {}
+    if verifier_name:
+        verifier_class, keys = _VERIFIERS[verifier_name]
+        verifier = verifier_class(
+            collection, measure_obj, threshold, seed=seed, **shared, **_split_kwargs(kwargs, keys)
+        )
+    else:
+        verifier = ExactVerifier(collection, measure_obj, threshold)
     return SearchEngine(generator, verifier, name=name)

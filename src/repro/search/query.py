@@ -27,10 +27,13 @@ is verified against its candidates with the same Bayesian pruning.
   as sole hash/RNG authority; ``start_pool`` keeps the same pool attached
   across calls instead (see ``docs/serving.md`` for when the fork overhead
   pays off);
-* ``top_k_many(..., rank_by="estimate")`` skips exact verification and ranks
-  survivors by the BayesLSH posterior MAP estimates already computed during
-  pruning — the estimate-driven path trades exact scores for latency (see
-  ``docs/serving.md`` for the measured trade-off);
+* under ``verification="bayes"`` a ``query`` runs the hybrid: candidates are
+  pruned and estimated over one hash block, and a pair still undecided then
+  is scored exactly (``QueryHits.exact`` says which values are which);
+* ``top_k_many(..., rank_by="estimate")`` runs Algorithm 1 instead: it never
+  touches the raw vectors and ranks survivors by the posterior MAP estimates
+  computed during pruning — the estimate-driven path trades exact scores for
+  latency (see ``docs/serving.md`` for the measured trade-off);
 * ``delete(rows)`` tombstones rows (filtered from every result immediately;
   band postings are lazily rebuilt once past the ``staleness_budget``);
 * ``save(path)`` / ``load(path)`` round-trip the entire index — segments,
@@ -55,10 +58,10 @@ from repro.candidates.arrayops import sorted_unique
 from repro.candidates.lsh_index import BandPostings, signatures_for_false_negative_rate
 from repro.core.params import BayesLSHParams
 from repro.core.posteriors import make_posterior
-from repro.core.rounds import RoundTables
+from repro.core.rounds import ESTIMATE_BUDGET, RoundTables
 from repro.search.engine import as_collection
 from repro.search.executor import ServingPool, ServingTask, serial_verify_bayes
-from repro.search.results import ScoredPair
+from repro.search.results import QueryHits, ScoredPair
 from repro.serving.segments import SegmentedCollection
 from repro.similarity.measures import get_measure
 from repro.similarity.vectors import VectorCollection
@@ -84,10 +87,14 @@ class QueryIndex:
         Hashes per signature band; defaults to the measure's standard width.
     verification:
         ``"bayes"`` (default) verifies candidates with BayesLSH pruning and
-        returns similarity estimates; ``"exact"`` computes exact similarities
-        for every candidate.
-    epsilon, delta, gamma, k, max_hashes:
-        BayesLSH parameters used when ``verification="bayes"``.
+        returns similarity estimates, or exact values for the pairs the
+        terminal rule scored; ``"exact"`` computes exact similarities for
+        every candidate.
+    epsilon, delta, gamma, k, max_hashes, on_budget:
+        BayesLSH parameters used when ``verification="bayes"`` (see
+        :class:`~repro.core.params.BayesLSHParams`); ``on_budget`` is the
+        terminal rule of ``query``/``query_many`` — ``rank_by="estimate"``
+        always runs ``"estimate"``.
     seed:
         Seed for the hash family.
     staleness_budget:
@@ -115,7 +122,8 @@ class QueryIndex:
         delta: float = 0.05,
         gamma: float = 0.03,
         k: int = 32,
-        max_hashes: int = 2048,
+        max_hashes: int | None = None,
+        on_budget: str = "exact",
         seed: int = 0,
         staleness_budget: float = 0.2,
     ):
@@ -133,7 +141,7 @@ class QueryIndex:
         self._false_negative_rate = float(false_negative_rate)
         self._verification = verification
         self._params = BayesLSHParams(
-            threshold=threshold, epsilon=epsilon, delta=delta, gamma=gamma, k=k, max_hashes=max_hashes
+            threshold, epsilon, delta, gamma, k, max_hashes, on_budget=on_budget
         )
         self._seed = int(seed)
         self._staleness_budget = float(staleness_budget)
@@ -221,8 +229,10 @@ class QueryIndex:
         if tables is None:
             with self._tables_lock:
                 if self._tables is None:
+                    # one set of tables serves both terminal rules, built to
+                    # the deeper of their budgets (rank_by="estimate")
                     self._tables = RoundTables(
-                        make_posterior(self._measure.name), self._params
+                        make_posterior(self._measure.name), self._params, depth=ESTIMATE_BUDGET
                     )
                 tables = self._tables
         return tables
@@ -489,16 +499,18 @@ class QueryIndex:
             if pool is not None and n_workers is not None:
                 pool.close()
 
-    def _scored_candidates(self, queries, bayes: bool, n_workers, round_timeout):
+    def _scored_candidates(self, queries, on_budget: str | None, n_workers, round_timeout):
         """Probe and score one query batch: the body of every query call.
 
-        Returns ``(n queries, query rows, collection rows, values)`` with the
-        pairs sorted by ``(query row, collection row)``.  Only non-empty
-        query rows probe, and tombstoned collection rows are filtered out.
-        ``values`` are the BayesLSH estimates (NaN for pruned pairs) when
-        ``bayes`` is set and the exact similarities otherwise.  With a pool,
-        probing is sharded by query slice and scoring by pair slice; the
-        merges are bit-identical to the serial kernels.
+        Returns ``(n queries, query rows, collection rows, values, exact)``
+        with the pairs sorted by ``(query row, collection row)``.  Only
+        non-empty query rows probe, and tombstoned collection rows are
+        filtered out.  ``on_budget=None`` scores every candidate exactly;
+        otherwise the candidates run the BayesLSH rounds under that terminal
+        rule (NaN for pruned pairs) and only the pairs ``"exact"`` leaves
+        undecided reach the exact kernel; ``exact`` marks exact values.  With
+        a pool, probing is sharded by query slice and scoring by pair slice;
+        the merges are bit-identical to the serial kernels.
         """
         if n_workers is not None:
             n_workers = int(n_workers)
@@ -508,7 +520,7 @@ class QueryIndex:
         query_rows, query_family, query_store = self._hash_queries(query_prepared)
         empty = np.zeros(0, dtype=np.int64)
         if query_family is None:
-            return query_prepared.n_vectors, empty, empty, np.zeros(0)
+            return query_prepared.n_vectors, empty, empty, np.zeros(0), np.zeros(0, dtype=bool)
         with self._serving_pool(n_workers, query_prepared, query_store, round_timeout) as pool:
             if pool is not None:
                 positions, rows = pool.probe(query_rows)
@@ -518,32 +530,43 @@ class QueryIndex:
                 )
             keep = ~self._deleted[rows]
             query_rows, rows = query_rows[positions[keep]], rows[keep]
-            if len(rows) == 0:
-                values = np.zeros(0)
-            elif bayes:
+
+            def score(queries_of: np.ndarray, rows_of: np.ndarray) -> np.ndarray:
+                if pool is not None:
+                    return pool.map_exact(queries_of, rows_of)
+                return self._segments.cross_similarities(query_prepared, queries_of, rows_of)
+
+            if on_budget is None:
+                values = score(query_rows, rows) if len(rows) else np.zeros(0)
+                exact = np.ones(len(rows), dtype=bool)
+            else:
                 # Every prune/emit decision depends only on the pair's own
                 # (m, n), so a pair's outcome is independent of which other
                 # pairs share the batch and of how the corpus is segmented.
                 if pool is not None:
-                    values = pool.verify_bayes(query_family, query_rows, rows)
+                    values, exhausted = pool.verify_bayes(query_family, query_rows, rows, on_budget)
                 else:
-                    values = serial_verify_bayes(
-                        self._segments, self._round_tables(), query_family, query_rows, rows
+                    values, exhausted = serial_verify_bayes(
+                        self._segments, self._round_tables(), query_family, query_rows, rows, on_budget
                     )
-            elif pool is not None:
-                values = pool.map_exact(query_rows, rows)
-            else:
-                values = self._segments.cross_similarities(query_prepared, query_rows, rows)
-        return query_prepared.n_vectors, query_rows, rows, values
+                exact = exhausted & (on_budget == "exact")
+                if exact.any():
+                    values[exact] = score(query_rows[exact], rows[exact])
+        return query_prepared.n_vectors, query_rows, rows, values, exact
 
     @staticmethod
     def _group_pairs(
-        n_queries: int, query_rows: np.ndarray, rows: np.ndarray, values: np.ndarray
-    ) -> list[list[ScoredPair]]:
+        n_queries: int, query_rows: np.ndarray, rows: np.ndarray, values: np.ndarray, exact: np.ndarray
+    ) -> list[QueryHits]:
         """Split sorted (query, row, value) triples into per-query result lists."""
-        results: list[list[ScoredPair]] = [[] for _ in range(n_queries)]
+        results = [QueryHits() for _ in range(n_queries)]
         for q, j, value in zip(query_rows.tolist(), rows.tolist(), values.tolist()):
-            results[q].append(ScoredPair(-1, j, float(value)))
+            results[q].append(ScoredPair(-1, j, value))
+        # query rows arrive sorted, so each query's flags are one slice
+        bounds = np.searchsorted(query_rows, np.arange(n_queries + 1))
+        flags = exact.tolist()
+        for hits, lo, hi in zip(results, bounds[:-1].tolist(), bounds[1:].tolist()):
+            hits.exact = tuple(flags[lo:hi])
         return results
 
     # ------------------------------------------------------------------ #
@@ -567,10 +590,13 @@ class QueryIndex:
 
         Result entries are :class:`ScoredPair` values whose ``i`` field is
         always -1 (the query is not part of the collection) and whose ``j``
-        field is the index of the matching row.  Similarities are estimates
-        under ``verification="bayes"`` and exact values under ``"exact"``;
-        either way only pairs whose reported similarity exceeds the
-        (per-call) threshold are returned.  Note that the Bayesian pruning
+        field is the index of the matching row.  Under
+        ``verification="bayes"`` a similarity is the posterior estimate of a
+        pair that concentrated within the hash budget or (``on_budget="exact"``,
+        the default) the exact value of one that did not — each per-query
+        list's ``exact`` flags say which; under ``"exact"`` every value is exact.  Only
+        pairs whose reported similarity exceeds the (per-call) threshold are
+        returned.  Note that the Bayesian pruning
         tables stay tuned to the *index* threshold: overriding per call
         filters the estimates, but a threshold far below the index's cannot
         recover pairs the index-level pruning already discarded.
@@ -591,13 +617,16 @@ class QueryIndex:
         threshold = self._threshold if threshold is None else float(threshold)
         if not 0.0 < threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-        n_queries, query_rows, rows, values = self._scored_candidates(
-            queries, self._verification == "bayes", n_workers, round_timeout
+        n_queries, query_rows, rows, values, exact = self._scored_candidates(
+            queries,
+            self._params.on_budget if self._verification == "bayes" else None,
+            n_workers,
+            round_timeout,
         )
-        keep = values > threshold
-        if self._verification == "bayes":
-            keep &= ~np.isnan(values)
-        return self._group_pairs(n_queries, query_rows[keep], rows[keep], values[keep])
+        keep = values > threshold  # NaN (a pruned pair) compares False
+        return self._group_pairs(
+            n_queries, query_rows[keep], rows[keep], values[keep], exact[keep]
+        )
 
     def query(
         self,
@@ -641,9 +670,10 @@ class QueryIndex:
           scored with the exact cross-collection similarity kernel; the
           best ``k`` above ``floor_threshold`` are returned in decreasing
           order of (exact) similarity.
-        * ``"estimate"`` — candidates are run through the BayesLSH pruning
-          rounds (requires ``verification="bayes"``) and ranked by the
-          posterior MAP estimates those rounds already computed; no exact
+        * ``"estimate"`` — candidates are run through Algorithm 1's rounds
+          (requires ``verification="bayes"``; ``on_budget="estimate"``
+          whatever the index's own terminal rule) and ranked by the
+          posterior MAP estimates those rounds computed; no exact
           similarity is ever evaluated.  Estimates wobble within the
           ``epsilon``/``delta``/``gamma`` accuracy envelope, and candidates
           the pruning discards as below the *index* threshold cannot appear
@@ -671,8 +701,8 @@ class QueryIndex:
                 "rank_by='estimate' requires verification='bayes' "
                 "(the exact index computes no posterior estimates)"
             )
-        n_queries, query_rows, rows, values = self._scored_candidates(
-            queries, rank_by == "estimate", n_workers, round_timeout
+        n_queries, query_rows, rows, values, exact = self._scored_candidates(
+            queries, "estimate" if rank_by == "estimate" else None, n_workers, round_timeout
         )
         # Rank on the arrays; ScoredPairs are built only for returned rows.
         # NaN estimates (pruned pairs) compare False and drop out here too.
@@ -683,7 +713,9 @@ class QueryIndex:
         query_rows, rows, values = query_rows[order], rows[order], values[order]
         first = np.searchsorted(query_rows, np.arange(n_queries))
         top = np.arange(len(query_rows)) - first[query_rows] < k
-        return self._group_pairs(n_queries, query_rows[top], rows[top], values[top])
+        return self._group_pairs(
+            n_queries, query_rows[top], rows[top], values[top], exact[keep][order][top]
+        )
 
     def top_k(
         self,
@@ -1031,7 +1063,9 @@ class QueryIndex:
             delta=float(meta["delta"]),
             gamma=float(meta["gamma"]),
             k=int(meta["k"]),
-            max_hashes=int(meta["max_hashes"]),
+            max_hashes=None if meta["max_hashes"] is None else int(meta["max_hashes"]),
+            # a snapshot from before the terminal rule existed ran Algorithm 1
+            on_budget=meta.get("on_budget", "estimate"),
         )
         index._seed = int(meta["seed"])
         index._staleness_budget = float(meta["staleness_budget"])

@@ -7,7 +7,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-__all__ = ["ScoredPair", "SearchResult"]
+__all__ = ["QueryHits", "ScoredPair", "SearchResult"]
 
 
 class ScoredPair(NamedTuple):
@@ -16,6 +16,29 @@ class ScoredPair(NamedTuple):
     i: int
     j: int
     similarity: float
+
+
+class QueryHits(list):
+    """One query's answer: a list of :class:`ScoredPair`, plus which are exact.
+
+    ``exact[p]`` says whether ``self[p].similarity`` is an exact value or a
+    posterior estimate.  Equal to any list of the same pairs; two
+    ``QueryHits`` must agree on the flags as well.
+    """
+
+    exact: tuple = ()
+
+    @property
+    def n_exact(self) -> int:
+        """How many of the similarities are exact values."""
+        return sum(self.exact)
+
+    def __eq__(self, other) -> bool:
+        same_flags = not isinstance(other, QueryHits) or self.exact == other.exact
+        return list.__eq__(self, other) and same_flags
+
+    def __ne__(self, other) -> bool:
+        return not self == other
 
 
 @dataclass
@@ -28,7 +51,10 @@ class SearchResult:
         Parallel row-index arrays of the reported pairs (``left[k] < right[k]``).
     similarities:
         Reported similarity per pair — exact for exact pipelines, an estimate
-        for BayesLSH / LSH Approx.
+        for LSH Approx, and for BayesLSH an estimate or, where
+        ``exact_mask`` is set, the exact value.
+    exact_mask:
+        Which ``similarities`` are exact values.
     method:
         Pipeline name that produced the result.
     threshold, measure:
@@ -40,10 +66,11 @@ class SearchResult:
         Wall-clock seconds per phase: ``generation``, ``verification`` and
         ``total``.
     exact_similarities:
-        Whether ``similarities`` are exact values (True) or estimates (False).
+        Whether *every* similarity is exact (True) or some are estimates
+        (False); ``metadata["n_exact"]`` counts the exact ones.
     metadata:
         Generator / verifier statistics (index sizes, hash comparisons, the
-        Figure-4 pruning trace and so on).
+        Figure-4 pruning trace, ``n_exact`` / ``n_unconcentrated`` and so on).
     """
 
     left: np.ndarray
@@ -57,6 +84,11 @@ class SearchResult:
     timings: dict = field(default_factory=dict)
     exact_similarities: bool = True
     metadata: dict = field(default_factory=dict)
+    exact_mask: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.exact_mask is None:
+            self.exact_mask = np.full(len(self.left), self.exact_similarities, dtype=bool)
 
     def __len__(self) -> int:
         return len(self.left)

@@ -224,9 +224,11 @@ class DaemonClient:
     def query(self, vector, threshold=None, deadline_ms=None):
         """All-pairs matches for one vector: ``[[row, similarity], ...]``.
 
-        Bit-identical to ``QueryIndex.query`` on the same vector.  Raises
-        :class:`Overloaded`, :class:`DeadlineExceeded` or :class:`Draining`
-        when the daemon rejects or misses the request.
+        Bit-identical to ``QueryIndex.query`` on the same vector;
+        ``last_response["n_exact"]`` says how many of the similarities are
+        exact values rather than estimates.  Raises :class:`Overloaded`,
+        :class:`DeadlineExceeded` or :class:`Draining` when the daemon
+        rejects or misses the request.
         """
         request = {"op": "query", "vector": encode_vector(vector)}
         if threshold is not None:

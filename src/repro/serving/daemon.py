@@ -532,7 +532,7 @@ class ServingDaemon:
         _faults.fire("daemon_admit", daemon=self)
         self._queue.put_nowait(item)
         try:
-            pairs = await item.future
+            pairs, n_exact = await item.future
         except DaemonError as exc:
             code = {
                 Overloaded: "overloaded",
@@ -540,7 +540,7 @@ class ServingDaemon:
                 Draining: "draining",
             }.get(type(exc), "error")
             return {"ok": False, "error": code, "message": str(exc)}
-        return {"ok": True, "result": pairs, "degraded": item.degraded}
+        return {"ok": True, "result": pairs, "n_exact": n_exact, "degraded": item.degraded}
 
     def _query_params(self, kind: str, request: dict) -> dict:
         """Validated per-request parameters (the batch grouping key)."""
@@ -847,5 +847,8 @@ class ServingDaemon:
                 )
                 continue
             member.future.set_result(
-                [[int(pair.j), float(pair.similarity)] for pair in scored]
+                (
+                    [[int(pair.j), float(pair.similarity)] for pair in scored],
+                    scored.n_exact,
+                )
             )

@@ -311,6 +311,7 @@ def _snapshot_payload(index, compact: bool) -> tuple[dict, dict]:
         "gamma": params.gamma,
         "k": params.k,
         "max_hashes": params.max_hashes,
+        "on_budget": params.on_budget,
         "seed": index._seed,
         "staleness_budget": index._staleness_budget,
         "n_stale_postings": n_stale_postings,

@@ -1,9 +1,11 @@
 """BayesLSH and BayesLSH-Lite verifiers.
 
-Thin adapters binding the core algorithms (:class:`repro.core.bayeslsh.BayesLSH`
-and :class:`repro.core.lite.BayesLSHLite`) to the verifier interface used by
-the search pipelines.  The adapters take care of three practical matters the
-core algorithms leave to the caller:
+Thin adapters binding the core algorithm (:class:`repro.core.bayeslsh.BayesLSH`)
+to the verifier interface used by the search pipelines; the two names differ
+only in the parameters they default to (:class:`BayesLSHVerifier`: the hybrid,
+or Algorithm 1 under ``on_budget="estimate"``; :class:`BayesLSHLiteVerifier`:
+Algorithm 2).  The adapters take care of three practical matters the core
+algorithm leaves to the caller:
 
 * choosing the posterior model for the measure (Beta posterior for Jaccard,
   truncated collision posterior for the cosine measures);
@@ -15,14 +17,16 @@ core algorithms leave to the caller:
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.candidates.base import CandidateSet
 from repro.core.bayeslsh import BayesLSH, VerificationOutput
-from repro.core.lite import BayesLSHLite
 from repro.core.params import BayesLSHLiteParams, BayesLSHParams
 from repro.core.posteriors import BetaPosterior, PosteriorModel, make_posterior
 from repro.core.priors import fit_beta_prior, sample_pair_similarities
 from repro.hashing.base import HashFamily, get_hash_family
-from repro.verification.base import Verifier
+from repro.similarity.measures import get_measure
+from repro.verification.base import Verifier, exact_similarities_for_pairs
 
 __all__ = ["BayesLSHVerifier", "BayesLSHLiteVerifier"]
 
@@ -30,33 +34,19 @@ __all__ = ["BayesLSHVerifier", "BayesLSHLiteVerifier"]
 DEFAULT_LITE_HASHES = {"cosine": 128, "binary_cosine": 128, "jaccard": 64}
 
 
-def _verify_blocks(algorithm, source, pool) -> VerificationOutput:
-    """Verify ``source`` block by block, serially or through the worker pool.
-
-    The pooled path falls back to the same per-block ``algorithm.verify``
-    call when it loses workers, so both paths merge to identical outputs.
-    """
-    if pool is None:
-        return VerificationOutput.merge(
-            [algorithm.verify(left, right) for left, right in source.blocks()]
-        )
-    from repro.search.executor import run_round_protocol
-
-    return run_round_protocol(pool, algorithm, source)
-
-
 class _BayesVerifierBase(Verifier):
-    """Shared plumbing of the two Bayesian verifiers."""
+    """Everything the two Bayesian verifiers share but their default parameters."""
 
     def __init__(
         self,
         collection,
         measure,
         threshold: float,
-        family: HashFamily | None = None,
-        seed: int = 0,
-        fit_prior: bool = True,
-        prior_sample_size: int = 1000,
+        params: BayesLSHParams,
+        family: HashFamily | None,
+        seed: int,
+        fit_prior: bool,
+        prior_sample_size: int,
     ):
         super().__init__(collection, measure, threshold)
         if family is None:
@@ -65,10 +55,22 @@ class _BayesVerifierBase(Verifier):
         self._fit_prior = bool(fit_prior)
         self._prior_sample_size = int(prior_sample_size)
         self._seed = int(seed)
+        self._params = params if params.threshold == threshold else params.with_threshold(threshold)
+        self._last_algorithm: BayesLSH | None = None
 
     @property
     def family(self) -> HashFamily:
         return self._family
+
+    @property
+    def params(self) -> BayesLSHParams:
+        """The knobs, hash budget and terminal rule in force."""
+        return self._params
+
+    @property
+    def last_algorithm(self) -> BayesLSH | None:
+        """The core algorithm instance used by the most recent verify() call."""
+        return self._last_algorithm
 
     def _posterior_for(self, pairs) -> PosteriorModel:
         """Posterior model, fitting the Jaccard Beta prior to the candidates if asked.
@@ -89,9 +91,46 @@ class _BayesVerifierBase(Verifier):
         )
         return BetaPosterior(fit_beta_prior(samples))
 
+    def _algorithm_for(self, pairs) -> BayesLSH:
+        # The scorer is ``exact_similarities`` minus the reference to ``self``:
+        # the algorithm is kept as ``last_algorithm``, and a bound method in it
+        # would make every engine (stores, projections, prepared views) cyclic
+        # garbage that only a full collection frees.
+        scorer = partial(exact_similarities_for_pairs, self._prepared, self._measure)
+        self._last_algorithm = BayesLSH(
+            self._family, self._posterior_for(pairs), self._params, scorer
+        )
+        return self._last_algorithm
+
+    # Each public class spells out its own ``verify`` over this: instrumentation
+    # that wraps entry points per class (``benchmarks/e2e/trace.py``) must see
+    # one span per call, not a subclass's nested in its parent's.
+    def _verify(self, candidates: CandidateSet) -> VerificationOutput:
+        return self._algorithm_for(candidates).verify(candidates.left, candidates.right)
+
+    def verify_source(self, source, pool=None) -> VerificationOutput:
+        """Block-streamed (and optionally multicore round-synchronous) verify.
+
+        The prior is fitted once against the full deduplicated pair sequence
+        (identical sampling to the serial path), then each block is verified
+        with the shared decision tables; every prune/emit decision depends
+        only on the pair's own ``(m, n)``, so the merged output is
+        bit-identical to one monolithic verify() call.  The pooled path falls
+        back to the same per-block ``algorithm.verify`` call when it loses
+        workers, so both paths merge to identical outputs.
+        """
+        algorithm = self._algorithm_for(source)
+        if pool is None:
+            return VerificationOutput.merge(
+                [algorithm.verify(left, right) for left, right in source.blocks()]
+            )
+        from repro.search.executor import run_round_protocol
+
+        return run_round_protocol(pool, algorithm, source)
+
 
 class BayesLSHVerifier(_BayesVerifierBase):
-    """Algorithm 1 as a verifier: prune early, estimate to the requested accuracy.
+    """BayesLSH as a verifier: prune early, estimate to the requested accuracy.
 
     Parameters
     ----------
@@ -99,8 +138,10 @@ class BayesLSHVerifier(_BayesVerifierBase):
         As for every verifier.
     params:
         Optional :class:`BayesLSHParams`; built from ``threshold`` plus the
-        keyword arguments ``epsilon``/``delta``/``gamma``/``k``/``max_hashes``
-        otherwise.
+        keyword arguments ``epsilon``/``delta``/``gamma``/``k``/
+        ``max_hashes``/``on_budget`` otherwise.  The default is the hybrid —
+        a pair that has not concentrated after one hash block is scored
+        exactly; ``on_budget="estimate"`` is Algorithm 1 as published.
     family:
         Optional hash family shared with candidate generation.
     fit_prior / prior_sample_size:
@@ -110,6 +151,7 @@ class BayesLSHVerifier(_BayesVerifierBase):
     """
 
     name = "bayeslsh"
+    #: the output mixes estimates with exact values (``exact_mask`` says which)
     exact_output = False
 
     def __init__(
@@ -126,17 +168,9 @@ class BayesLSHVerifier(_BayesVerifierBase):
         delta: float = 0.05,
         gamma: float = 0.03,
         k: int = 32,
-        max_hashes: int = 2048,
+        max_hashes: int | None = None,
+        on_budget: str = "exact",
     ):
-        super().__init__(
-            collection,
-            measure,
-            threshold,
-            family=family,
-            seed=seed,
-            fit_prior=fit_prior,
-            prior_sample_size=prior_sample_size,
-        )
         if params is None:
             params = BayesLSHParams(
                 threshold=threshold,
@@ -145,24 +179,14 @@ class BayesLSHVerifier(_BayesVerifierBase):
                 gamma=gamma,
                 k=k,
                 max_hashes=max_hashes,
+                on_budget=on_budget,
             )
-        elif params.threshold != threshold:
-            params = params.with_threshold(threshold)
-        self._params = params
-        self._last_algorithm: BayesLSH | None = None
-
-    @property
-    def params(self) -> BayesLSHParams:
-        """The ``epsilon``/``delta``/``gamma``/``k``/``max_hashes`` knobs in force."""
-        return self._params
-
-    @property
-    def last_algorithm(self) -> BayesLSH | None:
-        """The core algorithm instance used by the most recent verify() call."""
-        return self._last_algorithm
+        super().__init__(
+            collection, measure, threshold, params, family, seed, fit_prior, prior_sample_size
+        )
 
     def verify(self, candidates: CandidateSet) -> VerificationOutput:
-        """Run Algorithm 1 over the candidate pairs; emits posterior estimates.
+        """Run the rounds over the candidate pairs and apply the terminal rule.
 
         Deterministic in ``(candidates, family seed, params)``: every
         prune/emit decision depends only on the pair's own hash-agreement
@@ -174,24 +198,7 @@ class BayesLSHVerifier(_BayesVerifierBase):
         tiling and super-blocking are value-preserving, so this is purely a
         throughput matter.
         """
-        posterior = self._posterior_for(candidates)
-        algorithm = BayesLSH(self._family, posterior, self._params)
-        self._last_algorithm = algorithm
-        return algorithm.verify(candidates.left, candidates.right)
-
-    def verify_source(self, source, pool=None) -> VerificationOutput:
-        """Block-streamed (and optionally multicore round-synchronous) verify.
-
-        The prior is fitted once against the full deduplicated pair sequence
-        (identical sampling to the serial path), then each block is verified
-        with the shared decision tables; every prune/emit decision depends
-        only on the pair's own ``(m, n)``, so the merged output is
-        bit-identical to one monolithic verify() call.
-        """
-        posterior = self._posterior_for(source)
-        algorithm = BayesLSH(self._family, posterior, self._params)
-        self._last_algorithm = algorithm
-        return _verify_blocks(algorithm, source, pool)
+        return self._verify(candidates)
 
 
 class BayesLSHLiteVerifier(_BayesVerifierBase):
@@ -205,7 +212,7 @@ class BayesLSHLiteVerifier(_BayesVerifierBase):
         collection,
         measure,
         threshold: float,
-        params: BayesLSHLiteParams | None = None,
+        params: BayesLSHParams | None = None,
         family: HashFamily | None = None,
         seed: int = 0,
         fit_prior: bool = True,
@@ -214,27 +221,13 @@ class BayesLSHLiteVerifier(_BayesVerifierBase):
         h: int | None = None,
         k: int = 32,
     ):
-        super().__init__(
-            collection,
-            measure,
-            threshold,
-            family=family,
-            seed=seed,
-            fit_prior=fit_prior,
-            prior_sample_size=prior_sample_size,
-        )
         if params is None:
             if h is None:
-                h = DEFAULT_LITE_HASHES[self._measure.name]
-            params = BayesLSHLiteParams(threshold=threshold, epsilon=epsilon, h=h, k=k)
-        elif params.threshold != threshold:
-            params = params.with_threshold(threshold)
-        self._params = params
-
-    @property
-    def params(self) -> BayesLSHLiteParams:
-        """The ``epsilon``/``h``/``k`` knobs in force."""
-        return self._params
+                h = DEFAULT_LITE_HASHES[get_measure(measure).name]
+            params = BayesLSHLiteParams(threshold, epsilon=epsilon, h=h, k=k)
+        super().__init__(
+            collection, measure, threshold, params, family, seed, fit_prior, prior_sample_size
+        )
 
     def verify(self, candidates: CandidateSet) -> VerificationOutput:
         """BayesLSH-Lite: Bayesian pruning, exact similarities for survivors.
@@ -242,16 +235,4 @@ class BayesLSHLiteVerifier(_BayesVerifierBase):
         Deterministic in ``(candidates, family seed, params)`` — per-pair
         decisions are independent of batching, as for the full verifier.
         """
-        posterior = self._posterior_for(candidates)
-        algorithm = BayesLSHLite(
-            self._family, posterior, self._params, self.exact_similarities
-        )
-        return algorithm.verify(candidates.left, candidates.right)
-
-    def verify_source(self, source, pool=None) -> VerificationOutput:
-        """Block-streamed (and optionally multicore round-synchronous) verify."""
-        posterior = self._posterior_for(source)
-        algorithm = BayesLSHLite(
-            self._family, posterior, self._params, self.exact_similarities
-        )
-        return _verify_blocks(algorithm, source, pool)
+        return self._verify(candidates)

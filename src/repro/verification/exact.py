@@ -7,6 +7,8 @@ baselines (AllPairs, plain LSH, PPJoin+) in the paper's evaluation.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.candidates.base import CandidateSet
 from repro.core.bayeslsh import VerificationOutput
 from repro.verification.base import Verifier
@@ -31,6 +33,7 @@ class ExactVerifier(Verifier):
             trace=[],
             hash_comparisons=0,
             exact_computations=len(left),
+            exact_mask=np.ones(int(above.sum()), dtype=bool),
         )
 
     def verify(self, candidates: CandidateSet) -> VerificationOutput:

@@ -1,14 +1,20 @@
-"""Unit tests for the core BayesLSH algorithm (Algorithm 1)."""
+"""Unit tests for the core BayesLSH algorithm: Algorithm 1 and the hybrid terminal rule."""
 
 import numpy as np
 import pytest
 
 from repro.core.bayeslsh import BayesLSH
+from functools import partial
+
 from repro.core.params import BayesLSHParams
 from repro.core.posteriors import TruncatedCollisionPosterior, BetaPosterior
 from repro.hashing.minhash import MinHashFamily
 from repro.hashing.simhash import SimHashFamily
-from repro.similarity.measures import cosine_similarity, jaccard_similarity
+from repro.similarity.measures import CosineSimilarity, cosine_similarity, jaccard_similarity
+from repro.verification.base import exact_similarities_for_pairs
+
+#: Algorithm 1 as published: a pair undecided at the budget emits its estimate
+_algorithm1 = partial(BayesLSHParams, on_budget="estimate")
 
 
 def _all_pairs(n):
@@ -26,7 +32,7 @@ def cosine_setup(sparse_text_collection):
 class TestBayesLSHCosine:
     def test_output_structure(self, cosine_setup):
         prepared, family = cosine_setup
-        params = BayesLSHParams(threshold=0.7, max_hashes=256)
+        params = _algorithm1(threshold=0.7, max_hashes=256)
         algorithm = BayesLSH(family, TruncatedCollisionPosterior(), params)
         left, right = _all_pairs(60)
         output = algorithm.verify(left, right)
@@ -38,7 +44,7 @@ class TestBayesLSHCosine:
 
     def test_trace_is_monotone_decreasing(self, cosine_setup):
         prepared, family = cosine_setup
-        params = BayesLSHParams(threshold=0.7, max_hashes=256)
+        params = _algorithm1(threshold=0.7, max_hashes=256)
         algorithm = BayesLSH(family, TruncatedCollisionPosterior(), params)
         left, right = _all_pairs(80)
         output = algorithm.verify(left, right)
@@ -50,7 +56,7 @@ class TestBayesLSHCosine:
     def test_high_similarity_pairs_survive(self, cosine_setup):
         """Guarantee 1: true positives should essentially never be pruned."""
         prepared, family = cosine_setup
-        params = BayesLSHParams(threshold=0.7, epsilon=0.03)
+        params = _algorithm1(threshold=0.7, epsilon=0.03)
         algorithm = BayesLSH(family, TruncatedCollisionPosterior(), params)
         left, right = _all_pairs(150)
         exact = np.array(
@@ -67,7 +73,7 @@ class TestBayesLSHCosine:
 
     def test_low_similarity_pairs_pruned(self, cosine_setup):
         prepared, family = cosine_setup
-        params = BayesLSHParams(threshold=0.8, epsilon=0.03)
+        params = _algorithm1(threshold=0.8, epsilon=0.03)
         algorithm = BayesLSH(family, TruncatedCollisionPosterior(), params)
         left, right = _all_pairs(150)
         exact = np.array(
@@ -87,7 +93,7 @@ class TestBayesLSHCosine:
     def test_estimates_are_accurate(self, cosine_setup):
         """Guarantee 2: estimate errors above delta occur with probability < gamma."""
         prepared, family = cosine_setup
-        params = BayesLSHParams(threshold=0.5, delta=0.05, gamma=0.03, max_hashes=4096)
+        params = _algorithm1(threshold=0.5, delta=0.05, gamma=0.03, max_hashes=4096)
         algorithm = BayesLSH(family, TruncatedCollisionPosterior(), params)
         left, right = _all_pairs(120)
         output = algorithm.verify(left, right)
@@ -101,7 +107,7 @@ class TestBayesLSHCosine:
     def test_empty_candidate_list(self, cosine_setup):
         prepared, family = cosine_setup
         algorithm = BayesLSH(
-            family, TruncatedCollisionPosterior(), BayesLSHParams(threshold=0.7)
+            family, TruncatedCollisionPosterior(), _algorithm1(threshold=0.7)
         )
         output = algorithm.verify(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         assert output.n_candidates == 0
@@ -111,7 +117,7 @@ class TestBayesLSHCosine:
     def test_mismatched_arrays_rejected(self, cosine_setup):
         prepared, family = cosine_setup
         algorithm = BayesLSH(
-            family, TruncatedCollisionPosterior(), BayesLSHParams(threshold=0.7)
+            family, TruncatedCollisionPosterior(), _algorithm1(threshold=0.7)
         )
         with pytest.raises(ValueError):
             algorithm.verify(np.array([0, 1]), np.array([2]))
@@ -119,17 +125,56 @@ class TestBayesLSHCosine:
     def test_pairs_helper(self, cosine_setup):
         prepared, family = cosine_setup
         algorithm = BayesLSH(
-            family, TruncatedCollisionPosterior(), BayesLSHParams(threshold=0.7, max_hashes=128)
+            family, TruncatedCollisionPosterior(), _algorithm1(threshold=0.7, max_hashes=128)
         )
         output = algorithm.verify(np.array([0, 1]), np.array([1, 2]))
         pairs = output.pairs()
         assert all(len(entry) == 3 for entry in pairs)
 
 
+class TestHybridTerminalRule:
+    """``on_budget="exact"``: a pair undecided at the budget is scored exactly."""
+
+    def test_needs_an_exact_scorer(self, cosine_setup):
+        prepared, family = cosine_setup
+        with pytest.raises(ValueError, match="exact_similarities"):
+            BayesLSH(family, TruncatedCollisionPosterior(), BayesLSHParams(threshold=0.7))
+
+    def test_exhausted_pairs_are_exact_and_filtered(self, cosine_setup):
+        prepared, family = cosine_setup
+        calls = []
+
+        def exact_many(left, right):
+            calls.append(len(left))
+            return exact_similarities_for_pairs(prepared, CosineSimilarity(), left, right)
+
+        left, right = _all_pairs(150)
+        params = BayesLSHParams(threshold=0.6, max_hashes=64)
+        hybrid = BayesLSH(family, TruncatedCollisionPosterior(), params, exact_many).verify(left, right)
+        published = BayesLSH(
+            family, TruncatedCollisionPosterior(), _algorithm1(threshold=0.6, max_hashes=64)
+        ).verify(left, right)
+        # same rounds, same prunes; only what the exhausted pairs report differs
+        assert hybrid.trace == published.trace and hybrid.n_pruned == published.n_pruned
+        assert calls == [hybrid.exact_computations] == [published.n_unconcentrated]
+        assert published.exact_computations == 0 and not published.exact_mask.any()
+        assert hybrid.n_unconcentrated == 0 and hybrid.exact_mask.any()
+        assert hybrid.n_output < published.n_output, "some exhausted pairs are below t"
+        truth = exact_similarities_for_pairs(prepared, CosineSimilarity(), hybrid.left, hybrid.right)
+        np.testing.assert_array_equal(hybrid.estimates[hybrid.exact_mask], truth[hybrid.exact_mask])
+        assert np.all(truth[hybrid.exact_mask] > 0.6)
+        # concentrated pairs carry the same estimates either way
+        concentrated = dict(
+            zip(zip(published.left.tolist(), published.right.tolist()), published.estimates)
+        )
+        for i, j, value in zip(*(a[~hybrid.exact_mask] for a in (hybrid.left, hybrid.right, hybrid.estimates))):
+            assert concentrated[int(i), int(j)] == value
+
+
 class TestBayesLSHJaccard:
     def test_jaccard_pruning_and_estimation(self, binary_sets_collection):
         family = MinHashFamily(binary_sets_collection, seed=3)
-        params = BayesLSHParams(threshold=0.5, epsilon=0.03, max_hashes=512)
+        params = _algorithm1(threshold=0.5, epsilon=0.03, max_hashes=512)
         algorithm = BayesLSH(family, BetaPosterior(), params)
         left, right = _all_pairs(100)
         output = algorithm.verify(left, right)
@@ -148,7 +193,7 @@ class TestBayesLSHJaccard:
         collection = VectorCollection.from_sets([{1, 2, 3, 4}, {1, 2, 3, 4}], n_features=10)
         family = MinHashFamily(collection, seed=0)
         algorithm = BayesLSH(
-            family, BetaPosterior(), BayesLSHParams(threshold=0.8, max_hashes=256)
+            family, BetaPosterior(), _algorithm1(threshold=0.8, max_hashes=256)
         )
         output = algorithm.verify(np.array([0]), np.array([1]))
         assert output.n_output == 1

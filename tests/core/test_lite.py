@@ -1,9 +1,9 @@
-"""Unit tests for BayesLSH-Lite (Algorithm 2)."""
+"""Unit tests for BayesLSH-Lite (Algorithm 2): the engine with no concentration test."""
 
 import numpy as np
 import pytest
 
-from repro.core.lite import BayesLSHLite
+from repro.core.bayeslsh import BayesLSH
 from repro.core.params import BayesLSHLiteParams
 from repro.core.posteriors import TruncatedCollisionPosterior
 from repro.hashing.simhash import SimHashFamily
@@ -34,7 +34,7 @@ class TestBayesLSHLite:
     def test_output_similarities_are_exact(self, lite_setup):
         prepared, family, exact, exact_many = lite_setup
         params = BayesLSHLiteParams(threshold=0.6, h=128)
-        algorithm = BayesLSHLite(family, TruncatedCollisionPosterior(), params, exact_many)
+        algorithm = BayesLSH(family, TruncatedCollisionPosterior(), params, exact_many)
         left, right = _all_pairs(80)
         output = algorithm.verify(left, right)
         for i, j, value in zip(output.left, output.right, output.estimates):
@@ -51,7 +51,7 @@ class TestBayesLSHLite:
             return exact_many(left, right)
 
         params = BayesLSHLiteParams(threshold=0.6, h=128)
-        algorithm = BayesLSHLite(family, TruncatedCollisionPosterior(), params, counting)
+        algorithm = BayesLSH(family, TruncatedCollisionPosterior(), params, counting)
         output = algorithm.verify(*_all_pairs(80))
         assert calls == [output.exact_computations]
 
@@ -59,7 +59,7 @@ class TestBayesLSHLite:
         """Unlike BayesLSH, Lite verifies exactly, so precision is 1.0."""
         prepared, family, exact, exact_many = lite_setup
         params = BayesLSHLiteParams(threshold=0.7, h=128)
-        algorithm = BayesLSHLite(family, TruncatedCollisionPosterior(), params, exact_many)
+        algorithm = BayesLSH(family, TruncatedCollisionPosterior(), params, exact_many)
         left, right = _all_pairs(120)
         output = algorithm.verify(left, right)
         for i, j in zip(output.left, output.right):
@@ -68,7 +68,7 @@ class TestBayesLSHLite:
     def test_recall_close_to_one(self, lite_setup):
         prepared, family, exact, exact_many = lite_setup
         params = BayesLSHLiteParams(threshold=0.7, h=128, epsilon=0.03)
-        algorithm = BayesLSHLite(family, TruncatedCollisionPosterior(), params, exact_many)
+        algorithm = BayesLSH(family, TruncatedCollisionPosterior(), params, exact_many)
         left, right = _all_pairs(150)
         true_pairs = {
             (int(i), int(j))
@@ -83,16 +83,16 @@ class TestBayesLSHLite:
     def test_hash_budget_respected(self, lite_setup):
         prepared, family, exact, exact_many = lite_setup
         params = BayesLSHLiteParams(threshold=0.7, h=64, k=32)
-        algorithm = BayesLSHLite(family, TruncatedCollisionPosterior(), params, exact_many)
+        algorithm = BayesLSH(family, TruncatedCollisionPosterior(), params, exact_many)
         left, right = _all_pairs(40)
         output = algorithm.verify(left, right)
-        assert len(output.trace) <= params.n_rounds
-        assert output.trace[-1][0] <= params.h
+        assert len(output.trace) <= params.max_hashes // params.k
+        assert output.trace[-1][0] <= params.max_hashes
 
     def test_exact_computations_counted(self, lite_setup):
         prepared, family, exact, exact_many = lite_setup
         params = BayesLSHLiteParams(threshold=0.7, h=64)
-        algorithm = BayesLSHLite(family, TruncatedCollisionPosterior(), params, exact_many)
+        algorithm = BayesLSH(family, TruncatedCollisionPosterior(), params, exact_many)
         left, right = _all_pairs(40)
         output = algorithm.verify(left, right)
         assert output.exact_computations == output.n_candidates - output.n_pruned
@@ -102,14 +102,14 @@ class TestBayesLSHLite:
         """The whole point of Lite: far fewer exact computations than candidates."""
         prepared, family, exact, exact_many = lite_setup
         params = BayesLSHLiteParams(threshold=0.8, h=128)
-        algorithm = BayesLSHLite(family, TruncatedCollisionPosterior(), params, exact_many)
+        algorithm = BayesLSH(family, TruncatedCollisionPosterior(), params, exact_many)
         left, right = _all_pairs(150)
         output = algorithm.verify(left, right)
         assert output.exact_computations < 0.5 * output.n_candidates
 
     def test_empty_input(self, lite_setup):
         prepared, family, exact, exact_many = lite_setup
-        algorithm = BayesLSHLite(
+        algorithm = BayesLSH(
             family, TruncatedCollisionPosterior(), BayesLSHLiteParams(threshold=0.5), exact_many
         )
         output = algorithm.verify([], [])
@@ -118,7 +118,7 @@ class TestBayesLSHLite:
 
     def test_mismatched_arrays_rejected(self, lite_setup):
         prepared, family, exact, exact_many = lite_setup
-        algorithm = BayesLSHLite(
+        algorithm = BayesLSH(
             family, TruncatedCollisionPosterior(), BayesLSHLiteParams(threshold=0.5), exact_many
         )
         with pytest.raises(ValueError):

@@ -62,6 +62,21 @@ def test_concurrent_clients_bit_identical_and_coalesced(index, batch, socket_pat
     assert stats["max_batch_observed"] > 1
 
 
+def test_reply_says_how_many_values_are_exact(index, batch, socket_path):
+    """``n_exact`` travels with the answer: the hybrid's output is mixed."""
+    oracle = index.query_many(batch, threshold=0.55, n_workers=1)
+    counts, estimate_counts = [], []
+    with ServingDaemon(index, socket_path, batch_window_ms=5):
+        with DaemonClient(socket_path) as client:
+            for row in batch:
+                client.query(row, threshold=0.55)
+                counts.append(client.last_response["n_exact"])
+                client.top_k(row, k=5, rank_by="estimate")
+                estimate_counts.append(client.last_response["n_exact"])
+    assert counts == [scored.n_exact for scored in oracle]
+    assert any(counts) and estimate_counts == [0] * len(batch)
+
+
 def test_daemon_on_resident_pool_matches_serial(index, batch, socket_path):
     """``pool_workers`` attaches a daemon-owned resident pool; answers are
     unchanged and the pool is closed with the daemon."""

@@ -1,19 +1,18 @@
-"""Integration tests for the paper's probabilistic guarantees (Section 1).
+"""Integration tests for the direction of the paper's guarantees (Section 1).
 
 Guarantee 1 (recall): each pair with probability > epsilon of being a true
-positive is included in the output — so the false-negative rate over true
-pairs must stay (well) below epsilon plus the candidate generator's own
-false-negative rate.
+positive is included in the output.  Guarantee 2 (accuracy): each similarity
+estimate is within delta of the truth with probability > 1 - gamma.
 
-Guarantee 2 (accuracy): each similarity estimate is within delta of the truth
-with probability > 1 - gamma — so the fraction of output estimates with error
-above delta must stay near or below gamma.
-
-These are statistical statements; the assertions use slack factors so they
-hold for every seed while still being meaningful.
+Both are statements per look and under the prior, so what a run achieves is
+not ``1 - epsilon`` / ``gamma`` but what the operating characteristic of its
+decision tables says (``repro.core.operating``).  *That* equality — measured
+false-negative and delta-miss rates against the computed ones, within a
+binomial tolerance — is asserted by ``tests/semantic/``, which replaced the
+3x-slack bounds that used to live here (they passed at a 9% false-negative
+rate).  What stays are the mechanisms: the knobs move the output the way the
+paper says they do.
 """
-
-import pytest
 
 from repro.evaluation.ground_truth import exact_all_pairs
 from repro.evaluation.metrics import error_statistics, recall
@@ -32,25 +31,6 @@ def _exact_map(dataset, measure_name, result):
 
 
 class TestRecallGuarantee:
-    @pytest.mark.parametrize("epsilon", [0.03, 0.1])
-    def test_false_negative_rate_tracks_epsilon(self, sparse_text_dataset, epsilon):
-        threshold = 0.7
-        truth = exact_all_pairs(sparse_text_dataset, threshold, "cosine")
-        assert len(truth) > 10
-        engine = make_pipeline(
-            "ap_bayeslsh",
-            sparse_text_dataset,
-            measure="cosine",
-            threshold=threshold,
-            seed=0,
-            epsilon=epsilon,
-        )
-        result = engine.run(sparse_text_dataset)
-        false_negative_rate = 1.0 - recall(result, truth)
-        # AllPairs candidate generation is exact, so misses are BayesLSH prunes;
-        # allow 3x slack on the per-pair epsilon bound for statistical noise.
-        assert false_negative_rate <= 3 * epsilon
-
     def test_smaller_epsilon_gives_higher_recall(self, sparse_text_dataset):
         threshold = 0.7
         truth = exact_all_pairs(sparse_text_dataset, threshold, "cosine")
@@ -69,25 +49,6 @@ class TestRecallGuarantee:
 
 
 class TestAccuracyGuarantee:
-    def test_error_fraction_tracks_gamma(self, sparse_text_dataset):
-        threshold = 0.6
-        engine = make_pipeline(
-            "ap_bayeslsh",
-            sparse_text_dataset,
-            measure="cosine",
-            threshold=threshold,
-            seed=0,
-            delta=0.05,
-            gamma=0.03,
-        )
-        result = engine.run(sparse_text_dataset)
-        stats = error_statistics(
-            result, exact_similarities=_exact_map(sparse_text_dataset, "cosine", result),
-            error_bound=0.05,
-        )
-        assert stats.n_pairs > 10
-        assert stats.fraction_above <= 0.12  # gamma = 0.03 with generous slack
-
     def test_smaller_delta_gives_smaller_errors(self, sparse_text_dataset):
         threshold = 0.6
         mean_errors = {}

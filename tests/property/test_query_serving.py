@@ -219,9 +219,10 @@ def test_segmented_store_bit_identical_to_monolithic_rebuild(measure, verificati
 
 
 @pytest.mark.parametrize("measure", MEASURES)
-def test_estimate_top_k_batched_equals_looped_and_matches_query_estimates(measure):
+@pytest.mark.parametrize("on_budget", ["exact", "estimate"])
+def test_estimate_top_k_batched_equals_looped_and_matches_query_estimates(measure, on_budget):
     corpus = _random_collection(19, n=60)
-    index = QueryIndex(corpus, measure=measure, threshold=0.6, seed=2)
+    index = QueryIndex(corpus, measure=measure, threshold=0.6, seed=2, on_budget=on_budget)
     index.insert(_random_collection(20, n=15))
     queries = _random_collection(21, n=7)[:, : corpus.shape[1]]
     queries[:3] = corpus[:3]
@@ -232,21 +233,30 @@ def test_estimate_top_k_batched_equals_looped_and_matches_query_estimates(measur
         for i in range(len(queries))
     ]
     assert batched == looped
+    assert not any(ranked.n_exact for ranked in batched)
 
     # The ranking values are exactly the posterior MAP estimates the
-    # threshold path reports for the same (query, candidate) pairs.
+    # threshold path reports for the same (query, candidate) pairs — a pair
+    # concentrates at the same look whatever the budget — and a pair the
+    # threshold path scored at its budget instead carries the true similarity.
     by_pair = {
-        (position, pair.j): pair.similarity
+        (position, pair.j): (pair.similarity, exact)
         for position, hits in enumerate(index.query_many(queries, threshold=0.35))
-        for pair in hits
+        for pair, exact in zip(hits, hits.exact)
     }
+    assert any(exact for _, exact in by_pair.values()) == (on_budget == "exact")
+    truth = _brute_force_matrix(queries, index.as_collection().matrix.toarray(), measure)
     for position, ranked in enumerate(batched):
         similarities = [pair.similarity for pair in ranked]
         assert similarities == sorted(similarities, reverse=True)
         for pair in ranked:
-            key = (position, pair.j)
-            if key in by_pair:
-                assert pair.similarity == by_pair[key]
+            reported = by_pair.get((position, pair.j))
+            if reported is None:
+                continue
+            if reported[1]:
+                assert reported[0] == pytest.approx(truth[position, pair.j], abs=1e-12)
+            else:
+                assert pair.similarity == reported[0]
 
 
 def test_estimate_top_k_requires_bayes_verification():
@@ -286,8 +296,8 @@ def _layout_index(layout: str, measure: str, verification: str) -> QueryIndex:
 def test_parallel_serving_bit_identical_to_serial(measure, layout, rank_by):
     """n_workers ∈ {1, 2, 4} answers equal the serial batch bit for bit.
 
-    Covers both ranking modes, threshold queries, multi-segment layouts and
-    post-delete (tombstoned) indices; also checks the worker pool leaves the
+    Covers both ranking modes, threshold queries (the hybrid terminal rule),
+    multi-segment layouts and post-delete (tombstoned) indices; also checks the worker pool leaves the
     index in the identical post-call hash state (same per-segment store
     widths as serial execution), so later queries keep agreeing.
     """
@@ -297,6 +307,8 @@ def test_parallel_serving_bit_identical_to_serial(measure, layout, rank_by):
 
     serial_topk = index.top_k_many(queries, k=5, floor_threshold=0.2, rank_by=rank_by)
     serial_query = index.query_many(queries, threshold=0.55)
+    # the hybrid default: the pool's exact shards score the exhausted pairs
+    assert any(hits.n_exact for hits in serial_query)
     widths = [segment.store.n_hashes for segment in index._segments.segments]
     for n_workers in (1, 2, 4):
         assert (

@@ -25,15 +25,13 @@ from repro.core.posteriors import (
 )
 from repro.candidates.base import CandidateSet
 from repro.core.priors import BetaPrior
-from repro.core.rounds import PRUNED, RoundTables
 from repro.hashing.base import get_hash_family
 from repro.hashing.minhash import MinHashFamily
 from repro.hashing.simhash import SimHashFamily
 from repro.similarity.measures import get_measure
 from repro.similarity.vectors import VectorCollection
 from repro.verification.base import exact_similarities_for_pairs
-from repro.verification.bayes import BayesLSHLiteVerifier
-from tests.core.test_rounds import _scalar_pair
+from repro.verification.bayes import BayesLSHLiteVerifier, BayesLSHVerifier
 
 _SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -254,13 +252,17 @@ class TestExactSimilarityEquivalence:
 
     @pytest.mark.parametrize("name", ["cosine", "jaccard"])
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_lite_verifier_equals_scalar_rounds_then_scalar_exact(self, name, seed):
-        """BayesLSH-Lite == Algorithm 2 pair by pair, with ``measure.exact`` as its scorer.
+    @pytest.mark.parametrize("verifier_class", [BayesLSHLiteVerifier, BayesLSHVerifier])
+    def test_exact_terminal_rule_equals_scalar_rounds_then_scalar_exact(
+        self, name, seed, verifier_class
+    ):
+        """Lite and the hybrid == the scalar loop pair by pair, ``measure.exact`` its scorer.
 
-        The emitted pairs are exactly the survivors of the scalar round loop
-        whose scalar exact similarity exceeds the threshold, in candidate
-        order, and every emitted value *is* that scalar similarity — a last-ulp
-        disagreement between the scorers would flip a ``> threshold`` test.
+        The emitted pairs are exactly those the scalar round loop emits
+        concentrated, or leaves undecided at the budget with a scalar exact
+        similarity above the threshold, in candidate order, and every exact
+        value *is* that scalar similarity — a last-ulp disagreement between
+        the scorers would flip a ``> threshold`` test.
         """
         rng = np.random.default_rng(seed)
         dense = rng.random((40, 60)) * (rng.random((40, 60)) < 0.3)
@@ -270,26 +272,32 @@ class TestExactSimilarityEquivalence:
         measure = get_measure(name)
         left, right = np.triu_indices(40, k=1)
         candidates = CandidateSet(left=left.astype(np.int64), right=right.astype(np.int64))
-        verifier = BayesLSHLiteVerifier(
-            collection, name, 0.5, seed=seed, h=64, k=16, prior_sample_size=300
+        budget = {"h": 64} if verifier_class is BayesLSHLiteVerifier else {"max_hashes": 64}
+        verifier = verifier_class(
+            collection, name, 0.5, seed=seed, k=16, prior_sample_size=300, **budget
         )
         output = verifier.verify(candidates)
 
         prepared, params = verifier.prepared, verifier.params
-        tables = RoundTables(verifier._posterior_for(candidates), params)
-        store = get_hash_family(measure.lsh_family, prepared, seed=seed).signatures(params.h)
+        posterior = verifier.last_algorithm.posterior
+        store = get_hash_family(measure.lsh_family, prepared, seed=seed).signatures(64)
         expected = []
         for i, j in zip(left.tolist(), right.tolist()):
-            stream = [
-                store.count_matches(i, j, start, start + params.k)
-                for start in range(0, params.h, params.k)
-            ]
-            if _scalar_pair(tables, stream)[0] != PRUNED:
-                value = measure.exact(prepared, i, j)
-                if value > params.threshold:
-                    expected.append((i, j, value))
-        assert expected, "no pair survived: the comparison would be vacuous"
-        emitted = list(zip(output.left.tolist(), output.right.tolist(), output.estimates.tolist()))
+            stream = [store.count_matches(i, j, start, start + 16) for start in range(0, 64, 16)]
+            outcome, _, _, value = reference.bayeslsh_pair_reference(
+                posterior, params, 64, stream, measure.exact(prepared, i, j)
+            )
+            if not np.isnan(value):
+                expected.append((i, j, value, outcome == "exhausted"))
+        assert any(entry[3] for entry in expected), "no pair was scored exactly"
+        emitted = list(
+            zip(
+                output.left.tolist(),
+                output.right.tolist(),
+                output.estimates.tolist(),
+                output.exact_mask.tolist(),
+            )
+        )
         assert emitted == expected
 
 

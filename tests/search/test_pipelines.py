@@ -99,7 +99,7 @@ class TestMakePipeline:
         engine = make_pipeline(
             "ap_bayeslsh_lite", sparse_text_dataset, measure="cosine", threshold=0.7, h=64
         )
-        assert engine.verifier.params.h == 64
+        assert engine.verifier.params.max_hashes == 64
 
     def test_lsh_approx_num_hashes_forwarded(self, sparse_text_dataset):
         engine = make_pipeline(

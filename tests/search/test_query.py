@@ -171,14 +171,14 @@ class TestQueryIndexJaccard:
 def _top_k_by_python_sort(index, queries, k, floor_threshold, rank_by):
     """The per-object ranking ``top_k_many`` replaced, kept as the reference:
     wrap every candidate, filter, ``list.sort`` and slice, one query at a time."""
-    n_queries, query_rows, rows, values = index._scored_candidates(
-        queries, rank_by == "estimate", None, None
+    n_queries, query_rows, rows, values, exact = index._scored_candidates(
+        queries, "estimate" if rank_by == "estimate" else None, None, None
     )
     if rank_by == "estimate":
         keep = ~np.isnan(values)
-        query_rows, rows, values = query_rows[keep], rows[keep], values[keep]
+        query_rows, rows, values, exact = query_rows[keep], rows[keep], values[keep], exact[keep]
     results = []
-    for scored in QueryIndex._group_pairs(n_queries, query_rows, rows, values):
+    for scored in QueryIndex._group_pairs(n_queries, query_rows, rows, values, exact):
         scored = [pair for pair in scored if pair.similarity > floor_threshold]
         scored.sort(key=lambda pair: pair.similarity, reverse=True)
         results.append(scored[:k])

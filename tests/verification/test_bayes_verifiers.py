@@ -111,9 +111,9 @@ class TestBayesLSHVerifier:
 class TestBayesLSHLiteVerifier:
     def test_default_h_per_measure(self, sparse_text_collection, binary_sets_collection):
         cosine = BayesLSHLiteVerifier(sparse_text_collection, "cosine", 0.7)
-        assert cosine.params.h == DEFAULT_LITE_HASHES["cosine"] == 128
+        assert cosine.params.max_hashes == DEFAULT_LITE_HASHES["cosine"] == 128
         jaccard = BayesLSHLiteVerifier(binary_sets_collection, "jaccard", 0.5)
-        assert jaccard.params.h == DEFAULT_LITE_HASHES["jaccard"] == 64
+        assert jaccard.params.max_hashes == DEFAULT_LITE_HASHES["jaccard"] == 64
 
     def test_explicit_params(self, sparse_text_collection):
         params = BayesLSHLiteParams(threshold=0.7, h=64)
