@@ -337,3 +337,58 @@ def test_bench_streamed_end_to_end(benchmark, binary_collection):
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.n_candidates > 0
+
+
+# --------------------------------------------------------------------- #
+# a served read, in process: what the daemon's executor pays per request
+# --------------------------------------------------------------------- #
+_SERVE_DOCUMENTS = 3000
+_SERVE_QUERIES = 100
+
+
+@pytest.fixture(scope="module")
+def serve_index_and_queries():
+    """A warmed 3,000-document cosine index and held-out one-row queries."""
+    from repro.search.query import QueryIndex
+
+    corpus = synthetic_text_corpus(
+        n_documents=_SERVE_DOCUMENTS + _SERVE_QUERIES,
+        vocabulary_size=5000,
+        average_length=60,
+        duplicate_fraction=0.5,
+        cluster_size=_CLUSTER_SIZE,
+        mutation_rate=0.1,
+        seed=41,
+    )
+    matrix = tfidf_weighting(corpus.collection).matrix
+    # one member of each of the first clusters: its neighbours stay indexed
+    labels = corpus.metadata["cluster_labels"]
+    _, first_members = np.unique(labels[labels >= 0], return_index=True)
+    held_out = np.flatnonzero(labels >= 0)[first_members[:_SERVE_QUERIES]]
+    indexed = np.setdiff1d(np.arange(matrix.shape[0]), held_out)
+    index = QueryIndex(matrix[indexed], measure="cosine", threshold=0.7, seed=11)
+    queries = [matrix[row] for row in held_out]
+    for row in queries[:20]:  # tables, postings and the deep stores exist
+        index.query(row)
+        index.top_k(row, k=10, rank_by="estimate")
+    return index, queries
+
+
+def test_bench_serve_one_row_query(benchmark, serve_index_and_queries):
+    """100 one-row hybrid ``query`` calls: prepare, hash, probe, rounds, exact."""
+    index, queries = serve_index_and_queries
+
+    def run():
+        return sum(len(index.query(row)) for row in queries)
+
+    assert benchmark.pedantic(run, rounds=3, iterations=1) > 0
+
+
+def test_bench_serve_one_row_top_k_estimate(benchmark, serve_index_and_queries):
+    """100 one-row ``top_k(rank_by="estimate")`` calls: Algorithm 1's rounds, no exact."""
+    index, queries = serve_index_and_queries
+
+    def run():
+        return sum(len(index.top_k(row, k=10, rank_by="estimate")) for row in queries)
+
+    assert benchmark.pedantic(run, rounds=3, iterations=1) > 0

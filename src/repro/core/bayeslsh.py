@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.params import BayesLSHParams
 from repro.core.posteriors import PosteriorModel
-from repro.core.rounds import PairState, RoundTables
+from repro.core.rounds import RoundTables, replay_rounds
 from repro.hashing.base import HashFamily
 
 __all__ = ["BayesLSH", "VerificationOutput"]
@@ -150,17 +150,9 @@ class VerificationOutput:
 #: 100k-pair hot-path workload.  From round 2 on the survivor set is stable
 #: and the wide gather amortises.
 _SUPERBLOCK_START = 2
-#: maximum number of rounds gathered per super-block
+#: maximum number of rounds gathered per super-block (the store kernels tile
+#: the pair axis to an L2-sized scratch, so there is no active-count ceiling)
 _SUPERBLOCK_ROUNDS = 4
-# NOTE: there is deliberately no active-count ceiling any more.  The former
-# _SUPERBLOCK_MAX_ACTIVE = 600 cap existed because the wide gather's
-# n_active x span scratch fell out of cache for large active sets; the store
-# kernels now tile the pair axis to an L2-sized scratch
-# (repro.hashing.signatures._TILE_BYTES), which makes the super-block no
-# slower at small active counts (a single tile is exactly the former wide
-# gather) and measurably faster at large ones (~2x kernel-level for integer
-# signatures at 200k pairs; end-to-end verify measured in
-# benchmarks/test_bench_hotpaths.py).
 
 
 class BayesLSH:
@@ -267,54 +259,26 @@ class BayesLSH:
         right = np.asarray(right, dtype=np.int64)
         if left.shape != right.shape:
             raise ValueError("left and right index arrays must have the same shape")
-        params = self._tables.params
-        n_rounds = self._tables.budget // params.k
-        state = PairState(self._tables, len(left))
+        k = self._tables.params.k
 
-        round_index = 0
-        while round_index < n_rounds and len(state.active):
-            active = state.active
-            n_prev = round_index * params.k
-
+        def count_block(active: np.ndarray, n_prev: int, n_rounds: int) -> np.ndarray:
             # Survivor-side super-block: once the cheap early rounds have
-            # pruned the bulk of the pairs, the remaining long-surviving
-            # pairs gather several rounds' worth of signature columns in
-            # one wide row gather instead of one narrow gather per round.
-            # Only rounds whose hashes are already materialised are
-            # super-blocked, so the family's lazy hash-generation pattern
-            # (and hence its RNG stream consumption) is unchanged.
-            n_rounds_block = 1
-            if round_index >= _SUPERBLOCK_START:
-                materialised = (self._family.n_hashes - n_prev) // params.k
-                n_rounds_block = max(
-                    1,
-                    min(
-                        _SUPERBLOCK_ROUNDS,
-                        n_rounds - round_index,
-                        materialised,
-                    ),
-                )
-            n_block_end = n_prev + n_rounds_block * params.k
-            store = self._family.signatures(n_block_end)
-            round_counts = store.count_matches_rounds(
-                left[active], right[active], n_prev, n_block_end, params.k
+            # pruned the bulk of the pairs, the long-surviving pairs gather
+            # several rounds' worth of signature columns in one wide row
+            # gather instead of one narrow gather per round — but only rounds
+            # whose hashes are already materialised, so the family's lazy
+            # hash generation (and its RNG stream consumption) is unchanged.
+            if n_prev < _SUPERBLOCK_START * k:
+                n_rounds = 1
+            else:
+                materialised = (self._family.n_hashes - n_prev) // k
+                n_rounds = max(1, min(_SUPERBLOCK_ROUNDS, n_rounds, materialised))
+            n_end = n_prev + n_rounds * k
+            return self._family.signatures(n_end).count_matches_rounds(
+                left[active], right[active], n_prev, n_end, k
             )
 
-            # Replay the rounds over the cached counts.  Decisions are
-            # identical to the one-round-at-a-time loop: each pair's
-            # (m, n) evolves exactly as before, and pairs decided inside
-            # the super-block simply ignore their remaining cached
-            # columns.  Counters track the live set, not the gathers.
-            local_active = np.arange(len(active))
-            for s in range(n_rounds_block):
-                still = state.advance(
-                    round_counts[local_active, s], n_prev + (s + 1) * params.k
-                )
-                local_active = local_active[still]
-                if len(local_active) == 0:
-                    break
-            round_index += s + 1
-
+        state = replay_rounds(self._tables, len(left), count_block)
         values, exhausted = state.outcome(self._tables.on_budget)
         return self.output(
             left, right, values, exhausted, state.trace, state.hash_comparisons

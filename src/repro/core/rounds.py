@@ -17,8 +17,9 @@ serial serving path all make decisions with the same code:
 * :class:`PairState` holds ``status`` / ``matches`` / ``hashes_seen`` for a
   block of pairs, advances them one round at a time and reports their
   :meth:`~PairState.outcome` under a terminal rule;
-* :func:`run_rounds` drives a :class:`PairState` to completion for callers
-  that count agreements one round at a time.
+* :func:`replay_rounds` is the one driver: it runs a :class:`PairState` to
+  completion over blocks of per-round agreement counts (:func:`run_rounds`
+  for callers that count one round at a time).
 
 ``src/repro/reference.py`` keeps the scalar per-pair loop these are tested
 against, and :mod:`repro.core.operating` computes what the loop does to a
@@ -43,6 +44,7 @@ __all__ = [
     "PRUNED",
     "PairState",
     "RoundTables",
+    "replay_rounds",
     "run_rounds",
 ]
 
@@ -181,25 +183,56 @@ class PairState:
         return values, exhausted
 
 
+def replay_rounds(
+    tables: RoundTables,
+    n_pairs: int,
+    count_block: Callable[[np.ndarray, int, int], np.ndarray],
+    budget: int | None = None,
+) -> PairState:
+    """Run every pair to a decision, replaying blocks of per-round counts.
+
+    ``count_block(active, n_prev, n_rounds)`` returns an ``(len(active), r)``
+    array, ``1 <= r <= n_rounds``, whose column ``s`` holds the agreements of
+    the pairs ``active`` over hashes ``[n_prev + s*k, n_prev + (s+1)*k)``.  How
+    many rounds a block holds is the callee's policy under one rule: past its
+    first round, only columns that are already materialised — so hashes no
+    pair reaches are never generated (the lazy hashing the paper's cost
+    argument rests on) and the RNG stream is consumed as by one round at a
+    time.  Decisions are that loop's too: each pair's ``(m, n)`` evolves as
+    before, and a pair decided inside a block ignores its remaining columns.
+    ``budget`` defaults to the tables' own.
+    """
+    k = tables.params.k
+    n_rounds = (tables.budget if budget is None else budget) // k
+    state = PairState(tables, n_pairs)
+    round_index = 0
+    while round_index < n_rounds and len(state.active):
+        n_prev = round_index * k
+        counts = count_block(state.active, n_prev, n_rounds - round_index)
+        local = np.arange(len(counts))
+        for s in range(counts.shape[1]):
+            local = local[state.advance(counts[local, s], n_prev + (s + 1) * k)]
+            if len(local) == 0:
+                break
+        round_index += s + 1
+    return state
+
+
 def run_rounds(
     tables: RoundTables,
     n_pairs: int,
     count_matches: Callable[[np.ndarray, int, int], np.ndarray],
     budget: int | None = None,
 ) -> PairState:
-    """Run every pair to a decision, one ``k``-hash round at a time.
+    """:func:`replay_rounds` for callers that count one round at a time.
 
     ``count_matches(active, n_prev, n_now)`` returns the agreements of the
-    pairs ``active`` over hashes ``[n_prev, n_now)``; it is only called
-    while pairs remain undecided, so hashes no pair reaches are never
-    requested (the lazy hashing the paper's cost argument rests on).
-    ``budget`` defaults to the tables' own.
+    pairs ``active`` over hashes ``[n_prev, n_now)``.
     """
     k = tables.params.k
-    state = PairState(tables, n_pairs)
-    for n_prev in range(0, (tables.budget if budget is None else budget) // k * k, k):
-        active = state.active
-        if len(active) == 0:
-            break
-        state.advance(count_matches(active, n_prev, n_prev + k), n_prev + k)
-    return state
+    return replay_rounds(
+        tables,
+        n_pairs,
+        lambda active, n_prev, _: count_matches(active, n_prev, n_prev + k)[:, None],
+        budget,
+    )

@@ -157,13 +157,16 @@ class SignatureStore(ABC):
         """Vectorised :meth:`count_matches` over parallel arrays of row indices."""
 
     def count_matches_rounds(
-        self, left: np.ndarray, right: np.ndarray, start: int, end: int, round_width: int
+        self, left: np.ndarray, right: np.ndarray, start: int, end: int, round_width: int,
+        other: "SignatureStore | None" = None,
     ) -> np.ndarray:
         """Per-round match counts over a multi-round super-block of hashes.
 
         Splits ``[start, end)`` into consecutive rounds of ``round_width``
         hashes and returns an ``(n_pairs, n_rounds)`` array whose column ``r``
-        equals ``count_matches_many(left, right, start + r*w, start + (r+1)*w)``.
+        equals ``count_matches_many(left, right, start + r*w, start + (r+1)*w)``
+        — or, when ``right`` indexes the rows of an ``other`` store, that
+        round's ``count_matches_cross(left, other, right, ...)``.
         The base implementation simply loops over rounds; the concrete stores
         override it with a single gather for the whole super-block, which is
         what cuts the repeated row-gather traffic for long-surviving pairs.
@@ -176,8 +179,11 @@ class SignatureStore(ABC):
         n_rounds = span // round_width
         counts = np.empty((len(left), n_rounds), dtype=np.int64)
         for r in range(n_rounds):
-            counts[:, r] = self.count_matches_many(
-                left, right, start + r * round_width, start + (r + 1) * round_width
+            lo, hi = start + r * round_width, start + (r + 1) * round_width
+            counts[:, r] = (
+                self.count_matches_many(left, right, lo, hi)
+                if other is None
+                else self.count_matches_cross(left, other, right, lo, hi)
             )
         return counts
 
@@ -526,7 +532,8 @@ class BitSignatures(SignatureStore):
         return counts
 
     def count_matches_rounds(
-        self, left: np.ndarray, right: np.ndarray, start: int, end: int, round_width: int
+        self, left: np.ndarray, right: np.ndarray, start: int, end: int, round_width: int,
+        other: "BitSignatures | None" = None,
     ) -> np.ndarray:
         """Super-block gather with cache-aware pair tiling.
 
@@ -542,14 +549,16 @@ class BitSignatures(SignatureStore):
             or round_width % _WORD_BITS
             or (end - start) % round_width
         ):
-            return super().count_matches_rounds(left, right, start, end, round_width)
-        if end > self._n_hashes:
+            return super().count_matches_rounds(left, right, start, end, round_width, other)
+        if end > self._n_hashes or (other is not None and end > other.n_hashes):
             raise IndexError(f"hash index {end} out of range (have {self._n_hashes})")
         n_pairs = len(left)
         n_rounds = (end - start) // round_width
         if end <= start:
             return np.zeros((n_pairs, 0), dtype=np.int64)
-        words = self._matrix.columns_contiguous(start // _WORD_BITS, end // _WORD_BITS)
+        word_range = (start // _WORD_BITS, end // _WORD_BITS)
+        words = self._matrix.columns_contiguous(*word_range)
+        theirs = words if other is None else other._matrix.columns_contiguous(*word_range)
         left = np.asarray(left)
         right = np.asarray(right)
         words_per_round = round_width // _WORD_BITS
@@ -557,7 +566,7 @@ class BitSignatures(SignatureStore):
         tile = _tile_rows(words.shape[1] * 4)
         for lo in range(0, n_pairs, tile):
             hi = min(lo + tile, n_pairs)
-            xor = np.bitwise_xor(words[left[lo:hi]], words[right[lo:hi]])
+            xor = np.bitwise_xor(words[left[lo:hi]], theirs[right[lo:hi]])
             per_word = np.bitwise_count(xor)
             counts[lo:hi] = per_word.reshape(hi - lo, n_rounds, words_per_round).sum(
                 axis=2, dtype=np.int64
@@ -756,7 +765,8 @@ class IntSignatures(SignatureStore):
         return counts
 
     def count_matches_rounds(
-        self, left: np.ndarray, right: np.ndarray, start: int, end: int, round_width: int
+        self, left: np.ndarray, right: np.ndarray, start: int, end: int, round_width: int,
+        other: "IntSignatures | None" = None,
     ) -> np.ndarray:
         """Super-block gather with cache-aware pair tiling.
 
@@ -776,13 +786,14 @@ class IntSignatures(SignatureStore):
             raise ValueError(
                 f"[{start}, {end}) is not a whole number of rounds of width {round_width}"
             )
-        if end > self.n_hashes:
+        if end > self.n_hashes or (other is not None and end > other.n_hashes):
             raise IndexError(f"hash index {end} out of range (have {self.n_hashes})")
         n_pairs = len(left)
         n_rounds = span // round_width
         if span == 0:
             return np.zeros((n_pairs, 0), dtype=np.int64)
         columns = self._matrix.columns_contiguous(start, end)
+        theirs = columns if other is None else other._matrix.columns_contiguous(start, end)
         left = np.asarray(left)
         right = np.asarray(right)
         tile = _tile_rows(span * columns.dtype.itemsize)
@@ -793,7 +804,7 @@ class IntSignatures(SignatureStore):
                 hi - lo, span, columns.dtype
             )
             np.take(columns, left[lo:hi], axis=0, out=left_rows)
-            np.take(columns, right[lo:hi], axis=0, out=right_rows)
+            np.take(theirs, right[lo:hi], axis=0, out=right_rows)
             np.equal(left_rows, right_rows, out=equal)
             counts[lo:hi] = equal.reshape(hi - lo, n_rounds, round_width).sum(
                 axis=2, dtype=np.int64

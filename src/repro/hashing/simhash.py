@@ -33,8 +33,10 @@ __all__ = ["SimHashFamily", "cosine_to_collision", "collision_to_cosine"]
 #: number of hash functions generated per lazy extension request
 _BLOCK = 256
 
-#: hash columns per sparse x dense product within a block
+#: fewest hash columns per sparse x dense product within a block
 _PRODUCT_COLUMNS = 64
+#: float32 scratch (rows x columns) one product may fill before it is split
+_PRODUCT_BYTES = 1 << 18
 
 #: unit roundoff of float32 (used by the sign-boundary error bound)
 _EPS32 = 2.0**-24
@@ -94,7 +96,6 @@ class SimHashFamily(HashFamily):
             collection.n_features, seed=seed, quantize=quantize
         )
         self._matrix32: "object | None" = None
-        self._abs_matrix32: "object | None" = None
         self._features: "np.ndarray | slice" = slice(None)
         self._row_bound: np.ndarray | None = None
 
@@ -114,13 +115,12 @@ class SimHashFamily(HashFamily):
         end = start + n_new
         # A few columns at a time: the float32 scratch of one product is then
         # a fraction of a block's (5 MB, not 21 MB, for 3000 rows x 5000
-        # features) and the projection columns stay cache resident.
+        # features) and the projection columns stay cache resident.  A batch
+        # of few rows (a query, an insert) projects its whole block at once.
+        step = max(_PRODUCT_COLUMNS, _PRODUCT_BYTES // (4 * max(1, store.n_vectors)))
         store.append_bits(
             np.hstack(
-                [
-                    self._project_bits(at, min(at + _PRODUCT_COLUMNS, end))
-                    for at in range(start, end, _PRODUCT_COLUMNS)
-                ]
+                [self._project_bits(at, min(at + step, end)) for at in range(start, end, step)]
             )
         )
 
@@ -143,15 +143,14 @@ class SimHashFamily(HashFamily):
             # kernel accumulates a row's entries in storage order and the
             # renumbering keeps that order: every product is bit for bit the
             # one the full projection matrix gives.
-            touched = matrix
+            indices, n_touched = matrix.indices, matrix.shape[1]
             if matrix.nnz < matrix.shape[1]:
                 self._features, renumbered = np.unique(matrix.indices, return_inverse=True)
-                touched = sp.csr_matrix(
-                    (matrix.data, renumbered.astype(matrix.indices.dtype), matrix.indptr),
-                    shape=(matrix.shape[0], len(self._features)),
-                )
-            self._matrix32 = touched.astype(np.float32)
-            self._abs_matrix32 = abs(self._matrix32)
+                indices, n_touched = renumbered.astype(indices.dtype), len(self._features)
+            self._matrix32 = sp.csr_matrix(
+                (matrix.data.astype(np.float32), indices, matrix.indptr),
+                shape=(matrix.shape[0], n_touched),
+            )
             # Forward-error factor of a float32 dot product with nnz terms:
             # |fl32(x . d) - x . d| <= gamma_(nnz+2) * sum|x_i d_i| (input
             # rounding of both operands plus sequential accumulation), with a
@@ -163,10 +162,11 @@ class SimHashFamily(HashFamily):
         bits = (products32 >= 0.0).astype(np.uint8)
 
         # Sign-boundary detection stays entirely in float32.  The companion
-        # product |A| @ |D| yields the exact first-order bound sum|x_i d_i|
-        # per entry (a second cheap float32 GEMM); the 4x safety factor
-        # dwarfs the float32 rounding of the bound arithmetic itself.
-        magnitudes = np.asarray(self._abs_matrix32 @ np.abs(directions32))
+        # product A @ |D| (a collection's weights are non-negative, so A is
+        # |A|) yields the exact first-order bound sum|x_i d_i| per entry (a
+        # second cheap float32 GEMM); the 4x safety factor dwarfs the float32
+        # rounding of the bound arithmetic itself.
+        magnitudes = np.asarray(self._matrix32 @ np.abs(directions32))
         tau = self._row_bound[:, None] * magnitudes
         magnitude = np.abs(products32)
         unsure = (magnitude <= tau) | ~np.isfinite(magnitude)
@@ -212,7 +212,6 @@ class SimHashFamily(HashFamily):
         """Restore projections and RNG position captured by :meth:`state_dict`."""
         self._projections.restore_state(state)
         self._matrix32 = None
-        self._abs_matrix32 = None
         self._features = slice(None)
         self._row_bound = None
 

@@ -90,7 +90,7 @@ import numpy as np
 
 from repro.candidates.arrayops import sorted_unique
 from repro.core.bayeslsh import VerificationOutput
-from repro.core.rounds import PairState, RoundTables, run_rounds
+from repro.core.rounds import PairState, RoundTables, replay_rounds
 from repro.hashing.signatures import (
     BitSignatures,
     _tile_rows,
@@ -116,6 +116,9 @@ _LOGGER = logging.getLogger("repro.search.executor")
 DEFAULT_BLOCK_SIZE = 65536
 
 _WORD_BITS = 32
+
+#: most signature bytes one replayed block of serving rounds gathers per side
+_BLOCK_BYTES = 1 << 15
 
 
 # --------------------------------------------------------------------- #
@@ -1207,25 +1210,40 @@ def serial_verify_bayes(
     The serial serving path, and therefore also what the pool re-runs for a
     shard whose worker was lost.  Hash agreements are counted between the
     query store (``query_family``'s) and the per-segment collection stores
-    (global ``rows`` routed to their owning segments).  Hashing is lazy and
-    round-synchronous: rounds no pair reaches are never hashed, and only
-    segments that still own active pairs extend their stores.  Every
-    decision depends only on the pair's own ``(m, n)`` and the store
-    extension draws the same RNG stream whichever component requests a width
-    first, so a recovered shard is bit-identical to the all-serial batch.
+    (global ``rows`` routed to their owning segments), one segment-routed
+    gather per block of rounds both sides have already materialised.  Past
+    that depth hashing is lazy and round-synchronous: rounds no pair reaches
+    are never hashed, and only segments that still own active pairs extend
+    their stores.  Every decision depends only on the pair's own ``(m, n)``
+    and the store extension draws the same RNG stream whichever component
+    requests a width first, so a recovered shard is bit-identical to the
+    all-serial batch.
 
     Returns :meth:`PairState.outcome` under ``on_budget`` (run to the budget
     the tables resolve for it): the pair values with NaN marking pruned
     pairs — and, under ``"exact"``, the exhausted pairs the caller still has
     to score — and the exhausted mask.
     """
+    k = tables.params.k
+    round_bytes = k // 8 if query_family.produces_bits else 4 * k
+    query_store = query_family.signatures(0)  # as materialised so far
 
-    def count_matches(active: np.ndarray, n_prev: int, n_now: int) -> np.ndarray:
+    def count_block(active: np.ndarray, n_prev: int, n_rounds: int) -> np.ndarray:
+        # Most pairs are pruned by a block's first round: few pairs (a one-row
+        # query's) gather all materialised rounds at once, many the next alone.
+        n_rounds = min(n_rounds, max(1, _BLOCK_BYTES // (len(active) * round_bytes)))
+        if query_store.n_hashes < n_prev + k:
+            query_family.signatures(n_prev + k)  # extends query_store in place
         return segments.count_matches_cross(
-            query_family.signatures(n_now), query_rows[active], rows[active], n_prev, n_now
+            query_store,
+            query_rows[active],
+            rows[active],
+            n_prev,
+            n_prev + n_rounds * k,
+            round_width=k,
         )
 
-    state = run_rounds(tables, len(query_rows), count_matches, tables.budget_for(on_budget))
+    state = replay_rounds(tables, len(query_rows), count_block, tables.budget_for(on_budget))
     return state.outcome(on_budget)
 
 

@@ -418,22 +418,25 @@ class QueryIndex:
             self._epoch += 1
 
     def _hash_queries(self, query_prepared: VectorCollection):
-        """Hash the non-empty query rows to the banding width.
+        """Hash the non-empty query rows once, for probing and the first rounds.
 
-        Returns ``(query rows, family, store)``; the family is the batch's
-        clone of the master (the Bayesian verifier later extends it — and
-        hence the same hash stream — past the banding hashes).  Empty query
-        vectors share no features with anything and their hashes are
-        degenerate, so only non-empty rows participate.
+        Returns ``(query rows, family, store)``; the store holds the banding
+        hashes and the first hash block, so neither the probe nor the rounds
+        of a ``query`` hash again.  The family is the batch's clone of the
+        master (``rank_by="estimate"`` later extends it — and hence the same
+        hash stream — past that).  Empty query vectors share no features with
+        anything and their hashes are degenerate, so only non-empty rows
+        participate.
         """
         self._maybe_rebuild_postings()
         query_rows = np.flatnonzero(query_prepared.row_nnz > 0)
         if len(query_rows) == 0:
             return query_rows, None, None
         query_family = self._family.clone_for(query_prepared)
-        # Probing only reads the banding hashes; verification lazily extends
-        # the family when (and only when) the bayes path needs more.
-        query_store = query_family.signatures(self._banding_hashes)
+        n_hashes = self._banding_hashes
+        if self._verification == "bayes":
+            n_hashes = max(n_hashes, self._round_tables().posterior.exact_budget)
+        query_store = query_family.signatures(n_hashes)
         return query_rows, query_family, query_store
 
     def _fork_pool(self, n_workers: int, round_timeout, **healing) -> ServingPool:

@@ -15,9 +15,10 @@ Operational behaviour, in the order a request experiences it:
 * **admission control** — a bounded queue (``max_queue``); a full queue
   rejects with the typed :class:`Overloaded` error instead of queueing
   unboundedly, and a draining daemon rejects with :class:`Draining`;
-* **coalescing** — the batcher waits up to ``batch_window_ms`` after the
-  first queued request to gather at most ``max_batch`` of them, then
-  executes each (kind, parameters) group as one batched call;
+* **coalescing** — an idle executor is handed a request at once; what
+  queues while a batch executes (at most ``max_batch``) forms the next
+  batch, each (kind, parameters) group of it one batched call, so batch
+  size follows load (a positive ``batch_window_ms`` holds a batch open);
 * **graceful degradation** — past ``shed_threshold`` queued requests,
   ``top_k`` requests asking for ``rank_by="exact"`` are shed to
   ``"estimate"`` (marked ``degraded`` in the response): estimate ranking
@@ -142,13 +143,8 @@ def encode_vector(vector) -> dict:
     return {"dense": [float(v) for v in np.atleast_1d(array.astype(np.float64))]}
 
 
-def decode_vector(wire: dict, n_features: int) -> sp.csr_matrix:
-    """Decode a wire vector object into one canonical CSR row.
-
-    The inverse of :func:`encode_vector`, pinned to the index's feature
-    space.  Raises ``ValueError`` for malformed objects (surfaced to the
-    client as a ``bad_request`` error, never a dropped connection).
-    """
+def _decode_entries(wire: dict, n_features: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated ``(feature indices, weights)`` of one wire vector object."""
     if not isinstance(wire, dict):
         raise ValueError("vector must be an object with dense/tokens/sparse")
     if "dense" in wire:
@@ -157,25 +153,46 @@ def decode_vector(wire: dict, n_features: int) -> sp.csr_matrix:
             raise ValueError(
                 f"dense vector must have {n_features} entries, got {row.shape}"
             )
-        return sp.csr_matrix(row)
-    if "tokens" in wire:
-        tokens = np.unique(np.asarray(wire["tokens"], dtype=np.int64))
-        if len(tokens) and (tokens[0] < 0 or tokens[-1] >= n_features):
+        indices = np.flatnonzero(row)
+        values = row[indices]
+    elif "tokens" in wire:
+        indices = np.unique(np.asarray(wire["tokens"], dtype=np.int64))
+        if len(indices) and (indices[0] < 0 or indices[-1] >= n_features):
             raise ValueError(f"token ids must lie in [0, {n_features})")
-        data = np.ones(len(tokens), dtype=np.float64)
-        indptr = np.array([0, len(tokens)], dtype=np.int64)
-        return sp.csr_matrix((data, tokens, indptr), shape=(1, n_features))
-    if "sparse" in wire:
+        values = np.ones(len(indices), dtype=np.float64)
+    elif "sparse" in wire:
         spec = wire["sparse"]
         indices = np.asarray(spec["indices"], dtype=np.int64)
         values = np.asarray(spec["values"], dtype=np.float64)
-        if len(indices) != len(values):
+        if indices.ndim != 1 or indices.shape != values.shape:
             raise ValueError("sparse indices and values must have equal length")
         if len(indices) and (indices.min() < 0 or indices.max() >= n_features):
             raise ValueError(f"sparse indices must lie in [0, {n_features})")
-        indptr = np.array([0, len(indices)], dtype=np.int64)
-        return sp.csr_matrix((values, indices, indptr), shape=(1, n_features))
-    raise ValueError("vector object needs one of: dense, tokens, sparse")
+    else:
+        raise ValueError("vector object needs one of: dense, tokens, sparse")
+    # at admission: what the index would reject must not reach a shared batch
+    if not np.all(np.isfinite(values) & (values >= 0.0)):
+        raise ValueError("vector weights must be finite and non-negative")
+    return indices, values
+
+
+def _stack_rows(entries: list, n_features: int) -> sp.csr_matrix:
+    """Decoded vectors as the rows of one CSR matrix (canonicalised by the index)."""
+    indptr = np.cumsum([0] + [len(indices) for indices, _ in entries])
+    data = np.concatenate([values for _, values in entries])
+    indices = np.concatenate([indices for indices, _ in entries])
+    return sp.csr_matrix((data, indices, indptr), shape=(len(entries), n_features))
+
+
+def decode_vector(wire: dict, n_features: int) -> sp.csr_matrix:
+    """Decode a wire vector object into one canonical CSR row.
+
+    The inverse of :func:`encode_vector`, pinned to the index's feature
+    space.  Raises ``ValueError`` for malformed objects and for negative or
+    non-finite weights (surfaced to the client as a ``bad_request`` error,
+    never a dropped connection).
+    """
+    return _stack_rows([_decode_entries(wire, n_features)], n_features)
 
 
 @dataclass
@@ -183,7 +200,7 @@ class _Request:
     """One admitted query request travelling through the batcher."""
 
     kind: str  # "query" | "top_k"
-    row: sp.csr_matrix
+    entries: tuple  # the decoded vector: (feature indices, weights)
     params: dict
     future: asyncio.Future
     deadline: float | None  # absolute loop time, None = no deadline
@@ -203,9 +220,10 @@ class ServingDaemon:
         Unix-domain socket path to listen on (created at :meth:`start`,
         unlinked at :meth:`stop`).
     batch_window_ms:
-        How long the batcher waits after the first queued request for more
-        to coalesce with (the latency cost of batching, paid only under
-        concurrency).
+        How long the batcher holds a batch that is not full after its first
+        request, waiting for more to coalesce with.  ``0`` (the default)
+        never holds: requests coalesce only with what queued while the
+        previous batch executed, so batch size follows load.
     max_batch:
         Upper bound on requests coalesced into one batched call.
     max_queue:
@@ -234,7 +252,7 @@ class ServingDaemon:
         self,
         index,
         socket_path,
-        batch_window_ms: float = 2.0,
+        batch_window_ms: float = 0.0,
         max_batch: int = 64,
         max_queue: int = 128,
         shed_threshold: int | None = None,
@@ -507,7 +525,7 @@ class ServingDaemon:
                 ),
             }
         try:
-            row = decode_vector(
+            entries = _decode_entries(
                 request.get("vector"), self._index._segments.n_features
             )
             params = self._query_params(kind, request)
@@ -523,7 +541,7 @@ class ServingDaemon:
         loop = asyncio.get_running_loop()
         item = _Request(
             kind=kind,
-            row=row,
+            entries=entries,
             params=params,
             future=loop.create_future(),
             deadline=None if deadline is None else loop.time() + deadline,
@@ -622,9 +640,7 @@ class ServingDaemon:
             if not isinstance(vectors, list) or not vectors:
                 raise ValueError("insert needs a non-empty 'vectors' list")
             n_features = self._index._segments.n_features
-            matrix = sp.vstack(
-                [decode_vector(v, n_features) for v in vectors], format="csr"
-            )
+            matrix = _stack_rows([_decode_entries(v, n_features) for v in vectors], n_features)
             ids = request.get("ids")
             if ids is not None:
                 ids = [int(i) for i in ids]
@@ -736,13 +752,20 @@ class ServingDaemon:
     # batching
     # ------------------------------------------------------------------ #
     async def _batch_loop(self) -> None:
-        """Pull requests forever: one batch per wake-up, window-coalesced."""
+        """Pull requests forever: each batch is what queued while the last ran.
+
+        An idle executor gets the first request at once; a positive
+        ``batch_window_ms`` holds a batch that is not full for that long.
+        """
         queue = self._queue
         loop = asyncio.get_running_loop()
         while True:
             batch = [await queue.get()]
             window_closes = loop.time() + self._batch_window
             while len(batch) < self._max_batch:
+                if not queue.empty():
+                    batch.append(queue.get_nowait())
+                    continue
                 remaining = window_closes - loop.time()
                 if remaining <= 0:
                     break
@@ -809,7 +832,7 @@ class ServingDaemon:
         round_timeout = None
         if deadlines:
             round_timeout = max(min(deadlines) - loop.time(), 0.001)
-        matrix = sp.vstack([m.row for m in members], format="csr")
+        matrix = _stack_rows([m.entries for m in members], self._index._segments.n_features)
         first = members[0]
         if first.kind == "query":
             call = functools.partial(

@@ -543,6 +543,7 @@ class SegmentedCollection:
         rows: np.ndarray,
         start: int,
         end: int,
+        round_width: int | None = None,
     ) -> np.ndarray:
         """Hash agreements between ``other_store`` rows and global ``rows`` here.
 
@@ -555,19 +556,33 @@ class SegmentedCollection:
         the round-lazy hashing pattern of the BayesLSH verifier carries
         over per segment.  Counts are per-pair and row-local, hence
         independent of the segment layout.
+
+        With ``round_width`` the result is ``(n_pairs, n_rounds)``, one column
+        per round of that many hashes: the first round of ``[start, end)`` and
+        as many more as ``other_store`` and every involved segment have
+        *already materialised* — only the first round ever extends a store.
         """
         other_rows = np.asarray(other_rows, dtype=np.int64)
         rows = np.asarray(rows, dtype=np.int64)
-        result = np.zeros(len(rows), dtype=np.int64)
-        for segment, positions in self._grouped(rows):
+        groups = list(self._grouped(rows))
+        if round_width is None:
+            result = np.zeros(len(rows), dtype=np.int64)
+        else:
+            depth = min([other_store.n_hashes] + [s.store.n_hashes for s, _ in groups])
+            n_rounds = max(1, (min(depth, end) - start) // round_width)
+            end = start + n_rounds * round_width
+            result = np.zeros((len(rows), n_rounds), dtype=np.int64)
+        for segment, positions in groups:
             store = segment.ensure_hashes(end)
-            result[positions] = store.count_matches_cross(
-                rows[positions] - segment.offset,
-                other_store,
-                other_rows[positions],
-                start,
-                end,
-            )
+            local = rows[positions] - segment.offset
+            if round_width is None:
+                result[positions] = store.count_matches_cross(
+                    local, other_store, other_rows[positions], start, end
+                )
+            else:
+                result[positions] = store.count_matches_rounds(
+                    local, other_rows[positions], start, end, round_width, other_store
+                )
         return result
 
     def cross_similarities(

@@ -231,7 +231,15 @@ class VectorCollection:
     def norms(self) -> np.ndarray:
         """Per-row L2 norms."""
         if self._norms is None:
-            squared = np.asarray(self._matrix.multiply(self._matrix).sum(axis=1)).ravel()
+            matrix = self._matrix
+            squares = matrix.data * matrix.data
+            if squares.all():
+                # scipy's own row sum, without the product matrix around it
+                squared = np.zeros(self.n_vectors, dtype=np.float64)
+                nonempty = np.flatnonzero(self.row_nnz)
+                squared[nonempty] = np.add.reduceat(squares, matrix.indptr[nonempty])
+            else:  # a square underflowed: scipy drops it before it sums
+                squared = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
             self._norms = np.sqrt(squared)
         return self._norms
 
@@ -316,6 +324,13 @@ class VectorCollection:
         if self._normalized is None:
             norms = self.norms.copy()
             norms[norms == 0.0] = 1.0
-            scale = sp.diags(1.0 / norms)
-            self._normalized = VectorCollection(scale @ self._matrix, ids=self._ids)
+            matrix = self._matrix
+            data = matrix.data * np.repeat(1.0 / norms, self.row_nnz)
+            if data.all():  # still zero-free, hence canonical: adopt as is
+                self._normalized = VectorCollection.restored(
+                    (data, matrix.indices, matrix.indptr), matrix.shape, ids=self._ids
+                )
+            else:  # a product underflowed; the constructor drops the entry
+                scaled = sp.csr_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
+                self._normalized = VectorCollection(scaled, ids=self._ids)
         return self._normalized

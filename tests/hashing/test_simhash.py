@@ -125,6 +125,38 @@ class TestSimHashFamily:
         expected.append_bits((np.asarray(products) >= 0.0).astype(np.uint8))
         np.testing.assert_array_equal(store.words, expected.words)
 
+    @pytest.mark.parametrize("product_bytes", [1, 1 << 10, 1 << 18, 1 << 30])
+    def test_bits_do_not_depend_on_the_slice_size(
+        self, small_dense_collection, monkeypatch, product_bytes
+    ):
+        # Slices are sized from the product's scratch bytes (rows x columns):
+        # from the 64-column floor to a whole request in one product, a
+        # one-row batch included, the bits are the same.
+        import repro.hashing.simhash as simhash
+
+        expected = SimHashFamily(small_dense_collection, seed=5).signatures(600).words
+        one_row = small_dense_collection.subset([3])
+        expected_row = SimHashFamily(one_row, seed=5).signatures(600).words
+        widths = []
+        project = SimHashFamily._project_bits
+
+        def recording(self, start, end):
+            widths.append(end - start)
+            return project(self, start, end)
+
+        monkeypatch.setattr(simhash, "_PRODUCT_BYTES", product_bytes)
+        monkeypatch.setattr(SimHashFamily, "_project_bits", recording)
+        store = SimHashFamily(small_dense_collection, seed=5).signatures(600)
+        np.testing.assert_array_equal(store.words, expected)
+        n_rows = small_dense_collection.n_vectors
+        assert max(widths) == min(768, max(64, product_bytes // (4 * n_rows)))
+        widths.clear()
+        row_store = SimHashFamily(one_row, seed=5).signatures(600)
+        np.testing.assert_array_equal(row_store.words, expected_row)
+        np.testing.assert_array_equal(row_store.words[0], expected[3])
+        if product_bytes >= 1 << 18:
+            assert widths == [768], "a one-row batch is one projection"
+
     def test_collision_similarity_mapping(self, small_dense_collection):
         family = SimHashFamily(small_dense_collection)
         assert family.collision_similarity(0.7) == pytest.approx(float(cosine_to_collision(0.7)))

@@ -68,3 +68,54 @@ class TestSimilarityProperties:
         assert weighted.n_vectors == collection.n_vectors
         assert weighted.n_features == collection.n_features
         assert weighted.nnz == collection.nnz
+
+
+class TestRowStatisticsMatchScipy:
+    """``norms`` / ``normalized()`` work on the CSR arrays; scipy's expressions
+    (what they replaced) stay here as the reference, equal bit for bit."""
+
+    @staticmethod
+    def _reference(matrix):
+        import scipy.sparse as sp
+
+        norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
+        scale = norms.copy()
+        scale[scale == 0.0] = 1.0
+        return norms, VectorCollection(sp.diags(1.0 / scale) @ matrix).matrix
+
+    @staticmethod
+    def _assert_equal(collection):
+        norms, normalized = TestRowStatisticsMatchScipy._reference(collection.matrix)
+        np.testing.assert_array_equal(collection.norms, norms)
+        result = collection.normalized().matrix
+        assert result.shape == normalized.shape
+        np.testing.assert_array_equal(result.data, normalized.data)
+        np.testing.assert_array_equal(result.indices, normalized.indices)
+        np.testing.assert_array_equal(result.indptr, normalized.indptr)
+        assert result.has_canonical_format
+
+    @_SETTINGS
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=1, max_value=300),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from([1.0, 1e-3, 1e150, 1e-160]),
+    )
+    def test_random_collections(self, seed, n_rows, n_features, density, scale):
+        rng = np.random.default_rng(seed)
+        dense = rng.random((n_rows, n_features)) * (rng.random((n_rows, n_features)) < density)
+        dense[::4] *= scale  # 1e-160: squares underflow and scipy drops them
+        if n_rows > 2:
+            dense[1] = 0.0  # an all-zero row among the others
+        self._assert_equal(VectorCollection.from_dense(dense))
+
+    def test_degenerate_shapes(self):
+        self._assert_equal(VectorCollection.from_dense(np.zeros((0, 5))))
+        self._assert_equal(VectorCollection.from_dense(np.zeros((3, 5))))
+        self._assert_equal(VectorCollection.from_dense(np.array([[0.0, 3.0, 4.0]])))
+        self._assert_equal(VectorCollection.from_sets([{1, 2}, set(), {0}], n_features=4))
+        # a product that underflows to zero is dropped, as the constructor would
+        tiny = VectorCollection.from_dense(np.array([[5e-324, 3.0], [0.0, 2.0]]))
+        self._assert_equal(tiny)
+        assert tiny.normalized().nnz == 2
