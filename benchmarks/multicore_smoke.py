@@ -260,15 +260,14 @@ def resident_pool_smoke(
 
 
 def cold_start_smoke(n_documents: int, n_queries: int, repeats: int) -> dict:
-    """Cold-start latency: ``.npz`` deserialise vs flat-layout mmap load.
+    """Cold-start latency: the RAM backend vs the mmap backend on one snapshot.
 
-    The same index is saved in both layouts; loading the ``.npz`` archive
-    decompresses and copies every array (O(corpus)), while the flat layout's
-    ``storage="mmap"`` backend reads only the manifest and maps the member
+    ``storage="ram"`` reads and CRC-verifies every member file (O(corpus)),
+    while ``storage="mmap"`` reads only the manifest and maps the member
     files read-only, deferring array pages, postings and decision tables to
     first use.  Both loads must answer the probe batch bit-identically to
-    the index that saved them; the wall-clock ratio is the measured value
-    of the out-of-core backend (reported, not asserted).
+    the index that saved the snapshot; the wall-clock ratio is the measured
+    value of the out-of-core backend (reported, not asserted).
     """
     import tempfile
     from pathlib import Path
@@ -287,36 +286,33 @@ def cold_start_smoke(n_documents: int, n_queries: int, repeats: int) -> dict:
     index.query_many(queries[:2], threshold=0.7)  # warm the lazy hashing
 
     with tempfile.TemporaryDirectory() as tmp:
-        npz_path = index.save(Path(tmp) / "cold.npz")
-        flat_path = index.save(Path(tmp) / "cold.flat")
+        path = index.save(Path(tmp) / "cold")
         oracle = index.query_many(queries, threshold=0.7)
 
         load_repeats = max(repeats, 3)
-        _, npz_wall = timed_best(lambda: QueryIndex.load(npz_path), load_repeats)
+        _, ram_wall = timed_best(lambda: QueryIndex.load(path, storage="ram"), load_repeats)
         _, mmap_wall = timed_best(
-            lambda: QueryIndex.load(flat_path, storage="mmap"), load_repeats
+            lambda: QueryIndex.load(path, storage="mmap"), load_repeats
         )
         # First queries pay the deferred work; answers must still be
-        # bit-identical to the instance that saved the snapshots.
-        identical = (
-            QueryIndex.load(npz_path).query_many(queries, threshold=0.7) == oracle
-            and QueryIndex.load(flat_path, storage="mmap").query_many(
-                queries, threshold=0.7
-            )
+        # bit-identical to the instance that saved the snapshot.
+        identical = all(
+            QueryIndex.load(path, storage=storage).query_many(queries, threshold=0.7)
             == oracle
+            for storage in ("ram", "mmap")
         )
-        npz_bytes = npz_path.stat().st_size
-    speedup = npz_wall / mmap_wall if mmap_wall > 0 else float("nan")
+        snapshot_bytes = sum(entry.stat().st_size for entry in path.iterdir())
+    speedup = ram_wall / mmap_wall if mmap_wall > 0 else float("nan")
     print(
-        f"cold start: {n_documents} documents ({npz_bytes / 1e6:.1f}MB npz), "
-        f"npz load {npz_wall * 1000:7.1f}ms, "
-        f"flat mmap load {mmap_wall * 1000:7.1f}ms, "
+        f"cold start: {n_documents} documents ({snapshot_bytes / 1e6:.1f}MB snapshot), "
+        f"ram load {ram_wall * 1000:7.1f}ms, "
+        f"mmap load {mmap_wall * 1000:7.1f}ms, "
         f"speedup x{speedup:.1f}, identical: {identical}"
     )
     return {
         "n_documents": n_documents,
-        "npz_bytes": npz_bytes,
-        "npz_load_s": npz_wall,
+        "snapshot_bytes": snapshot_bytes,
+        "ram_load_s": ram_wall,
         "mmap_load_s": mmap_wall,
         "speedup": speedup,
         "identical_results": identical,
@@ -460,7 +456,7 @@ def wal_recovery_smoke(n_documents: int, n_queries: int, repeats: int) -> dict:
                 wal_dir = tmp / f"wal-{label}-{attempt}"
                 if policy is not None:
                     index.attach_wal(WriteAheadLog(wal_dir, fsync=policy))
-                    snapshot = index.save(tmp / f"pre-{label}-{attempt}.npz")
+                    snapshot = index.save(tmp / f"pre-{label}-{attempt}")
                 start = time.perf_counter()
                 for batch in batches:
                     index.insert(batch)

@@ -4,8 +4,9 @@ Walks a :class:`~repro.search.query.QueryIndex` through every stage of its
 operational life (see ``docs/serving.md`` for the full guide):
 
 1. **build** an index over a TF-IDF corpus;
-2. **snapshot** it to a versioned ``.npz`` file and **load** it back —
-   the loaded index answers bit-identically to the saved one;
+2. **snapshot** it to a versioned flat-layout directory (one raw file per
+   array plus a checksummed manifest) and **load** it back — the loaded
+   index answers bit-identically to the saved one;
 3. **insert** a fresh batch (sealed as a new segment, O(batch));
 4. **delete** a few rows (tombstoned, filtered immediately);
 5. **compact** on save — tombstones dropped, segments merged — and reload;
@@ -33,6 +34,11 @@ from repro.serving import WriteAheadLog
 from repro.similarity import tfidf_weighting
 
 
+def _kib(snapshot: Path) -> float:
+    """On-disk size of a snapshot directory in KiB."""
+    return sum(entry.stat().st_size for entry in snapshot.iterdir()) / 1024
+
+
 def main() -> None:
     # 1. Build.  The corpus becomes segment 0 of the index's segmented store.
     corpus = synthetic_text_corpus(
@@ -50,12 +56,12 @@ def main() -> None:
           f"{index.n_segments} segment(s)")
 
     with tempfile.TemporaryDirectory() as tmp:
-        # 2. Snapshot and load.  The archive round-trips the hash family's
+        # 2. Snapshot and load.  The snapshot round-trips the hash family's
         #    RNG position, so the loaded index is bit-identical — including
         #    hashes it will draw in the future.
         path = index.save(Path(tmp) / "corpus-index")
         index = QueryIndex.load(path)
-        print(f"loaded  : {path.name} ({path.stat().st_size / 1024:.0f} KiB)")
+        print(f"loaded  : {path.name} ({_kib(path):.0f} KiB)")
 
         # 3. Insert: each batch is sealed as a new segment in O(batch) —
         #    nothing existing is re-hashed or re-concatenated.
@@ -88,7 +94,7 @@ def main() -> None:
         assert compacted.n_deleted == 0 and compacted.n_segments == 1
         assert before == after, "compaction must preserve (id, similarity) answers"
         print(f"compact : {index.n_indexed} -> {compacted.n_indexed} rows, "
-              f"{compact_path.stat().st_size / 1024:.0f} KiB")
+              f"{_kib(compact_path):.0f} KiB")
 
         # 6. Batched top-k, exact vs estimate-ranked.  The estimate mode
         #    ranks by the BayesLSH posterior estimates computed during

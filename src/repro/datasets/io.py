@@ -12,8 +12,8 @@ persistence layers — notably the serving snapshots in
 keys and dtypes as the standalone files written here.
 
 This module also owns the **shared atomic writer**: every on-disk artefact
-the library publishes (collection archives, ``.npz`` snapshots, flat-layout
-member files and manifests) goes through :func:`atomic_writer` — a temp file
+the library publishes (collection archives, snapshot member files and
+manifests) goes through :func:`atomic_writer` — a temp file
 in the destination directory, fully written and fsynced, then renamed over
 the target with ``os.replace`` and the directory entry fsynced.  A crash at
 any point leaves either the previous file or the new one, never a torn

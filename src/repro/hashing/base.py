@@ -140,7 +140,7 @@ class HashFamily(ABC):
         family of the same type and seed reproduces the exact hash functions
         *and* the exact stream of hash functions still to be drawn.  Values
         are NumPy arrays or JSON-serialisable scalars/strings so snapshots can
-        store them in an ``.npz`` archive without pickling.
+        store them without pickling.
         """
 
     @abstractmethod

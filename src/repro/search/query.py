@@ -39,7 +39,7 @@ is verified against its candidates with the same Bayesian pruning.
 * ``save(path)`` / ``load(path)`` round-trip the entire index — segments,
   hash-family state (drawn coefficients/projections *and* RNG stream
   position), per-segment signature stores, band postings and tombstones —
-  through a versioned ``.npz`` snapshot (:mod:`repro.serving.snapshot`),
+  through a versioned flat-layout snapshot (:mod:`repro.serving.snapshot`),
   bit-identically: a loaded index answers every query exactly like the
   instance that saved it.  ``save(path, compact=True)`` additionally merges
   all segments into one and drops tombstoned rows (renumbering the survivors
@@ -1118,12 +1118,12 @@ class QueryIndex:
         hash family's RNG position, so even hash functions drawn *after* the
         round trip are identical on both sides.
 
-        ``layout`` selects the on-disk layout: ``"npz"`` (the default, a
-        single compressed archive) or ``"flat"`` (a directory of raw array
-        files plus a CRC-manifested header that :meth:`load` can memory-map
-        for a millisecond cold start).  ``None`` defers to the
-        ``REPRO_STORAGE`` environment toggle.  Both layouts carry identical
-        state and are written crash-safely (temp + fsync + atomic rename).
+        The snapshot is a flat-layout directory (``.flat`` is appended to
+        ``path`` unless it already ends in it) of raw array files plus a
+        CRC-manifested header that :meth:`load` can memory-map for a
+        millisecond cold start, written crash-safely (data files first,
+        then the manifest via temp + fsync + atomic rename).  ``layout``
+        accepts only ``None`` or ``"flat"``.
 
         With ``compact=True`` the snapshot is written in **compacted** form:
         all segments are merged into one and tombstoned rows are physically
@@ -1137,16 +1137,14 @@ class QueryIndex:
         return save_query_index(self, path, compact=compact, layout=layout)
 
     @classmethod
-    def load(cls, path, storage: str | None = None, wal=None) -> "QueryIndex":
+    def load(cls, path, storage: str = "ram", wal=None) -> "QueryIndex":
         """Load an index previously written by :meth:`save`.
 
-        ``storage`` picks the backend for flat-layout snapshots: ``"ram"``
-        reads every array into memory and verifies the full per-array CRCs,
-        ``"mmap"`` memory-maps the files read-only so pages fault in on
-        demand (out-of-core serving, millisecond cold start).  ``None``
-        defers to the ``REPRO_STORAGE`` environment toggle; ``.npz``
-        snapshots always load into RAM.  Either way the loaded index is
-        bit-identical.
+        ``storage`` picks the backend: ``"ram"`` (default) reads every
+        array into memory and verifies the full per-array CRCs, ``"mmap"``
+        memory-maps the files read-only so pages fault in on demand
+        (out-of-core serving, millisecond cold start).  Either way the
+        loaded index is bit-identical.
 
         ``wal`` (a :class:`~repro.serving.wal.WriteAheadLog` or its
         directory path) additionally replays the log's tail on top of the
@@ -1175,13 +1173,17 @@ class QueryIndex:
 
         Returns ``self`` for chaining.
         """
-        from repro.serving import storage as flat_storage
-        from repro.serving.snapshot import SNAPSHOT_VERSION, _snapshot_payload
+        from repro.serving.snapshot import (
+            SNAPSHOT_VERSION,
+            _snapshot_payload,
+            read_flat,
+            write_flat,
+        )
 
         with self._update_lock:
             meta, arrays = _snapshot_payload(self, compact=False)
-            flat_storage.write_flat(path, SNAPSHOT_VERSION, meta, arrays)
-            _, _, restored_arrays = flat_storage.read_flat(path, storage="mmap")
+            write_flat(path, SNAPSHOT_VERSION, meta, arrays)
+            _, _, restored_arrays = read_flat(path, storage="mmap")
             for number, segment in enumerate(self._segments.segments):
                 prefix = f"seg{number}_"
                 components = (

@@ -8,16 +8,15 @@ into something a long-running process can operate:
   ``insert`` costs O(batch) instead of an O(N) re-concatenation, while every
   query kernel routes global rows segment-wise with bit-identical results;
 * **versioned snapshots** (:mod:`repro.serving.snapshot`) — pickle-free
-  archives that round-trip the whole index including the hash family's RNG
+  snapshots that round-trip the whole index including the hash family's RNG
   stream position, with optional compaction (merge segments, drop
-  tombstoned rows) at save time.  Two on-disk layouts carry the same state:
-  the compressed ``.npz`` archive and the **flat layout**
-  (:mod:`repro.serving.storage`), a directory of raw array files plus a
-  CRC-manifested header that loads either into RAM or as read-only memory
-  maps (``storage="mmap"``) for out-of-core serving and millisecond cold
-  starts.  Writes are atomic (temp file + fsync + rename; the flat layout
-  commits through its manifest) and every array member is
-  CRC32-checksummed; malformed archives raise
+  tombstoned rows) at save time.  A snapshot is one **flat-layout**
+  directory of raw array files plus a CRC-manifested header that loads
+  either into RAM (``storage="ram"``, full CRC audit) or as read-only
+  memory maps (``storage="mmap"``) for out-of-core serving and millisecond
+  cold starts.  Writes are atomic (data files first, then the manifest
+  commits through temp file + fsync + rename) and every array member is
+  CRC32-checksummed; malformed snapshots raise
   :class:`~repro.serving.snapshot.SnapshotCorruptError` instead of loading
   wrong data, and :class:`~repro.serving.snapshot.SnapshotStore` adds a
   rolling directory with a ``LATEST`` pointer and load-time rollback past
@@ -55,21 +54,14 @@ from repro.serving.daemon import (
 )
 from repro.serving.segments import CollectionSegment, SegmentedCollection
 from repro.serving.snapshot import (
-    SNAPSHOT_FORMAT,
+    FLAT_FORMAT,
+    FLAT_VERSION,
     SNAPSHOT_VERSION,
     SnapshotCorruptError,
     SnapshotStore,
     load_query_index,
-    save_query_index,
-)
-from repro.serving.storage import (
-    FLAT_FORMAT,
-    FLAT_VERSION,
-    STORAGE_ENV,
-    default_layout,
-    default_storage,
-    is_flat_snapshot,
     read_flat,
+    save_query_index,
     write_flat,
 )
 from repro.serving.wal import WriteAheadLog
@@ -84,17 +76,12 @@ __all__ = [
     "FLAT_VERSION",
     "Overloaded",
     "RetriesExhausted",
-    "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
-    "STORAGE_ENV",
     "SegmentedCollection",
     "ServingDaemon",
     "SnapshotCorruptError",
     "SnapshotStore",
     "WriteAheadLog",
-    "default_layout",
-    "default_storage",
-    "is_flat_snapshot",
     "load_query_index",
     "read_flat",
     "save_query_index",

@@ -325,29 +325,18 @@ class DaemonClient:
         """The served index's write-ahead-log stats (``None`` if no WAL)."""
         return self._call({"op": "wal_stats"})["wal"]
 
-    def snapshot(self, layout: str | None = None) -> str:
-        """Trigger a crash-safe snapshot; returns the snapshot path.
+    def snapshot(self) -> str:
+        """Trigger a crash-safe snapshot; returns the snapshot path."""
+        return self._call({"op": "snapshot"})["path"]
 
-        ``layout`` optionally picks the on-disk layout (``"npz"`` or
-        ``"flat"``); ``None`` leaves the choice to the daemon's snapshot
-        store (the ``REPRO_STORAGE`` environment default).
-        """
-        request: dict = {"op": "snapshot"}
-        if layout is not None:
-            request["layout"] = layout
-        return self._call(request)["path"]
-
-    def checkpoint(self, layout: str | None = None) -> dict:
+    def checkpoint(self) -> dict:
         """Snapshot + seal-and-prune the WAL; returns ``{"path", "wal"}``.
 
         Requires a WAL-attached index and a configured snapshot store.
         The returned ``wal`` dict is the post-checkpoint view — segments
         older than every retained snapshot are already pruned.
         """
-        request: dict = {"op": "checkpoint"}
-        if layout is not None:
-            request["layout"] = layout
-        response = self._call(request)
+        response = self._call({"op": "checkpoint"})
         return {"path": response["path"], "wal": response["wal"]}
 
     def drain(self) -> dict:

@@ -705,16 +705,15 @@ class ServingDaemon:
                 "message": "no snapshot store configured",
             }
         layout = request.get("layout")
-        if layout is not None and layout not in ("npz", "flat"):
+        if layout not in (None, "flat"):
             return {
                 "ok": False,
                 "error": "bad_request",
-                "message": f"layout must be 'npz' or 'flat', got {layout!r}",
+                "message": f"layout must be 'flat' (the only snapshot format), got {layout!r}",
             }
         loop = asyncio.get_running_loop()
         path = await loop.run_in_executor(
-            self._executor,
-            functools.partial(self._snapshots.save, self._index, layout=layout),
+            self._executor, functools.partial(self._snapshots.save, self._index)
         )
         self._last_checkpoint = str(path)
         return {"ok": True, "path": str(path)}

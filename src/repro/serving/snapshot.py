@@ -1,18 +1,18 @@
 """Versioned on-disk snapshots of a :class:`~repro.search.query.QueryIndex`.
 
-A snapshot is a single ``.npz`` archive (no pickling anywhere) holding every
-piece of state the index cannot re-derive bit-identically on its own:
+A snapshot is a **flat-layout directory** (conventionally ``*.flat``) with
+one raw C-order binary file per array plus a self-validating manifest — no
+pickling anywhere::
 
-``format`` / ``version``
-    The magic string ``"repro-query-index"`` and the integer format version.
-    Loaders reject archives whose magic is missing or whose version they do
-    not understand, so the format can evolve without silent misreads.
-``meta``
-    A JSON document with the index's scalar configuration (measure,
-    threshold, verification mode, BayesLSH parameters, seed, staleness
-    budget and counters), the segment layout (``n_segments``, per-segment
-    ``store_n_hashes``) plus the hash family's scalar state — including the
-    JSON-encoded RNG bit-generator state.
+    index.flat/
+      MANIFEST.json            # the atomic commit point
+      deleted.g3.bin           # one raw C-order file per array, stamped
+      seg0_store.g3.bin        # with the generation that wrote it
+      ...
+
+The array members hold every piece of state the index cannot re-derive
+bit-identically on its own:
+
 ``seg{i}_collection_*``
     Each sealed segment's raw collection as CSR components plus external
     ids, packed by :func:`repro.datasets.io.collection_arrays` (the exact
@@ -39,53 +39,61 @@ function of the above: the measures' prepared views, the per-segment family
 clones, the BayesLSH decision tables and the posting dictionaries themselves
 are rebuilt on load.
 
-The current format is **version 3**: ``meta`` carries a mandatory
-``checksums`` document mapping every array member to its CRC32, verified on
-load, and the writer goes through a temp file + ``fsync`` + atomic
-``os.replace`` so a crash mid-save can never tear an existing snapshot.
-Archives of any other version are rejected with a plain ``ValueError`` (no
-writer has produced the unchecksummed v1/v2 layouts since v3 landed).
-:func:`save_query_index` with ``compact=True`` writes the same format in
-**compacted** form: all segments merged into one, tombstoned rows physically
-dropped, surviving rows renumbered (order and external ids preserved) and
-the postings member sequence remapped accordingly.
+``MANIFEST.json`` is two sections in one file: a first line of header JSON
+(format magic ``"repro-query-index-flat"``, flat-layout version, CRC32 and
+size of the payload section) followed by the payload JSON — the snapshot
+version, the generation, the member table mapping each array to its file,
+dtype, shape and byte size, and the ``meta`` document: the index's scalar
+configuration (measure, threshold, verification mode, BayesLSH parameters,
+seed, staleness budget and counters), the segment layout (``n_segments``,
+per-segment ``store_n_hashes``), the hash family's scalar state including
+the JSON-encoded RNG bit-generator state, and a mandatory ``checksums``
+table mapping every array member to its CRC32.  A bit flip anywhere in the
+manifest breaks the header parse, the magic, or the payload CRC — the
+manifest is self-validating.
 
-Layouts and storage backends
-----------------------------
-The logical payload above can be written in two **layouts** and read back
-through two **storage backends** (see :mod:`repro.serving.storage`):
+The current snapshot format is **version 3** (flat layout version 1).  An
+intact manifest of any other version raises a plain ``ValueError``, and so
+does a regular file — the retired single-archive ``.npz`` snapshots are not
+read (there is no second reader).  :func:`save_query_index` with
+``compact=True`` writes the same format in **compacted** form: all segments
+merged into one, tombstoned rows physically dropped, surviving rows
+renumbered (order and external ids preserved) and the postings member
+sequence remapped accordingly.
 
-* ``layout="npz"`` (default) — the single compressed archive described
-  above; always deserialises fully into RAM.
-* ``layout="flat"`` — a directory with one raw binary file per array plus
-  a self-validating CRC-manifested JSON header.  Loading accepts
-  ``storage="ram"`` (full checksum audit, bit-identical to an ``.npz``
-  load) or ``storage="mmap"`` (read-only ``np.memmap`` views faulted in
-  lazily by the serving kernels' chunk-map reads — millisecond cold start,
-  out-of-core corpora).
+Load backends
+-------------
+:func:`load_query_index` reads a snapshot through one of two backends:
 
-``save``/``load`` pick layouts automatically: :func:`save_query_index`
-defaults to the layout the ``REPRO_STORAGE`` environment variable selects,
-and :func:`load_query_index` detects the layout on disk (a directory is a
-flat snapshot, a file is an archive).  Both layouts carry the same ``meta``
-document and the same array members, so a load from either is bit-identical
-— proven by ``tests/property/test_storage_backends.py``.
+``storage="ram"`` (default)
+    Every member file is read into memory and verified against its CRC32.
+``storage="mmap"``
+    Member files are opened as read-only ``np.memmap`` views: the load
+    touches only the manifest and each file's size, and array pages fault
+    in lazily as the serving kernels slice them.  Cold start becomes
+    milliseconds, and corpus size is bounded by address space, not RAM.
+    Integrity on this path is structural — manifest self-CRC plus exact
+    per-file size checks — since hashing every data byte would fault the
+    whole corpus in and forfeit the lazy load (run a ``storage="ram"`` load
+    when full verification of the data bytes is required).
+
+Both backends load bit-identical indices — proven by
+``tests/property/test_storage_backends.py``.
 
 Durability contract
 -------------------
 :func:`save_query_index` either publishes a complete, checksummed snapshot
-or leaves the previous one loadable — the ``.npz`` archive is fully written
-and fsynced under a temporary name first, then renamed into place
-atomically (and the directory entry fsynced); the flat layout writes its
-data files first and commits them by atomically replacing the manifest
-(see :mod:`repro.serving.storage` for the generation scheme).
-:func:`load_query_index` re-reads every array's CRC32 against the manifest
-(structural + size verification on the ``mmap`` backend); any torn,
-truncated or bit-flipped snapshot — and any snapshot missing the magic or
-expected members — raises :class:`SnapshotCorruptError` naming the
-offending path.  Wrong data is never returned silently, and no raw
-``zipfile.BadZipFile``/``KeyError`` escapes.  :class:`SnapshotStore` layers
-a rolling-directory convention on top: numbered snapshots, an atomically
+or leaves the previous one loadable.  No single ``os.replace`` can swap a
+directory, so data files are written first (each atomically, under a fresh
+generation stamp so an interrupted writer can never tear the files a
+*previous* manifest references), the directory is fsynced, and then the
+manifest is replaced atomically — the single commit point, carrying the
+``flat_replace`` fault seam in its write→rename window.  Stale generations
+are garbage-collected only after a successful commit.  Any torn, truncated
+or bit-flipped snapshot — and any missing the magic or expected members —
+raises :class:`SnapshotCorruptError` naming the offending path; wrong data
+is never returned silently.  :class:`SnapshotStore` layers a
+rolling-directory convention on top: numbered snapshots, an atomically
 updated ``LATEST`` pointer, and load-time rollback to the newest snapshot
 that still verifies.
 
@@ -100,15 +108,21 @@ segments only past what its retained snapshots reference.
 from __future__ import annotations
 
 import json
+import os
+import re
 import shutil
-import zipfile
 import zlib
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.datasets.io import atomic_writer, collection_arrays, collection_from_arrays
+from repro.datasets.io import (
+    atomic_writer,
+    collection_arrays,
+    collection_from_arrays,
+    fsync_directory,
+)
 from repro.hashing.signatures import (
     BitSignatures,
     IntSignatures,
@@ -118,27 +132,37 @@ from repro.hashing.signatures import (
 from repro.similarity.vectors import VectorCollection
 
 __all__ = [
-    "SNAPSHOT_FORMAT",
+    "FLAT_FORMAT",
+    "FLAT_VERSION",
+    "MANIFEST_NAME",
     "SNAPSHOT_VERSION",
     "SnapshotCorruptError",
     "SnapshotStore",
-    "save_query_index",
     "load_query_index",
+    "read_flat",
+    "save_query_index",
+    "write_flat",
 ]
 
-#: magic string identifying QueryIndex snapshot archives
-SNAPSHOT_FORMAT = "repro-query-index"
 #: current snapshot format version — the only one this build reads
 SNAPSHOT_VERSION = 3
+#: magic string identifying snapshot manifests
+FLAT_FORMAT = "repro-query-index-flat"
+#: current flat-layout version (the *snapshot* version is carried separately)
+FLAT_VERSION = 1
+#: file name of the manifest — the layout's atomic commit point
+MANIFEST_NAME = "MANIFEST.json"
+
+_GENERATION_RE = re.compile(r"\.g(\d+)\.bin$")
 
 
 class SnapshotCorruptError(ValueError):
-    """A snapshot archive failed structural or checksum verification.
+    """A snapshot failed structural or checksum verification.
 
-    Raised by :func:`load_query_index` for every malformed-archive path —
-    truncated or bit-flipped zip data, missing format magic, missing
+    Raised by :func:`load_query_index` for every malformed-snapshot path —
+    truncated, torn or bit-flipped files, missing format magic, missing
     members, checksum mismatches — so callers can catch one typed error
-    instead of the underlying ``zipfile``/``zlib``/``KeyError`` zoo.  The
+    instead of the underlying ``OSError``/``json``/``KeyError`` zoo.  The
     offending ``path`` and a ``detail`` string are attached.
 
     Subclasses :class:`ValueError` so pre-existing callers that caught the
@@ -151,31 +175,259 @@ class SnapshotCorruptError(ValueError):
         super().__init__(f"corrupt QueryIndex snapshot {self.path}: {self.detail}")
 
 
-def _snapshot_path(path, layout: str = "npz") -> Path:
+def _snapshot_path(path) -> Path:
+    """``path`` with ``.flat`` *appended* unless it already ends in it.
+
+    Appending (never replacing a suffix) keeps names that differ only after
+    their last dot — ``run.v1`` / ``run.v2`` — two distinct snapshots.
+    """
     path = Path(path)
-    suffix = ".flat" if layout == "flat" else ".npz"
-    if path.suffix != suffix:
-        path = path.with_suffix(suffix)
+    return path if path.suffix == ".flat" else path.with_name(path.name + ".flat")
+
+
+def _array_crc(value: np.ndarray) -> int:
+    """CRC32 over an array's raw bytes (C-contiguous view)."""
+    return int(zlib.crc32(np.ascontiguousarray(value).tobytes()))
+
+
+# --------------------------------------------------------------------- #
+# the flat layout: manifest, generation files, read/write
+# --------------------------------------------------------------------- #
+def _next_generation(path: Path) -> int:
+    """One past the largest generation any existing file in ``path`` carries.
+
+    Scanning file names (rather than trusting the manifest) means a crashed
+    writer's orphaned data files are never reused under the same name — they
+    are simply superseded and garbage-collected by the next commit.
+    """
+    latest = 0
+    if path.is_dir():
+        for entry in path.iterdir():
+            match = _GENERATION_RE.search(entry.name)
+            if match:
+                latest = max(latest, int(match.group(1)))
+    return latest + 1
+
+
+def write_flat(path, version: int, meta: dict, arrays: dict) -> Path:
+    """Write ``arrays`` + ``meta`` as a flat-layout snapshot directory.
+
+    Every data file is written atomically under a fresh generation stamp,
+    the directory is fsynced, and the manifest — the single commit point —
+    is replaced last (firing the ``flat_replace`` fault seam in its
+    write→rename window).  A crash at any earlier point leaves the previous
+    manifest and the files it references untouched; files the new manifest
+    does not reference are removed only after the commit succeeds.
+    """
+    path = Path(path)
+    generation = _next_generation(path)
+    path.mkdir(parents=True, exist_ok=True)
+
+    members: dict[str, dict] = {}
+    for name, value in arrays.items():
+        value = np.ascontiguousarray(value)
+        file_name = f"{name}.g{generation}.bin"
+        with atomic_writer(path / file_name) as handle:
+            if value.nbytes:
+                handle.write(memoryview(value).cast("B"))
+        members[name] = {
+            "file": file_name,
+            "dtype": value.dtype.str,
+            "shape": list(value.shape),
+            "nbytes": int(value.nbytes),
+        }
+    fsync_directory(path)
+
+    payload = json.dumps(
+        {
+            "version": int(version),
+            "generation": generation,
+            "meta": meta,
+            "members": members,
+        }
+    ).encode("utf-8")
+    header = json.dumps(
+        {
+            "format": FLAT_FORMAT,
+            "flat_version": FLAT_VERSION,
+            "payload_crc": int(zlib.crc32(payload)),
+            "payload_size": len(payload),
+        }
+    ).encode("utf-8")
+    with atomic_writer(path / MANIFEST_NAME, event="flat_replace") as handle:
+        handle.write(header + b"\n" + payload)
+
+    _collect_stale(path, keep={entry["file"] for entry in members.values()})
     return path
 
 
-def _resolve_load_path(path) -> Path:
-    """The on-disk snapshot ``path`` refers to, whichever layout wrote it.
+def _collect_stale(path: Path, keep: set[str]) -> None:
+    """Drop data files the just-committed manifest does not reference.
 
-    An exact match (file or flat-layout directory) wins; otherwise the
-    conventional ``.npz`` and ``.flat`` suffixes are tried in turn, so
-    ``load(p)`` finds whatever ``save(p)`` wrote regardless of the layout
-    the environment selected at save time.
+    Covers superseded generations and any temp files a *crashed* earlier
+    writer left behind (a live writer's temps never coexist with a commit).
+    Best effort — a file that cannot be removed only wastes space; the
+    manifest alone decides what a load reads.
     """
+    for entry in path.iterdir():
+        stale_data = _GENERATION_RE.search(entry.name) and entry.name not in keep
+        stale_temp = ".tmp." in entry.name
+        if stale_data or stale_temp:
+            try:
+                entry.unlink()
+            except OSError:
+                pass
+
+
+def _parse_manifest(path: Path) -> dict:
+    """Read and self-verify ``MANIFEST.json``; returns the payload document."""
+    manifest_path = path / MANIFEST_NAME
+    try:
+        raw = manifest_path.read_bytes()
+    except FileNotFoundError:
+        raise SnapshotCorruptError(
+            path, "missing MANIFEST.json — not a flat-layout snapshot"
+        ) from None
+    except OSError as exc:
+        raise SnapshotCorruptError(path, f"unreadable manifest ({exc})") from exc
+    head, _, body = raw.partition(b"\n")
+    try:
+        header = json.loads(head.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise SnapshotCorruptError(path, f"unreadable manifest header ({exc})") from exc
+    if not isinstance(header, dict) or header.get("format") != FLAT_FORMAT:
+        raise SnapshotCorruptError(path, "missing format magic — not a QueryIndex snapshot")
+    flat_version = header.get("flat_version")
+    if flat_version != FLAT_VERSION:
+        # An intact manifest of a flat-layout version this build does not
+        # speak is not corrupt — mirror the snapshot-version policy.
+        raise ValueError(
+            f"flat layout version {flat_version} is not supported "
+            f"(this build reads version {FLAT_VERSION})"
+        )
+    try:
+        declared_crc = int(header["payload_crc"])
+        declared_size = int(header["payload_size"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotCorruptError(path, f"malformed manifest header ({exc})") from exc
+    if len(body) != declared_size:
+        raise SnapshotCorruptError(
+            path,
+            f"manifest payload is {len(body)} bytes, header declares {declared_size} — truncated",
+        )
+    actual_crc = int(zlib.crc32(body))
+    if actual_crc != declared_crc:
+        raise SnapshotCorruptError(
+            path,
+            f"manifest payload checksum mismatch (stored {declared_crc}, computed {actual_crc})",
+        )
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise SnapshotCorruptError(path, f"unreadable manifest payload ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise SnapshotCorruptError(path, "manifest payload is not a JSON object")
+    return payload
+
+
+def _member_file(path: Path, name: str, entry) -> tuple[Path, np.dtype, tuple, int]:
+    """Validate one member-table entry and return its resolved parts."""
+    if not isinstance(entry, dict):
+        raise SnapshotCorruptError(path, f"member {name!r} has a malformed manifest entry")
+    try:
+        file_name = str(entry["file"])
+        dtype = np.dtype(str(entry["dtype"]))
+        shape = tuple(int(n) for n in entry["shape"])
+        nbytes = int(entry["nbytes"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotCorruptError(
+            path, f"member {name!r} has a malformed manifest entry ({exc})"
+        ) from exc
+    if os.sep in file_name or file_name != os.path.basename(file_name):
+        raise SnapshotCorruptError(
+            path, f"member {name!r} names a file outside the snapshot directory"
+        )
+    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    if expected != nbytes:
+        raise SnapshotCorruptError(
+            path,
+            f"member {name!r} declares {nbytes} bytes but shape {shape} of "
+            f"dtype {dtype} needs {expected}",
+        )
+    return path / file_name, dtype, shape, nbytes
+
+
+def read_flat(path, storage: str = "ram") -> tuple[int, dict, dict]:
+    """Read a flat-layout snapshot; returns ``(version, meta, arrays)``.
+
+    With ``storage="ram"`` every member is loaded into memory and verified
+    against the CRC32 manifest; with ``storage="mmap"`` members come back as
+    read-only ``np.memmap`` views after structural verification only —
+    manifest self-CRC, member-table consistency and exact file sizes — so
+    the load cost is independent of the corpus size.  Every malformed
+    layout raises :class:`SnapshotCorruptError` naming the path; an intact
+    manifest of an unsupported version raises plain ``ValueError``.
+    """
+    if storage not in ("ram", "mmap"):
+        raise ValueError(f"storage must be 'ram' or 'mmap', got {storage!r}")
     path = Path(path)
-    if path.exists():
-        return path
-    for candidate in (path.with_suffix(".npz"), path.with_suffix(".flat")):
-        if candidate.exists():
-            return candidate
-    return _snapshot_path(path)
+    payload = _parse_manifest(path)
+    try:
+        version = int(payload["version"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotCorruptError(path, f"unreadable version field ({exc})") from exc
+    if version != SNAPSHOT_VERSION:
+        raise ValueError(
+            f"snapshot version {version} is not supported "
+            f"(this build reads version {SNAPSHOT_VERSION})"
+        )
+    meta = payload.get("meta")
+    members = payload.get("members")
+    if not isinstance(meta, dict) or not isinstance(members, dict):
+        raise SnapshotCorruptError(path, "manifest payload is missing its meta/member tables")
+    checksums = meta.get("checksums")
+    if not isinstance(checksums, dict):
+        raise SnapshotCorruptError(path, "manifest is missing its per-array checksum document")
+    for name in sorted(set(checksums) - set(members)):
+        raise SnapshotCorruptError(path, f"array {name!r} is in the checksum manifest but absent")
+    for name in sorted(set(members) - set(checksums)):
+        raise SnapshotCorruptError(path, f"array {name!r} has no entry in the checksum manifest")
+
+    arrays: dict[str, np.ndarray] = {}
+    for name, entry in members.items():
+        file_path, dtype, shape, nbytes = _member_file(path, name, entry)
+        try:
+            actual_size = file_path.stat().st_size
+        except FileNotFoundError:
+            raise SnapshotCorruptError(
+                path, f"missing member file {file_path.name!r}"
+            ) from None
+        if actual_size != nbytes:
+            raise SnapshotCorruptError(
+                path,
+                f"member file {file_path.name!r} is {actual_size} bytes, "
+                f"manifest declares {nbytes} — truncated or torn",
+            )
+        if nbytes == 0:
+            arrays[name] = np.zeros(shape, dtype=dtype)
+        elif storage == "mmap":
+            arrays[name] = np.memmap(file_path, dtype=dtype, mode="r", shape=shape)
+        else:
+            value = np.fromfile(file_path, dtype=dtype).reshape(shape)
+            actual_crc = _array_crc(value)
+            if actual_crc != int(checksums[name]):
+                raise SnapshotCorruptError(
+                    path,
+                    f"checksum mismatch for array {name!r} "
+                    f"(stored {int(checksums[name])}, computed {actual_crc})",
+                )
+            arrays[name] = value
+    return version, meta, arrays
 
 
+# --------------------------------------------------------------------- #
+# the QueryIndex payload
+# --------------------------------------------------------------------- #
 def _segment_payload(index) -> tuple[list[dict], str, list[int], np.ndarray, np.ndarray]:
     """Per-segment arrays for a plain (non-compacted) snapshot."""
     arrays: list[dict] = []
@@ -265,18 +517,8 @@ def _compacted_payload(index) -> tuple[list[dict], str, list[int], np.ndarray, n
     return [packed], kind, [int(width)], deleted, members
 
 
-def _array_crc(value: np.ndarray) -> int:
-    """CRC32 over an array's raw bytes (C-contiguous view)."""
-    return int(zlib.crc32(np.ascontiguousarray(value).tobytes()))
-
-
 def _snapshot_payload(index, compact: bool) -> tuple[dict, dict]:
-    """The layout-independent snapshot payload: ``(meta, arrays)``.
-
-    Both the ``.npz`` archive and the flat layout serialise exactly this —
-    the same meta document (checksums included) and the same array members —
-    which is what makes a load from either layout bit-identical.
-    """
+    """The snapshot payload: ``(meta, arrays)``, checksums included."""
     family_state = index._family.state_dict()
     family_arrays: dict[str, np.ndarray] = {}
     family_scalars: dict[str, object] = {}
@@ -342,42 +584,29 @@ def _snapshot_payload(index, compact: bool) -> tuple[dict, dict]:
 def save_query_index(index, path, compact: bool = False, layout: str | None = None) -> Path:
     """Write ``index`` to ``path`` atomically; returns the written path.
 
-    ``layout`` selects the on-disk format — ``"npz"`` (single compressed
-    archive, the conventional ``.npz`` suffix appended if missing) or
-    ``"flat"`` (a ``.flat`` directory of raw per-array files readable
-    through the mmap backend; see :mod:`repro.serving.storage`).  ``None``
-    defers first to an explicit layout suffix on ``path`` (``.npz`` /
-    ``.flat`` — a caller naming the format gets that format), then to the
-    ``REPRO_STORAGE`` environment variable (``npz`` unless it says
-    ``mmap``).
+    The snapshot is a flat-layout directory; ``.flat`` is appended to
+    ``path`` unless it already ends in it.  ``layout`` accepts only
+    ``None`` or ``"flat"`` — the one format — and raises ``ValueError`` for
+    anything else.
 
     With ``compact=True`` the snapshot merges all segments and drops
     tombstoned rows (see :func:`_compacted_payload`); the in-memory index is
     left untouched either way.
 
-    Both layouts publish atomically: the archive is fully written and
-    fsynced under a temp name then renamed over ``path`` with
-    ``os.replace``; the flat layout writes its data files the same way and
-    commits them by atomically replacing its manifest.  A crash at any
-    point leaves either the previous snapshot or the new one, never a torn
-    snapshot under the destination name.  Every array member's CRC32 is
-    recorded in ``meta["checksums"]`` and re-verified by
-    :func:`load_query_index` (structurally, on the lazy mmap backend).
+    Data files are written first and committed by atomically replacing the
+    manifest, so a crash at any point leaves either the previous snapshot
+    or the new one, never a torn snapshot under the destination name.
+    Every array member's CRC32 is recorded in ``meta["checksums"]`` and
+    re-verified by :func:`load_query_index` (structurally, on the lazy mmap
+    backend).
     """
     from repro.search.query import QueryIndex
-    from repro.serving import storage as flat_storage
 
     if not isinstance(index, QueryIndex):
         raise TypeError(f"expected a QueryIndex, got {type(index).__name__}")
-    if layout is None:
-        suffix = Path(path).suffix
-        if suffix in (".npz", ".flat"):
-            layout = suffix[1:]
-        else:
-            layout = flat_storage.default_layout()
-    if layout not in ("npz", "flat"):
-        raise ValueError(f"layout must be 'npz' or 'flat', got {layout!r}")
-    path = _snapshot_path(path, layout)
+    if layout not in (None, "flat"):
+        raise ValueError(f"layout must be 'flat' (the only snapshot format), got {layout!r}")
+    path = _snapshot_path(path)
     wal = getattr(index, "_wal", None)
     if wal is not None:
         if compact:
@@ -400,20 +629,10 @@ def save_query_index(index, path, compact: bool = False, layout: str | None = No
         meta["wal_segment"] = int(wal_segment)
     else:
         meta, arrays = _snapshot_payload(index, compact)
-    if layout == "flat":
-        return flat_storage.write_flat(path, SNAPSHOT_VERSION, meta, arrays)
-    with atomic_writer(path, event="snapshot_replace") as handle:
-        np.savez_compressed(
-            handle,
-            format=np.array(SNAPSHOT_FORMAT),
-            version=np.array(SNAPSHOT_VERSION, dtype=np.int64),
-            meta=np.array(json.dumps(meta)),
-            **arrays,
-        )
-    return path
+    return write_flat(path, SNAPSHOT_VERSION, meta, arrays)
 
 
-def _load_segments(archive, meta) -> list[tuple]:
+def _load_segments(arrays, meta) -> list[tuple]:
     """Read the per-segment collections and signature stores.
 
     Collections are adopted through the trusted restore path — the arrays
@@ -424,87 +643,24 @@ def _load_segments(archive, meta) -> list[tuple]:
     segments = []
     for i in range(int(meta["n_segments"])):
         collection = collection_from_arrays(
-            archive, prefix=f"seg{i}_collection_", trusted=True
+            arrays, prefix=f"seg{i}_collection_", trusted=True
         )
         store = store_from_parts(
-            meta["store_kind"], archive[f"seg{i}_store"], int(widths[i])
+            meta["store_kind"], arrays[f"seg{i}_store"], int(widths[i])
         )
         segments.append((collection, store, collection.ids))
     return segments
 
 
-def _read_verified(path: Path) -> tuple[dict, dict]:
-    """Read an archive fully, mapping every malformed path to a typed error.
-
-    Returns ``(meta, arrays)`` with every member materialised in memory:
-    reading everything up front forces the zip layer's per-member CRC
-    checks, and lets the manifest checksums verify the raw bytes before any
-    of them are interpreted.  An unsupported (but intact) version stays a
-    plain ``ValueError`` — that archive is not corrupt, just newer/older
-    than this build.
-    """
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            raw = {name: np.asarray(archive[name]) for name in archive.files}
-    except (zipfile.BadZipFile, zlib.error, EOFError, OSError, KeyError, ValueError) as exc:
-        raise SnapshotCorruptError(path, f"unreadable archive ({exc})") from exc
-    if "format" not in raw or str(raw["format"][()]) != SNAPSHOT_FORMAT:
-        raise SnapshotCorruptError(
-            path, "missing format magic — not a QueryIndex snapshot"
-        )
-    try:
-        version = int(raw["version"][()])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotCorruptError(path, f"unreadable version field ({exc})") from exc
-    if version != SNAPSHOT_VERSION:
-        raise ValueError(
-            f"snapshot version {version} is not supported "
-            f"(this build reads version {SNAPSHOT_VERSION})"
-        )
-    try:
-        meta = json.loads(str(raw["meta"][()]))
-    except (KeyError, ValueError) as exc:
-        raise SnapshotCorruptError(path, f"unreadable meta document ({exc})") from exc
-    arrays = {
-        name: value
-        for name, value in raw.items()
-        if name not in ("format", "version", "meta")
-    }
-    checksums = meta.get("checksums")
-    if not isinstance(checksums, dict):
-        raise SnapshotCorruptError(
-            path, "archive is missing its per-array checksum manifest"
-        )
-    for name in sorted(set(checksums) - set(arrays)):
-        raise SnapshotCorruptError(
-            path, f"array {name!r} is in the checksum manifest but absent"
-        )
-    for name in sorted(set(arrays) - set(checksums)):
-        raise SnapshotCorruptError(
-            path, f"array {name!r} has no entry in the checksum manifest"
-        )
-    for name, value in arrays.items():
-        actual = _array_crc(value)
-        if actual != int(checksums[name]):
-            raise SnapshotCorruptError(
-                path,
-                f"checksum mismatch for array {name!r} "
-                f"(stored {int(checksums[name])}, computed {actual})",
-            )
-    return meta, arrays
-
-
-def load_query_index(path, storage: str | None = None, wal=None):
+def load_query_index(path, storage: str = "ram", wal=None):
     """Load an index snapshot written by :func:`save_query_index`.
 
-    The layout is detected on disk — a directory is a flat-layout snapshot,
-    a file is an ``.npz`` archive (the ``.npz``/``.flat`` suffixes are tried
-    when ``path`` itself does not exist).  ``storage`` selects the flat
-    layout's backend: ``"ram"`` deserialises and CRC-verifies every member
-    (bit-identical to an archive load), ``"mmap"`` opens read-only
-    ``np.memmap`` views whose pages fault in lazily — a millisecond cold
-    start independent of corpus size.  ``None`` defers to ``REPRO_STORAGE``
-    (``ram`` unless it says ``mmap``); archives always load into RAM.
+    ``path`` is tried as given, then with ``.flat`` appended — so
+    ``load(p)`` finds what ``save(p)`` wrote.  ``storage`` selects the
+    backend: ``"ram"`` reads and CRC-verifies every member, ``"mmap"``
+    opens read-only ``np.memmap`` views whose pages fault in lazily — a
+    millisecond cold start independent of corpus size.  Either way the
+    loaded index is bit-identical.
 
     ``wal`` (a :class:`~repro.serving.wal.WriteAheadLog` or a directory
     path for one) replays the log's tail — every mutation logged at or
@@ -514,23 +670,24 @@ def load_query_index(path, storage: str | None = None, wal=None):
     record is truncated; interior log corruption raises
     :class:`SnapshotCorruptError` like any other corrupt artefact.
 
-    Reads the current checksummed format only.  Every malformed-snapshot
-    path — missing magic, truncated or bit-flipped data, missing members,
-    checksum mismatch — raises :class:`SnapshotCorruptError` with the
-    offending path; an intact snapshot of another version (the retired v1/v2
-    layouts included) raises a plain ``ValueError``.
-    Wrong data is never returned silently.
+    Every malformed-snapshot path — missing magic, truncated or bit-flipped
+    data, missing members, checksum mismatch — raises
+    :class:`SnapshotCorruptError` with the offending path; an intact
+    snapshot of another version, or a regular file (a retired ``.npz``
+    archive), raises a plain ``ValueError``.  Wrong data is never returned
+    silently.
     """
     from repro.search.query import QueryIndex
-    from repro.serving import storage as flat_storage
 
-    path = _resolve_load_path(path)
-    if flat_storage.is_flat_snapshot(path):
-        _, meta, arrays = flat_storage.read_flat(
-            path, storage=storage or flat_storage.default_storage()
+    path = Path(path)
+    if not path.exists():
+        path = _snapshot_path(path)
+    if path.is_file():
+        raise ValueError(
+            f"{path} is a file: .npz snapshots are no longer read — a snapshot "
+            "is a flat-layout directory (re-save it with a build that reads it)"
         )
-    else:
-        meta, arrays = _read_verified(path)
+    _, meta, arrays = read_flat(path, storage=storage)
     try:
         # The tombstone mask is mutated in place by ``delete`` and the
         # family arrays may be grown by later draws — copy both out of any
@@ -547,8 +704,6 @@ def load_query_index(path, storage: str | None = None, wal=None):
 
         segments_data = _load_segments(arrays, meta)
         n_features = int(meta["n_features"])
-    except SnapshotCorruptError:
-        raise
     except (KeyError, IndexError) as exc:
         raise SnapshotCorruptError(path, f"missing or malformed member ({exc})") from exc
 
@@ -568,24 +723,14 @@ def load_query_index(path, storage: str | None = None, wal=None):
 def _snapshot_wal_segment(path) -> int | None:
     """Read just the ``wal_segment`` checkpoint position from a snapshot.
 
-    Cheap by construction — the flat layout answers from its manifest, the
-    archive from its ``meta`` member alone — because :class:`SnapshotStore`
+    Answered from the manifest alone, because :class:`SnapshotStore`
     consults every retained snapshot on each checkpoint to compute the WAL
     prune cutoff.  ``None`` for snapshots saved without a WAL attached.
     """
-    from repro.serving import storage as flat_storage
-
     path = Path(path)
-    if flat_storage.is_flat_snapshot(path):
-        meta = flat_storage._parse_manifest(path).get("meta")
-        if not isinstance(meta, dict):
-            raise SnapshotCorruptError(path, "manifest payload is missing its meta table")
-    else:
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                meta = json.loads(str(archive["meta"][()]))
-        except (zipfile.BadZipFile, zlib.error, EOFError, OSError, KeyError, ValueError) as exc:
-            raise SnapshotCorruptError(path, f"unreadable meta document ({exc})") from exc
+    meta = _parse_manifest(path).get("meta")
+    if not isinstance(meta, dict):
+        raise SnapshotCorruptError(path, "manifest payload is missing its meta table")
     position = meta.get("wal_segment")
     return None if position is None else int(position)
 
@@ -596,13 +741,13 @@ def _snapshot_wal_segment(path) -> int | None:
 class SnapshotStore:
     """A directory of rolling, numbered snapshots with a ``LATEST`` pointer.
 
-    Layers the operational conventions on top of the single-file format:
-    :meth:`save` writes ``snapshot-NNNNNNNN.npz`` (monotonically numbered,
-    each via the atomic temp-write/rename path), then atomically updates the
+    Layers the operational conventions on top of the single-snapshot format:
+    :meth:`save` writes ``snapshot-NNNNNNNN.flat`` (monotonically numbered,
+    each committed through its manifest), then atomically updates the
     ``LATEST`` pointer file and prunes old snapshots beyond ``keep``.
     :meth:`load` tries the pointer target first and *rolls back* — newest to
-    oldest — past any snapshot that fails checksum verification, so one torn
-    or bit-flipped file (or a crash between temp-write and pointer update)
+    oldest — past any snapshot that fails verification, so one torn or
+    bit-flipped snapshot (or a crash between data write and pointer update)
     never takes the service down with it.
     """
 
@@ -625,15 +770,10 @@ class SnapshotStore:
         return self._directory / self.POINTER_NAME
 
     def snapshots(self) -> list[Path]:
-        """The numbered snapshots (``.npz`` files and ``.flat`` directories),
-        oldest first."""
-        return sorted(
-            path
-            for path in self._directory.glob("snapshot-*")
-            if path.suffix in (".npz", ".flat")
-        )
+        """The numbered snapshot directories, oldest first."""
+        return sorted(self._directory.glob("snapshot-*.flat"))
 
-    def _next_path(self, layout: str) -> Path:
+    def _next_path(self) -> Path:
         last = -1
         for existing in self.snapshots():
             stem = existing.stem  # snapshot-NNNNNNNN
@@ -641,18 +781,15 @@ class SnapshotStore:
                 last = max(last, int(stem.split("-", 1)[1]))
             except (IndexError, ValueError):
                 continue
-        suffix = ".flat" if layout == "flat" else ".npz"
-        return self._directory / f"snapshot-{last + 1:08d}{suffix}"
+        return self._directory / f"snapshot-{last + 1:08d}.flat"
 
     def save(self, index, compact: bool = False, layout: str | None = None) -> Path:
-        """Snapshot ``index`` as the next numbered file; update the pointer.
+        """Snapshot ``index`` as the next numbered directory; update the pointer.
 
-        ``layout`` is forwarded to :func:`save_query_index` (``None`` defers
-        to ``REPRO_STORAGE``); the rolling numbering is shared between the
-        layouts, so a store may hold a mix of ``.npz`` and ``.flat``
-        snapshots and still roll back across all of them.  The snapshot is
-        fully committed before the pointer moves, so a crash anywhere in
-        between leaves the previous pointer target intact and loadable.
+        ``layout`` is forwarded to :func:`save_query_index` (``None`` or
+        ``"flat"``).  The snapshot is fully committed before the pointer
+        moves, so a crash anywhere in between leaves the previous pointer
+        target intact and loadable.
 
         On a WAL-attached index this is the **checkpoint** operation: the
         save rolls the log (sealing everything the snapshot contains into
@@ -661,11 +798,7 @@ class SnapshotStore:
         pruned — rollback to any snapshot still in the store always finds
         the log tail it needs.
         """
-        from repro.serving import storage as flat_storage
-
-        if layout is None:
-            layout = flat_storage.default_layout()
-        path = save_query_index(index, self._next_path(layout), compact=compact, layout=layout)
+        path = save_query_index(index, self._next_path(), compact=compact, layout=layout)
         with atomic_writer(self.pointer_path) as handle:
             handle.write((path.name + "\n").encode("utf-8"))
         self._prune(current=path)
@@ -700,12 +833,8 @@ class SnapshotStore:
         snapshots = self.snapshots()
         excess = len(snapshots) - self._keep
         for stale in snapshots[:max(excess, 0)]:
-            if stale == current:
-                continue
-            if stale.is_dir():
+            if stale != current:
                 shutil.rmtree(stale, ignore_errors=True)
-            else:
-                stale.unlink(missing_ok=True)
 
     def _candidates(self) -> list[Path]:
         """Load order: pointer target first, then the rest newest-to-oldest."""
@@ -723,7 +852,7 @@ class SnapshotStore:
                 ordered.append(path)
         return ordered
 
-    def load(self, storage: str | None = None, wal=None):
+    def load(self, storage: str = "ram", wal=None):
         """Load the newest verifiable snapshot, rolling back past corrupt ones.
 
         ``storage`` and ``wal`` are forwarded to :func:`load_query_index`;
@@ -732,7 +861,7 @@ class SnapshotStore:
         simply replays a longer tail (the prune policy keeps every segment
         a retained snapshot references).  Raises ``FileNotFoundError`` for
         an empty store and :class:`SnapshotCorruptError` when every
-        candidate fails verification (the error lists each rejected file).
+        candidate fails verification (the error lists each rejected one).
         """
         candidates = self._candidates()
         if not candidates:

@@ -15,11 +15,10 @@ a :class:`FaultPlan` via :func:`inject`.  The seams are:
   worker pool or ``None`` when serving serially, ``batch_size`` the number
   of live requests) — killing a worker here is the canonical
   "kill mid-batch with waiting clients" scenario;
-* ``snapshot_replace`` — the window between a snapshot's temp-file write
-  and its atomic rename (the ``.npz`` archive, the snapshot-store pointer
-  and the dataset archives all share this seam via
+* ``snapshot_replace`` — the window between a dataset collection archive's
+  temp-file write and its atomic rename (via
   :func:`repro.datasets.io.atomic_writer`);
-* ``flat_replace`` — the same window for the flat layout's ``MANIFEST.json``
+* ``flat_replace`` — the same window for a snapshot's ``MANIFEST.json``
   commit point (the data files are already on disk, unreferenced, when it
   fires);
 * ``wal_append`` — a write-ahead-log record's bytes just hit the segment
@@ -210,8 +209,8 @@ class FaultPlan:
         file is left on disk and the destination is never touched —
         exactly the state a process crash at that point leaves behind.
         ``event`` selects the atomic-writer seam: ``"snapshot_replace"``
-        (the ``.npz`` archive or any other single-file writer) or
-        ``"flat_replace"`` (the flat layout's manifest commit point).
+        (a dataset collection archive) or ``"flat_replace"`` (a snapshot's
+        manifest commit point).
         """
         self._actions.append({"kind": "snapshot_crash", "event": event})
 
@@ -220,8 +219,8 @@ class FaultPlan:
     ) -> None:
         """Truncate the snapshot temp file before the rename goes through.
 
-        The rename then publishes a torn archive — the load path must reject
-        it with ``SnapshotCorruptError``.  ``event`` selects the seam as in
+        The rename then publishes a torn file — the load path must reject
+        it with a typed error.  ``event`` selects the seam as in
         :meth:`crash_before_replace`.
         """
         self._actions.append(
@@ -241,9 +240,8 @@ class FaultPlan:
         """XOR one byte of the snapshot temp file before the rename.
 
         ``offset`` defaults to the middle of the file.  Publishes a
-        bit-flipped archive; the zip layer or the per-array checksums (or,
-        for ``event="flat_replace"``, the manifest's self-CRC) must catch it
-        on load.
+        bit-flipped file; the zip layer (a collection archive) or the
+        manifest's self-CRC (``event="flat_replace"``) must catch it on load.
         """
         self._actions.append(
             {

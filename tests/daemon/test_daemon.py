@@ -195,7 +195,11 @@ def test_ops_endpoints_and_snapshot(index, batch, socket_path, tmp_path):
             assert health["ok"] and health["serving"] and not health["draining"]
             assert client.ready()["ready"]
             path = client.snapshot()
-            assert os.path.exists(path)
+            assert os.path.isdir(path) and path.endswith(".flat")
+            # "flat" stays an accepted spelling; any other layout is refused.
+            assert client._call({"op": "snapshot", "layout": "flat"})["ok"]
+            with pytest.raises(DaemonError, match="layout must be 'flat'"):
+                client._call({"op": "snapshot", "layout": "npz"})
             stats = client.stats()
             assert stats["queue_depth"] == 0
             assert stats["config"]["max_batch"] == 64

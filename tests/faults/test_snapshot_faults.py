@@ -1,23 +1,32 @@
 """Crash safety of the snapshot writer and corruption safety of the loader.
 
 The durability contract under test: ``save_query_index`` either publishes a
-complete, checksummed archive or leaves the destination untouched; and
+complete, checksummed snapshot or leaves the previous one loadable; and
 ``load_query_index`` never returns wrong data silently — every torn,
-truncated, bit-flipped or member-stripped archive raises
-``SnapshotCorruptError`` naming the offending path.  ``SnapshotStore`` adds
-rollback: one bad file (or a crash between data write and pointer update)
-never takes the whole store down.
+truncated or bit-flipped snapshot raises ``SnapshotCorruptError`` naming the
+offending path, and a retired ``.npz`` archive is refused as a plain
+``ValueError``.  ``SnapshotStore`` adds rollback: one bad snapshot (or a
+crash between data write and pointer update) never takes the whole store
+down.  Manifest- and member-level corruption shapes are swept in
+``tests/serving/test_flat_layout.py``.
 """
 
 from __future__ import annotations
 
-import zipfile
+import json
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.search.query import QueryIndex
-from repro.serving.snapshot import SnapshotCorruptError, SnapshotStore
+from repro.serving.snapshot import (
+    MANIFEST_NAME,
+    SNAPSHOT_VERSION,
+    SnapshotCorruptError,
+    SnapshotStore,
+    save_query_index,
+)
 from repro.testing import faults
 from repro.testing.faults import InjectedCrash
 
@@ -42,39 +51,47 @@ def _answers(loaded: QueryIndex, queries) -> list:
     return loaded.query_many(queries, threshold=0.5)
 
 
+def _member_file(path, name: str):
+    manifest = json.loads((path / MANIFEST_NAME).read_bytes().partition(b"\n")[2])
+    return path / manifest["members"][name]["file"]
+
+
 # --------------------------------------------------------------------- #
 # atomic write
 # --------------------------------------------------------------------- #
 def test_crash_before_replace_preserves_previous(tmp_path, index, probe_queries):
-    """A crash in the temp-write → rename window never touches the old file."""
-    path = tmp_path / "index.npz"
-    index.save(path)
+    """A crash in the manifest's write → rename window never touches the
+    committed snapshot."""
+    path = index.save(tmp_path / "index")
     reference = _answers(QueryIndex.load(path), probe_queries)
+    manifest = (path / MANIFEST_NAME).read_bytes()
     with faults.inject() as plan:
-        plan.crash_before_replace()
+        plan.crash_before_replace(event="flat_replace")
         with pytest.raises(InjectedCrash):
             index.save(path)
     assert any(fired[0] == "snapshot_crash" for fired in plan.fired)
-    # The aborted save leaves its temp file behind, like a real crash would;
-    # the published snapshot is byte-for-byte the previous one.
-    assert list(tmp_path.glob(".index.npz.tmp.*"))
+    # The aborted save leaves its manifest temp file behind, like a real
+    # crash would; the published manifest is byte-for-byte the previous one.
+    assert list(path.glob(f".{MANIFEST_NAME}.tmp.*"))
+    assert (path / MANIFEST_NAME).read_bytes() == manifest
     assert _answers(QueryIndex.load(path), probe_queries) == reference
 
 
 def test_crash_on_first_save_leaves_no_destination(tmp_path, index):
-    path = tmp_path / "fresh.npz"
+    """An uncommitted first save publishes no manifest, so nothing loads."""
     with faults.inject() as plan:
-        plan.crash_before_replace()
+        plan.crash_before_replace(event="flat_replace")
         with pytest.raises(InjectedCrash):
-            index.save(path)
-    assert not path.exists()
+            index.save(tmp_path / "fresh")
+    path = tmp_path / "fresh.flat"
+    assert not (path / MANIFEST_NAME).exists()
+    with pytest.raises(SnapshotCorruptError, match="missing MANIFEST.json"):
+        QueryIndex.load(tmp_path / "fresh")
 
 
-def test_failed_save_cleans_its_temp_file(tmp_path, probe_queries):
+def test_failed_save_cleans_its_temp_file(tmp_path):
     with pytest.raises(TypeError):
-        from repro.serving.snapshot import save_query_index
-
-        save_query_index("not an index", tmp_path / "bad.npz")
+        save_query_index("not an index", tmp_path / "bad")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -82,9 +99,9 @@ def test_failed_save_cleans_its_temp_file(tmp_path, probe_queries):
 # corruption detection
 # --------------------------------------------------------------------- #
 def test_truncated_snapshot_raises_typed_error(tmp_path, index):
-    path = tmp_path / "torn.npz"
+    path = tmp_path / "torn.flat"
     with faults.inject() as plan:
-        plan.truncate_snapshot(keep_fraction=0.5)
+        plan.truncate_snapshot(keep_fraction=0.5, event="flat_replace")
         index.save(path)
     assert any(fired[0] == "snapshot_truncate" for fired in plan.fired)
     with pytest.raises(SnapshotCorruptError) as excinfo:
@@ -95,9 +112,9 @@ def test_truncated_snapshot_raises_typed_error(tmp_path, index):
 
 @pytest.mark.parametrize("offset", [None, 100])
 def test_bitflipped_snapshot_raises_typed_error(tmp_path, index, offset):
-    path = tmp_path / "flipped.npz"
+    path = tmp_path / "flipped.flat"
     with faults.inject() as plan:
-        plan.corrupt_snapshot(offset=offset)
+        plan.corrupt_snapshot(offset=offset, event="flat_replace")
         index.save(path)
     assert any(fired[0] == "snapshot_corrupt" for fired in plan.fired)
     with pytest.raises(SnapshotCorruptError) as excinfo:
@@ -105,86 +122,39 @@ def test_bitflipped_snapshot_raises_typed_error(tmp_path, index, offset):
     assert excinfo.value.path == path
 
 
-def test_truncation_fuzz_loads_identically_or_raises(tmp_path, index, probe_queries):
-    """Every possible truncation point is either rejected or bit-identical.
-
-    Cuts the published archive at sampled byte counts (plus the edges) and
-    asserts the loader's only two behaviours: ``SnapshotCorruptError``, or a
-    load whose answers match the intact snapshot's.  No other exception type
-    and no silently different answers.
-    """
-    path = tmp_path / "full.npz"
-    index.save(path)
-    reference = _answers(QueryIndex.load(path), probe_queries)
-    data = path.read_bytes()
-    size = len(data)
-    rng = np.random.default_rng(5)
-    cuts = sorted({0, 1, size - 1, size, *rng.integers(2, size - 1, size=12).tolist()})
-    target = tmp_path / "cut.npz"
-    for cut in cuts:
-        target.write_bytes(data[:cut])
-        try:
-            loaded = QueryIndex.load(target)
-        except SnapshotCorruptError as exc:
-            assert exc.path == target
-            continue
-        assert _answers(loaded, probe_queries) == reference
-
-
 def test_missing_magic_raises_with_path(tmp_path):
-    path = tmp_path / "other.npz"
-    np.savez(path, foo=np.zeros(3))
+    path = tmp_path / "other.flat"
+    path.mkdir()
+    (path / MANIFEST_NAME).write_bytes(b'{"format": "something-else"}\n{}')
     with pytest.raises(SnapshotCorruptError, match="not a QueryIndex snapshot") as excinfo:
         QueryIndex.load(path)
     assert str(path) in str(excinfo.value)
 
 
-def test_non_zip_file_raises_typed_error(tmp_path):
-    path = tmp_path / "noise.npz"
-    path.write_bytes(b"this is not an archive at all")
-    with pytest.raises(SnapshotCorruptError, match="unreadable archive"):
-        QueryIndex.load(path)
-
-
-def test_stripped_member_raises_typed_error(tmp_path, index):
-    """A structurally valid zip missing one array is caught by the manifest."""
-    path = tmp_path / "full.npz"
-    index.save(path)
-    stripped = tmp_path / "stripped.npz"
-    with zipfile.ZipFile(path) as src, zipfile.ZipFile(stripped, "w") as dst:
-        for item in src.infolist():
-            if item.filename != "deleted.npy":
-                dst.writestr(item, src.read(item.filename))
-    with pytest.raises(SnapshotCorruptError, match="'deleted'"):
-        QueryIndex.load(stripped)
-
-
-def test_checksum_manifest_catches_wrong_data_in_valid_zip(tmp_path, index):
-    """Zip-level CRCs pass (the archive was rewritten cleanly) but the
-    per-array manifest still catches the altered contents."""
-    path = tmp_path / "full.npz"
-    index.save(path)
-    with np.load(path, allow_pickle=False) as archive:
-        members = {name: np.asarray(archive[name]) for name in archive.files}
-    members["deleted"] = ~members["deleted"]
-    evil = tmp_path / "evil.npz"
-    np.savez_compressed(evil, **members)
-    with pytest.raises(SnapshotCorruptError, match="checksum mismatch"):
-        QueryIndex.load(evil)
-
-
 def test_unsupported_version_stays_plain_value_error(tmp_path, index):
-    """An intact archive of an unknown version is not *corrupt* — the error
+    """An intact snapshot of an unknown version is not *corrupt* — the error
     must say so distinctly (and keep the historical ValueError contract)."""
-    path = tmp_path / "full.npz"
-    index.save(path)
-    with np.load(path, allow_pickle=False) as archive:
-        members = {name: np.asarray(archive[name]) for name in archive.files}
-    members["version"] = np.array(99, dtype=np.int64)
-    future = tmp_path / "future.npz"
-    np.savez_compressed(future, **members)
+    path = index.save(tmp_path / "full")
+    raw = (path / MANIFEST_NAME).read_bytes()
+    head, _, body = raw.partition(b"\n")
+    header, payload = json.loads(head), json.loads(body)
+    payload["version"] = 99
+    body = json.dumps(payload).encode("utf-8")
+    header["payload_crc"], header["payload_size"] = zlib.crc32(body), len(body)
+    (path / MANIFEST_NAME).write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
     with pytest.raises(ValueError, match="version 99") as excinfo:
-        QueryIndex.load(future)
+        QueryIndex.load(path)
+    assert not isinstance(excinfo.value, SnapshotCorruptError)
+    assert f"reads version {SNAPSHOT_VERSION}" in str(excinfo.value)
+
+
+def test_legacy_npz_file_is_a_plain_value_error(tmp_path):
+    """A regular file is an intact snapshot of the retired ``.npz`` format:
+    refused as unsupported, not reported as corrupt."""
+    path = tmp_path / "legacy.npz"
+    np.savez(path, format=np.array("repro-query-index"))
+    with pytest.raises(ValueError, match=r"\.npz snapshots are no longer read") as excinfo:
+        QueryIndex.load(path)
     assert not isinstance(excinfo.value, SnapshotCorruptError)
 
 
@@ -192,13 +162,18 @@ def test_unsupported_version_stays_plain_value_error(tmp_path, index):
 # rolling snapshot store
 # --------------------------------------------------------------------- #
 def test_store_load_rolls_back_past_corrupt_latest(tmp_path, index, probe_queries):
+    """A flipped data byte in the newest snapshot fails the RAM audit; the
+    store serves the previous snapshot instead."""
     store = SnapshotStore(tmp_path / "snaps", keep=3)
-    store.save(index, layout="npz")  # byte-level corruption below is .npz-specific
-    latest = store.save(index, layout="npz")
+    store.save(index)
+    latest = store.save(index)
     reference = _answers(QueryIndex.load(store.snapshots()[0]), probe_queries)
-    data = bytearray(latest.read_bytes())
+    member = _member_file(latest, "seg0_store")
+    data = bytearray(member.read_bytes())
     data[len(data) // 2] ^= 0xFF
-    latest.write_bytes(bytes(data))
+    member.write_bytes(bytes(data))
+    with pytest.raises(SnapshotCorruptError, match="checksum mismatch"):
+        QueryIndex.load(latest)
     assert _answers(store.load(), probe_queries) == reference
 
 
@@ -206,13 +181,16 @@ def test_store_crash_between_data_and_pointer_keeps_previous(
     tmp_path, index, probe_queries
 ):
     store = SnapshotStore(tmp_path / "snaps", keep=3)
-    first = store.save(index, layout="npz")
+    first = store.save(index)
     reference = _answers(QueryIndex.load(first), probe_queries)
     with faults.inject() as plan:
-        plan.crash_before_replace()
+        plan.crash_before_replace(event="flat_replace")
         with pytest.raises(InjectedCrash):
-            store.save(index, layout="npz")
+            store.save(index)
     assert any(fired[0] == "snapshot_crash" for fired in plan.fired)
+    # The aborted snapshot's directory exists (its data files are on disk)
+    # but never committed; the pointer still names the first snapshot.
+    assert len(store.snapshots()) == 2
     assert store.pointer_path.read_text().strip() == first.name
     assert _answers(store.load(), probe_queries) == reference
 
@@ -225,16 +203,19 @@ def test_store_prunes_to_keep_and_points_at_newest(tmp_path, index):
     names = [path.name for path in store.snapshots()]
     assert len(names) == 2
     assert store.pointer_path.read_text().strip() == newest.name == names[-1]
+    assert newest.name == "snapshot-00000002.flat"
 
 
 def test_store_raises_aggregate_error_when_everything_is_corrupt(tmp_path, index):
     store = SnapshotStore(tmp_path / "snaps", keep=3)
-    store.save(index, layout="npz")  # write_bytes below needs file snapshots
-    store.save(index, layout="npz")
+    store.save(index)
+    store.save(index)
     for path in store.snapshots():
-        path.write_bytes(b"garbage")
-    with pytest.raises(SnapshotCorruptError, match="every snapshot failed"):
+        (path / MANIFEST_NAME).write_bytes(b"garbage")
+    with pytest.raises(SnapshotCorruptError, match="every snapshot failed") as excinfo:
         store.load()
+    for path in store.snapshots():
+        assert path.name in str(excinfo.value)
 
 
 def test_empty_store_raises_file_not_found(tmp_path):

@@ -19,8 +19,7 @@ import json
 import pytest
 
 from repro.search.query import QueryIndex
-from repro.serving.snapshot import SnapshotCorruptError
-from repro.serving.storage import MANIFEST_NAME
+from repro.serving.snapshot import MANIFEST_NAME, SnapshotCorruptError
 from repro.testing import faults
 from repro.testing.faults import InjectedCrash
 
@@ -113,16 +112,6 @@ def test_bitflipped_manifest_via_seam_raises_typed_error(
     assert excinfo.value.path == path
 
 
-def test_npz_seam_does_not_fire_for_flat_saves(tmp_path, serving_index):
-    """Seam routing: a flat save must only pass the flat_replace window."""
-    path = tmp_path / "routed.flat"
-    with faults.inject() as plan:
-        plan.crash_before_replace(event="snapshot_replace")
-        serving_index.save(path, layout="flat")  # completes: wrong seam armed
-    assert not any(fired[0] == "snapshot_crash" for fired in plan.fired)
-    QueryIndex.load(path)
-
-
 # --------------------------------------------------------------------- #
 # worker loss while serving out-of-core
 # --------------------------------------------------------------------- #
@@ -167,11 +156,11 @@ def test_kill_worker_top_k_over_mmap_segments_bit_identical(
 def test_store_rolls_back_past_corrupt_flat_latest(
     tmp_path, serving_index, query_batch, serial_answers
 ):
-    """SnapshotStore rollback covers flat-layout snapshots too.
+    """SnapshotStore rollback past a corrupt manifest.
 
     The newest snapshot's manifest is bit-flipped on disk; ``load`` must
     skip it (typed rejection, logged) and serve the previous snapshot
-    bit-identically — same contract the store gives torn ``.npz`` files.
+    bit-identically.
     """
     from repro.serving.snapshot import SnapshotStore
 

@@ -210,7 +210,7 @@ def test_crash_during_tail_repair_leaves_the_torn_file_repairable(tmp_path):
 # --------------------------------------------------------------------- #
 # SIGKILL matrix: fork, crash at a seam, recover, compare to the twin
 # --------------------------------------------------------------------- #
-def _run_crash_round(index, corpus, probes, tmp_path, layout, seam, occurrence):
+def _run_crash_round(index, corpus, probes, tmp_path, storage, seam, occurrence):
     """Fork a child that mutates until SIGKILLed at the armed seam."""
     round_dir = tmp_path / f"{seam}-{occurrence}"
     round_dir.mkdir()
@@ -218,7 +218,7 @@ def _run_crash_round(index, corpus, probes, tmp_path, layout, seam, occurrence):
     ack_path = round_dir / "ack"
     index._wal = None  # re-arm the parent template onto a fresh log
     index.attach_wal(WriteAheadLog(wal_dir, fsync="always"))
-    snapshot = index.save(round_dir / "checkpoint", layout=layout)
+    snapshot = index.save(round_dir / "checkpoint")
     plan_mutations = _mutations(corpus)
 
     pid = os.fork()
@@ -239,7 +239,7 @@ def _run_crash_round(index, corpus, probes, tmp_path, layout, seam, occurrence):
     assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
 
     n_acked = ack_path.stat().st_size if ack_path.exists() else 0
-    recovered = QueryIndex.load(snapshot, wal=WriteAheadLog(wal_dir))
+    recovered = QueryIndex.load(snapshot, storage=storage, wal=WriteAheadLog(wal_dir))
     n_logged = recovered.replay_stats()["replayed_records"]
     recovered.wal.close()
     # RPO = 0: every acknowledged mutation is in the log; at most the one
@@ -252,17 +252,17 @@ def _run_crash_round(index, corpus, probes, tmp_path, layout, seam, occurrence):
     return n_acked, n_logged
 
 
-@pytest.mark.parametrize("layout", ["npz", "flat"])
+@pytest.mark.parametrize("storage", ["ram", "mmap"])
 @pytest.mark.parametrize("seam", ["wal_append", "wal_fsync"])
 def test_sigkill_at_every_seam_occurrence_loses_nothing(
-    tmp_path, corpus, probes, layout, seam
+    tmp_path, corpus, probes, storage, seam
 ):
     index = _fresh_index(corpus)
     observed = []
     for occurrence in range(len(_mutations(corpus))):
         observed.append(
             _run_crash_round(
-                index, corpus, probes, tmp_path, layout, seam, occurrence
+                index, corpus, probes, tmp_path, storage, seam, occurrence
             )
         )
     # sanity on the matrix itself: each round crashed one mutation later

@@ -1,15 +1,9 @@
 """Backend-equivalence matrix: RAM vs mmap snapshot loads are bit-identical.
 
-The storage seam (see ``repro/serving/storage.py``) promises that *where* a
-loaded index's arrays live — deserialised ``.npz`` copies, flat-layout RAM
-reads, or read-only memory maps — never changes a single answered bit.
-Every test here drives one serving operation through the full backend
-matrix
-
-    saved layout   x   load backend
-    npz, flat          npz-RAM, flat-RAM, flat-mmap
-
-and asserts the results (ids, similarities, ranked orders), the posterior
+The load backends (see ``repro/serving/snapshot.py``) promise that *where*
+a loaded index's arrays live — verified RAM reads or read-only memory maps
+— never changes a single answered bit.  Every test here drives one serving
+operation through both backends (``storage`` ∈ {ram, mmap}) and asserts the results (ids, similarities, ranked orders), the posterior
 estimates, the post-call per-segment store widths and the hash family's RNG
 stream position are identical across all of them — including after loads
 into live mutation (insert / delete / staleness rebuild), a compacted
@@ -27,8 +21,8 @@ from repro.similarity.vectors import VectorCollection
 
 MEASURES = ["cosine", "jaccard", "binary_cosine"]
 
-#: (layout, storage) load paths that must all be bit-identical
-BACKENDS = [("npz", None), ("flat", "ram"), ("flat", "mmap")]
+#: load backends that must be bit-identical
+BACKENDS = ["ram", "mmap"]
 
 
 def _random_collection(seed: int, n: int = 50, features: int = 80) -> np.ndarray:
@@ -66,15 +60,9 @@ def _queries() -> np.ndarray:
 
 
 def _loaded_matrix(index: QueryIndex, tmp_path) -> list[tuple[str, QueryIndex]]:
-    """One loaded index per (layout, storage) backend combination."""
-    paths = {
-        "npz": index.save(tmp_path / "snap_npz", layout="npz"),
-        "flat": index.save(tmp_path / "snap_flat", layout="flat"),
-    }
-    return [
-        (f"{layout}/{storage or 'ram'}", QueryIndex.load(paths[layout], storage=storage))
-        for layout, storage in BACKENDS
-    ]
+    """One loaded index per load backend."""
+    path = index.save(tmp_path / "snap")
+    return [(storage, QueryIndex.load(path, storage=storage)) for storage in BACKENDS]
 
 
 def _family_position(index: QueryIndex) -> str:
@@ -162,10 +150,8 @@ def test_compacted_round_trip_identical_across_backends(measure, tmp_path):
     index = _build_index(measure, "grown")
     queries = _queries()
     compact_reference = None
-    for layout, storage in BACKENDS:
-        path = index.save(
-            tmp_path / f"compact_{layout}_{storage or 'ram'}", compact=True, layout=layout
-        )
+    path = index.save(tmp_path / "compact", compact=True)
+    for storage in BACKENDS:
         loaded = QueryIndex.load(path, storage=storage)
         assert loaded.n_segments == 1
         assert loaded.n_deleted == 0
@@ -173,7 +159,7 @@ def test_compacted_round_trip_identical_across_backends(measure, tmp_path):
         if compact_reference is None:
             compact_reference = answers
         else:
-            assert answers == compact_reference, (layout, storage)
+            assert answers == compact_reference, storage
     # Compaction only renumbers rows; external ids keep matching.
     alive = {pair.j for hits in compact_reference for pair in hits}
     assert all(0 <= j < index.n_alive for j in alive)
@@ -244,7 +230,7 @@ def test_spill_preserves_answers_and_updatability(measure, tmp_path):
 
 
 def test_collections_with_string_ids_round_trip(tmp_path):
-    """Unicode external ids survive both layouts and both backends."""
+    """Unicode external ids survive both backends."""
     dense = _random_collection(61, n=30)
     ids = [f"doc-{i:03d}" for i in range(30)]
     index = QueryIndex(

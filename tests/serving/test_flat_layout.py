@@ -1,13 +1,12 @@
 """Adversarial tests for the flat on-disk snapshot layout.
 
-The flat layout (see ``repro/serving/storage.py``) spreads one snapshot
-over many files, so "the archive is corrupt" has many more shapes than for
-a single ``.npz``: a member file truncated at any boundary, a bit flipped
-anywhere in the manifest, a member file missing outright, a data byte
-flipped with the size intact, an orphaned generation from a crashed
-writer.  Every test here drives one of those shapes into
-:func:`~repro.serving.storage.read_flat` and asserts the documented
-outcome — an identical load, a typed
+The flat layout (see ``repro/serving/snapshot.py``) spreads one snapshot
+over many files, so "the snapshot is corrupt" has many shapes: a member
+file truncated at any boundary, a bit flipped anywhere in the manifest, a
+member file missing outright, a data byte flipped with the size intact, an
+orphaned generation from a crashed writer.  Every test here drives one of
+those shapes into :func:`~repro.serving.snapshot.read_flat` and asserts the
+documented outcome — an identical load, a typed
 :class:`~repro.serving.snapshot.SnapshotCorruptError` naming the snapshot
 path, or (for intact-but-foreign versions) a plain ``ValueError``.
 """
@@ -20,12 +19,12 @@ import numpy as np
 import pytest
 
 from repro.search.query import QueryIndex
-from repro.serving.snapshot import SnapshotCorruptError, load_query_index
-from repro.serving.storage import (
+from repro.serving.snapshot import (
     FLAT_FORMAT,
     FLAT_VERSION,
     MANIFEST_NAME,
-    is_flat_snapshot,
+    SnapshotCorruptError,
+    load_query_index,
     read_flat,
     write_flat,
 )
@@ -87,7 +86,7 @@ def _rewrite_manifest(path, mutate):
 @pytest.mark.parametrize("storage", ["ram", "mmap"])
 def test_pristine_layout_loads_identically(pristine, tmp_path, storage):
     path, queries, reference = _clone(pristine, tmp_path)
-    assert is_flat_snapshot(path)
+    assert path.is_dir() and path.suffix == ".flat"
     loaded = QueryIndex.load(path, storage=storage)
     assert loaded.query_many(queries, threshold=0.5) == reference
 

@@ -7,19 +7,20 @@ round trip match hash functions the original would have drawn.
 """
 
 import json
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.search.query import QueryIndex
 from repro.serving.snapshot import (
-    SNAPSHOT_FORMAT,
+    MANIFEST_NAME,
     SNAPSHOT_VERSION,
     SnapshotCorruptError,
     load_query_index,
+    read_flat,
     save_query_index,
 )
-from repro.serving.storage import default_layout
 
 
 def _corpus(seed: int, n: int = 60, features: int = 120):
@@ -57,9 +58,7 @@ def test_round_trip_is_bit_identical(tmp_path, corpus, queries, measure, verific
     before_topk = index.top_k_many(queries, k=5)
 
     path = index.save(tmp_path / f"{measure}-{verification}")
-    # The default layout follows REPRO_STORAGE, so under the CI storage
-    # matrix this round-trips the flat layout instead of the .npz archive.
-    assert path.suffix == (".flat" if default_layout() == "flat" else ".npz")
+    assert path.is_dir() and path.name == f"{measure}-{verification}.flat"
     loaded = QueryIndex.load(path)
 
     assert loaded.n_indexed == index.n_indexed
@@ -122,32 +121,38 @@ def test_round_trip_preserves_external_ids(tmp_path):
     assert list(loaded.ids) == [f"doc-{i}" for i in range(10)]
 
 
+def _rewrite_manifest(path, mutate):
+    """Apply ``mutate(payload)`` to a snapshot manifest, re-sealing its CRC."""
+    head, _, body = (path / MANIFEST_NAME).read_bytes().partition(b"\n")
+    header, payload = json.loads(head), json.loads(body)
+    mutate(payload)
+    body = json.dumps(payload).encode("utf-8")
+    header["payload_crc"], header["payload_size"] = zlib.crc32(body), len(body)
+    (path / MANIFEST_NAME).write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+
+
 def test_rejects_foreign_and_future_archives(tmp_path, corpus):
-    foreign = tmp_path / "foreign.npz"
-    np.savez(foreign, something=np.arange(3))
+    foreign = tmp_path / "foreign.flat"
+    foreign.mkdir()
+    (foreign / MANIFEST_NAME).write_bytes(b'{"format": "something-else"}\n{}')
     with pytest.raises(ValueError, match="not a QueryIndex snapshot"):
         load_query_index(foreign)
 
     index = QueryIndex(corpus, measure="cosine", threshold=0.6, seed=0)
-    path = index.save(tmp_path / "current.npz")
-    with np.load(path, allow_pickle=False) as archive:
-        contents = {name: archive[name] for name in archive.files}
-    assert str(contents["format"][()]) == SNAPSHOT_FORMAT
-    contents["version"] = np.array(SNAPSHOT_VERSION + 1, dtype=np.int64)
-    future = tmp_path / "future.npz"
-    np.savez(future, **contents)
+    path = index.save(tmp_path / "current")
+    _rewrite_manifest(path, lambda payload: payload.update(version=SNAPSHOT_VERSION + 1))
     with pytest.raises(ValueError, match="version"):
-        load_query_index(future)
+        load_query_index(path)
 
 
 def test_snapshot_is_pickle_free(tmp_path, corpus):
-    """Every payload loads under ``allow_pickle=False`` and meta is plain JSON."""
+    """Every member is a raw fixed-width array and meta is plain JSON."""
     index = QueryIndex(corpus, measure="jaccard", threshold=0.55, seed=8)
-    path = index.save(tmp_path / "no-pickle.npz")
-    with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"][()]))
-        for name in archive.files:
-            archive[name]  # raises if any array would need pickling
+    path = index.save(tmp_path / "no-pickle")
+    payload = json.loads((path / MANIFEST_NAME).read_bytes().partition(b"\n")[2])
+    meta = payload["meta"]
+    for entry in payload["members"].values():
+        assert not np.dtype(entry["dtype"]).hasobject
     assert meta["measure"] == "jaccard"
     assert meta["store_kind"] == "ints"
     assert meta["family"] == "minhash"
@@ -156,6 +161,19 @@ def test_snapshot_is_pickle_free(tmp_path, corpus):
 def test_save_rejects_non_index():
     with pytest.raises(TypeError, match="QueryIndex"):
         save_query_index(object(), "nowhere")
+
+
+def test_save_accepts_only_the_flat_layout(tmp_path, corpus):
+    from repro.serving.snapshot import SnapshotStore
+
+    index = QueryIndex(corpus, measure="cosine", threshold=0.6, seed=0)
+    assert index.save(tmp_path / "explicit", layout="flat").is_dir()
+    with pytest.raises(ValueError, match="layout must be 'flat'"):
+        index.save(tmp_path / "archive", layout="npz")
+    with pytest.raises(ValueError, match="layout must be 'flat'"):
+        SnapshotStore(tmp_path / "store").save(index, layout="npz")
+    assert not (tmp_path / "archive.flat").exists()
+    assert list((tmp_path / "store").iterdir()) == []
 
 
 def test_multi_segment_round_trip_preserves_segmentation(tmp_path, corpus, queries):
@@ -198,15 +216,14 @@ def test_compacted_snapshot_drops_tombstones_and_answers_identically(
     expected = index.query_many(queries, threshold=0.5)
     expected_topk = index.top_k_many(queries, k=5)
 
-    path = index.save(tmp_path / "compacted.npz", compact=True)
-    # The archive holds exactly the alive rows, in one segment, none deleted.
-    with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"][()]))
-        assert meta["compacted"] is True
-        assert meta["n_segments"] == 1
-        assert int(archive["seg0_collection_shape"][0]) == index.n_alive
-        assert archive["seg0_store"].shape[0] == index.n_alive
-        assert not archive["deleted"].any()
+    path = index.save(tmp_path / "compacted", compact=True)
+    # The snapshot holds exactly the alive rows, in one segment, none deleted.
+    _, meta, arrays = read_flat(path)
+    assert meta["compacted"] is True
+    assert meta["n_segments"] == 1
+    assert int(arrays["seg0_collection_shape"][0]) == index.n_alive
+    assert arrays["seg0_store"].shape[0] == index.n_alive
+    assert not arrays["deleted"].any()
 
     loaded = QueryIndex.load(path)
     assert loaded.n_segments == 1
@@ -278,20 +295,49 @@ def test_compacting_save_does_not_mutate_the_live_index(tmp_path, corpus, querie
 
 @pytest.mark.parametrize("legacy_version", [1, 2])
 def test_legacy_archive_versions_are_rejected_as_unsupported(tmp_path, corpus, legacy_version):
-    """v1/v2 archives are refused as unsupported, not reported as corrupt.
+    """v1/v2 snapshots are refused as unsupported, not reported as corrupt.
 
     No writer has produced them since v3; the readers are gone.  An intact
-    archive of another version is not damaged, so the error is the plain
+    snapshot of another version is not damaged, so the error is the plain
     "version not supported" ``ValueError``.
     """
     index = QueryIndex(corpus, measure="cosine", threshold=0.6, seed=9)
-    path = index.save(tmp_path / "current.npz")
-    with np.load(path, allow_pickle=False) as archive:
-        contents = {name: archive[name] for name in archive.files}
-    contents["version"] = np.array(legacy_version, dtype=np.int64)
-    legacy_path = tmp_path / f"v{legacy_version}.npz"
-    np.savez(legacy_path, **contents)
+    path = index.save(tmp_path / f"v{legacy_version}")
+    _rewrite_manifest(path, lambda payload: payload.update(version=legacy_version))
 
     with pytest.raises(ValueError, match="not supported") as excinfo:
-        load_query_index(legacy_path)
+        load_query_index(path)
     assert not isinstance(excinfo.value, SnapshotCorruptError)
+
+
+def test_load_tries_the_name_then_its_flat_suffix_only(tmp_path, corpus, queries):
+    """``load(p)`` reads ``p`` or ``p + ".flat"`` and never probes a sibling
+    name, and a name already ending in ``.flat`` is saved as given."""
+    index = QueryIndex(corpus, measure="cosine", threshold=0.6, seed=3)
+    expected = index.query_many(queries, threshold=0.5)
+    assert index.save(tmp_path / "kept.flat").name == "kept.flat"
+    saved = index.save(tmp_path / "run.v1")
+    for name in ("kept", "kept.flat", "run.v1", "run.v1.flat"):
+        assert QueryIndex.load(tmp_path / name).query_many(queries, threshold=0.5) == expected
+    for name in ("run", "run.v2", "run.flat"):
+        with pytest.raises(SnapshotCorruptError, match="missing MANIFEST.json"):
+            QueryIndex.load(tmp_path / name)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.flat", saved.name]
+
+
+def test_names_differing_after_the_last_dot_are_distinct_snapshots(
+    tmp_path, corpus, queries
+):
+    """``save`` appends ``.flat`` rather than replacing a suffix, so
+    ``run.v1`` and ``run.v2`` never overwrite each other and each loads
+    back its own index."""
+    first = QueryIndex(corpus, measure="cosine", threshold=0.6, seed=1)
+    second = QueryIndex(corpus[::-1] + 0.0, measure="jaccard", threshold=0.5, seed=2)
+    paths = [first.save(tmp_path / "run.v1"), second.save(tmp_path / "run.v2")]
+    assert [path.name for path in paths] == ["run.v1.flat", "run.v2.flat"]
+    for name, original in (("run.v1", first), ("run.v2", second)):
+        loaded = QueryIndex.load(tmp_path / name)
+        assert loaded.threshold == original.threshold
+        assert loaded.query_many(queries, threshold=0.5) == original.query_many(
+            queries, threshold=0.5
+        )

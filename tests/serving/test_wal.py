@@ -83,6 +83,29 @@ def test_replay_on_snapshot_is_bit_identical(tmp_path, corpus, probes):
     index.wal.close()
 
 
+def test_replay_onto_mmap_load_is_bit_identical(tmp_path, corpus, probes):
+    """Replay over read-only mapped segments lands where the RAM path does,
+    and the recovered index keeps mutating identically to the original."""
+    import shutil
+
+    index = _fresh_index(corpus)
+    index.attach_wal(tmp_path / "wal")
+    store = SnapshotStore(tmp_path / "snaps")
+    store.save(index)
+    _mutate(index, corpus)
+    index.wal.sync()
+    # recover from a copy so both twins keep logging independently
+    shutil.copytree(tmp_path / "wal", tmp_path / "wal-copy")
+    recovered = store.load(storage="mmap", wal=WriteAheadLog(tmp_path / "wal-copy"))
+    _assert_bit_identical(recovered, index, probes)
+    extra = planted_collection(74, n=4)
+    index.insert(extra)
+    recovered.insert(extra)
+    _assert_bit_identical(recovered, index, probes)
+    recovered.wal.close()
+    index.wal.close()
+
+
 def test_replay_twice_is_idempotent(tmp_path, corpus, probes):
     """Two independent recoveries from the same snapshot+log agree exactly."""
     index = _fresh_index(corpus)
