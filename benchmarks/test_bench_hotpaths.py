@@ -18,7 +18,7 @@ experiment, so regressions in any one of them are visible in isolation:
   comparing one more hash for a pair, and scoring a pair exactly
   (``PosteriorModel.exact_budget``, ``docs/reproduction.md``);
 * **candidate generation** — the LSH banding index, AllPairs and PPJoin on
-  the synthetic corpus.
+  the synthetic corpus, and AllPairs on a community graph with hub rows.
 
 The verification workload deliberately mixes same-cluster (high-similarity)
 pairs with random pairs: random pairs are pruned in the first round, so a
@@ -39,7 +39,7 @@ from repro.candidates.ppjoin import PPJoinGenerator
 from repro.core.bayeslsh import BayesLSH
 from repro.core.params import BayesLSHParams
 from repro.core.posteriors import BetaPosterior, TruncatedCollisionPosterior
-from repro.datasets.synthetic import synthetic_text_corpus
+from repro.datasets.synthetic import synthetic_graph, synthetic_text_corpus
 from repro.hashing.minhash import MinHashFamily
 from repro.hashing.simhash import SimHashFamily
 from repro.similarity.measures import get_measure
@@ -306,6 +306,24 @@ def test_bench_allpairs_candidate_generation(benchmark, tfidf_collection):
 
     def run():
         return AllPairsGenerator("cosine", threshold=0.7).generate(tfidf_collection)
+
+    candidates = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert len(candidates) > 0
+
+
+def test_bench_allpairs_candidate_generation_graph(benchmark):
+    """AllPairs on a 4,000-node community graph (cosine, threshold 0.5).
+
+    The graph's heavy-tailed degrees give hub rows tens of times the mean
+    row length, which the text corpus above does not have; its pair keys
+    are sparse in their range where the text corpus's are dense.
+    """
+    collection = synthetic_graph(
+        n_nodes=4000, average_degree=20, n_communities=200, seed=3
+    ).collection
+
+    def run():
+        return AllPairsGenerator("cosine", threshold=0.5).generate(collection)
 
     candidates = benchmark.pedantic(run, rounds=3, iterations=1)
     assert len(candidates) > 0

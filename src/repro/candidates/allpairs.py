@@ -38,13 +38,29 @@ The classic formulation interleaves probing and indexing in one sequential
 pass with per-feature Python lists.  The implementation here exploits the
 fact that whether vector ``x`` indexes feature ``f`` depends only on ``x``
 itself (its own cumulative bound) and global statistics — never on the other
-vectors.  All index entries are therefore computed up front (one vectorised
-cumulative-weight pass per vector), laid out as a flat posting array sorted
-by ``(feature, processing position)``, and the sequential "only vectors
-processed before ``x``" semantics is recovered by slicing each feature's
-posting list at ``x``'s processing position with one ``searchsorted``.
-Per-vector work is then a handful of NumPy calls; candidate pairs, counters
-and the emitted pair set are identical to the sequential reference
+vectors — so the whole sweep is a few passes over the flat entry arrays,
+with no per-vector Python loop:
+
+1. *Entry order.*  One ``argsort`` of ``row * n_features + feature rank``
+   lays every row's entries out in the order the sequential algorithm visits
+   them (the key is unique per entry, so sort stability never matters).
+2. *Indexing bound.*  Rows are grouped by length rounded up to a power of
+   two, and each group's bound terms are accumulated in one zero-padded 2-D
+   ``cumsum(axis=1)``.  Accumulation along an axis is sequential, so every
+   prefix — and every ``>= t`` decision — is bit-identical to the scalar
+   running sum.
+3. *Postings and probes.*  One ``argsort`` of ``feature * n + processing
+   position`` over *all* entries.  In that order the indexed entries are the
+   posting lists, grouped by feature and ordered by position, and a running
+   count of indexed entries gives every entry both ends of its probe: the
+   count at its feature's first slot is where the feature's postings begin,
+   and its own count is where "the vectors indexed before ``x``" end.
+4. *Gather.*  The probe prefixes are gathered in hit-budgeted batches, and
+   each batch's pair keys are deduplicated by
+   :func:`~repro.candidates.arrayops.sorted_unique`.
+
+Candidate pairs, their order, the counters and the emitted pair set are
+identical to the sequential reference
 (:func:`repro.reference.allpairs_candidates_reference`), because every score
 accumulation the reference performs corresponds to exactly one gathered
 posting entry here (all stored weights are strictly positive).
@@ -124,7 +140,8 @@ class AllPairsGenerator(CandidateGenerator):
         prepared = self.measure.prepare(collection).normalized()
         n_vectors = prepared.n_vectors
         if n_vectors < 2:
-            return BlockStream(iter(()), {"generator": self.name})
+            metadata = {"generator": self.name, "n_score_accumulations": 0, "index_entries": 0}
+            return BlockStream(iter(()), metadata)
 
         matrix = prepared.matrix
         n_features = prepared.n_features
@@ -147,65 +164,52 @@ class AllPairsGenerator(CandidateGenerator):
         position[vector_order] = np.arange(n_vectors)
 
         # Flat row-major entry layout with features rank-sorted inside each
-        # row (the same order the sequential algorithm visits them in).
-        indptr = matrix.indptr
+        # row (the same order the sequential algorithm visits them in).  The
+        # key is unique per entry, so the sort's stability never matters.
         row_nnz = prepared.row_nnz
         rows_of_entries = np.repeat(np.arange(n_vectors, dtype=np.int64), row_nnz)
-        entry_order = np.lexsort((feature_rank[matrix.indices], rows_of_entries))
+        entry_order = np.argsort(rows_of_entries * n_features + feature_rank[matrix.indices])
         sorted_features = matrix.indices[entry_order].astype(np.int64)
         sorted_weights = matrix.data[entry_order]
 
         # ---------------- phase 1: the partial-indexing bound ----------------
         # b = cumsum(w * min(maxweight_dim(f), maxweight(x))) per row; entry
         # (x, f) is indexed once the running bound reaches the threshold.
-        # np.cumsum accumulates left to right, so each row's bound sequence is
-        # bit-identical to the sequential scalar accumulation.
         terms = sorted_weights * np.minimum(
             max_weight_dim[sorted_features], np.repeat(prepared.max_weights, row_nnz)
         )
-        indexed_flat = np.zeros(len(sorted_features), dtype=bool)
-        for x in range(n_vectors):
-            start, end = indptr[x], indptr[x + 1]
-            if end > start:
-                indexed_flat[start:end] = np.cumsum(terms[start:end]) >= threshold
+        indexed = _running_sum_reaches(terms, matrix.indptr, threshold)
 
-        # ---------------- phase 2: posting lists ----------------------------
-        # Flat inverted index over the indexed entries, grouped by feature and
-        # ordered by processing position inside each group, so "the vectors
-        # indexed before x" is the prefix of a feature's postings below
-        # position[x].
-        indexed_positions = np.flatnonzero(indexed_flat)
-        posting_feature = sorted_features[indexed_positions]
-        posting_row = rows_of_entries[indexed_positions]
-        posting_position = position[posting_row]
-        posting_order = np.lexsort((posting_position, posting_feature))
-        posting_row = posting_row[posting_order]
-        posting_feature = posting_feature[posting_order]
-        posting_position = posting_position[posting_order]
-        feature_offsets = np.searchsorted(
-            posting_feature, np.arange(n_features + 1, dtype=np.int64)
-        )
-        # Composite key (feature, position) for one-shot prefix boundaries.
-        posting_key = posting_feature * n_vectors + posting_position
+        # ---------------- phase 2: postings and probe prefixes ---------------
+        # Every entry sorted by (feature, processing position): the indexed
+        # ones, in this order, are the posting lists.  ``before`` counts the
+        # indexed slots ahead of each slot, so the postings visible to entry
+        # (x, f) — f's postings of vectors processed before x — run from the
+        # count at f's first slot to x's own count.
+        by_feature = np.argsort(sorted_features * n_vectors + position[rows_of_entries])
+        indexed_by_feature = indexed[by_feature]
+        posting_row = rows_of_entries[by_feature[indexed_by_feature]]
+        before = np.cumsum(indexed_by_feature) - indexed_by_feature
+        features_by_feature = sorted_features[by_feature]
+        first_slot = np.ones(len(by_feature), dtype=bool)
+        np.not_equal(features_by_feature[1:], features_by_feature[:-1], out=first_slot[1:])
+        # ``before`` never decreases, so the running maximum of its values at
+        # first slots is the value at each slot's own first slot.
+        group_start = np.maximum.accumulate(np.where(first_slot, before, 0))
+        prefix_starts = np.empty_like(before)
+        prefix_starts[by_feature] = group_start
+        hit_counts = np.empty_like(before)
+        hit_counts[by_feature] = before - group_start
 
-        # ---------------- phase 3: candidate generation ----------------------
-        # One batched probe over every entry: the postings visible to entry
-        # (x, f) are the prefix of f's posting group below x's processing
-        # position, located with a single searchsorted over all entries.
-        # Gathered hits are materialised in budget-bounded batches; duplicate
-        # (x, y) pairs across batches are removed by from_arrays.
-        prefix_starts = feature_offsets[sorted_features]
-        prefix_ends = np.searchsorted(
-            posting_key, sorted_features * n_vectors + position[rows_of_entries]
-        )
-        hit_counts = prefix_ends - prefix_starts
-        n_score_accumulations = int(hit_counts.sum())
         metadata = {
             "generator": self.name,
-            "n_score_accumulations": n_score_accumulations,
-            "index_entries": int(len(indexed_positions)),
+            "n_score_accumulations": int(hit_counts.sum()),
+            "index_entries": len(posting_row),
         }
 
+        # ---------------- phase 3: candidate generation ----------------------
+        # Gathered hits are materialised in budget-bounded batches; duplicate
+        # (x, y) pairs across batches are removed by from_arrays.
         def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
             for entry_start, entry_end in budgeted_batches(hit_counts, hit_budget):
                 batch = slice(entry_start, entry_end)
@@ -220,3 +224,35 @@ class AllPairsGenerator(CandidateGenerator):
                     yield chunk // n_vectors, chunk % n_vectors
 
         return BlockStream(blocks(), metadata)
+
+
+def _running_sum_reaches(terms: np.ndarray, indptr: np.ndarray, threshold: float) -> np.ndarray:
+    """``np.cumsum(terms[row]) >= threshold`` for every CSR row, one pass per width class.
+
+    Rows are grouped by their length rounded up to a power of two, so no row
+    is padded to more than twice its length (one grid for every row would
+    pad each to the longest hub row).  A class's terms are laid out
+    zero-padded in a 2-D grid and accumulated with one ``cumsum(axis=1)``.
+    Accumulation along an axis is sequential, so every prefix is
+    bit-identical to the row's own ``np.cumsum``, and the padding only ever
+    follows a row's real entries.
+    """
+    starts = indptr[:-1].astype(np.int64)
+    lengths = np.diff(indptr).astype(np.int64)
+    reached = np.zeros(len(terms), dtype=bool)
+    rows = np.flatnonzero(lengths)
+    # frexp's exponent of ``length - 1`` is its bit length: 2**e >= length
+    widths = np.frexp(lengths[rows] - 1.0)[1]
+    for exponent in np.flatnonzero(np.bincount(widths)):
+        class_rows = rows[widths == exponent]
+        width = 1 << int(exponent)
+        class_lengths = lengths[class_rows]
+        entries = ragged_arange(starts[class_rows], class_lengths)
+        slots = entries + np.repeat(
+            np.arange(len(class_rows), dtype=np.int64) * width - starts[class_rows], class_lengths
+        )
+        grid = np.zeros(len(class_rows) * width, dtype=terms.dtype)
+        grid[slots] = terms[entries]
+        running = np.cumsum(grid.reshape(len(class_rows), width), axis=1).ravel()
+        reached[entries] = running[slots] >= threshold
+    return reached

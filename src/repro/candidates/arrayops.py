@@ -13,7 +13,8 @@ patterns they need:
   keys", which every pair/probe deduplication goes through.
 
 The first two are built from ``repeat``/``cumsum`` only, so their cost is
-linear in the output size; the third is one sort.
+linear in the output size; the third is a bool mask over a dense key range
+and one sort otherwise.
 """
 
 from __future__ import annotations
@@ -22,17 +23,45 @@ import numpy as np
 
 __all__ = ["ragged_arange", "pairs_within_groups", "budgeted_batches", "sorted_unique"]
 
+#: keys whose range is at most this many times their count are deduplicated
+#: through a bool mask instead of a sort
+_MASK_RANGE_PER_KEY = 3
+
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of a 1-D integer array: one sort, one neighbour mask.
+    """Sorted distinct values of a 1-D integer array: a bool mask or one sort.
 
     Same values, order and dtype as ``np.unique(keys)``.  Call this instead:
     from NumPy 2.3 a plain ``np.unique`` on integers builds a hash table
     before it sorts, which costs ~16x this on the pair-key arrays of a join.
 
+    When the keys are dense — their range ``max - min + 1`` is at most
+    3 times their count — they are scattered into a bool mask over that
+    range and read back with ``flatnonzero``, which is linear in keys plus
+    range.  Otherwise they are sorted and a neighbour mask drops repeats.
+    The constant is where the two cross over on random int64 keys (3,000 to
+    1.7 M keys, NumPy 2.4 on a 2-core x86-64 Xeon): at a range of 2 slots
+    per key the mask is 1.3-2.5x faster, at 4 slots per key the two are
+    within 1.5x either way, and from 8 the sort is faster.  Under ~1,000
+    keys both take microseconds.
+
     >>> sorted_unique(np.array([3, 1, 3, 2, 1]))
     array([1, 2, 3])
     """
+    if len(keys):
+        low, high = int(keys.min()), int(keys.max())
+        if high - low + 1 <= _MASK_RANGE_PER_KEY * len(keys):
+            return _unique_by_mask(keys, low, high)
+    return _unique_by_sort(keys)
+
+
+def _unique_by_mask(keys: np.ndarray, low: int, high: int) -> np.ndarray:
+    present = np.zeros(high - low + 1, dtype=bool)
+    present[keys - low] = True
+    return (np.flatnonzero(present) + low).astype(keys.dtype, copy=False)
+
+
+def _unique_by_sort(keys: np.ndarray) -> np.ndarray:
     ordered = np.sort(keys)
     distinct = np.ones(len(ordered), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])

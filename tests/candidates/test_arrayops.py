@@ -1,4 +1,4 @@
-"""``sorted_unique`` against ``np.unique``: values, order and dtype."""
+"""``sorted_unique`` against ``np.unique``: values, order and dtype, on both of its paths."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.candidates import arrayops
 from repro.candidates.arrayops import sorted_unique
 
 
@@ -37,12 +38,47 @@ def test_matches_np_unique_over_the_whole_int64_range(keys):
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 @pytest.mark.parametrize(
-    "values",
-    [[], [7], [4, 4, 4, 4], [-3, -1, -3, 0, -1], [2, 1, 0], [0, 1, 2]],
-    ids=["empty", "singleton", "all_equal", "negative", "descending", "distinct"],
+    ("values", "branch"),
+    [
+        ([], "sort"),
+        ([7], "mask"),
+        ([4, 4, 4, 4], "mask"),
+        ([-3, -1, -3, 0, -1], "mask"),
+        ([2, 1, 0], "mask"),
+        ([0, 1, 2], "mask"),
+        (np.arange(-500, 1000, 3)[::-1], "mask"),
+        ([-(10**9), 5, -3, 5, 10**9], "sort"),
+        (np.arange(0, 10**6, 977), "sort"),
+    ],
+    ids=[
+        "empty",
+        "singleton",
+        "all_equal",
+        "negative",
+        "descending",
+        "distinct",
+        "dense_range",
+        "sparse_negative",
+        "sparse_range",
+    ],
 )
-def test_edge_cases(values, dtype):
+def test_edge_cases(values, branch, dtype, monkeypatch):
+    """Each case equals ``np.unique`` and takes the branch its key range calls for."""
+    taken = []
+
+    def recording(name):
+        real = getattr(arrayops, f"_unique_by_{name}")
+
+        def wrapped(*args):
+            taken.append(name)
+            return real(*args)
+
+        return wrapped
+
+    for name in ("mask", "sort"):
+        monkeypatch.setattr(arrayops, f"_unique_by_{name}", recording(name))
     _assert_matches_np_unique(np.array(values, dtype=dtype))
+    assert taken == [branch]
 
 
 def test_input_is_not_modified():

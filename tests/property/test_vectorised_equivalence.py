@@ -10,7 +10,7 @@ thresholds) so a future "optimisation" that changes results gets caught.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import reference
 from repro.candidates.allpairs import AllPairsGenerator
@@ -51,10 +51,56 @@ def _random_sets_collection(seed: int, n_rows: int = 40, universe: int = 60):
     return VectorCollection.from_sets(sets, n_features=universe)
 
 
-def _random_weighted_collection(seed: int, n_rows: int = 35, n_features: int = 30):
+def _random_weighted_collection(seed: int, n_rows: int = 35, n_features: int = 200):
+    """Random non-negative rows of varying density, plus the shapes AllPairs depends on.
+
+    From six rows on, one row is a hub holding every feature (over 10x the
+    mean row length), two rows hold a single feature, one is empty, and two
+    are binary rows of one length on different supports.  The single-entry
+    rows and the binary rows tie on their normalised maximum weight, which
+    exercises the stable processing order.  Rows are then shuffled.
+    """
     rng = np.random.default_rng(seed)
-    dense = rng.random((n_rows, n_features)) * (rng.random((n_rows, n_features)) < 0.35)
+    density = rng.uniform(0.01, 0.1, size=(n_rows, 1))
+    dense = rng.random((n_rows, n_features)) * (rng.random((n_rows, n_features)) < density)
+    if n_rows >= 6:
+        dense[0] = rng.random(n_features) + 0.05
+        dense[1:6] = 0.0
+        dense[1, rng.integers(n_features)] = rng.random() + 0.05
+        dense[2, rng.integers(n_features)] = rng.random() + 0.05
+        length = int(rng.integers(2, 12))
+        for row in (4, 5):
+            dense[row, rng.choice(n_features, size=length, replace=False)] = 1.0
+        dense = dense[rng.permutation(n_rows)]
     return VectorCollection.from_dense(dense)
+
+
+def _reference_prefix_bounds(collection: VectorCollection) -> list[float]:
+    """Every running bound ``b`` the sequential AllPairs reference accumulates.
+
+    The same float operations in the same order as
+    :func:`repro.reference.allpairs_candidates_reference`, so a threshold
+    taken from this list lands the reference's ``b >= t`` exactly on
+    equality.
+    """
+    prepared = get_measure("cosine").prepare(collection).normalized()
+    matrix = prepared.matrix
+    feature_counts = np.asarray((matrix != 0).sum(axis=0)).ravel()
+    feature_rank = np.empty(prepared.n_features, dtype=np.int64)
+    feature_rank[np.argsort(-feature_counts, kind="stable")] = np.arange(prepared.n_features)
+    max_weight_dim = np.zeros(prepared.n_features, dtype=np.float64)
+    coo = matrix.tocoo()
+    np.maximum.at(max_weight_dim, coo.col, coo.data)
+    bounds = []
+    for x in range(prepared.n_vectors):
+        features, weights = prepared.row_features(x), prepared.row_values(x)
+        order = np.argsort(feature_rank[features], kind="stable")
+        x_max_weight = float(prepared.max_weights[x])
+        bound = 0.0
+        for feature, weight in zip(features[order], weights[order]):
+            bound += float(weight) * min(float(max_weight_dim[feature]), x_max_weight)
+            bounds.append(bound)
+    return bounds
 
 
 class TestSignatureEquivalence:
@@ -156,19 +202,48 @@ class TestCandidateGeneratorEquivalence:
         assert candidates.metadata["n_raw_collisions"] == expected_collisions
 
     @_SETTINGS
-    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([0.4, 0.6, 0.8]))
-    def test_allpairs_matches_sequential_reference(self, seed, threshold):
-        collection = _random_weighted_collection(seed)
-        candidates = AllPairsGenerator("cosine", threshold).generate(collection)
-        expected_pairs, expected_meta = reference.allpairs_candidates_reference(
-            collection, "cosine", threshold
-        )
-        assert candidates.as_set() == expected_pairs
-        assert (
-            candidates.metadata["n_score_accumulations"]
-            == expected_meta["n_score_accumulations"]
-        )
-        assert candidates.metadata["index_entries"] == expected_meta["index_entries"]
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([0.4, 0.6, 0.8]),
+        st.integers(min_value=0, max_value=40),
+    )
+    @example(seed=0, threshold=0.6, n_rows=0)
+    @example(seed=0, threshold=0.6, n_rows=1)
+    def test_allpairs_matches_sequential_reference(self, seed, threshold, n_rows):
+        collection = _random_weighted_collection(seed, n_rows=n_rows)
+        thresholds = [threshold]
+        bounds = [bound for bound in _reference_prefix_bounds(collection) if 0.0 < bound < 1.0]
+        if bounds:  # plus one threshold the reference's running bound reaches exactly
+            thresholds.append(bounds[np.random.default_rng(seed).integers(len(bounds))])
+        for t in thresholds:
+            generator = AllPairsGenerator("cosine", t)
+            candidates = generator.generate(collection)
+            expected_pairs, expected_meta = reference.allpairs_candidates_reference(
+                collection, "cosine", t
+            )
+            assert list(zip(candidates.left.tolist(), candidates.right.tolist())) == sorted(
+                expected_pairs
+            )
+            assert candidates.metadata == {"generator": "allpairs", **expected_meta}
+            # The public entry points floor the hit budget at 4,096 hits, more
+            # than these collections gather, so a budget of a few hits is what
+            # splits the probe into many batches.
+            streams = (generator.generate_blocks(collection, 3), generator._stream(collection, 5, 3))
+            for stream in streams:
+                streamed = CandidateSet.from_stream(stream)
+                np.testing.assert_array_equal(streamed.left, candidates.left)
+                np.testing.assert_array_equal(streamed.right, candidates.right)
+                assert streamed.metadata == candidates.metadata
+
+    def test_the_weighted_collection_has_the_intended_shapes(self):
+        """Guard: a 10x hub, single-entry and empty rows, tied maximum weights."""
+        collection = _random_weighted_collection(3)
+        prepared = get_measure("cosine").prepare(collection).normalized()
+        lengths = prepared.row_nnz
+        assert lengths.max() >= 10 * lengths.mean()
+        assert (lengths == 1).sum() >= 2 and (lengths == 0).sum() >= 1
+        max_weights = prepared.max_weights[lengths > 0]
+        assert len(np.unique(max_weights)) < len(max_weights)
 
     @_SETTINGS
     @given(

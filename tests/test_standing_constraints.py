@@ -1,10 +1,11 @@
 """ROADMAP standing constraints that a machine can check.
 
 Integer-key dedup under ``candidates/``, ``search/`` and ``core/`` goes
-through ``repro.candidates.arrayops.sorted_unique`` (or a bounded mask): from
-NumPy 2.3 a plain ``np.unique(ints)`` builds a hash table before it sorts —
-16x slower on pair keys — and a library upgrade turned three hot paths into
-one without a line of this repo changing.  ``np.unique`` stays only where it
+through ``repro.candidates.arrayops.sorted_unique``, which scatters keys of a
+dense range into a bounded bool mask and sorts all others: from NumPy 2.3 a
+plain ``np.unique(ints)`` builds a hash table before it sorts — 16x slower on
+pair keys — and a library upgrade turned three hot paths into one without a
+line of this repo changing.  ``np.unique`` stays only where it
 is asked for more than the values (``return_index`` / ``return_inverse`` /
 ``return_counts``) or works along an ``axis``, which take the sort path.
 """
@@ -48,7 +49,7 @@ def test_no_plain_np_unique_on_the_hot_paths(package):
     ]
     assert not offenders, (
         "plain np.unique(ints) is a hash table from NumPy 2.3 on; use "
-        "repro.candidates.arrayops.sorted_unique or a bounded mask: " + ", ".join(offenders)
+        "repro.candidates.arrayops.sorted_unique: " + ", ".join(offenders)
     )
 
 
