@@ -6,7 +6,7 @@ for the offline all-pairs engine and the serving pool behind
 ``QueryIndex.query_many``/``top_k_many`` — are bit-identity tested on every
 run (``tests/property/test_execution_invariance`` and
 ``tests/property/test_query_serving``), but bit-identity says nothing about
-whether the round-synchronous pools actually *speed things up* on real
+whether the counting worker pools actually *speed things up* on real
 hardware.  This script measures both: each workload runs serially and with a
 worker pool, the outputs are checked identical, the wall-clock ratios are
 printed and the raw timings are written as JSON (uploaded as the

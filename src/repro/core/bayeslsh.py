@@ -27,6 +27,7 @@ are what Figure 4 plots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -203,7 +204,7 @@ class BayesLSH:
 
     @property
     def tables(self) -> RoundTables:
-        """The decision tables (shared with the pooled execution paths)."""
+        """The decision tables every verification runs on."""
         return self._tables
 
     def output(
@@ -219,10 +220,10 @@ class BayesLSH:
         """Apply the terminal rule to a block's :meth:`PairState.outcome`.
 
         Under ``"exact"`` the exhausted pairs are scored (through
-        ``exact_similarities``, which the pooled path points at its workers)
-        and dropped unless they exceed the threshold; under ``"estimate"``
-        every pair that was not pruned is output.  ``n_pruned`` counts the
-        pruning test's eliminations only.
+        ``exact_similarities`` when given, the algorithm's own scorer
+        otherwise) and dropped unless they exceed the threshold; under
+        ``"estimate"`` every pair that was not pruned is output.
+        ``n_pruned`` counts the pruning test's eliminations only.
         """
         exact = self._tables.on_budget == "exact"
         pruned = np.isnan(values) & ~exhausted
@@ -246,7 +247,7 @@ class BayesLSH:
             n_unconcentrated=0 if exact else n_exhausted,
         )
 
-    def verify(self, left, right) -> VerificationOutput:
+    def verify(self, left, right, pool=None) -> VerificationOutput:
         """Verify candidate pairs given as parallel index arrays.
 
         Returns the pairs that were neither pruned nor, under
@@ -254,12 +255,18 @@ class BayesLSH:
         budget; concentrated pairs carry their MAP estimate, exhausted ones
         what the terminal rule says (they count as alive throughout the
         trace either way).
+
+        A worker ``pool`` (the streamed executor's) changes only *where* the
+        kernels run: its ``count_rounds(store, ...)`` replaces
+        ``store.count_matches_rounds(...)`` and its ``map_exact`` scores the
+        exhausted pairs.  Every decision is made here either way.
         """
         left = np.asarray(left, dtype=np.int64)
         right = np.asarray(right, dtype=np.int64)
         if left.shape != right.shape:
             raise ValueError("left and right index arrays must have the same shape")
         k = self._tables.params.k
+        count_rounds = _count_in_process if pool is None else pool.count_rounds
 
         def count_block(active: np.ndarray, n_prev: int, n_rounds: int) -> np.ndarray:
             # Survivor-side super-block: once the cheap early rounds have
@@ -274,12 +281,23 @@ class BayesLSH:
                 materialised = (self._family.n_hashes - n_prev) // k
                 n_rounds = max(1, min(_SUPERBLOCK_ROUNDS, n_rounds, materialised))
             n_end = n_prev + n_rounds * k
-            return self._family.signatures(n_end).count_matches_rounds(
-                left[active], right[active], n_prev, n_end, k
+            return count_rounds(
+                self._family.signatures(n_end), left[active], right[active], n_prev, n_end, k
             )
 
         state = replay_rounds(self._tables, len(left), count_block)
         values, exhausted = state.outcome(self._tables.on_budget)
         return self.output(
-            left, right, values, exhausted, state.trace, state.hash_comparisons
+            left,
+            right,
+            values,
+            exhausted,
+            state.trace,
+            state.hash_comparisons,
+            None if pool is None else partial(pool.map_exact, fallback=self.exact_similarities),
         )
+
+
+def _count_in_process(store, left, right, start, end, round_width) -> np.ndarray:
+    """The default ``count_rounds`` of :meth:`BayesLSH.verify`: the store's own kernel."""
+    return store.count_matches_rounds(left, right, start, end, round_width)

@@ -6,11 +6,12 @@ if the posterior is concentrated (unless the parameters turn the test off),
 otherwise continue until the hash budget; what a pair still undecided at the
 budget reports is the terminal rule, ``on_budget``.  Every decision depends
 only on the pair's own ``(m, n)``, which is why the loop can be run
-round-synchronously over arrays of pairs, split into blocks, sharded across
-worker processes and re-executed after a worker loss with bit-identical
-results.  This module holds that loop's state and its one decision step, so
-the serial verifier, the all-pairs workers, the serving workers and the
-serial serving path all make decisions with the same code:
+round-synchronously over arrays of pairs and split into blocks with
+bit-identical results, and why parallelism only has to split the
+*counting*: pool workers return per-round agreement counts and never see
+this state.  This module holds that loop's state, its one decision step
+and its one driver, and every verification path — all-pairs and serving,
+pooled or not — decides in the calling process through them:
 
 * :class:`RoundTables` builds the decision tables for a posterior and a
   :class:`~repro.core.params.BayesLSHParams` and resolves the hash budget;
@@ -18,8 +19,8 @@ serial serving path all make decisions with the same code:
   block of pairs, advances them one round at a time and reports their
   :meth:`~PairState.outcome` under a terminal rule;
 * :func:`replay_rounds` is the one driver: it runs a :class:`PairState` to
-  completion over blocks of per-round agreement counts (:func:`run_rounds`
-  for callers that count one round at a time).
+  completion over blocks of per-round agreement counts, wherever they were
+  counted (:func:`run_rounds` for callers that count one round at a time).
 
 ``src/repro/reference.py`` keeps the scalar per-pair loop these are tested
 against, and :mod:`repro.core.operating` computes what the loop does to a
@@ -60,15 +61,13 @@ ESTIMATE_BUDGET = 2048
 class RoundTables:
     """Decision tables of one ``(posterior, params)`` configuration.
 
-    The tables are deterministic functions of their inputs, so a worker
-    process that rebuilds them from the broadcast posterior and parameters
-    agrees with the parent's.  ``minMatches(n)`` and the concentration row
-    at ``n`` do not depend on the budget, so one instance serves every
-    terminal rule: ``budget`` / ``on_budget`` are the parameters' own, and a
-    caller that runs another rule on the same tables (the serving index
-    ranks by estimate beside its default) asks :meth:`budget_for` and names
-    the deepest budget it will use as ``depth``.  ``concentration`` is
-    ``None`` when the parameters turn the test off (BayesLSH-Lite).
+    ``minMatches(n)`` and the concentration row at ``n`` do not depend on
+    the budget, so one instance serves every terminal rule: ``budget`` /
+    ``on_budget`` are the parameters' own, and a caller that runs another
+    rule on the same tables (the serving index ranks by estimate beside its
+    default) asks :meth:`budget_for` and names the deepest budget it will
+    use as ``depth``.  ``concentration`` is ``None`` when the parameters
+    turn the test off (BayesLSH-Lite).
     """
 
     def __init__(self, posterior: PosteriorModel, params: BayesLSHParams, depth: int = 0):

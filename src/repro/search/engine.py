@@ -162,12 +162,12 @@ class SearchEngine:
             :class:`~repro.search.executor.StreamExecutor`) instead of one
             monolithic array.  Results are bit-identical either way.
         n_workers:
-            When greater than 1, verification is sharded across this many
-            forked worker processes (implies streamed execution, with
-            ``block_size`` defaulting to
+            When greater than 1, verification's hash counting and exact
+            scoring are sharded across this many forked worker processes
+            (implies streamed execution, with ``block_size`` defaulting to
             :data:`~repro.search.executor.DEFAULT_BLOCK_SIZE`).  Results are
             bit-identical to the serial path — including after worker loss,
-            which re-executes the affected blocks serially in the parent.
+            which recomputes the lost shards serially in the parent.
         round_timeout:
             Seconds a silent-but-alive worker may stall a gather before the
             supervisor declares it hung and falls back serially (``None``

@@ -3,43 +3,47 @@
 Everything here exists to run the *same* computation as the serial paths on
 more cores or in less memory.  Three ideas carry the module:
 
-**One round engine.**  BayesLSH's per-round decision step and its terminal
-rule live in :mod:`repro.core.rounds` (:class:`~repro.core.rounds.PairState`);
-the serial verifier, the all-pairs workers (:func:`_worker_main`), the serving workers
-(:func:`_serving_worker_main`) and the serial serving path
-(:func:`serial_verify_bayes`) all advance that one object.  Every prune/emit
-decision depends only on the pair's own ``(m, n)``, so sharding pairs across
-blocks or processes is semantics-free.
+**Workers count, the parent decides.**  BayesLSH decides each pair from its
+own agreement count ``m`` after ``n`` hashes, so parallelism only has to
+split the *counting*.  A pool worker answers one stateless ``"count"``
+request — per-round agreement counts for a shard of pairs over
+``[n_prev, n_prev + r·k)`` — and every prune/emit decision is made in the
+parent by the one block-replaying driver
+(:func:`~repro.core.rounds.replay_rounds`).  The pooled paths are the
+serial paths with the kernel's location swapped: ``BayesLSH.verify`` keeps
+its super-block policy and counts through :meth:`_WorkerPool.count_rounds`,
+:func:`serial_verify_bayes` keeps its materialised-depth policy and counts
+through :meth:`ServingPool.count_matches_cross`.
 
 **One pool mechanism.**  :class:`_WorkerPool` is the process/queue/
 shared-memory plumbing with worker supervision.  The offline engine
 (:class:`StreamExecutor`, used by :meth:`SearchEngine.run` when
-``block_size``/``n_workers`` is set) drives it through the round protocol
-(:func:`run_round_protocol`); the serving layer wraps it in
-:class:`ServingPool`, which ``QueryIndex.start_pool`` keeps attached across
-calls and ``query_many(..., n_workers=k)`` opens and closes around a single
-call.  The *parent* extends the hash families round by round (so the RNG
-stream consumption is identical to the serial path) and exports the fresh
-signature columns into POSIX shared memory; workers gather hash columns
-straight out of the shared segments without ever pickling a signature store.
+``block_size``/``n_workers`` is set) forks it on the verifier; the serving
+layer wraps it in :class:`ServingPool`, which ``QueryIndex.start_pool``
+keeps attached across calls and ``query_many(..., n_workers=k)`` opens and
+closes around a single call.  The *parent* extends the hash families (so
+the RNG stream consumption is identical to the serial path) and exports
+the fresh signature columns into POSIX shared memory; workers gather hash
+columns straight out of the shared segments without ever pickling a
+signature store.
 
 **The serial path is the fallback.**  Worker loss is survivable, not fatal.
 The pool *supervises* its workers: every gather polls worker liveness (a
 SIGKILLed or crashed worker surfaces through its exit code) and, when a
 ``round_timeout`` is configured, applies a per-gather deadline after which a
 live-but-silent worker is declared hung and SIGKILLed.  The failed worker is
-retired and its work re-runs in the parent *through the function the serial
-path already uses* — ``algorithm.verify`` for a pair block of the all-pairs
-protocol, :func:`serial_verify_bayes` and the stores' own kernels for a
-serving shard (:meth:`_WorkerPool.map_shards` is the one scatter / gather /
-recompute-lost-shards helper).  The parent is the sole RNG/extension
-authority, so results after any single- or multi-worker loss are
-bit-identical to the all-serial run (enforced by ``tests/faults/``).
-:class:`WorkerFailure` (naming the workers, the task tag and the round) is
-what the supervisor raises to those recovery paths.  Shutdown is
-unconditional: every call site tears its pool down under ``try``/``finally``
-and :meth:`~_WorkerPool.shutdown` force-kills stragglers before unlinking
-the shared-memory segments, so no exception path leaks ``/dev/shm``.
+retired and its shard of that one request is recomputed in the parent with
+the kernel the serial path uses (:meth:`_WorkerPool.map_shards` is the one
+scatter / gather / recompute-lost-shards helper).  The parent is the sole
+RNG/extension authority and the sole decision maker, so results after any
+single- or multi-worker loss are bit-identical to the all-serial run
+(enforced by ``tests/faults/``).  :class:`WorkerFailure` (naming the
+workers, the task tag and the round) is what the supervisor raises to
+``map_shards``, and each retirement is logged with the same three.
+Shutdown is unconditional: every call site tears its pool down under
+``try``/``finally`` and :meth:`~_WorkerPool.shutdown` force-kills
+stragglers before unlinking the shared-memory segments, so no exception
+path leaks ``/dev/shm``.
 
 Streaming
 ---------
@@ -64,8 +68,8 @@ For every pipeline, every ``block_size`` and every ``n_workers``:
 * the output pair set, its order, and every estimate are bit-identical to the
   serial path (workers run the same NumPy/scipy kernels on the same inputs);
 * ``n_candidates`` / ``n_pruned`` / ``hash_comparisons`` /
-  ``exact_computations`` and the per-round trace are identical (merged
-  round-by-round across blocks and shards);
+  ``exact_computations`` and the per-round trace are identical (the parent
+  keeps them; blocks merge round by round);
 * hash families are extended by the parent only, in the same order as the
   serial path, so a given ``(seed, hash index)`` yields the same hash
   function everywhere
@@ -89,8 +93,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.candidates.arrayops import sorted_unique
-from repro.core.bayeslsh import VerificationOutput
-from repro.core.rounds import PairState, RoundTables, replay_rounds
+from repro.core.rounds import RoundTables, replay_rounds
 from repro.hashing.signatures import (
     BitSignatures,
     _tile_rows,
@@ -301,10 +304,10 @@ class WorkerFailure(RuntimeError):
         The replies successfully collected from the surviving workers —
         recovery paths reuse them so only the failed shards are recomputed.
     tag:
-        The task tag being gathered (``"probe"``, ``"round"``, ...).
+        The task tag being gathered (``"probe"``, ``"count"``, ...).
     round_index:
-        The verification round during which the failure surfaced, or
-        ``None`` outside the round protocol.
+        The first round of the count request during which the failure
+        surfaced, or ``None`` for requests that are not counts.
     """
 
     def __init__(self, failed: dict, replies: dict, tag: str, round_index=None):
@@ -337,19 +340,16 @@ class PoolDegradedWarning(UserWarning):
 # worker process
 # --------------------------------------------------------------------- #
 def _worker_main(worker_id: int, verifier, task_queue, result_queue) -> None:
-    """Worker loop: verifies pair shards round-synchronously.
+    """All-pairs worker loop: counts hash agreements and scores pairs exactly.
 
-    The process is forked, so ``verifier`` (with its prepared collection,
-    measure and parameters) is inherited by reference; only small control
-    messages and shard index arrays travel through the queues.  Decision
-    tables are rebuilt locally from the broadcast posterior/params — they are
-    deterministic functions of those inputs, so every worker's tables agree
-    with the parent's.
+    The process is forked, so ``verifier`` (with its prepared collection and
+    measure) is inherited by reference; only shard index arrays and the
+    replies travel through the queues, and signature columns arrive as
+    shared-memory segments.  Both requests are stateless: ``"count"``
+    returns per-round agreement counts (:func:`_cross_round_counts`),
+    ``"exact"`` exact similarities — the worker decides nothing.
     """
     columns = _ColumnSource()  # nothing inherited: the parent publishes from hash 0
-    tables: RoundTables | None = None
-    state: PairState | None = None
-    left = right = None
     while True:
         message = task_queue.get()
         tag = message[0]
@@ -362,38 +362,17 @@ def _worker_main(worker_id: int, verifier, task_queue, result_queue) -> None:
             if tag == "segment":
                 columns.attach(message[1])
                 continue  # broadcast; no reply
-            if tag == "setup":
-                tables = RoundTables(*pickle.loads(message[1]))
-                continue  # broadcast; no reply
-            if tag == "begin":
-                left, right = message[1], message[2]
-                state = PairState(tables, len(left))
-                result_queue.put(("ok", worker_id, len(left)))
-            elif tag == "round":
-                n_prev, n_now = message[1], message[2]
-                active = state.active
-                if len(active):
-                    state.advance(
-                        _cross_window_counts(
-                            columns, columns, left[active], right[active], n_prev, n_now
-                        ),
-                        n_now,
-                    )
-                result_queue.put(
-                    ("ok", worker_id, (len(active), state.n_alive, len(state.active)))
+            if tag == "count":
+                left, right, start, end, round_width = message[1:]
+                values = _cross_round_counts(
+                    columns, columns, left, right, start, end, round_width
                 )
-            elif tag == "finish":
-                result_queue.put(("ok", worker_id, state.outcome(tables.on_budget)))
-                state = None
             elif tag == "exact":
                 values = verifier.exact_similarities(message[1], message[2])
-                result_queue.put(("ok", worker_id, values))
-            elif tag == "count":
-                left, right, start, end = message[1], message[2], message[3], message[4]
-                values = _cross_window_counts(columns, columns, left, right, start, end)
-                result_queue.put(("ok", worker_id, values))
             else:
                 result_queue.put(("error", worker_id, f"unknown task {tag!r}"))
+                continue
+            result_queue.put(("ok", worker_id, values))
         except Exception:
             result_queue.put(("error", worker_id, traceback.format_exc()))
 
@@ -418,7 +397,7 @@ def _run_worker(target, *args) -> None:
 # worker pool
 # --------------------------------------------------------------------- #
 class _WorkerPool:
-    """A pool of forked workers driven round-synchronously, under supervision.
+    """A pool of forked workers answering sharded requests, under supervision.
 
     Generic process/queue plumbing shared by the two call sites: ``target``
     is the worker loop (:func:`_worker_main` for the all-pairs engine,
@@ -476,9 +455,10 @@ class _WorkerPool:
         self._transient: list = []
         self._retired_transient: list = []
         self._dead: dict[int, str] = {}
+        #: publication stream of the all-pairs counts (see :meth:`count_rounds`)
+        self._exporter: _SignatureExporter | None = None
         for wid in range(self._n_workers):
             self._start_worker(wid)
-        self._shard_workers: list[int] = []
         _faults.fire("pool_start", pool=self)
 
     def _start_worker(self, wid: int) -> None:
@@ -512,14 +492,15 @@ class _WorkerPool:
         for wid in self.live_workers:
             self._task_queues[wid].put(message)
 
-    def _retire(self, wid: int, reason: str) -> None:
+    def _retire(self, wid: int, reason: str, tag: str, round_index=None) -> None:
         """Record a worker as failed and make sure its process is gone.
 
         SIGKILL (not SIGTERM) so that SIGSTOPped/hung workers die too; the
         pool-owned shared segments stay mapped until :meth:`shutdown` —
-        other workers are still reading them.  When a supervisor installed
-        an ``_on_retire`` hook, its respawn/quarantine decision is appended
-        to the warning.
+        other workers are still reading them.  The warning names the
+        worker, the task tag being gathered and, for a count, its first
+        round; when a supervisor installed an ``_on_retire`` hook, its
+        respawn/quarantine decision is appended.
         """
         self._dead[wid] = reason
         process = self._processes[wid]
@@ -533,9 +514,11 @@ class _WorkerPool:
             except Exception:  # the hook must never mask the retirement
                 _LOGGER.exception("retire hook failed for worker %d", wid)
         _LOGGER.warning(
-            "pool worker %d %s; its shard is re-executed serially in the parent%s",
+            "pool worker %d %s during %r%s; its shard is re-executed serially in the parent%s",
             wid,
             reason,
+            tag,
+            f" (round {round_index})" if round_index is not None else "",
             f" — {decision}" if decision else "",
         )
 
@@ -569,7 +552,7 @@ class _WorkerPool:
         """
         self._round_timeout = None if round_timeout is None else float(round_timeout)
 
-    def _collect(self, worker_ids, tag: str = "task", round_index=None) -> dict:
+    def collect(self, worker_ids, tag: str, round_index=None) -> dict:
         """Gather one reply per worker id, supervising liveness and deadlines.
 
         Keeps collecting from the remaining workers after a failure so the
@@ -619,7 +602,7 @@ class _WorkerPool:
                     continue  # torn frame from a killed writer
                 progressed = True
                 if status == "error":
-                    self._retire(wid, f"raised in-task:\n{payload}")
+                    self._retire(wid, f"raised in-task:\n{payload}", tag, round_index)
                     failed[wid] = self._dead[wid]
                 else:
                     replies[wid] = payload
@@ -631,7 +614,10 @@ class _WorkerPool:
                     process = self._processes[wid]
                     if not process.is_alive():
                         self._retire(
-                            wid, f"died without replying (exit code {process.exitcode})"
+                            wid,
+                            f"died without replying (exit code {process.exitcode})",
+                            tag,
+                            round_index,
                         )
                         failed[wid] = self._dead[wid]
                         pending.discard(wid)
@@ -640,6 +626,8 @@ class _WorkerPool:
                     self._retire(
                         wid,
                         f"hung (no reply within round_timeout={self._round_timeout}s)",
+                        tag,
+                        round_index,
                     )
                     failed[wid] = self._dead[wid]
                 pending.clear()
@@ -711,51 +699,23 @@ class _WorkerPool:
             if wid not in self._dead:
                 self._task_queues[wid].put(message)
 
-    def collect(self, worker_ids, tag: str = "task", round_index=None) -> dict:
-        """Gather one reply per listed worker id (:class:`WorkerFailure` on loss)."""
-        return self._collect(worker_ids, tag=tag, round_index=round_index)
-
-    def setup(self, posterior, params) -> None:
-        self._broadcast(("setup", pickle.dumps((posterior, params))))
-
-    # --------------------------- block protocol -------------------------- #
-    def begin_block(self, left: np.ndarray, right: np.ndarray) -> None:
-        issued = self.scatter("begin", (left, right))
-        if not issued and len(left):
-            raise WorkerFailure(dict(self._dead), {}, "begin")
-        self._shard_workers = [wid for wid, _, _ in issued]
-        self._collect(self._shard_workers, tag="begin")
-
-    def round(self, n_prev: int, n_now: int) -> tuple[int, int, int]:
-        """Run one hash round on every shard; returns summed counters."""
-        round_index = n_prev // max(n_now - n_prev, 1)
-        self.send(self._shard_workers, ("round", n_prev, n_now))
-        replies = self._collect(self._shard_workers, tag="round", round_index=round_index)
-        processed = sum(replies[wid][0] for wid in self._shard_workers)
-        alive = sum(replies[wid][1] for wid in self._shard_workers)
-        active = sum(replies[wid][2] for wid in self._shard_workers)
-        return processed, alive, active
-
-    def finish_block(self) -> list:
-        """Collect per-shard results in shard order."""
-        self.send(self._shard_workers, ("finish",))
-        replies = self._collect(self._shard_workers, tag="finish")
-        return [replies[wid] for wid in self._shard_workers]
-
-    def map_shards(self, tag: str, arrays: tuple, fallback, extra: tuple = ()) -> list:
+    def map_shards(
+        self, tag: str, arrays: tuple, fallback, extra: tuple = (), round_index=None
+    ) -> list:
         """Scatter ``arrays``, gather one reply per shard, recover lost shards.
 
         ``fallback(*slices)`` computes a shard in the parent with the serial
         kernel; it runs for the whole input when no worker survives, and for
         exactly the failed shards when some do, so the result is independent
-        of how many workers were lost.  Returns ``(start offset, reply)``
-        per shard in shard order.
+        of how many workers were lost.  ``round_index`` is only named in the
+        loss warnings.  Returns ``(start offset, reply)`` per shard in shard
+        order.
         """
         issued = self.scatter(tag, arrays, extra)
         if not issued:
             return [(0, fallback(*arrays))]
         try:
-            replies = self._collect([wid for wid, _, _ in issued], tag=tag)
+            replies = self.collect([wid for wid, _, _ in issued], tag, round_index)
         except WorkerFailure as failure:
             replies = failure.replies
             for wid, lo, hi in issued:
@@ -768,15 +728,39 @@ class _WorkerPool:
         shards = self.map_shards("exact", (left, right), fallback)
         return np.concatenate([reply for _, reply in shards])
 
-    def map_count(
-        self, left: np.ndarray, right: np.ndarray, start: int, end: int, fallback
+    def count_rounds(
+        self,
+        store,
+        left: np.ndarray,
+        right: np.ndarray,
+        start: int,
+        end: int,
+        round_width: int,
     ) -> np.ndarray:
-        """Sharded hash-agreement counts over hashes ``[start, end)``.
+        """Sharded ``store.count_matches_rounds`` for the all-pairs workers.
 
-        ``fallback`` takes ``(left_slice, right_slice)`` and counts with the
-        parent's store.
+        The parent has materialised ``store`` to ``end`` hashes; the columns
+        the workers lack are published first, then each worker counts a
+        contiguous pair shard and a lost shard is recounted in the parent
+        with ``store.count_matches_rounds`` itself.  Fires ``allpairs_begin``
+        before a block's first count and ``allpairs_round`` once per round
+        the request covers.
         """
-        shards = self.map_shards("count", (left, right), fallback, extra=(start, end))
+        if self._exporter is None:
+            self._exporter = _SignatureExporter(self, isinstance(store, BitSignatures))
+        self._exporter.ensure(store, end)
+        first = start // round_width
+        if first == 0:
+            _faults.fire("allpairs_begin", pool=self)
+        for round_index in range(first, end // round_width):
+            _faults.fire("allpairs_round", pool=self, round_index=round_index)
+
+        def serial(left_shard: np.ndarray, right_shard: np.ndarray) -> np.ndarray:
+            return store.count_matches_rounds(left_shard, right_shard, start, end, round_width)
+
+        shards = self.map_shards(
+            "count", (left, right), serial, (start, end, round_width), first
+        )
         return np.concatenate([reply for _, reply in shards])
 
     def shutdown(self) -> None:
@@ -827,86 +811,6 @@ class _WorkerPool:
 
 
 # --------------------------------------------------------------------- #
-# round-synchronous block verification
-# --------------------------------------------------------------------- #
-def _pooled_block(
-    pool: _WorkerPool,
-    exporter: _SignatureExporter,
-    algorithm,
-    left: np.ndarray,
-    right: np.ndarray,
-) -> VerificationOutput:
-    """Run one pair block through the worker pool (raises WorkerFailure on loss)."""
-    k = algorithm.params.k
-    _faults.fire("allpairs_begin", pool=pool)
-    pool.begin_block(left, right)
-    trace: list[tuple[int, int]] = []
-    hash_comparisons = 0
-    n_active = len(left)
-    for round_index in range(algorithm.tables.budget // k):
-        if n_active == 0:
-            break
-        n_prev = round_index * k
-        n_now = n_prev + k
-        store = algorithm.family.signatures(n_now)
-        exporter.ensure(store, n_now)
-        _faults.fire("allpairs_round", pool=pool, round_index=round_index)
-        processed, alive, n_active = pool.round(n_prev, n_now)
-        hash_comparisons += processed * k
-        trace.append((n_now, alive))
-    shard_results = pool.finish_block()
-    return algorithm.output(
-        left,
-        right,
-        np.concatenate([values for values, _ in shard_results]),
-        np.concatenate([exhausted for _, exhausted in shard_results]),
-        trace,
-        hash_comparisons,
-        # the workers score the exhausted pairs; a lost shard is recomputed here
-        exact_similarities=lambda l, r: pool.map_exact(l, r, algorithm.exact_similarities),
-    )
-
-
-def run_round_protocol(pool: _WorkerPool, algorithm, source: PairBlockSource) -> VerificationOutput:
-    """Drive the workers through the round-synchronous verification of
-    every block of ``source``.
-
-    ``algorithm`` is the verifier's :class:`~repro.core.bayeslsh.BayesLSH`.
-    The parent owns hash
-    generation: each round it lazily extends the algorithm's family
-    (identical RNG stream consumption to the serial path) and publishes the
-    fresh columns to shared memory before broadcasting the round.
-
-    Fault tolerance: a block that loses workers (death, hang past the pool's
-    ``round_timeout``, in-task error) is re-executed whole through
-    ``algorithm.verify`` — the function the serial streamed path runs per
-    block — and the survivors' partial shard results are discarded.  Every
-    per-pair decision depends only on that pair's own counts, and
-    ``family.signatures(n)`` only appends columns beyond what the aborted
-    pooled attempt already materialised, so the block's output (including
-    trace and counters) is bit-identical to the all-serial run.  Retired
-    workers stay excluded from later blocks; once every worker is gone all
-    remaining blocks run serially without touching the queues.
-    """
-    pool.setup(algorithm.tables.posterior, algorithm.params)
-    exporter = _SignatureExporter(pool, algorithm.family.produces_bits)
-    outputs: list[VerificationOutput] = []
-    for block_index, (left, right) in enumerate(source.blocks()):
-        try:
-            if not pool.live_workers:
-                raise WorkerFailure(dict(pool._dead), {}, "begin")
-            outputs.append(_pooled_block(pool, exporter, algorithm, left, right))
-        except WorkerFailure as failure:
-            _LOGGER.warning(
-                "pair block %d: %s; re-executing the block serially in the parent",
-                block_index,
-                failure,
-            )
-            outputs.append(algorithm.verify(left, right))
-    return VerificationOutput.merge(outputs)
-
-
-# --------------------------------------------------------------------- #
 # parallel serving (QueryIndex.query_many / top_k_many)
 # --------------------------------------------------------------------- #
 @dataclass
@@ -925,8 +829,6 @@ class ServingTask:
     segments: object
     #: the index's band postings (already rebuilt if the staleness budget required it)
     postings: object
-    #: the index's BayesLSH decision tables (:class:`~repro.core.rounds.RoundTables`)
-    tables: RoundTables
     #: total collection rows (probe-result encoding span)
     n_vectors: int
     #: the current batch's prepared queries (measure-specific view)
@@ -1036,72 +938,74 @@ class _ColumnSource:
         )
 
 
-def _cross_window_counts(
-    query_source: _ColumnSource,
-    segment_source: _ColumnSource,
-    query_rows: np.ndarray,
-    local_rows: np.ndarray,
+def _cross_round_counts(
+    left_source: _ColumnSource,
+    right_source: _ColumnSource,
+    left_rows: np.ndarray,
+    right_rows: np.ndarray,
     start: int,
     end: int,
+    round_width: int,
 ) -> np.ndarray:
-    """Hash agreements between query rows and segment rows over ``[start, end)``.
+    """Per-round hash agreements between rows of two column sources.
 
     The worker-side twin of
-    :meth:`~repro.hashing.signatures.SignatureStore.count_matches_cross`:
-    agreement counts are additive over disjoint hash sub-ranges, so the
-    window is split at the two sources' piece boundaries and each piece is
-    counted with the same integer kernels the in-process stores use
+    :meth:`~repro.hashing.signatures.SignatureStore.count_matches_rounds`
+    (with ``other``): column ``r`` counts the hashes in
+    ``[start + r·w, start + (r+1)·w)``.  Agreement counts are additive over
+    disjoint hash sub-ranges, so the window is split at the round boundaries
+    and at the two sources' piece boundaries, and each piece is counted with
+    the same integer kernels the in-process stores use
     (:func:`count_packed_matches` for packed bits, gather + ``==`` + row sum
     for integer signatures) — worker counts are bit-identical to store
     counts.  Pairs are processed in the same L2-sized tiles as the store
-    kernels (tiling only the pair axis is value-preserving), so a large
-    shard — the regime ``n_workers`` targets — never round-trips an
-    ``n_pairs x span`` gather through DRAM.
+    kernels (tiling only the pair axis is value-preserving).
     """
-    n_pairs = len(query_rows)
-    counts = np.zeros(n_pairs, dtype=np.int64)
-    if end <= start:
-        return counts
+    n_pairs = len(left_rows)
+    counts = np.zeros((n_pairs, (end - start) // round_width), dtype=np.int64)
     points = sorted(
-        set(query_source.boundaries(start, end))
-        | set(segment_source.boundaries(start, end))
+        set(left_source.boundaries(start, end))
+        | set(right_source.boundaries(start, end))
+        | set(range(start, end, round_width))
     )
-    if query_source.bits:
+    if left_source.bits:
         span_bytes = (-(-(end - start) // _WORD_BITS) + 1) * 4
     else:
         span_bytes = (end - start) * 4  # int32 signatures (int64 halves the tile)
     tile = _tile_rows(span_bytes)
     for t0 in range(0, n_pairs, tile):
         t1 = min(t0 + tile, n_pairs)
-        query_tile = query_rows[t0:t1]
-        local_tile = local_rows[t0:t1]
+        left_tile = left_rows[t0:t1]
+        right_tile = right_rows[t0:t1]
         for lo, hi in zip(points[:-1], points[1:]):
-            if query_source.bits:
-                query_words = query_source.word_block(lo, hi)
-                segment_words = segment_source.word_block(lo, hi)
-                counts[t0:t1] += count_packed_matches(
-                    query_words[query_tile],
-                    segment_words[local_tile],
+            column = (lo - start) // round_width
+            if left_source.bits:
+                left_words = left_source.word_block(lo, hi)
+                right_words = right_source.word_block(lo, hi)
+                counts[t0:t1, column] += count_packed_matches(
+                    left_words[left_tile],
+                    right_words[right_tile],
                     lo - (lo // _WORD_BITS) * _WORD_BITS,
                     hi - lo,
                 )
             else:
-                query_columns = query_source.column_block(lo, hi)
-                segment_columns = segment_source.column_block(lo, hi)
-                equal = query_columns[query_tile] == segment_columns[local_tile]
-                counts[t0:t1] += equal.sum(axis=1, dtype=np.int64)
+                left_columns = left_source.column_block(lo, hi)
+                right_columns = right_source.column_block(lo, hi)
+                equal = left_columns[left_tile] == right_columns[right_tile]
+                counts[t0:t1, column] += equal.sum(axis=1, dtype=np.int64)
     return counts
 
 
 def _serving_worker_main(worker_id: int, task: ServingTask, task_queue, result_queue) -> None:
-    """Serving worker loop: probes, verifies and ranks pair shards.
+    """Serving worker loop: probes, counts and scores pair shards.
 
     The process is forked, so the whole :class:`ServingTask` (postings,
-    per-segment stores, prepared views, decision tables) is inherited by
-    reference; only small control messages and shard index arrays travel
-    through the queues.  Every per-pair decision depends only on the pair's
-    own ``(m, n)`` counts, and every kernel is row-local, so sharding is
-    semantics-free — outputs are bit-identical to the serial batch path.
+    per-segment stores, prepared views) is inherited by reference; only
+    small control messages and shard index arrays travel through the
+    queues.  Every request is stateless and every kernel row-local, so
+    sharding is semantics-free: a ``"count"`` shard's ``(query row, row)``
+    pairs are routed to their segments here and counted per round against
+    each segment's column source, and the parent makes every decision.
     """
     sources: dict = {}
 
@@ -1116,8 +1020,6 @@ def _serving_worker_main(worker_id: int, task: ServingTask, task_queue, result_q
             sources[key] = source
         return source
 
-    state: PairState | None = None
-    shard: tuple | None = None  # (query rows, segment ids, local rows)
     while True:
         message = task_queue.get()
         tag = message[0]
@@ -1135,64 +1037,43 @@ def _serving_worker_main(worker_id: int, task: ServingTask, task_queue, result_q
                 # state (the only per-batch piece of the fork-inherited
                 # task).  The store is rebuilt from its raw matrix — fresh
                 # locks, one contiguous chunk — and the cached query source
-                # is dropped so the next round snapshots the new store.
+                # is dropped so the next count snapshots the new store.
                 query_prepared, kind, matrix, n_hashes = pickle.loads(message[1])
                 task.query_prepared = query_prepared
                 task.query_store = store_from_parts(kind, matrix, n_hashes)
                 stale = sources.pop(_QUERY_KEY, None)
                 if stale is not None:
                     stale.close()
-                state = None
-                result_queue.put(("ok", worker_id, True))
+                reply = True
             elif tag == "probe":
-                query_rows = message[1]
-                positions, rows = task.postings.probe_many(
-                    task.query_store, query_rows, task.n_vectors
-                )
-                result_queue.put(("ok", worker_id, (positions, rows)))
-            elif tag == "verify":
-                shard = message[1:4]
-                state = PairState(task.tables, len(shard[0]))
-                result_queue.put(("ok", worker_id, len(shard[0])))
-            elif tag == "round":
-                n_prev, n_now = message[1], message[2]
-                query_rows, segment_ids, local_rows = shard
-                active = state.active
-                if len(active):
-                    # Group the active pairs by owning segment (same stable
-                    # grouping as SegmentedCollection._grouped) and count
-                    # each group against its segment's column source.
-                    query_source = source_for(_QUERY_KEY)
-                    new_matches = np.empty(len(active), dtype=np.int64)
-                    owners = segment_ids[active]
-                    order = np.argsort(owners, kind="stable")
-                    boundaries = np.flatnonzero(np.diff(owners[order])) + 1
-                    for positions in np.split(order, boundaries):
-                        pairs = active[positions]
-                        new_matches[positions] = _cross_window_counts(
-                            query_source,
-                            source_for(int(owners[positions[0]])),
-                            query_rows[pairs],
-                            local_rows[pairs],
-                            n_prev,
-                            n_now,
-                        )
-                    state.advance(new_matches, n_now)
-                active_segments = sorted_unique(segment_ids[state.active])
-                result_queue.put(
-                    ("ok", worker_id, (len(state.active), active_segments.tolist()))
-                )
-            elif tag == "outcome":
-                result_queue.put(("ok", worker_id, state.outcome(message[1])))
-                state = None
+                reply = task.postings.probe_many(task.query_store, message[1], task.n_vectors)
+            elif tag == "count":
+                query_rows, rows, start, end, round_width = message[1:]
+                reply = np.empty((len(rows), (end - start) // round_width), dtype=np.int64)
+                # Group the pairs by owning segment (the same stable grouping
+                # as SegmentedCollection._grouped) and count each group
+                # against its segment's column source.
+                segment_ids, local_rows = task.segments.locate(rows)
+                order = np.argsort(segment_ids, kind="stable")
+                boundaries = np.flatnonzero(np.diff(segment_ids[order])) + 1
+                for positions in np.split(order, boundaries):
+                    reply[positions] = _cross_round_counts(
+                        source_for(_QUERY_KEY),
+                        source_for(int(segment_ids[positions[0]])),
+                        query_rows[positions],
+                        local_rows[positions],
+                        start,
+                        end,
+                        round_width,
+                    )
             elif tag == "exact":
-                query_rows, rows = message[1], message[2]
-                values = task.segments.cross_similarities(
-                    task.query_prepared, query_rows, rows
+                reply = task.segments.cross_similarities(
+                    task.query_prepared, message[1], message[2]
                 )
-                result_queue.put(("ok", worker_id, values))
             else:
                 result_queue.put(("error", worker_id, f"unknown task {tag!r}"))
+                continue
+            result_queue.put(("ok", worker_id, reply))
         except Exception:
             result_queue.put(("error", worker_id, traceback.format_exc()))
 
@@ -1204,20 +1085,21 @@ def serial_verify_bayes(
     query_rows: np.ndarray,
     rows: np.ndarray,
     on_budget: str,
+    pool: "ServingPool | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Round-synchronous BayesLSH verification of (query, candidate) pairs.
 
-    The serial serving path, and therefore also what the pool re-runs for a
-    shard whose worker was lost.  Hash agreements are counted between the
-    query store (``query_family``'s) and the per-segment collection stores
-    (global ``rows`` routed to their owning segments), one segment-routed
-    gather per block of rounds both sides have already materialised.  Past
-    that depth hashing is lazy and round-synchronous: rounds no pair reaches
-    are never hashed, and only segments that still own active pairs extend
-    their stores.  Every decision depends only on the pair's own ``(m, n)``
-    and the store extension draws the same RNG stream whichever component
-    requests a width first, so a recovered shard is bit-identical to the
-    all-serial batch.
+    The serving path's one verification loop, pooled or not.  Hash
+    agreements are counted between the query store (``query_family``'s) and
+    the per-segment collection stores (global ``rows`` routed to their
+    owning segments), one segment-routed gather per block of rounds both
+    sides have already materialised.  Past that depth hashing is lazy and
+    round-synchronous: rounds no pair reaches are never hashed, and only
+    segments that still own active pairs extend their stores.  With a
+    leased ``pool`` each block is counted by
+    :meth:`ServingPool.count_matches_cross` instead of the segments' own
+    kernel — same block, same counts — and every decision is still made
+    here.
 
     Returns :meth:`PairState.outcome` under ``on_budget`` (run to the budget
     the tables resolve for it): the pair values with NaN marking pruned
@@ -1227,6 +1109,7 @@ def serial_verify_bayes(
     k = tables.params.k
     round_bytes = k // 8 if query_family.produces_bits else 4 * k
     query_store = query_family.signatures(0)  # as materialised so far
+    count = segments.count_matches_cross if pool is None else pool.count_matches_cross
 
     def count_block(active: np.ndarray, n_prev: int, n_rounds: int) -> np.ndarray:
         # Most pairs are pruned by a block's first round: few pairs (a one-row
@@ -1234,7 +1117,7 @@ def serial_verify_bayes(
         n_rounds = min(n_rounds, max(1, _BLOCK_BYTES // (len(active) * round_bytes)))
         if query_store.n_hashes < n_prev + k:
             query_family.signatures(n_prev + k)  # extends query_store in place
-        return segments.count_matches_cross(
+        return count(
             query_store,
             query_rows[active],
             rows[active],
@@ -1244,6 +1127,8 @@ def serial_verify_bayes(
         )
 
     state = replay_rounds(tables, len(query_rows), count_block, tables.budget_for(on_budget))
+    if pool is not None:
+        _faults.fire("serving_estimates", pool=pool._pool)
     return state.outcome(on_budget)
 
 
@@ -1254,8 +1139,8 @@ class ServingPool:
     the fork-inherited segment columns warm and receive only deltas — each
     batch ships its query state in one ``"batch"`` control message (the
     query store travels as its raw matrix and is rebuilt worker-side with
-    fresh locks), and verification rounds publish only columns materialised
-    after the fork.  ``QueryIndex.start_pool`` keeps one attached across
+    fresh locks), and counts publish only columns materialised after the
+    fork.  ``QueryIndex.start_pool`` keeps one attached across
     calls; ``n_workers=k`` on a query call opens one, serves the one batch
     and closes it — the same object with a shorter lifetime.
 
@@ -1263,7 +1148,7 @@ class ServingPool:
 
     * **probing** is sharded by query slice (each worker probes a contiguous
       run of query rows against the full inherited postings);
-    * **verification and exact ranking** are sharded over the candidate
+    * **counting and exact ranking** are sharded over the candidate
       pairs, which arrive sorted by ``(query row, collection row)`` — since
       global rows are assigned segment-contiguously, a balanced contiguous
       cut of that order is a query-major, owning-segment-minor partition of
@@ -1271,20 +1156,20 @@ class ServingPool:
       queries, while a single huge-candidate-set query splits across its
       owning segments/row ranges — both shapes parallelise.
 
-    The parent remains the sole RNG/extension authority: each verification
-    round it extends the query family and exactly the segment stores that
-    still own active pairs (the serial path's round-lazy pattern, so store
+    The parent remains the sole RNG/extension authority and the sole
+    decision maker: :func:`serial_verify_bayes` runs the rounds and picks
+    each block as it does unpooled, the pool extends the segment stores
+    that own the block's pairs (the serial path's lazy pattern, so store
     widths and RNG stream positions after the call are identical to serial
     execution) and publishes the fresh columns to shared memory, keyed per
-    store.  Per-worker outputs are merged back in shard order, which
+    store.  Per-worker replies are merged back in shard order, which
     restores the exact serial pair order — outputs are bit-identical to the
     serial batch path (enforced by ``tests/property/test_query_serving.py``).
 
-    **Fault tolerance.**  Each stage's failed shards (worker death, hang
-    past ``round_timeout``, in-task error) are re-executed in the parent on
-    the serial path (:func:`serial_verify_bayes` and the stores' own
-    methods), so results stay bit-identical after any worker loss —
-    including losing every worker.
+    **Fault tolerance.**  Each request's failed shards (worker death, hang
+    past ``round_timeout``, in-task error) are recomputed in the parent with
+    the stores' own kernels, so results stay bit-identical after any worker
+    loss — including losing every worker.
 
     **Self-healing.**  A retired worker's slot is *respawned* at a later
     batch boundary after a capped exponential backoff
@@ -1587,103 +1472,51 @@ class ServingPool:
         rows = np.concatenate([reply[1] for _, reply in shards])
         return positions, rows
 
-    # ---------------------------- verification --------------------------- #
-    def verify_bayes(
-        self, query_family, query_rows: np.ndarray, rows: np.ndarray, on_budget: str
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Round-synchronous parallel twin of :func:`serial_verify_bayes`.
+    # ----------------------------- counting ------------------------------ #
+    def count_matches_cross(
+        self,
+        query_store,
+        query_rows: np.ndarray,
+        rows: np.ndarray,
+        start: int,
+        end: int,
+        round_width: int,
+    ) -> np.ndarray:
+        """Sharded :meth:`SegmentedCollection.count_matches_cross` (per round).
 
-        Returns the same ``(values, exhausted)`` in the pair order given
-        (bit-identical to the serial path).
-
-        Recovery: a shard whose worker fails — at hand-off, during any round,
-        or at the outcome gather — is re-verified from round zero in the
-        parent by :func:`serial_verify_bayes`, and its slice replaces the
-        lost worker's.  Per-pair decisions depend only on the
-        pair's own counts and store extension is monotone in the requested
-        width, so the recovered slice matches the serial path bit for bit.
+        The parent resolves the block exactly as the segments' own kernel
+        does — the first round of ``[start, end)`` and as many more as the
+        query store and every segment owning a pair have materialised —
+        extends those segments, publishes what the workers lack, and shards
+        the pairs over the workers, which route rows to segments themselves.
+        A lost shard is recounted in the parent by the segments' kernel over
+        the same resolved window, so the counts are the serial ones bit for
+        bit.  Fires ``serving_verify`` before a batch's first count and
+        ``serving_round`` once per round the request covers.
         """
-        task = self._task
-        k = task.tables.params.k
-        n_pairs = len(rows)
-        values = np.full(n_pairs, np.nan, dtype=np.float64)
-        exhausted = np.zeros(n_pairs, dtype=bool)
-        if n_pairs == 0:
-            return values, exhausted
-        segment_ids, local_rows = task.segments.locate(rows)
-        _faults.fire("serving_verify", pool=self._pool)
-        issued = self._pool.scatter("verify", (query_rows, segment_ids, local_rows))
-        if not issued:
-            return serial_verify_bayes(
-                task.segments, task.tables, query_family, query_rows, rows, on_budget
-            )
-        shards = {wid: (lo, hi) for wid, lo, hi in issued}
-        live = [wid for wid, _, _ in issued]
-
-        def handle_failure(failure: WorkerFailure) -> dict:
-            """Serially re-verify the failed shards; shrink the live set."""
-            nonlocal live
-            for wid in failure.failed:
-                lo, hi = shards[wid]
-                values[lo:hi], exhausted[lo:hi] = serial_verify_bayes(
-                    task.segments,
-                    task.tables,
-                    query_family,
-                    query_rows[lo:hi],
-                    rows[lo:hi],
-                    on_budget,
-                )
-            live = [wid for wid in live if wid not in failure.failed]
-            return failure.replies
-
-        try:
-            self._pool.collect(live, tag="verify")
-        except WorkerFailure as failure:
-            handle_failure(failure)
-        active_total = sum(shards[wid][1] - shards[wid][0] for wid in live)
-        live_mask = np.zeros(n_pairs, dtype=bool)
-        for wid in live:
-            lo, hi = shards[wid]
-            live_mask[lo:hi] = True
-        active_segments = set(sorted_unique(segment_ids[live_mask]).tolist())
-        segments = task.segments.segments
-        for round_index in range(task.tables.budget_for(on_budget) // k):
-            if active_total == 0 or not live:
-                break
-            n_prev = round_index * k
-            n_now = n_prev + k
-            # The parent is the sole extension authority: the query family
-            # extends every round any pair is still active, and exactly the
-            # segments owning active pairs extend — the identical lazy
-            # pattern (and hence RNG stream consumption and final store
-            # widths) as the serial path.
-            query_store = query_family.signatures(n_now)
-            self._publish(_QUERY_KEY, query_store)
-            for segment_index in sorted(active_segments):
-                segment = segments[segment_index]
-                segment.ensure_hashes(n_now)
-                self._publish(segment_index, segment.store)
+        segments = self._task.segments
+        owners = sorted_unique(segments.segment_of(rows)).tolist()
+        end = segments.rounds_end(
+            query_store, [segments.segments[index] for index in owners], start, end, round_width
+        )
+        self._publish(_QUERY_KEY, query_store)
+        for index in owners:
+            self._publish(index, segments.segments[index].ensure_hashes(end))
+        first = start // round_width
+        if first == 0:
+            _faults.fire("serving_verify", pool=self._pool)
+        for round_index in range(first, end // round_width):
             _faults.fire("serving_round", pool=self._pool, round_index=round_index)
-            self._pool.send(live, ("round", n_prev, n_now))
-            try:
-                replies = self._pool.collect(live, tag="round", round_index=round_index)
-            except WorkerFailure as failure:
-                replies = handle_failure(failure)
-            active_total = sum(replies[wid][0] for wid in live)
-            active_segments = set()
-            for wid in live:
-                active_segments.update(replies[wid][1])
-        if live:
-            _faults.fire("serving_estimates", pool=self._pool)
-            self._pool.send(live, ("outcome", on_budget))
-            try:
-                replies = self._pool.collect(live, tag="outcome")
-            except WorkerFailure as failure:
-                replies = handle_failure(failure)
-            for wid in live:
-                lo, hi = shards[wid]
-                values[lo:hi], exhausted[lo:hi] = replies[wid]
-        return values, exhausted
+
+        def serial(query_shard: np.ndarray, row_shard: np.ndarray) -> np.ndarray:
+            return segments.count_matches_cross(
+                query_store, query_shard, row_shard, start, end, round_width
+            )
+
+        shards = self._pool.map_shards(
+            "count", (query_rows, rows), serial, (start, end, round_width), first
+        )
+        return np.concatenate([reply for _, reply in shards])
 
     # --------------------------- exact ranking --------------------------- #
     def map_exact(self, query_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -1720,10 +1553,10 @@ class StreamExecutor:
     n_workers:
         Worker processes for the verification phase.  ``1`` (default) runs
         the blocked pipeline in-process; ``> 1`` forks a pool and shards each
-        block's pairs across it.
+        count and exact-scoring request's pairs across it.
     round_timeout:
         Seconds a live worker may stay silent within one gather before the
-        supervisor declares it hung, SIGKILLs it, and re-executes its block
+        supervisor declares it hung, SIGKILLs it, and recomputes its shard
         serially (see :class:`_WorkerPool`).  ``None`` (default) waits
         forever on live workers; dead workers are always detected promptly.
     """

@@ -22,7 +22,7 @@ is verified against its candidates with the same Bayesian pruning.
   singular ``query(vector, ...)`` / ``top_k(vector, k)`` per row;
 * ``n_workers > 1`` additionally opens a shared-memory worker pool
   (:class:`~repro.search.executor.ServingPool`) for the duration of the
-  call and shards probing, verification and ranking across it —
+  call and shards probing, hash counting and ranking across it —
   bit-identical to the serial batch for every worker count, with the parent
   as sole hash/RNG authority; ``start_pool`` keeps the same pool attached
   across calls instead (see ``docs/serving.md`` for when the fork overhead
@@ -462,7 +462,6 @@ class QueryIndex:
         return ServingTask(
             segments=self._segments,
             postings=self._postings,
-            tables=self._round_tables(),
             n_vectors=self._segments.n_vectors,
         )
 
@@ -546,12 +545,9 @@ class QueryIndex:
                 # Every prune/emit decision depends only on the pair's own
                 # (m, n), so a pair's outcome is independent of which other
                 # pairs share the batch and of how the corpus is segmented.
-                if pool is not None:
-                    values, exhausted = pool.verify_bayes(query_family, query_rows, rows, on_budget)
-                else:
-                    values, exhausted = serial_verify_bayes(
-                        self._segments, self._round_tables(), query_family, query_rows, rows, on_budget
-                    )
+                values, exhausted = serial_verify_bayes(
+                    self._segments, self._round_tables(), query_family, query_rows, rows, on_budget, pool
+                )
                 exact = exhausted & (on_budget == "exact")
                 if exact.any():
                     values[exact] = score(query_rows[exact], rows[exact])
@@ -606,7 +602,7 @@ class QueryIndex:
 
         ``n_workers > 1`` opens a shared-memory worker pool scoped to this
         call (forked, leased for the one batch, closed) and shards probing,
-        verification and scoring across it — results are bit-identical to
+        hash counting and scoring across it — results are bit-identical to
         the serial batch for every worker count (see ``docs/serving.md``
         for when the fork overhead pays off).  Leaving
         ``n_workers`` unset runs on the index's resident pool when
@@ -686,7 +682,7 @@ class QueryIndex:
           documented in ``docs/serving.md``).
 
         ``n_workers > 1`` opens a shared-memory worker pool scoped to this
-        call and shards probing, verification and ranking across it,
+        call and shards probing, hash counting and ranking across it,
         bit-identically to the serial batch (see ``docs/serving.md``);
         leaving it unset runs on the resident pool when :meth:`start_pool`
         attached one (serial otherwise).  Worker loss degrades gracefully —

@@ -568,10 +568,10 @@ class SegmentedCollection:
         if round_width is None:
             result = np.zeros(len(rows), dtype=np.int64)
         else:
-            depth = min([other_store.n_hashes] + [s.store.n_hashes for s, _ in groups])
-            n_rounds = max(1, (min(depth, end) - start) // round_width)
-            end = start + n_rounds * round_width
-            result = np.zeros((len(rows), n_rounds), dtype=np.int64)
+            end = self.rounds_end(
+                other_store, [segment for segment, _ in groups], start, end, round_width
+            )
+            result = np.zeros((len(rows), (end - start) // round_width), dtype=np.int64)
         for segment, positions in groups:
             store = segment.ensure_hashes(end)
             local = rows[positions] - segment.offset
@@ -584,6 +584,24 @@ class SegmentedCollection:
                     local, other_rows[positions], start, end, round_width, other_store
                 )
         return result
+
+    @staticmethod
+    def rounds_end(
+        other_store: SignatureStore,
+        segments: Sequence[CollectionSegment],
+        start: int,
+        end: int,
+        round_width: int,
+    ) -> int:
+        """Where a per-round count from ``start`` stops, at most at ``end``.
+
+        The first round always counts; each further round only if
+        ``other_store`` and every one of ``segments`` already materialise it,
+        so only a block's first round ever extends a store.  The serving
+        pool resolves its blocks with this too, before sharding them.
+        """
+        depth = min([other_store.n_hashes] + [segment.store.n_hashes for segment in segments])
+        return start + max(1, (min(depth, end) - start) // round_width) * round_width
 
     def cross_similarities(
         self,

@@ -5,8 +5,18 @@ points it calls :func:`fire`, which is a no-op unless a test has installed
 a :class:`FaultPlan` via :func:`inject`.  The seams are:
 
 * ``pool_start`` — a worker pool just forked (installs queue faults);
-* ``serving_round`` / ``allpairs_round`` — one verification round is about
-  to be dispatched (``round_index`` in the info dict);
+* ``allpairs_begin`` — the all-pairs pool is about to be sent a pair
+  block's first count request;
+* ``serving_verify`` — the serving pool is about to be sent a batch's first
+  count request;
+* ``serving_round`` / ``allpairs_round`` — a count request covering this
+  round is about to be dispatched; fires once per round the request covers
+  (``round_index`` in the info dict);
+* ``serving_estimates`` — a pooled batch's rounds have ended and the
+  terminal rule (the outcome, then exact scoring of the exhausted pairs)
+  is next;
+* ``serving_probe`` / ``serving_exact`` — the serving pool is about to be
+  sent a batch's band probes / exact similarities;
 * ``pool_respawn`` — a resident pool just respawned a dead worker slot
   (fires after the fresh process started, before the next batch uses it);
 * ``daemon_admit`` — the daemon admitted one request into its queue;

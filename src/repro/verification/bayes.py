@@ -109,24 +109,20 @@ class _BayesVerifierBase(Verifier):
         return self._algorithm_for(candidates).verify(candidates.left, candidates.right)
 
     def verify_source(self, source, pool=None) -> VerificationOutput:
-        """Block-streamed (and optionally multicore round-synchronous) verify.
+        """Block-streamed (and optionally pooled) verify.
 
         The prior is fitted once against the full deduplicated pair sequence
         (identical sampling to the serial path), then each block is verified
         with the shared decision tables; every prune/emit decision depends
         only on the pair's own ``(m, n)``, so the merged output is
-        bit-identical to one monolithic verify() call.  The pooled path falls
-        back to the same per-block ``algorithm.verify`` call when it loses
-        workers, so both paths merge to identical outputs.
+        bit-identical to one monolithic verify() call.  A worker ``pool``
+        only counts and scores: each block still runs through
+        ``algorithm.verify``, which hands the pool its kernels.
         """
         algorithm = self._algorithm_for(source)
-        if pool is None:
-            return VerificationOutput.merge(
-                [algorithm.verify(left, right) for left, right in source.blocks()]
-            )
-        from repro.search.executor import run_round_protocol
-
-        return run_round_protocol(pool, algorithm, source)
+        return VerificationOutput.merge(
+            [algorithm.verify(left, right, pool) for left, right in source.blocks()]
+        )
 
 
 class BayesLSHVerifier(_BayesVerifierBase):

@@ -116,26 +116,16 @@ class LSHApproxVerifier(Verifier):
         Match counting and the MLE map are per-pair operations, so any
         block/shard split reproduces the monolithic floats; the parent
         materialises the fixed hash budget once and, when a pool is given,
-        exports it to shared memory for the workers to count from.
+        the pool counts it as one round of ``num_hashes`` hashes.
         """
         store = self._family.signatures(self._num_hashes)
-        exporter = None
-        if pool is not None:
-            from repro.search.executor import _SignatureExporter
-
-            exporter = _SignatureExporter(pool, self._family.produces_bits)
-            exporter.ensure(store, self._num_hashes)
-
-        def serial(left, right):
-            # Parent-side shard recovery: count against the parent's own
-            # store — the same budget the workers' shared view exposes.
-            return store.count_matches_many(left, right, 0, self._num_hashes)
-
         outputs = []
         for left, right in source.blocks():
             if pool is not None:
-                matches = pool.map_count(left, right, 0, self._num_hashes, fallback=serial)
+                matches = pool.count_rounds(
+                    store, left, right, 0, self._num_hashes, self._num_hashes
+                )[:, 0]
             else:
-                matches = serial(left, right)
+                matches = store.count_matches_many(left, right, 0, self._num_hashes)
             outputs.append(self._verify_arrays(left, right, matches))
         return VerificationOutput.merge(outputs)

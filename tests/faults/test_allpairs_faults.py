@@ -1,12 +1,12 @@
-"""Worker-loss recovery in the all-pairs round protocol.
+"""Worker-loss recovery in the all-pairs worker pool.
 
-``run_round_protocol`` recovers at *block* granularity: when a block loses
-a worker (death, hang, in-task error) the whole block re-executes serially
-in the parent, discarding the survivors' partial work, so the output —
-pairs, estimates, the per-round prune trace and the ``hash_comparisons``
-counter — stays bit-identical to the all-serial run.  The fixed-budget
-(``map_count``) and exact (``map_exact``) verifiers recover at shard
-granularity instead.
+The workers only count hash agreements and score pairs exactly; every
+prune/emit decision, the per-round prune trace and the ``hash_comparisons``
+counter stay in the parent.  Recovery is therefore per *shard*: when a
+worker is lost (death, hang, in-task error) only its shard of that one
+count or exact request is recomputed in the parent with the same kernel
+(``_WorkerPool.map_shards``), so the output — pairs, estimates, trace and
+counters — stays bit-identical to the all-serial run.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def test_kill_one_worker_lite_bit_identical(corpus):
 
 
 def test_dropped_count_message_recovers_via_round_timeout(corpus):
-    """The fixed-budget verifier's shard fallback (map_count) recovers a hang."""
+    """The fixed-budget verifier's shard recount recovers a hang."""
     reference = _run(corpus, "lsh_approx")
     with faults.inject() as plan:
         plan.drop_messages(1, tag="count")
@@ -110,12 +110,14 @@ def test_dropped_count_message_recovers_via_round_timeout(corpus):
     assert np.array_equal(result.similarities, reference.similarities)
 
 
-def test_dropped_exact_message_recovers_via_round_timeout(corpus):
-    """The exact verifier's shard fallback (map_exact) recovers a hang."""
-    reference = _run(corpus, "lsh")
+@pytest.mark.parametrize("method", ["lsh", "ap_bayeslsh"])
+def test_dropped_exact_message_recovers_via_round_timeout(corpus, method):
+    """The shard fallback of exact scoring (map_exact) recovers a hang: the
+    exact verifier's, and the hybrid's for the pairs that exhaust the budget."""
+    reference = _run(corpus, method)
     with faults.inject() as plan:
         plan.drop_messages(0, tag="exact")
-        result = _run(corpus, "lsh", n_workers=2, round_timeout=3.0)
+        result = _run(corpus, method, n_workers=2, round_timeout=3.0)
     assert ("drop", "exact") in plan.fired
     assert np.array_equal(result.left, reference.left)
     assert np.array_equal(result.right, reference.right)

@@ -1,12 +1,13 @@
 """Worker-loss recovery in the serving pool: bit-identity at every seam.
 
-The acceptance property from the robustness issue: SIGKILLing any one worker
-at every stage of ``query_many``/``top_k_many`` (probe hand-off, verify
-hand-off, each verification round, the estimates gather, exact ranking) must
-complete via the serial fallback with answers bit-identical to the
-all-serial run — and leave no ``/dev/shm`` segment behind (enforced suite-
-wide by the autouse ``shm_leak_audit`` fixture).  Hung and silenced workers
-recover through ``round_timeout``; merely slow workers must survive.
+The acceptance property: SIGKILLing any one worker at every stage of
+``query_many``/``top_k_many`` (probing, the first count of the batch, each
+round a count covers, between the rounds and the terminal rule, exact
+ranking) must complete via the parent's recount of the lost shard, with
+answers bit-identical to the all-serial run — and leave no ``/dev/shm``
+segment behind (enforced suite-wide by the autouse ``shm_leak_audit``
+fixture).  Hung and silenced workers recover through ``round_timeout``;
+merely slow workers must survive.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ import logging
 
 import pytest
 
+from repro.search.engine import all_pairs_similarity
 from repro.search.executor import WorkerFailure
 from repro.testing import faults
+
+from .conftest import planted_collection
 
 EVENTS = ["serving_probe", "serving_verify", "serving_round", "serving_estimates"]
 
@@ -108,13 +112,14 @@ def test_hung_worker_recovers_via_round_timeout(
 def test_dropped_round_message_recovers_via_round_timeout(
     serving_index, query_batch, serial_answers
 ):
-    """A swallowed parent→worker message looks like a hang; the deadline recovers it."""
+    """A swallowed parent→worker count request looks like a hang; the deadline
+    recovers it."""
     with faults.inject() as plan:
-        plan.drop_messages(1, tag="round")
+        plan.drop_messages(1, tag="count")
         answers = serving_index.query_many(
             query_batch, threshold=0.55, n_workers=2, round_timeout=3.0
         )
-    assert ("drop", "round") in plan.fired
+    assert ("drop", "count") in plan.fired
     assert answers == serial_answers["query"]
 
 
@@ -131,17 +136,44 @@ def test_slow_worker_is_not_killed(serving_index, query_batch, serial_answers, c
     assert not caplog.records, "a merely slow worker was treated as failed"
 
 
+def _serving_call(serving_index, query_batch) -> None:
+    serving_index.query_many(query_batch, threshold=0.55, n_workers=2)
+
+
+def _allpairs_call(serving_index, query_batch) -> None:
+    all_pairs_similarity(
+        planted_collection(47, n=70),
+        0.5,
+        method="ap_bayeslsh",
+        seed=7,
+        block_size=64,
+        n_workers=2,
+    )
+
+
+@pytest.mark.parametrize(
+    "event,round_index,call",
+    [("serving_round", 0, _serving_call), ("allpairs_round", 1, _allpairs_call)],
+    ids=["serving", "allpairs"],
+)
 def test_recovery_is_logged_with_worker_tag_and_fallback(
-    serving_index, query_batch, caplog
+    serving_index, query_batch, caplog, event, round_index, call
 ):
-    """Worker loss surfaces as a warning naming the worker and the recovery."""
+    """Worker loss surfaces as a warning naming the worker, the task, the round
+    and the recovery."""
     with caplog.at_level(logging.WARNING, logger="repro.search.executor"):
         with faults.inject() as plan:
-            plan.kill_worker(1, event="serving_round", round_index=0)
-            serving_index.query_many(query_batch, threshold=0.55, n_workers=2)
+            plan.kill_worker(1, event=event, round_index=round_index)
+            call(serving_index, query_batch)
     assert ("kill", 1) in plan.fired
     messages = [record.getMessage() for record in caplog.records]
-    assert any("worker 1" in message and "serially" in message for message in messages)
+    assert any(
+        "worker 1" in message
+        and "serially" in message
+        and "'count'" in message
+        and f"round {round_index}" in message
+        for message in messages
+    )
 
 
 def test_worker_failure_message_names_worker_tag_and_round():

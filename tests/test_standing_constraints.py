@@ -8,6 +8,12 @@ pair keys — and a library upgrade turned three hot paths into one without a
 line of this repo changing.  ``np.unique`` stays only where it
 is asked for more than the values (``return_index`` / ``return_inverse`` /
 ``return_counts``) or works along an ``axis``, which take the sort path.
+
+BayesLSH has one round driver, ``core/rounds.replay_rounds``: pool workers
+only count hash agreements and the parent makes every decision, so
+``PairState`` is built and advanced nowhere else.  And every
+fault-injection seam the code fires is one ``repro.testing.faults``
+documents, and the other way round.
 """
 
 from __future__ import annotations
@@ -64,3 +70,115 @@ def test_the_check_sees_what_it_is_for():
         "    return numpy.unique(keys)\n"
     )
     assert plain_unique_calls(source, "cache.py") == ["cache.py:3", "cache.py:6"]
+
+
+# --------------------------------------------------------------------- #
+# one driver: workers count, the parent decides
+# --------------------------------------------------------------------- #
+_ROUNDS = Path("core") / "rounds.py"
+
+
+def round_engine_uses(source: str, filename: str) -> list[str]:
+    """``file:line`` of every ``PairState(...)`` construction and ``.advance(...)`` call."""
+    uses = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, ast.Call):
+            continue
+        target = node.func
+        name = target.id if isinstance(target, ast.Name) else None
+        attr = target.attr if isinstance(target, ast.Attribute) else None
+        if name == "PairState" or attr in ("PairState", "advance"):
+            uses.append(f"{filename}:{node.lineno}")
+    return uses
+
+
+def test_pair_state_is_built_and_advanced_only_by_the_round_driver():
+    files = sorted(_SRC.rglob("*.py"))
+    offenders = [
+        use
+        for path in files
+        if path.relative_to(_SRC) != _ROUNDS
+        for use in round_engine_uses(path.read_text(), str(path.relative_to(_SRC.parents[1])))
+    ]
+    assert not offenders, (
+        "PairState is built and advanced only in core/rounds.py (replay_rounds); "
+        "pool workers count and the parent decides: " + ", ".join(offenders)
+    )
+    assert round_engine_uses((_SRC / _ROUNDS).read_text(), "rounds.py"), (
+        "the check no longer finds the driver it protects"
+    )
+
+
+def test_the_driver_check_sees_what_it_is_for():
+    # the shape the pool workers had while they ran rounds themselves
+    source = (
+        "from repro.core import rounds\n"
+        "def worker(tables, counts, n_now):\n"
+        "    state = PairState(tables, len(counts))\n"
+        "    other = rounds.PairState(tables, 0)\n"
+        "    state.advance(counts, n_now)\n"
+        "    return advance(state)\n"
+    )
+    assert round_engine_uses(source, "w.py") == ["w.py:3", "w.py:4", "w.py:5"]
+
+
+# --------------------------------------------------------------------- #
+# every fault-injection seam is documented
+# --------------------------------------------------------------------- #
+def fired_seams(source: str, filename: str) -> tuple[set[str], list[str]]:
+    """Seam names fired by literal ``fire("…")`` / ``atomic_writer(…, event="…")``
+    calls, and ``file:line`` of every ``fire`` call whose name is not a literal."""
+    names: set[str] = set()
+    dynamic: list[str] = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, ast.Call):
+            continue
+        target = node.func
+        callee = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+        if callee == "fire" and node.args:
+            first = node.args[0]
+            if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                names.add(first.value)
+            else:
+                dynamic.append(f"{filename}:{node.lineno}")
+        elif callee == "atomic_writer":
+            for keyword in node.keywords:
+                if keyword.arg == "event" and isinstance(keyword.value, ast.Constant):
+                    names.add(keyword.value.value)
+    return names, dynamic
+
+
+def documented_seams() -> set[str]:
+    """The seam names listed in ``repro.testing.faults``'s docstring."""
+    doc = ast.get_docstring(ast.parse((_SRC / "testing" / "faults.py").read_text()))
+    listing = doc.split("The seams are:")[1].split("A plan schedules")[0]
+    names: set[str] = set()
+    for line in listing.splitlines():
+        if line.startswith("* "):
+            head = line.split(" — ")[0]
+            names.update(part.strip("`") for part in head[2:].split(" / "))
+    return names
+
+
+def test_every_fired_seam_is_documented_and_every_documented_seam_fires():
+    fired: set[str] = set()
+    dynamic: list[str] = []
+    for path in sorted(_SRC.rglob("*.py")):
+        names, calls = fired_seams(path.read_text(), str(path.relative_to(_SRC.parents[1])))
+        fired |= names
+        dynamic += calls
+    # atomic_writer forwards its ``event`` argument; its callers name the seams
+    assert [call.split(":")[0] for call in dynamic] == ["src/repro/datasets/io.py"]
+    assert fired == documented_seams()
+
+
+def test_the_seam_check_sees_what_it_is_for():
+    source = (
+        "def save(path, seq):\n"
+        "    _faults.fire('wal_append', seq=seq)\n"
+        "    fire(event_name)\n"
+        "    with atomic_writer(path, event='flat_replace') as handle:\n"
+        "        pass\n"
+    )
+    assert fired_seams(source, "s.py") == ({"wal_append", "flat_replace"}, ["s.py:3"])
+    assert {"pool_start", "allpairs_begin", "serving_round", "allpairs_round"} <= documented_seams()
