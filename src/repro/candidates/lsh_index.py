@@ -63,6 +63,31 @@ class BandKeySource(Protocol):
         ...
 
 
+def _order_words(keys: np.ndarray) -> np.ndarray:
+    """Each row of integer ``keys`` packed into ``uint64`` words that sort like it.
+
+    Every value is made order-preserving unsigned (signed values get their
+    sign bit flipped) and written big-endian, so a row's bytes compare
+    lexicographically exactly as its values do; the bytes are zero-padded to
+    a whole number of words and read back as big-endian ``uint64``.  Two rows
+    are equal iff their words are, and ``lexsort`` over the words (first
+    word most significant) orders rows as ``lexsort`` over the columns would.
+    """
+    keys = np.ascontiguousarray(keys)
+    n_rows, width = keys.shape
+    itemsize = keys.dtype.itemsize
+    unsigned = keys.view(f"u{itemsize}")
+    if keys.dtype.kind == "i":
+        unsigned = unsigned ^ unsigned.dtype.type(1 << (8 * itemsize - 1))
+    row_bytes = unsigned.astype(unsigned.dtype.newbyteorder(">")).view(np.uint8)
+    n_words = -(-width * itemsize // 8)
+    if n_words * 8 != width * itemsize:
+        padded = np.zeros((n_rows, n_words * 8), dtype=np.uint8)
+        padded[:, : width * itemsize] = row_bytes
+        row_bytes = padded
+    return row_bytes.view(">u8").astype(np.uint64)
+
+
 def group_by_band_content(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group rows whose band contents compare equal, with one sort.
 
@@ -73,14 +98,20 @@ def group_by_band_content(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``order[offsets[g]:offsets[g + 1]]``.  Shared by the all-pairs bucketing
     and the serving-layer postings so both group with literally the same
     procedure.  Groups come out in lexicographic order of their content
-    (column 0 most significant).
+    (column 0 most significant).  The sort is one stable ``lexsort`` over
+    :func:`_order_words` — ``ceil(bytes / 8)`` keys instead of one per column
+    (a 4-minhash band is 2 keys, an 8-bit simhash band 1).
     """
-    order = np.lexsort(keys.T[::-1])
+    words = _order_words(keys)
+    order = np.lexsort(words.T[::-1])
     if not len(order):
         return order, np.zeros(1, dtype=np.int64)
-    ordered = keys[order]
-    starts = np.flatnonzero(np.any(ordered[1:] != ordered[:-1], axis=1)) + 1
+    changed = np.zeros(len(order) - 1, dtype=bool)
+    for column in words[order].T:
+        changed |= column[1:] != column[:-1]
+    starts = np.flatnonzero(changed) + 1
     return order, np.concatenate([[0], starts, [len(order)]])
+
 
 #: default signature widths (number of hashes concatenated per signature)
 _DEFAULT_WIDTH = {"simhash": 8, "minhash": 4}
@@ -334,13 +365,11 @@ class LSHGenerator(CandidateGenerator):
         if block_size <= 0:
             raise ValueError(f"block_size must be positive, got {block_size}")
         prepared = self.measure.prepare(collection)
+        # A supplied family is used as is, so it must be the one built over
+        # this collection (``SearchEngine.run`` refuses any other corpus).
         family = self._family
-        if family is None or family.collection is not prepared:
-            family = (
-                self._family
-                if self._family is not None
-                else get_hash_family(self.measure.lsh_family, prepared, seed=self._seed)
-            )
+        if family is None:
+            family = get_hash_family(self.measure.lsh_family, prepared, seed=self._seed)
         self._last_family = family
 
         n_signatures = self.n_signatures

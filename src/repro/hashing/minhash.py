@@ -25,12 +25,19 @@ Signature generation is a single batched kernel over the whole collection
 rather than a per-row loop:
 
 * the collection's supports are flattened once into a CSR-style layout with
-  rows grouped by support size (cached per family);
-* each block of hash functions evaluates the universal hash on the *unique*
-  features only (a ``(n_unique_features, block)`` table), gathers the table
-  rows per occurrence — a contiguous-row gather, which NumPy turns into
-  per-occurrence ``memcpy`` — and reduces each equal-length row group with a
-  SIMD-friendly ``reshape(...).min(axis=1)``;
+  rows grouped by support size (cached per family); features in a dense id
+  range are renumbered with a bool mask and its running count, not a sort;
+* each extension request evaluates the universal hash on the *unique*
+  features only, once, at the request's full width (a
+  ``(n_unique_features, width)`` table).  The table is filled in L2-sized
+  feature tiles with in-place ops: one shift-and-add fold of ``a * f + b``
+  into ``uint32`` and one ``min(u, u - p)``;
+* the table rows are then gathered per occurrence — a contiguous-row
+  gather, which NumPy turns into per-occurrence ``memcpy`` — and each
+  equal-length row group is reduced with a SIMD-friendly
+  ``reshape(...).min(axis=1)``, fused per tile of occurrences sized in bytes
+  (like :func:`~repro.hashing.signatures._tile_rows`) so the gathered block
+  is still in cache when it is reduced.  Every width takes this one path;
 * row minima are bit-identical to the per-row reference
   (:func:`repro.reference.minhash_signatures_reference`): the table holds
   exactly ``(a * f + b) mod p`` and ``min`` is order-independent.
@@ -52,7 +59,7 @@ import threading
 import numpy as np
 
 from repro.hashing.base import HashFamily
-from repro.hashing.signatures import IntSignatures
+from repro.hashing.signatures import IntSignatures, _tile_rows
 from repro.similarity.vectors import VectorCollection
 
 __all__ = ["MinHashFamily"]
@@ -61,11 +68,58 @@ __all__ = ["MinHashFamily"]
 #: ``a * f + b`` stays below 2^62 and int64 arithmetic is exact.
 _PRIME = (1 << 31) - 1
 _BLOCK = 64
-#: hash functions are evaluated this many at a time so the gathered
-#: occurrence-value matrix stays cache-resident
-_KERNEL_CHUNK = 64
-#: occurrences per gather/reduce tile (tile bytes = this x chunk x 4)
-_TILE_OCCURRENCES = 2048
+
+
+def _permutation_table(
+    features: np.ndarray, coef_a: np.ndarray, coef_b: np.ndarray
+) -> np.ndarray:
+    """The ``(n_features, width)`` int32 table of ``(a * f + b) mod p``.
+
+    Computed in feature tiles of :func:`_tile_rows` rows so the int64 scratch
+    stays L2-resident, with in-place ops only.  ``a * f + b <= (p - 1) * p``,
+    so one shift-and-add fold ``(x & p) + (x >> 31)`` is congruent to ``x``
+    and below ``2p`` (it fits ``uint32``); ``min(u, u - p)`` in wrapping
+    ``uint32`` arithmetic is then the one conditional subtraction that gives
+    exactly ``x mod p``.
+    """
+    n_features, width = len(features), len(coef_a)
+    table = np.empty((n_features, width), dtype=np.uint32)
+    step = _tile_rows(width * 8)
+    product = np.empty((min(step, n_features), width), dtype=np.int64)
+    high = np.empty_like(product)
+    wrapped = np.empty(product.shape, dtype=np.uint32)
+    prime = np.uint32(_PRIME)
+    for lo in range(0, n_features, step):
+        hi = min(lo + step, n_features)
+        x, h, u, w = product[: hi - lo], high[: hi - lo], table[lo:hi], wrapped[: hi - lo]
+        np.multiply(features[lo:hi, None], coef_a, out=x)
+        x += coef_b
+        np.right_shift(x, 31, out=h)
+        x &= _PRIME
+        np.add(x, h, out=u, casting="unsafe")
+        np.subtract(u, prime, out=w)
+        np.minimum(u, w, out=u)
+    # Every value is below p < 2^31, so the int32 view is exact.
+    return table.view(np.int32)
+
+
+def _renumber(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(indices, return_inverse=True)``, without a sort when dense.
+
+    Feature ids whose range is at most 3 times their count (any vocabulary
+    in practice) are scattered into a bool mask over that range, whose
+    running count is every id's rank: one O(nnz) pass.  A sparse id space
+    (hashed features, say) takes the sort rather than a mask over its range.
+    """
+    if len(indices):
+        low, high = int(indices.min()), int(indices.max())
+        if high - low + 1 <= 3 * len(indices):
+            shifted = indices - low
+            used = np.zeros(high - low + 1, dtype=bool)
+            used[shifted] = True
+            rank = np.cumsum(used, dtype=np.intp) - 1
+            return np.flatnonzero(used) + low, rank[shifted]
+    return np.unique(indices, return_inverse=True)
 
 
 class _SupportLayout:
@@ -84,8 +138,8 @@ class _SupportLayout:
         indices = matrix.indices
         indptr = matrix.indptr
         row_nnz = np.diff(indptr)
+        unique, inverse = _renumber(indices)
         #: unique feature ids, already reduced modulo the prime
-        unique, inverse = np.unique(indices, return_inverse=True)
         self.unique_features = unique.astype(np.int64) % _PRIME
         self.empty_rows = np.flatnonzero(row_nnz == 0)
         nonempty = np.flatnonzero(row_nnz > 0)
@@ -113,7 +167,7 @@ class _SupportLayout:
         # occurrence; min over duplicates is unchanged.
         local = np.where(local < np.repeat(sizes_sorted, padded_sorted), local, 0)
         occurrence_positions = np.repeat(starts, padded_sorted) + local
-        self.flat_inverse = inverse[occurrence_positions].astype(np.intp)
+        self.flat_inverse = inverse[occurrence_positions]
         self.segment_offsets = segment_offsets
         #: (padded size, first row position, last row position) per bucket
         group_sizes, group_starts = np.unique(padded_sorted, return_index=True)
@@ -122,19 +176,23 @@ class _SupportLayout:
             (int(size), int(first), int(last))
             for size, first, last in zip(group_sizes, group_starts, group_ends)
         ]
-        # Tiled reduction plan: each tile covers at most _TILE_OCCURRENCES
-        # occurrences of one size group, so the gathered values stay
-        # cache-resident between the gather and the row-minimum reduction
-        # (the full gather matrix would round-trip through DRAM).
-        self.tiles: list[tuple[int, int, int, int, int]] = []
-        max_tile = _TILE_OCCURRENCES
+
+    def tiles(self, width: int) -> list[tuple[int, int, int, int, int]]:
+        """Gather/reduce plan ``(size, row, row_end, o0, o1)`` for a table width.
+
+        Each tile covers whole rows of one size group and about
+        :func:`_tile_rows` occurrences of ``width`` int32 values, so the
+        gathered block stays cache-resident between the gather and the
+        row-minimum reduction (the full gather matrix would round-trip
+        through DRAM).
+        """
+        occurrences = _tile_rows(width * 4)
+        plan = []
         for size, first, last in self.groups:
-            rows_per_tile = max(1, _TILE_OCCURRENCES // size)
-            max_tile = max(max_tile, size)
-            row = first
-            while row < last:
+            rows_per_tile = max(1, occurrences // size)
+            for row in range(first, last, rows_per_tile):
                 row_end = min(row + rows_per_tile, last)
-                self.tiles.append(
+                plan.append(
                     (
                         size,
                         row,
@@ -143,26 +201,7 @@ class _SupportLayout:
                         int(self.segment_offsets[row_end]),
                     )
                 )
-                row = row_end
-        self._tile_occupancy = max_tile
-        self._tile_buffer: np.ndarray | None = None
-        self._mins_buffer: np.ndarray | None = None
-
-    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Persistent kernel scratch (gather tile, row minima).
-
-        Allocated once per layout so repeated lazy extensions — the
-        verifier's k-hashes-at-a-time pattern — do not pay a large
-        allocation (and its page faults) per extension.
-        """
-        if self._tile_buffer is None:
-            self._tile_buffer = np.empty(
-                (self._tile_occupancy, _KERNEL_CHUNK), dtype=np.int32
-            )
-            self._mins_buffer = np.empty(
-                (len(self.rows_sorted), _KERNEL_CHUNK), dtype=np.int32
-            )
-        return self._tile_buffer, self._mins_buffer
+        return plan
 
 
 class MinHashFamily(HashFamily):
@@ -255,44 +294,23 @@ class MinHashFamily(HashFamily):
             # Sentinel unique to the row so empty rows never collide.
             values[layout.empty_rows, :] = -(layout.empty_rows[:, None] + 1)
 
-        features = layout.unique_features
-        gather_buffer, mins_buffer = layout.buffers()
-        for chunk_start in range(0, n_new, _KERNEL_CHUNK):
-            chunk_end = min(chunk_start + _KERNEL_CHUNK, n_new)
-            width = chunk_end - chunk_start
-            coef_a = self._coef_a[start + chunk_start : start + chunk_end]
-            coef_b = self._coef_b[start + chunk_start : start + chunk_end]
-            # (n_unique, width) permuted positions; a, f < 2^31 so
-            # a * f + b < 2^62 and int64 arithmetic is exact.  The modulo by
-            # the Mersenne prime is two shift-and-add folds plus one
-            # conditional subtraction — exactly x mod p, much cheaper than %.
-            permuted = features[:, None] * coef_a[None, :]
-            permuted += coef_b[None, :]
-            permuted = (permuted & _PRIME) + (permuted >> 31)
-            permuted = (permuted & _PRIME) + (permuted >> 31)
-            permuted -= (permuted >= _PRIME) * np.int64(_PRIME)
-            table = permuted.astype(np.int32)
-            if width == _KERNEL_CHUNK:
-                # Tile-fused gather + reduce: each tile's contiguous-row
-                # gather (one memcpy per occurrence) lands in a cache-resident
-                # buffer that the row-minimum reduction consumes immediately.
-                for size, row, row_end, o0, o1 in layout.tiles:
-                    tile = gather_buffer[: o1 - o0]
-                    np.take(table, layout.flat_inverse[o0:o1], axis=0, out=tile)
-                    tile.reshape(row_end - row, size, width).min(
-                        axis=1, out=mins_buffer[row:row_end]
-                    )
-            else:
-                # Partial-width tail (non-default block sizes only): plain
-                # gather-then-reduce per size group.
-                flat = np.take(table, layout.flat_inverse, axis=0)
-                for size, first, last in layout.groups:
-                    o0 = layout.segment_offsets[first]
-                    o1 = layout.segment_offsets[last]
-                    flat[o0:o1].reshape(last - first, size, width).min(
-                        axis=1, out=mins_buffer[first:last, :width]
-                    )
-            values[layout.rows_sorted, chunk_start:chunk_end] = mins_buffer[:, :width]
+        # One permutation table at the request's full width (n_unique x n_new
+        # int32, ~9 MB for 9k features at 256 hashes; one fold and one
+        # conditional subtraction per value), then one fused gather +
+        # row-minimum pass per tile of occurrences sized in bytes, whatever
+        # the width.
+        table = _permutation_table(
+            layout.unique_features, self._coef_a[start:end], self._coef_b[start:end]
+        )
+        plan = layout.tiles(n_new)
+        largest = max((o1 - o0 for *_, o0, o1 in plan), default=0)
+        gather = np.empty((largest, n_new), dtype=np.int32)
+        mins = np.empty((len(layout.rows_sorted), n_new), dtype=np.int32)
+        for size, row, row_end, o0, o1 in plan:
+            tile = gather[: o1 - o0]
+            np.take(table, layout.flat_inverse[o0:o1], axis=0, out=tile)
+            tile.reshape(row_end - row, size, n_new).min(axis=1, out=mins[row:row_end])
+        values[layout.rows_sorted] = mins
         store.append_values(values)
 
     def clone_for(self, collection: VectorCollection) -> "MinHashFamily":

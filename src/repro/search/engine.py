@@ -175,6 +175,7 @@ class SearchEngine:
             meaningful with ``n_workers > 1``.
         """
         collection = as_collection(data)
+        self._check_collection(collection)
         if n_workers is not None and int(n_workers) < 1:
             raise ValueError(f"n_workers must be at least 1, got {n_workers}")
         if block_size is not None or (n_workers is not None and int(n_workers) > 1):
@@ -199,6 +200,29 @@ class SearchEngine:
                 "total": total_time,
             },
         )
+
+    def _check_collection(self, collection: VectorCollection) -> None:
+        """Refuse a run on any corpus but the one the verifier was built over.
+
+        The verifier scores pairs against its own vectors (and an LSH
+        generator hashes with the family built over them), so a different
+        corpus would get answers computed for the wrong one.  An equal-content
+        copy is accepted: the check compares the prepared CSR arrays, O(nnz).
+        """
+        ours = self._verifier.prepared
+        theirs = self._verifier.measure.prepare(collection)
+        if theirs is ours:
+            return
+        same = ours.matrix.shape == theirs.matrix.shape and all(
+            np.array_equal(getattr(ours.matrix, part), getattr(theirs.matrix, part))
+            for part in ("indptr", "indices", "data")
+        )
+        if not same:
+            raise ValueError(
+                f"this engine was built over a {ours.matrix.shape} collection and "
+                f"cannot run on a different one (got {theirs.matrix.shape}); "
+                "build the pipeline over the data it will run on"
+            )
 
     def _result(self, output, candidate_metadata: dict, timings: dict, **metadata) -> SearchResult:
         """Package a verification output (either execution path) as a result."""

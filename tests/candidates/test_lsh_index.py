@@ -125,6 +125,23 @@ _GROUPING_CASES = {
     "one_row": np.array([[5, 9]], dtype=np.int32),
     "all_equal": np.full((50, 3), 7, dtype=np.int32),
     "all_distinct": _GROUPING_RNG.permutation(120).reshape(60, 2).astype(np.int32),
+    # Order-preserving word packing: sign flips, byte order and word padding.
+    "int32_sentinels_beside_max": _GROUPING_RNG.choice(
+        np.array([-4, -2, -1, 0, 2**31 - 3, 2**31 - 2, 2**31 - 1], dtype=np.int32),
+        size=(400, 4),
+    ),
+    "int64_spanning_2_62": _GROUPING_RNG.choice(
+        np.array([-(2**62), -(2**62) + 1, -1, 0, 1, 2**62 - 1, 2**62], dtype=np.int64),
+        size=(300, 2),
+    ),
+    "uint64_high_bit": _GROUPING_RNG.choice(
+        np.array([0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1], dtype=np.uint64),
+        size=(300, 2),
+    ),
+    "unpacked_bits_width_9": _GROUPING_RNG.integers(0, 2, size=(500, 9)).astype(np.uint8),
+    "unpacked_bits_width_13": _GROUPING_RNG.integers(0, 2, size=(500, 13)).astype(np.uint8),
+    "int32_width_2": _GROUPING_RNG.integers(-3, 4, size=(400, 2)).astype(np.int32),
+    "int32_width_3": _GROUPING_RNG.integers(-3, 4, size=(400, 3)).astype(np.int32),
 }
 
 

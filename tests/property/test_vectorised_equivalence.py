@@ -123,6 +123,72 @@ class TestSignatureEquivalence:
         expected = reference.minhash_signatures_reference(family, store.n_hashes)
         np.testing.assert_array_equal(np.asarray(store.values, dtype=np.int64), expected)
 
+    @pytest.mark.parametrize("n_hashes", [320, 512])
+    def test_minhash_one_shot_across_tile_widths(self, n_hashes):
+        collection = _random_sets_collection(17, n_rows=60, universe=900)
+        family = MinHashFamily(collection, seed=4)
+        store = family.signatures(n_hashes)
+        expected = reference.minhash_signatures_reference(family, store.n_hashes)
+        np.testing.assert_array_equal(np.asarray(store.values, dtype=np.int64), expected)
+
+    @pytest.mark.parametrize("block_size", [7, 48])
+    def test_minhash_non_default_block_sizes(self, block_size):
+        collection = _random_sets_collection(23)
+        family = MinHashFamily(collection, seed=6, block_size=block_size)
+        for n_hashes in (5, 50, 130):
+            family.signatures(n_hashes)
+        store = family.signatures(0)
+        expected = reference.minhash_signatures_reference(family, store.n_hashes)
+        np.testing.assert_array_equal(np.asarray(store.values, dtype=np.int64), expected)
+
+    def test_minhash_growth_64_to_320(self):
+        collection = _random_sets_collection(29)
+        family = MinHashFamily(collection, seed=8)
+        family.signatures(64)
+        store = family.signatures(320)
+        expected = reference.minhash_signatures_reference(family, store.n_hashes)
+        np.testing.assert_array_equal(np.asarray(store.values, dtype=np.int64), expected)
+
+    def test_minhash_extreme_coefficients_and_features(self):
+        """``a``, ``b`` near ``p - 1`` on features near ``2**31 - 2``: the
+        one-fold reduction's conditional subtraction, against Python ints."""
+        prime = (1 << 31) - 1
+        top = 2**31 - 2
+        sets = [
+            {top, top - 1, top - 5},
+            {top},
+            {top - 2, top - 3, top - 64},
+            set(),
+            {top - 7, top - 9, top},
+        ]
+        collection = VectorCollection.from_sets(sets, n_features=2**31 - 1)
+        coef_a = np.array([prime - 1, prime - 2, prime - 3, 1, prime - 1, 2**30, prime - 7, 3])
+        coef_b = np.array([prime - 1, prime - 1, 0, prime - 1, prime - 2, prime - 1, 5, prime - 1])
+        family = MinHashFamily(collection, seed=0, block_size=len(coef_a))
+        family.restore_state(
+            {"coef_a": coef_a, "coef_b": coef_b, "rng_state": family.state_dict()["rng_state"]}
+        )
+        # The case is adversarial: some folded value lands in [p, 2p).
+        folded = [
+            ((a * f + b) & prime) + ((a * f + b) >> 31)
+            for f in set().union(*sets)
+            for a, b in zip(coef_a.tolist(), coef_b.tolist())
+        ]
+        assert max(folded) >= prime
+        store = family.signatures(len(coef_a))
+        expected = [
+            [
+                min((a * f + b) % prime for f in features) if features else -(row + 1)
+                for a, b in zip(coef_a.tolist(), coef_b.tolist())
+            ]
+            for row, features in enumerate(sets)
+        ]
+        np.testing.assert_array_equal(np.asarray(store.values, dtype=np.int64), expected)
+        np.testing.assert_array_equal(
+            np.asarray(store.values, dtype=np.int64),
+            reference.minhash_signatures_reference(family, len(coef_a)),
+        )
+
     @_SETTINGS
     @given(st.integers(min_value=0, max_value=10_000))
     def test_simhash_matches_scalar_reference(self, seed):

@@ -5,7 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro.candidates.lsh_index import LSHGenerator
+from repro.datasets.synthetic import synthetic_text_corpus
 from repro.search.engine import SearchEngine, all_pairs_similarity, as_collection
+from repro.search.pipelines import make_pipeline
 from repro.similarity.vectors import VectorCollection
 from repro.verification.exact import ExactVerifier
 
@@ -73,6 +75,53 @@ class TestSearchEngine:
         )
         assert "prune_trace" in result.metadata
         assert result.metadata["hash_comparisons"] > 0
+
+
+def _text_corpus(seed):
+    return synthetic_text_corpus(
+        n_documents=200, vocabulary_size=600, average_length=30, seed=seed
+    ).collection
+
+
+class TestRunOnItsOwnCorpusOnly:
+    """An engine answers for the corpus it was built over, or refuses."""
+
+    CORPUS = _text_corpus(4)
+
+    @staticmethod
+    def _foreign(kind):
+        own = TestRunOnItsOwnCorpusOnly.CORPUS.matrix
+        if kind == "other":
+            return VectorCollection(_text_corpus(5).matrix)
+        if kind == "reversed":
+            return VectorCollection(own[::-1])
+        return VectorCollection(own[: own.shape[0] // 2])
+
+    @pytest.mark.parametrize("pipeline, measure", [
+        ("lsh_bayeslsh_lite", "jaccard"), ("ap_bayeslsh", "cosine"), ("lsh", "cosine"),
+    ])
+    @pytest.mark.parametrize("kind", ["other", "reversed", "subset"])
+    @pytest.mark.parametrize("run_kwargs", [{}, {"block_size": 64}, {"n_workers": 2}])
+    def test_a_different_corpus_is_refused(self, pipeline, measure, kind, run_kwargs):
+        engine = make_pipeline(pipeline, self.CORPUS, measure=measure, threshold=0.5, seed=2)
+        with pytest.raises(ValueError, match="built over a"):
+            engine.run(self._foreign(kind), **run_kwargs)
+
+    @pytest.mark.parametrize("pipeline, measure", [
+        ("lsh_bayeslsh_lite", "jaccard"), ("ap_bayeslsh", "cosine"),
+    ])
+    def test_an_equal_content_copy_answers_as_the_original(self, pipeline, measure):
+        expected = make_pipeline(
+            pipeline, self.CORPUS, measure=measure, threshold=0.5, seed=2
+        ).run(self.CORPUS)
+        copy = VectorCollection(self.CORPUS.matrix.copy())
+        got = make_pipeline(
+            pipeline, self.CORPUS, measure=measure, threshold=0.5, seed=2
+        ).run(copy)
+        assert len(expected.left) > 0
+        np.testing.assert_array_equal(got.left, expected.left)
+        np.testing.assert_array_equal(got.right, expected.right)
+        np.testing.assert_array_equal(got.similarities, expected.similarities)
 
 
 class TestAllPairsSimilarity:
