@@ -6,10 +6,12 @@ for the offline all-pairs engine and the serving pool behind
 ``QueryIndex.query_many``/``top_k_many`` — are bit-identity tested on every
 run (``tests/property/test_execution_invariance`` and
 ``tests/property/test_query_serving``), but bit-identity says nothing about
-whether the counting worker pools actually *speed things up* on real
-hardware.  This script measures both: each workload runs serially and with a
-worker pool, the outputs are checked identical, the wall-clock ratios are
-printed and the raw timings are written as JSON (uploaded as the
+whether the worker pools actually *speed things up* on real hardware.  The
+workers only probe band postings and score pairs exactly; every hash
+agreement is counted, and every decision made, in the parent.  This
+script measures both paths: each workload runs serially and with a worker
+pool, the outputs are checked identical, the wall-clock ratios are printed
+and the raw timings are written as JSON (uploaded as the
 ``multicore-timing`` CI artifact).
 
 The speedups are *reported, not asserted*: shared CI runners are noisy, so
@@ -84,8 +86,8 @@ def serving_smoke(n_documents: int, n_queries: int, n_workers: int, repeats: int
 
     Builds a cosine ``QueryIndex`` once, then times the same query batch
     through the serial path and through the per-call serving pool; results
-    must be bit-identical (the forked pool shards probing, verification and
-    ranking, merging in serial order).
+    must be bit-identical (the forked pool shards probing and exact scoring,
+    merging in serial order; the BayesLSH rounds run in the parent).
     """
     from repro.search.query import QueryIndex
 
@@ -136,11 +138,12 @@ def serving_smoke(n_documents: int, n_queries: int, n_workers: int, repeats: int
 
 
 def recovery_smoke(n_documents: int, n_queries: int, n_workers: int, repeats: int) -> dict:
-    """Pool-recovery timing: a pooled batch with one worker SIGKILLed mid-round.
+    """Pool-recovery timing: a pooled batch with one worker SIGKILLed mid-batch.
 
     Measures the same batched ``query_many`` call three ways — serial, pooled
-    happy path, and pooled with worker 0 killed at verification round 0 (via
-    the fault-injection harness) — and reports the recovery overhead.  The
+    happy path, and pooled with worker 0 killed as the batch's band probes
+    are dispatched (via the fault-injection harness) — and reports the
+    recovery overhead.  The
     faulted call must still match the serial answers bit for bit; wall-clock
     numbers are reported, not asserted.
     """
@@ -167,7 +170,7 @@ def recovery_smoke(n_documents: int, n_queries: int, n_workers: int, repeats: in
 
     def faulted():
         with faults.inject() as plan:
-            plan.kill_worker(0, event="serving_round", round_index=0)
+            plan.kill_worker(0, event="serving_probe")
             return index.query_many(queries, threshold=0.7, n_workers=n_workers)
 
     faulted_result, faulted_wall = timed_best(faulted, repeats)
@@ -202,7 +205,7 @@ def resident_pool_smoke(
     batch ships only its query-state delta) — with bit-identical results
     required and the per-batch wall-clock delta reported.  Small batches
     are deliberate: that is the daemon's coalescing regime, where the
-    per-call fork + shared-memory export overhead dominates.
+    per-call fork overhead dominates.
     """
     from repro.search.query import QueryIndex
 
@@ -556,7 +559,8 @@ def main(argv=None) -> int:
     print(f"serial:   total {serial_wall:.3f}s (verification {serial_verify:.3f}s)")
     print(
         f"parallel: total {parallel_wall:.3f}s (verification {parallel_verify:.3f}s) "
-        f"with n_workers={args.n_workers}"
+        f"with n_workers={args.n_workers} (workers only score exactly; "
+        f"the parent counts hash agreements)"
     )
     print(
         f"speedup:  x{speedup_total:.2f} total, x{speedup_verify:.2f} verification, "

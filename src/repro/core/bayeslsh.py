@@ -256,17 +256,16 @@ class BayesLSH:
         what the terminal rule says (they count as alive throughout the
         trace either way).
 
-        A worker ``pool`` (the streamed executor's) changes only *where* the
-        kernels run: its ``count_rounds(store, ...)`` replaces
-        ``store.count_matches_rounds(...)`` and its ``map_exact`` scores the
-        exhausted pairs.  Every decision is made here either way.
+        Hash agreements are counted here, by the store's own kernel.  A
+        worker ``pool`` (the streamed executor's) only scores the exhausted
+        pairs exactly, through its ``map_exact``; every decision is made
+        here either way.
         """
         left = np.asarray(left, dtype=np.int64)
         right = np.asarray(right, dtype=np.int64)
         if left.shape != right.shape:
             raise ValueError("left and right index arrays must have the same shape")
         k = self._tables.params.k
-        count_rounds = _count_in_process if pool is None else pool.count_rounds
 
         def count_block(active: np.ndarray, n_prev: int, n_rounds: int) -> np.ndarray:
             # Survivor-side super-block: once the cheap early rounds have
@@ -281,8 +280,8 @@ class BayesLSH:
                 materialised = (self._family.n_hashes - n_prev) // k
                 n_rounds = max(1, min(_SUPERBLOCK_ROUNDS, n_rounds, materialised))
             n_end = n_prev + n_rounds * k
-            return count_rounds(
-                self._family.signatures(n_end), left[active], right[active], n_prev, n_end, k
+            return self._family.signatures(n_end).count_matches_rounds(
+                left[active], right[active], n_prev, n_end, k
             )
 
         state = replay_rounds(self._tables, len(left), count_block)
@@ -296,8 +295,3 @@ class BayesLSH:
             state.hash_comparisons,
             None if pool is None else partial(pool.map_exact, fallback=self.exact_similarities),
         )
-
-
-def _count_in_process(store, left, right, start, end, round_width) -> np.ndarray:
-    """The default ``count_rounds`` of :meth:`BayesLSH.verify`: the store's own kernel."""
-    return store.count_matches_rounds(left, right, start, end, round_width)

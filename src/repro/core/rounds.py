@@ -7,11 +7,12 @@ otherwise continue until the hash budget; what a pair still undecided at the
 budget reports is the terminal rule, ``on_budget``.  Every decision depends
 only on the pair's own ``(m, n)``, which is why the loop can be run
 round-synchronously over arrays of pairs and split into blocks with
-bit-identical results, and why parallelism only has to split the
-*counting*: pool workers return per-round agreement counts and never see
-this state.  This module holds that loop's state, its one decision step
-and its one driver, and every verification path — all-pairs and serving,
-pooled or not — decides in the calling process through them:
+bit-identical results.  Counting hash agreements is cheap next to moving
+signature columns between processes, so the calling process counts them
+too; pool workers only probe and score exactly, and never see this state.
+This module holds that loop's state, its one decision step and its one
+driver, and every verification path — all-pairs and serving, pooled or
+not — counts and decides in the calling process through them:
 
 * :class:`RoundTables` builds the decision tables for a posterior and a
   :class:`~repro.core.params.BayesLSHParams` and resolves the hash budget;

@@ -80,8 +80,8 @@ def count_packed_matches(
     masked off the XOR words before the popcount, so unaligned windows cost
     two extra masked ANDs instead of a per-pair unpack loop.
 
-    Shared between the in-process stores and the shared-memory readers of the
-    parallel executor so both count with literally the same integer ops.
+    Shared by every packed-bit counting kernel of :class:`BitSignatures`, so
+    they all count with literally the same integer ops.
     """
     if n_bits <= 0:
         return np.zeros(len(left_words), dtype=np.int64)
@@ -446,30 +446,6 @@ class BitSignatures(SignatureStore):
         bits_j = self.get_bits(j, start, end)
         return int(np.sum(bits_i == bits_j))
 
-    def word_block(self, word_start: int, word_end: int) -> np.ndarray:
-        """Packed words ``[word_start, word_end)`` as a C-contiguous matrix.
-
-        Public accessor used by the parallel executor to export signature
-        words into shared memory without going through :attr:`words` (which
-        consolidates the whole store).
-        """
-        return self._matrix.columns_contiguous(word_start, word_end)
-
-    def chunk_map(self) -> list[tuple[int, int, np.ndarray]]:
-        """Lock-free snapshot of the column-chunk layout as hash ranges.
-
-        Returns ``(hash_start, hash_end, words)`` triples tiling
-        ``[0, n_hashes)`` in order.  Used by forked executor workers, which
-        must read their inherited store copy without touching its lock (the
-        fork may have captured another thread's lock in the locked state);
-        chunk arrays are immutable once appended, so the snapshot stays
-        valid for the worker's lifetime.
-        """
-        return [
-            (offset * _WORD_BITS, (offset + chunk.shape[1]) * _WORD_BITS, chunk)
-            for offset, chunk in zip(self._matrix._offsets, self._matrix._chunks)
-        ]
-
     def count_matches_many(
         self, left: np.ndarray, right: np.ndarray, start: int, end: int
     ) -> np.ndarray:
@@ -811,27 +787,6 @@ class IntSignatures(SignatureStore):
                 axis=2, dtype=np.int64
             )
         return counts
-
-    def column_block(self, start: int, end: int) -> np.ndarray:
-        """Signature columns ``[start, end)`` as a C-contiguous matrix.
-
-        Public accessor used by the parallel executor to export signature
-        columns into shared memory without consolidating the whole store.
-        """
-        return self._matrix.columns_contiguous(start, end)
-
-    def chunk_map(self) -> list[tuple[int, int, np.ndarray]]:
-        """Lock-free snapshot of the column-chunk layout as hash ranges.
-
-        Returns ``(hash_start, hash_end, columns)`` triples tiling
-        ``[0, n_hashes)`` in order; see
-        :meth:`BitSignatures.chunk_map` for why the executor workers need
-        this instead of the locking read path.
-        """
-        return [
-            (offset, offset + chunk.shape[1], chunk)
-            for offset, chunk in zip(self._matrix._offsets, self._matrix._chunks)
-        ]
 
     def band_key(self, i: int, band: int, band_width: int) -> bytes:
         """Hashable bytes of band ``band`` of row ``i`` (``band_width`` hashes)."""

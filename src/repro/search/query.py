@@ -20,13 +20,13 @@ is verified against its candidates with the same Bayesian pruning.
   unioned array-wise, and all (query, candidate) pairs are verified together
   through the vectorised cross-store kernels — bit-identical to calling the
   singular ``query(vector, ...)`` / ``top_k(vector, k)`` per row;
-* ``n_workers > 1`` additionally opens a shared-memory worker pool
+* ``n_workers > 1`` additionally opens a worker pool
   (:class:`~repro.search.executor.ServingPool`) for the duration of the
-  call and shards probing, hash counting and ranking across it —
-  bit-identical to the serial batch for every worker count, with the parent
-  as sole hash/RNG authority; ``start_pool`` keeps the same pool attached
-  across calls instead (see ``docs/serving.md`` for when the fork overhead
-  pays off);
+  call and shards band probing and exact scoring across it — bit-identical
+  to the serial batch for every worker count, with the parent as sole
+  hash/RNG authority and the only place hash agreements are counted;
+  ``start_pool`` keeps the same pool attached across calls instead (see
+  ``docs/serving.md`` for when the fork overhead pays off);
 * under ``verification="bayes"`` a ``query`` runs the hybrid: candidates are
   pruned and estimated over one hash block, and a pair still undecided then
   is scored exactly (``QueryHits.exact`` says which values are which);
@@ -476,8 +476,7 @@ class QueryIndex:
         copy-on-write view.  A pool that was closed under us (a reader
         racing :meth:`close`) refuses the lease and the call runs serially.
         On exit the batch is ended and a call-scoped pool is closed, on
-        every path, so neither the lease nor a ``/dev/shm`` segment outlives
-        the call.
+        every path, so neither the lease nor a worker outlives the call.
         """
         if n_workers is None:
             pool = self._resident
@@ -511,8 +510,9 @@ class QueryIndex:
         otherwise the candidates run the BayesLSH rounds under that terminal
         rule (NaN for pruned pairs) and only the pairs ``"exact"`` leaves
         undecided reach the exact kernel; ``exact`` marks exact values.  With
-        a pool, probing is sharded by query slice and scoring by pair slice;
-        the merges are bit-identical to the serial kernels.
+        a pool, probing is sharded by query slice and exact scoring by pair
+        slice; the rounds run here either way, and the merges are
+        bit-identical to the serial kernels.
         """
         if n_workers is not None:
             n_workers = int(n_workers)
@@ -546,8 +546,10 @@ class QueryIndex:
                 # (m, n), so a pair's outcome is independent of which other
                 # pairs share the batch and of how the corpus is segmented.
                 values, exhausted = serial_verify_bayes(
-                    self._segments, self._round_tables(), query_family, query_rows, rows, on_budget, pool
+                    self._segments, self._round_tables(), query_family, query_rows, rows, on_budget
                 )
+                if pool is not None:
+                    pool.rounds_ended()
                 exact = exhausted & (on_budget == "exact")
                 if exact.any():
                     values[exact] = score(query_rows[exact], rows[exact])
@@ -600,13 +602,13 @@ class QueryIndex:
         filters the estimates, but a threshold far below the index's cannot
         recover pairs the index-level pruning already discarded.
 
-        ``n_workers > 1`` opens a shared-memory worker pool scoped to this
-        call (forked, leased for the one batch, closed) and shards probing,
-        hash counting and scoring across it — results are bit-identical to
-        the serial batch for every worker count (see ``docs/serving.md``
-        for when the fork overhead pays off).  Leaving
-        ``n_workers`` unset runs on the index's resident pool when
-        :meth:`start_pool` attached one (serial otherwise).  Worker
+        ``n_workers > 1`` opens a worker pool scoped to this call (forked,
+        leased for the one batch, closed) and shards band probing and exact
+        scoring across it; hash agreements are counted here, in the calling
+        process — results are bit-identical to the serial batch for every
+        worker count (see ``docs/serving.md`` for when the fork overhead
+        pays off).  Leaving ``n_workers`` unset runs on the index's resident
+        pool when :meth:`start_pool` attached one (serial otherwise).  Worker
         loss degrades gracefully: failed shards re-execute serially in the
         parent with the same kernels, still bit-identical; ``round_timeout``
         bounds how long a silent-but-alive worker stalls the call before it
@@ -681,9 +683,10 @@ class QueryIndex:
           vectors (measured in ``benchmarks/test_bench_serving.py`` and
           documented in ``docs/serving.md``).
 
-        ``n_workers > 1`` opens a shared-memory worker pool scoped to this
-        call and shards probing, hash counting and ranking across it,
-        bit-identically to the serial batch (see ``docs/serving.md``);
+        ``n_workers > 1`` opens a worker pool scoped to this call and shards
+        band probing and exact ranking across it (estimate ranking's hash
+        counts stay in the calling process), bit-identically to the serial
+        batch (see ``docs/serving.md``);
         leaving it unset runs on the resident pool when :meth:`start_pool`
         attached one (serial otherwise).  Worker loss degrades gracefully —
         failed shards re-execute on the serial path in the parent, still
@@ -754,9 +757,10 @@ class QueryIndex:
         Once attached, every ``query``/``query_many``/``top_k``/
         ``top_k_many`` call that leaves ``n_workers`` unset runs on the pool
         — paying a per-batch control message instead of a per-call fork —
-        and stays bit-identical to the serial path.  An explicit
-        ``n_workers`` is unaffected (``1`` forces serial, ``> 1`` opens a
-        second pool scoped to that call).  Concurrent callers share the
+        and stays bit-identical to the serial path.  The workers probe and
+        score exactly; this process hashes, counts agreements and decides.
+        An explicit ``n_workers`` is unaffected (``1`` forces serial,
+        ``> 1`` opens a second pool scoped to that call).  Concurrent callers share the
         pool; their batches serialise on its lease.
 
         ``round_timeout`` is the default hung-worker deadline per gather
@@ -789,12 +793,11 @@ class QueryIndex:
     def close(self) -> None:
         """Deterministically shut down the resident pool, if one is attached.
 
-        Waits for an in-flight batch, stops every worker and unlinks every
-        ``/dev/shm`` segment the pool published.  Idempotent; the index
-        remains fully usable afterwards on the serial path (or a fresh
-        :meth:`start_pool`) — including for a reader thread that picked the
-        pool up just before it closed, whose lease is refused and whose
-        batch runs serially.
+        Waits for an in-flight batch and stops every worker.  Idempotent;
+        the index remains fully usable afterwards on the serial path (or a
+        fresh :meth:`start_pool`) — including for a reader thread that
+        picked the pool up just before it closed, whose lease is refused and
+        whose batch runs serially.
         """
         resident = self._resident
         self._resident = None

@@ -55,6 +55,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import math
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -529,15 +530,10 @@ class ServingDaemon:
                 request.get("vector"), self._index._segments.n_features
             )
             params = self._query_params(kind, request)
+            deadline = self._request_deadline(request)
         except (ValueError, TypeError, KeyError) as exc:
             self._stats["bad_requests"] += 1
             return {"ok": False, "error": "bad_request", "message": str(exc)}
-        deadline_ms = request.get("deadline_ms")
-        deadline = (
-            self._default_deadline
-            if deadline_ms is None
-            else float(deadline_ms) / 1000.0
-        )
         loop = asyncio.get_running_loop()
         item = _Request(
             kind=kind,
@@ -561,18 +557,43 @@ class ServingDaemon:
         return {"ok": True, "result": pairs, "n_exact": n_exact, "degraded": item.degraded}
 
     def _query_params(self, kind: str, request: dict) -> dict:
-        """Validated per-request parameters (the batch grouping key)."""
+        """Validated per-request parameters (the batch grouping key).
+
+        Everything the index call would refuse is refused here, so a bad
+        value costs its sender a ``bad_request`` and nobody a batch slot.
+        """
         if kind == "query":
             threshold = request.get("threshold")
-            return {"threshold": None if threshold is None else float(threshold)}
+            if threshold is None:
+                return {"threshold": None}
+            threshold = float(threshold)
+            if not 0.0 < threshold < 1.0:  # NaN fails this too
+                raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+            return {"threshold": threshold}
         rank_by = request.get("rank_by", "exact")
         if rank_by not in ("exact", "estimate"):
             raise ValueError(f"rank_by must be 'exact' or 'estimate', got {rank_by!r}")
+        k = int(request.get("k", 10))
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         return {
-            "k": int(request.get("k", 10)),
+            "k": k,
             "floor_threshold": float(request.get("floor_threshold", 0.1)),
             "rank_by": rank_by,
         }
+
+    def _request_deadline(self, request: dict) -> float | None:
+        """Seconds the request may take: its ``deadline_ms``, else the default."""
+        deadline_ms = request.get("deadline_ms")
+        if deadline_ms is None:
+            return self._default_deadline
+        try:
+            seconds = float(deadline_ms) / 1000.0
+        except (TypeError, ValueError):
+            seconds = math.nan
+        if math.isnan(seconds):
+            raise ValueError(f"deadline_ms must be a number, got {deadline_ms!r}")
+        return seconds
 
     # ------------------------------------------------------------------ #
     # durable ingest

@@ -464,18 +464,6 @@ class SegmentedCollection:
             )
         return np.searchsorted(self._offsets, rows, side="right") - 1
 
-    def locate(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Route global rows to ``(segment index, local row)`` pairs.
-
-        One ``searchsorted`` against the offset table; the parallel serving
-        executor uses this to pre-route candidate pairs before sharding them
-        across workers (workers then address per-segment stores with local
-        indices directly).
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        segment_ids = self.segment_of(rows)
-        return segment_ids, rows - self._offsets[segment_ids]
-
     def _grouped(self, rows: np.ndarray) -> Iterable[tuple[CollectionSegment, np.ndarray]]:
         """Yield ``(segment, positions-into-rows)`` for each involved segment.
 
@@ -568,9 +556,13 @@ class SegmentedCollection:
         if round_width is None:
             result = np.zeros(len(rows), dtype=np.int64)
         else:
-            end = self.rounds_end(
-                other_store, [segment for segment, _ in groups], start, end, round_width
+            # Only a block's first round ever extends a store: a further
+            # round counts once ``other_store`` and every involved segment
+            # already materialise it.
+            depth = min(
+                [other_store.n_hashes] + [segment.store.n_hashes for segment, _ in groups]
             )
+            end = start + max(1, (min(depth, end) - start) // round_width) * round_width
             result = np.zeros((len(rows), (end - start) // round_width), dtype=np.int64)
         for segment, positions in groups:
             store = segment.ensure_hashes(end)
@@ -584,24 +576,6 @@ class SegmentedCollection:
                     local, other_rows[positions], start, end, round_width, other_store
                 )
         return result
-
-    @staticmethod
-    def rounds_end(
-        other_store: SignatureStore,
-        segments: Sequence[CollectionSegment],
-        start: int,
-        end: int,
-        round_width: int,
-    ) -> int:
-        """Where a per-round count from ``start`` stops, at most at ``end``.
-
-        The first round always counts; each further round only if
-        ``other_store`` and every one of ``segments`` already materialise it,
-        so only a block's first round ever extends a store.  The serving
-        pool resolves its blocks with this too, before sharding them.
-        """
-        depth = min([other_store.n_hashes] + [segment.store.n_hashes for segment in segments])
-        return start + max(1, (min(depth, end) - start) // round_width) * round_width
 
     def cross_similarities(
         self,

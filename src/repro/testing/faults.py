@@ -4,17 +4,11 @@ The production code carries a handful of *injection seams*: at well-defined
 points it calls :func:`fire`, which is a no-op unless a test has installed
 a :class:`FaultPlan` via :func:`inject`.  The seams are:
 
-* ``pool_start`` — a worker pool just forked (installs queue faults);
-* ``allpairs_begin`` — the all-pairs pool is about to be sent a pair
-  block's first count request;
-* ``serving_verify`` — the serving pool is about to be sent a batch's first
-  count request;
-* ``serving_round`` / ``allpairs_round`` — a count request covering this
-  round is about to be dispatched; fires once per round the request covers
-  (``round_index`` in the info dict);
-* ``serving_estimates`` — a pooled batch's rounds have ended and the
-  terminal rule (the outcome, then exact scoring of the exhausted pairs)
-  is next;
+* ``pool_start`` — a worker pool just forked (installs queue faults; a
+  worker killed here is lost before its first request);
+* ``serving_estimates`` — a pooled batch's rounds (counted in the parent)
+  have ended and the terminal rule (the outcome, then exact scoring of the
+  exhausted pairs) is next;
 * ``serving_probe`` / ``serving_exact`` — the serving pool is about to be
   sent a batch's band probes / exact similarities;
 * ``pool_respawn`` — a resident pool just respawned a dead worker slot
@@ -48,8 +42,8 @@ a :class:`FaultPlan` via :func:`inject`.  The seams are:
 A plan schedules faults against those seams:
 
 * :meth:`FaultPlan.kill_worker` — SIGKILL a chosen worker when a chosen
-  event fires (e.g. round 2 of a serving verification), simulating an OOM
-  kill or native crash;
+  event fires (e.g. a batch's band probes), simulating an OOM kill or
+  native crash;
 * :meth:`FaultPlan.hang_worker` — SIGSTOP a worker so it stays alive but
   silent, exercising the supervisor's ``round_timeout`` hung-worker path;
 * :meth:`FaultPlan.delay_worker` — make a worker sleep before processing
@@ -73,7 +67,7 @@ Usage::
     from repro.testing import faults
 
     with faults.inject() as plan:
-        plan.kill_worker(1, event="serving_round", round_index=2)
+        plan.kill_worker(1, event="serving_probe")
         results = index.query_many(batch, n_workers=4)
 
 Every scheduled fault fires at most once; ``plan.fired`` records what
@@ -151,19 +145,19 @@ class FaultPlan:
     # worker faults
     # ------------------------------------------------------------------ #
     def kill_worker(
-        self, worker: int, event: str = "serving_round", round_index: int | None = None
+        self, worker: int, event: str = "serving_probe", round_index: int | None = None
     ) -> None:
         """SIGKILL worker ``worker`` of the pool active when ``event`` fires.
 
-        ``round_index`` restricts round events to one specific round; for
-        non-round events it is ignored when ``None``.
+        ``round_index`` restricts a numbered event (``daemon_batch``) to one
+        firing; it is ignored when ``None``.
         """
         self._actions.append(
             {"kind": "kill", "worker": worker, "event": event, "round_index": round_index}
         )
 
     def hang_worker(
-        self, worker: int, event: str = "serving_round", round_index: int | None = None
+        self, worker: int, event: str = "serving_probe", round_index: int | None = None
     ) -> None:
         """SIGSTOP a worker (alive but silent) when ``event`` fires.
 
@@ -178,13 +172,13 @@ class FaultPlan:
         self,
         worker: int,
         seconds: float,
-        event: str = "serving_round",
+        event: str = "serving_probe",
         round_index: int | None = None,
     ) -> None:
         """Make a worker sleep ``seconds`` before its next message.
 
         Implemented by enqueueing a ``_fault_sleep`` control message ahead
-        of the round about to be dispatched, so the delay is observed
+        of the request about to be dispatched, so the delay is observed
         worker-side (unlike a parent-side sleep, it really does race the
         supervisor's deadline).
         """
@@ -322,7 +316,6 @@ class FaultPlan:
         """Fire every armed action matching ``event`` (each at most once)."""
         if event == "pool_start":
             self._install_queue_faults(info["pool"])
-            return
         remaining: list[dict] = []
         for action in self._actions:
             if action["kind"] == "drop" or not self._matches(action, event, info):

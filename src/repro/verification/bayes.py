@@ -116,8 +116,8 @@ class _BayesVerifierBase(Verifier):
         with the shared decision tables; every prune/emit decision depends
         only on the pair's own ``(m, n)``, so the merged output is
         bit-identical to one monolithic verify() call.  A worker ``pool``
-        only counts and scores: each block still runs through
-        ``algorithm.verify``, which hands the pool its kernels.
+        only scores exactly: each block still runs through
+        ``algorithm.verify``, which counts hash agreements itself.
         """
         algorithm = self._algorithm_for(source)
         return VerificationOutput.merge(

@@ -111,21 +111,16 @@ class LSHApproxVerifier(Verifier):
         return self._verify_arrays(candidates.left, candidates.right, matches)
 
     def verify_source(self, source, pool=None) -> VerificationOutput:
-        """Block-streamed (and optionally sharded) fixed-budget estimation.
+        """Block-streamed fixed-budget estimation.
 
-        Match counting and the MLE map are per-pair operations, so any
-        block/shard split reproduces the monolithic floats; the parent
-        materialises the fixed hash budget once and, when a pool is given,
-        the pool counts it as one round of ``num_hashes`` hashes.
+        Match counting and the MLE map are per-pair operations, so any block
+        split reproduces the monolithic floats; the parent materialises the
+        fixed hash budget once and counts every block itself (a worker
+        ``pool`` only scores pairs exactly, which this verifier never does).
         """
         store = self._family.signatures(self._num_hashes)
         outputs = []
         for left, right in source.blocks():
-            if pool is not None:
-                matches = pool.count_rounds(
-                    store, left, right, 0, self._num_hashes, self._num_hashes
-                )[:, 0]
-            else:
-                matches = store.count_matches_many(left, right, 0, self._num_hashes)
+            matches = store.count_matches_many(left, right, 0, self._num_hashes)
             outputs.append(self._verify_arrays(left, right, matches))
         return VerificationOutput.merge(outputs)

@@ -30,12 +30,13 @@ _FLAT_MEMBER_RE = re.compile(r"\.g\d+\.bin$")
 def shm_leak_audit():
     """Fail any test that leaves a stray shared-memory segment behind.
 
-    The worker pools publish signature columns as POSIX shared memory
-    (``/dev/shm/psm_*`` through :mod:`multiprocessing.shared_memory`); every
-    call site must tear its pool down on all paths, including exceptions and
-    injected worker crashes.  Comparing the directory before and after each
-    test catches any leak at its source.  Only ``psm_*`` names are audited —
-    other processes own the rest of ``/dev/shm``.
+    The worker pools publish nothing to POSIX shared memory
+    (``/dev/shm/psm_*``, :mod:`multiprocessing.shared_memory`'s names): a
+    worker inherits its state through the fork and receives only queue
+    messages.  Comparing the directory before and after each test keeps it
+    that way, on every path including exceptions and injected worker
+    crashes.  Only ``psm_*`` names are audited — other processes own the
+    rest of ``/dev/shm``.
     """
     if not _SHM_DIR.is_dir():  # non-Linux dev boxes: nothing to audit
         yield

@@ -18,10 +18,12 @@ import pytest
 
 from repro.serving import (
     DaemonClient,
+    DaemonError,
     DeadlineExceeded,
     Overloaded,
     ServingDaemon,
 )
+from repro.serving.daemon import encode_vector
 
 from tests.daemon.conftest import as_pairs
 
@@ -262,3 +264,34 @@ def test_default_deadline_applies_when_request_carries_none(
         gate.release()
         thread.join()
     assert isinstance(outcome["result"], DeadlineExceeded)
+
+
+@pytest.mark.parametrize(
+    "op,field,value",
+    [
+        ("query", "threshold", 1.5),
+        ("query", "threshold", float("nan")),
+        ("top_k", "k", 0),
+        ("top_k", "k", -3),
+        ("query", "deadline_ms", "soon"),
+        ("top_k", "deadline_ms", [50]),
+    ],
+)
+def test_parameters_the_index_would_refuse_are_bad_requests_at_admission(
+    index, batch, socket_path, op, field, value
+):
+    """A value the batched call would refuse never takes a batch slot: it is
+    answered at admission with a counted, typed ``bad_request``."""
+    oracle = as_pairs(index.query_many(batch[:1], threshold=0.55, n_workers=1)[0])
+    request = {"op": op, "vector": encode_vector(batch[0]), field: value}
+    with ServingDaemon(index, socket_path) as daemon:
+        with DaemonClient(socket_path) as client:
+            with pytest.raises(DaemonError, match=field):
+                client._call(request)
+            assert client.last_response["error"] == "bad_request"
+            stats = client.stats()
+            assert stats["bad_requests"] == 1
+            assert stats["requests"] == 0 and stats["batches"] == 0
+            assert daemon._queue.qsize() == 0
+            # The connection survives and the next request is served.
+            assert client.query(batch[0], threshold=0.55) == oracle

@@ -121,21 +121,18 @@ def mmap_index(flat_path) -> QueryIndex:
     return QueryIndex.load(flat_path, storage="mmap")
 
 
-@pytest.mark.parametrize(
-    "event", ["serving_probe", "serving_round", "serving_estimates"]
-)
+@pytest.mark.parametrize("event", ["serving_probe", "serving_estimates", "serving_exact"])
 def test_kill_worker_over_mmap_segments_bit_identical(
     mmap_index, query_batch, serial_answers, event
 ):
     """SIGKILL mid-protocol over mmap segments recovers bit-identically.
 
-    Workers inherit the memory-mapped chunk arrays through the forked
-    chunk maps; losing one mid-gather must fall back serially to the same
-    answers the in-RAM original produced.
+    Workers inherit the memory-mapped segments through the fork; losing one
+    mid-gather must fall back serially to the same answers the in-RAM
+    original produced.
     """
-    round_index = 0 if event == "serving_round" else None
     with faults.inject() as plan:
-        plan.kill_worker(0, event=event, round_index=round_index)
+        plan.kill_worker(0, event=event)
         answers = mmap_index.query_many(query_batch, threshold=0.55, n_workers=2)
     assert ("kill", 0) in plan.fired
     assert answers == serial_answers["query"]
@@ -179,8 +176,8 @@ def test_kill_every_worker_over_mmap_segments_falls_back_serial(
     mmap_index, query_batch, serial_answers
 ):
     with faults.inject() as plan:
-        plan.kill_worker(0, event="serving_verify")
-        plan.kill_worker(1, event="serving_verify")
+        plan.kill_worker(0, event="serving_probe")
+        plan.kill_worker(1, event="serving_probe")
         answers = mmap_index.query_many(query_batch, threshold=0.55, n_workers=2)
     assert ("kill", 0) in plan.fired and ("kill", 1) in plan.fired
     assert answers == serial_answers["query"]

@@ -147,18 +147,18 @@ def test_reader_holding_a_pool_across_close_degrades_to_serial(index, batch):
 def test_worker_forked_while_the_tracker_lock_is_held_still_serves(batch, monkeypatch):
     """A fork that captures the resource tracker's lock must not wedge the worker.
 
-    Another reader thread publishing or unlinking a shared segment holds the
-    tracker's lock for an instant; a worker forked in that instant inherits
-    it locked, with no thread to release it, and used to block forever on
-    its first segment attach.  Forking while a helper thread holds the lock
-    reproduces that deterministically.
+    A worker forked while another thread holds the tracker's lock inherits
+    it locked, with no thread to release it; when workers attached shared
+    segments they blocked forever on the first one.  Workers now never touch
+    the tracker, and forking while a helper thread holds the lock keeps it
+    that way deterministically.
     """
     import os
     import threading
     from multiprocessing import resource_tracker
 
-    # A narrow banding width, so verification outruns the fork-inherited
-    # columns and the workers really attach published segments.
+    # A narrow banding width, so verification runs past the fork-time
+    # signature depth.
     index = QueryIndex(
         planted_collection(29, n=70),
         measure="cosine",
@@ -213,7 +213,7 @@ def test_killed_worker_respawns_at_next_batch_boundary(index, batch):
     index.start_pool(3, respawn_backoff=0.01)
     try:
         with faults.inject() as plan:
-            plan.kill_worker(0, event="serving_round", round_index=0)
+            plan.kill_worker(0, event="serving_probe")
             answers = index.query_many(batch, threshold=0.55)
         assert ("kill", 0) in plan.fired
         assert answers == oracle
@@ -248,7 +248,7 @@ def test_crash_loop_quarantines_with_typed_warning(index, batch):
                     # second kill hits a live worker, not a corpse.
                     time.sleep(0.3)
                 with faults.inject() as plan:
-                    plan.kill_worker(0, event="serving_round", round_index=0)
+                    plan.kill_worker(0, event="serving_probe")
                     assert index.query_many(batch, threshold=0.55) == oracle
                 assert ("kill", 0) in plan.fired
         degraded = [w for w in caught if issubclass(w.category, PoolDegradedWarning)]
@@ -273,8 +273,8 @@ def test_full_quarantine_degrades_to_serial_but_stays_available(index, batch):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with faults.inject() as plan:
-                plan.kill_worker(0, event="serving_round", round_index=0)
-                plan.kill_worker(1, event="serving_round", round_index=0)
+                plan.kill_worker(0, event="serving_probe")
+                plan.kill_worker(1, event="serving_probe")
                 assert index.query_many(batch, threshold=0.55) == oracle
             # Still answers — now on the degraded serial path.
             assert index.query_many(batch, threshold=0.55) == oracle

@@ -10,10 +10,12 @@ is asked for more than the values (``return_index`` / ``return_inverse`` /
 ``return_counts``) or works along an ``axis``, which take the sort path.
 
 BayesLSH has one round driver, ``core/rounds.replay_rounds``: pool workers
-only count hash agreements and the parent makes every decision, so
-``PairState`` is built and advanced nowhere else.  And every
-fault-injection seam the code fires is one ``repro.testing.faults``
-documents, and the other way round.
+only probe and score exactly, and the parent counts every hash agreement
+and makes every decision, so ``PairState`` is built and advanced nowhere
+else — and no signature column leaves the parent, so nothing under ``src/``
+imports ``multiprocessing.shared_memory``.  And every fault-injection seam
+the code fires is one ``repro.testing.faults`` documents, and the other way
+round.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def test_the_check_sees_what_it_is_for():
 
 
 # --------------------------------------------------------------------- #
-# one driver: workers count, the parent decides
+# one driver: workers probe and score, the parent counts and decides
 # --------------------------------------------------------------------- #
 _ROUNDS = Path("core") / "rounds.py"
 
@@ -102,7 +104,7 @@ def test_pair_state_is_built_and_advanced_only_by_the_round_driver():
     ]
     assert not offenders, (
         "PairState is built and advanced only in core/rounds.py (replay_rounds); "
-        "pool workers count and the parent decides: " + ", ".join(offenders)
+        "pool workers probe and score, the parent counts and decides: " + ", ".join(offenders)
     )
     assert round_engine_uses((_SRC / _ROUNDS).read_text(), "rounds.py"), (
         "the check no longer finds the driver it protects"
@@ -120,6 +122,49 @@ def test_the_driver_check_sees_what_it_is_for():
         "    return advance(state)\n"
     )
     assert round_engine_uses(source, "w.py") == ["w.py:3", "w.py:4", "w.py:5"]
+
+
+def shared_memory_imports(source: str, filename: str) -> list[str]:
+    """``file:line`` of every import that reaches ``multiprocessing.shared_memory``."""
+    offenders = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[:2] == ["multiprocessing", "shared_memory"] for name in names):
+            offenders.append(f"{filename}:{node.lineno}")
+    return offenders
+
+
+def test_no_signature_column_leaves_the_parent():
+    offenders = [
+        offender
+        for path in sorted(_SRC.rglob("*.py"))
+        for offender in shared_memory_imports(
+            path.read_text(), str(path.relative_to(_SRC.parents[1]))
+        )
+    ]
+    assert not offenders, (
+        "the pools publish nothing to shared memory: workers probe and score "
+        "over forked state, the parent counts hash agreements: " + ", ".join(offenders)
+    )
+
+
+def test_the_shared_memory_check_sees_what_it_is_for():
+    # the imports the signature transport of the pools had, beside harmless ones
+    source = (
+        "import multiprocessing\n"
+        "from multiprocessing import resource_tracker\n"
+        "def ensure(block):\n"
+        "    from multiprocessing import shared_memory\n"
+        "    from multiprocessing.shared_memory import SharedMemory\n"
+        "    import multiprocessing.shared_memory as shm\n"
+        "    return shared_memory, SharedMemory, shm\n"
+    )
+    assert shared_memory_imports(source, "x.py") == ["x.py:4", "x.py:5", "x.py:6"]
 
 
 # --------------------------------------------------------------------- #
@@ -181,4 +226,4 @@ def test_the_seam_check_sees_what_it_is_for():
         "        pass\n"
     )
     assert fired_seams(source, "s.py") == ({"wal_append", "flat_replace"}, ["s.py:3"])
-    assert {"pool_start", "allpairs_begin", "serving_round", "allpairs_round"} <= documented_seams()
+    assert {"pool_start", "serving_probe", "serving_estimates", "serving_exact"} <= documented_seams()
