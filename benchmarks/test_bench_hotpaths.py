@@ -41,6 +41,7 @@ from repro.core.params import BayesLSHParams
 from repro.core.posteriors import BetaPosterior, TruncatedCollisionPosterior
 from repro.datasets.synthetic import synthetic_graph, synthetic_text_corpus
 from repro.hashing.minhash import MinHashFamily
+from repro.hashing.signatures import IntSignatures
 from repro.hashing.simhash import SimHashFamily
 from repro.similarity.measures import get_measure
 from repro.similarity.transforms import tfidf_weighting
@@ -220,7 +221,7 @@ def test_bench_cost_hash_and_compare_block(benchmark, tfidf_collection, candidat
     def run():
         store = SimHashFamily(tfidf_collection, seed=11).signatures(256)
         return sum(
-            int(store.count_matches_many(left, right, start, start + 32).sum())
+            int(store.count_matches_rounds(left, right, start, start + 32, 32).sum())
             for start in range(0, 256, 32)
         )
 
@@ -278,17 +279,19 @@ def test_bench_superblock_rounds_large(benchmark, minhash_store):
 
 
 def test_bench_cross_count_large(benchmark, minhash_store):
-    """Tiled cross-store agreement counts at a large active set.
+    """Cross-store agreement counts at a large active set.
 
-    The serving layer's per-round verification kernel
-    (``count_matches_cross``) on 200k (query row, collection row) pairs over
-    one 32-hash round — the large-active-set serving regime.
+    The call serving makes once a query batch's active set is large: one
+    32-hash round on 200k (collection row, query row) pairs, the query rows
+    living in a second store of the same family (``other=``).
     """
-    left, right = _kernel_pairs(minhash_store.n_vectors, 200_000)
+    queries = IntSignatures.from_values(minhash_store.values[:64])
+    rows, _ = _kernel_pairs(minhash_store.n_vectors, 200_000)
+    _, query_rows = _kernel_pairs(queries.n_vectors, 200_000)
     counts = benchmark(
-        minhash_store.count_matches_cross, left, minhash_store, right, 64, 192
+        minhash_store.count_matches_rounds, rows, query_rows, 64, 96, 32, queries
     )
-    assert counts.shape == (200_000,)
+    assert counts.shape == (200_000, 1)
 
 
 def test_bench_lsh_candidate_generation(benchmark, binary_collection):

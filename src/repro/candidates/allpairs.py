@@ -61,7 +61,7 @@ with no per-vector Python loop:
 
 Candidate pairs, their order, the counters and the emitted pair set are
 identical to the sequential reference
-(:func:`repro.reference.allpairs_candidates_reference`), because every score
+(:func:`tests.reference.allpairs_candidates_reference`), because every score
 accumulation the reference performs corresponds to exactly one gathered
 posting entry here (all stored weights are strictly positive).
 """

@@ -22,7 +22,7 @@ with one lexicographic sort per band, and intra-bucket pairs are enumerated
 with the ragged-array primitives in :mod:`repro.candidates.arrayops` — no
 per-row dict or per-pair Python loop.  Pairs, collision counts and the
 emitted candidate set are identical to the dict-of-buckets reference
-(:func:`repro.reference.lsh_candidates_reference`).
+(:func:`tests.reference.lsh_candidates_reference`).
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ the length/positional/suffix filters are evaluated vectorised.  The
 sequential algorithm stops examining a candidate once it is accepted, so the
 filter counters are reproduced by finding each candidate's *first* passing
 hit and discounting hits after it — pair set and counters are identical to
-the scalar reference (:func:`repro.reference.ppjoin_candidates_reference`).
+the scalar reference (:func:`tests.reference.ppjoin_candidates_reference`).
 """
 
 from __future__ import annotations

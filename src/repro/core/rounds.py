@@ -23,7 +23,7 @@ not — counts and decides in the calling process through them:
   completion over blocks of per-round agreement counts, wherever they were
   counted (:func:`run_rounds` for callers that count one round at a time).
 
-``src/repro/reference.py`` keeps the scalar per-pair loop these are tested
+``tests/reference.py`` keeps the scalar per-pair loop these are tested
 against, and :mod:`repro.core.operating` computes what the loop does to a
 pair of given similarity.
 """

@@ -39,7 +39,7 @@ rather than a per-row loop:
   (like :func:`~repro.hashing.signatures._tile_rows`) so the gathered block
   is still in cache when it is reduced.  Every width takes this one path;
 * row minima are bit-identical to the per-row reference
-  (:func:`repro.reference.minhash_signatures_reference`): the table holds
+  (:func:`tests.reference.minhash_signatures_reference`): the table holds
   exactly ``(a * f + b) mod p`` and ``min`` is order-independent.
 
 Hash-function coefficients are drawn with one broadcast

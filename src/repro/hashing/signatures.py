@@ -25,9 +25,13 @@ into one matrix when a read actually spans more than one chunk (lazy
 consolidation).  The algorithms' access pattern — append a block of ``k``
 hashes, then compare exactly that block for the still-active pairs — then
 costs O(rows x k) per round instead of the O(rows x total) per round that
-re-allocating a single growing matrix would cost.  Batched readers
-(:meth:`count_matches_many`, :meth:`band_keys_many`) take parallel index
-arrays so the per-pair work stays inside NumPy.
+re-allocating a single growing matrix would cost.  Batched readers take
+parallel index arrays so the per-pair work stays inside NumPy: one counting
+kernel (:meth:`~SignatureStore.count_matches_rounds`, per-round agreement
+counts within one store or against a second store of the same family) and
+one band reader (:meth:`~SignatureStore.band_keys_many`).  The scalar
+:meth:`~SignatureStore.count_matches` is the reference they are tested
+against.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ __all__ = [
 
 _WORD_BITS = 32
 
-#: Soft cap on the live gather scratch of the wide (multi-round / cross-store)
-#: kernels, in bytes per buffer.  Large pair batches are processed in pair
+#: Soft cap on the live gather scratch of the counting kernel, in bytes per
+#: buffer.  Large pair batches are processed in pair
 #: tiles sized so the gathered left rows, right rows and comparison buffer of
 #: one tile together stay resident in a per-core L2 cache (three buffers of
 #: `_TILE_BYTES` plus source cache lines fit comfortably in 1 MiB); the wide
@@ -80,8 +84,7 @@ def count_packed_matches(
     masked off the XOR words before the popcount, so unaligned windows cost
     two extra masked ANDs instead of a per-pair unpack loop.
 
-    Shared by every packed-bit counting kernel of :class:`BitSignatures`, so
-    they all count with literally the same integer ops.
+    The word-unaligned path of :meth:`BitSignatures.count_matches_rounds`.
     """
     if n_bits <= 0:
         return np.zeros(len(left_words), dtype=np.int64)
@@ -119,21 +122,6 @@ class SignatureStore(ABC):
         """
 
     @abstractmethod
-    def count_matches_cross(
-        self, rows: np.ndarray, other: "SignatureStore", other_rows: np.ndarray,
-        start: int, end: int,
-    ) -> np.ndarray:
-        """Agreement counts between rows of *this* store and rows of ``other``.
-
-        The cross-store twin of :meth:`count_matches_many`: entry ``p`` counts
-        the hashes in ``[start, end)`` on which row ``rows[p]`` of this store
-        agrees with row ``other_rows[p]`` of ``other``.  Both stores must hold
-        signatures drawn from the same hash functions (same family type and
-        seed); this is how a batch of queries is verified against an indexed
-        corpus without merging the two collections.
-        """
-
-    @abstractmethod
     def count_matches(self, i: int, j: int, start: int, end: int) -> int:
         """Number of agreeing hashes between rows ``i`` and ``j`` in ``[start, end)``."""
 
@@ -152,41 +140,38 @@ class SignatureStore(ABC):
         """
 
     @abstractmethod
-    def count_matches_many(
-        self, left: np.ndarray, right: np.ndarray, start: int, end: int
-    ) -> np.ndarray:
-        """Vectorised :meth:`count_matches` over parallel arrays of row indices."""
-
     def count_matches_rounds(
         self, left: np.ndarray, right: np.ndarray, start: int, end: int, round_width: int,
         other: "SignatureStore | None" = None,
     ) -> np.ndarray:
-        """Per-round match counts over a multi-round super-block of hashes.
+        """Per-round agreement counts over parallel arrays of row indices.
 
-        Splits ``[start, end)`` into consecutive rounds of ``round_width``
-        hashes and returns an ``(n_pairs, n_rounds)`` array whose column ``r``
-        equals ``count_matches_many(left, right, start + r*w, start + (r+1)*w)``
-        — or, when ``right`` indexes the rows of an ``other`` store, that
-        round's ``count_matches_cross(left, other, right, ...)``.
-        The base implementation simply loops over rounds; the concrete stores
-        override it with a single gather for the whole super-block, which is
-        what cuts the repeated row-gather traffic for long-surviving pairs.
+        The one batched counting kernel.  Splits ``[start, end)`` into
+        consecutive rounds of ``round_width`` hashes and returns an
+        ``(n_pairs, n_rounds)`` array whose entry ``[p, r]`` equals
+        ``count_matches(left[p], right[p], start + r*w, start + (r+1)*w)``.
+        With ``other``, ``right`` indexes the rows of that store instead —
+        how a batch of queries is counted against an indexed corpus without
+        merging the two; both stores must hold signatures drawn from the same
+        hash functions (same family type and seed).  One fixed window is a
+        single round: ``count_matches_rounds(l, r, 0, n, n)[:, 0]``.
         """
+
+    def _rounds_in(
+        self, start: int, end: int, round_width: int, other: "SignatureStore | None"
+    ) -> int:
+        """Validate a :meth:`count_matches_rounds` window; its number of rounds."""
+        if other is not None and type(other) is not type(self):
+            raise TypeError(f"cannot cross-count against {type(other).__name__}")
         span = end - start
         if span < 0 or round_width <= 0 or span % round_width:
             raise ValueError(
                 f"[{start}, {end}) is not a whole number of rounds of width {round_width}"
             )
-        n_rounds = span // round_width
-        counts = np.empty((len(left), n_rounds), dtype=np.int64)
-        for r in range(n_rounds):
-            lo, hi = start + r * round_width, start + (r + 1) * round_width
-            counts[:, r] = (
-                self.count_matches_many(left, right, lo, hi)
-                if other is None
-                else self.count_matches_cross(left, other, right, lo, hi)
-            )
-        return counts
+        if end > self.n_hashes or (other is not None and end > other.n_hashes):
+            have = self.n_hashes if other is None else f"{self.n_hashes} / {other.n_hashes}"
+            raise IndexError(f"hash index {end} out of range (have {have})")
+        return span // round_width
 
     def agreement_fraction(self, i: int, j: int, n: int) -> float:
         """Fraction of the first ``n`` hashes that agree (the MLE estimator)."""
@@ -446,68 +431,6 @@ class BitSignatures(SignatureStore):
         bits_j = self.get_bits(j, start, end)
         return int(np.sum(bits_i == bits_j))
 
-    def count_matches_many(
-        self, left: np.ndarray, right: np.ndarray, start: int, end: int
-    ) -> np.ndarray:
-        """Vectorised :meth:`count_matches` over parallel arrays of row indices.
-
-        Word-unaligned ``start``/``end`` are handled by masking the partial
-        edge words of the XOR before the popcount (no per-pair Python loop).
-        """
-        if end > self._n_hashes:
-            raise IndexError(f"hash index {end} out of range (have {self._n_hashes})")
-        if end <= start:
-            return np.zeros(len(left), dtype=np.int64)
-        word_start = start // _WORD_BITS
-        word_end = -(-end // _WORD_BITS)
-        words = self._matrix.columns_contiguous(word_start, word_end)
-        return count_packed_matches(
-            words[np.asarray(left)],
-            words[np.asarray(right)],
-            start - word_start * _WORD_BITS,
-            end - start,
-        )
-
-    def count_matches_cross(
-        self, rows: np.ndarray, other: SignatureStore, other_rows: np.ndarray,
-        start: int, end: int,
-    ) -> np.ndarray:
-        """Cross-store agreement counts (see base); both stores must share hash functions."""
-        if not isinstance(other, BitSignatures):
-            raise TypeError(f"cannot cross-count against {type(other).__name__}")
-        if end > self._n_hashes or end > other.n_hashes:
-            raise IndexError(
-                f"hash index {end} out of range (have {self._n_hashes} / {other.n_hashes})"
-            )
-        if end <= start:
-            return np.zeros(len(rows), dtype=np.int64)
-        word_start = start // _WORD_BITS
-        word_end = -(-end // _WORD_BITS)
-        words_mine = self._matrix.columns_contiguous(word_start, word_end)
-        words_other = other._matrix.columns_contiguous(word_start, word_end)
-        rows = np.asarray(rows)
-        other_rows = np.asarray(other_rows)
-        lead = start - word_start * _WORD_BITS
-        n_pairs = len(rows)
-        # Cache-aware pair tiling: one tile's gathered word rows (both sides)
-        # stay L2-resident through the XOR + popcount pass.  Small batches run
-        # in a single tile, i.e. exactly the former wide gather.
-        tile = _tile_rows((word_end - word_start) * 4)
-        if n_pairs <= tile:
-            return count_packed_matches(
-                words_mine[rows], words_other[other_rows], lead, end - start
-            )
-        counts = np.empty(n_pairs, dtype=np.int64)
-        for lo in range(0, n_pairs, tile):
-            hi = min(lo + tile, n_pairs)
-            counts[lo:hi] = count_packed_matches(
-                words_mine[rows[lo:hi]],
-                words_other[other_rows[lo:hi]],
-                lead,
-                end - start,
-            )
-        return counts
-
     def count_matches_rounds(
         self, left: np.ndarray, right: np.ndarray, start: int, end: int, round_width: int,
         other: "BitSignatures | None" = None,
@@ -518,37 +441,40 @@ class BitSignatures(SignatureStore):
         once per round, processing pairs in tiles sized so one tile's gathered
         rows (left, XOR scratch) stay inside L2 — which is what makes the wide
         gather win at *large* active counts too, not only for small survivor
-        tails (per-pair counts are bit-identical for any tile size).
+        tails (per-pair counts are bit-identical for any tile size).  Rounds
+        on word boundaries reduce whole-word popcounts; word-unaligned rounds
+        mask their partial edge words (:func:`count_packed_matches`).
         """
-        if (
-            start % _WORD_BITS
-            or round_width <= 0
-            or round_width % _WORD_BITS
-            or (end - start) % round_width
-        ):
-            return super().count_matches_rounds(left, right, start, end, round_width, other)
-        if end > self._n_hashes or (other is not None and end > other.n_hashes):
-            raise IndexError(f"hash index {end} out of range (have {self._n_hashes})")
+        n_rounds = self._rounds_in(start, end, round_width, other)
         n_pairs = len(left)
-        n_rounds = (end - start) // round_width
-        if end <= start:
+        if n_rounds == 0:
             return np.zeros((n_pairs, 0), dtype=np.int64)
-        word_range = (start // _WORD_BITS, end // _WORD_BITS)
+        word_start = start // _WORD_BITS
+        word_range = (word_start, -(-end // _WORD_BITS))
         words = self._matrix.columns_contiguous(*word_range)
         theirs = words if other is None else other._matrix.columns_contiguous(*word_range)
         left = np.asarray(left)
         right = np.asarray(right)
-        words_per_round = round_width // _WORD_BITS
+        aligned = start % _WORD_BITS == 0 and round_width % _WORD_BITS == 0
         counts = np.empty((n_pairs, n_rounds), dtype=np.int64)
         tile = _tile_rows(words.shape[1] * 4)
         for lo in range(0, n_pairs, tile):
             hi = min(lo + tile, n_pairs)
-            xor = np.bitwise_xor(words[left[lo:hi]], theirs[right[lo:hi]])
-            per_word = np.bitwise_count(xor)
-            counts[lo:hi] = per_word.reshape(hi - lo, n_rounds, words_per_round).sum(
-                axis=2, dtype=np.int64
-            )
-        np.subtract(round_width, counts, out=counts)
+            mine_rows, their_rows = words[left[lo:hi]], theirs[right[lo:hi]]
+            if aligned:
+                per_word = np.bitwise_count(np.bitwise_xor(mine_rows, their_rows))
+                counts[lo:hi] = per_word.reshape(hi - lo, n_rounds, -1).sum(
+                    axis=2, dtype=np.int64
+                )
+                continue
+            for r in range(n_rounds):
+                first = start + r * round_width - word_start * _WORD_BITS
+                cols = slice(first // _WORD_BITS, -(-(first + round_width) // _WORD_BITS))
+                counts[lo:hi, r] = count_packed_matches(
+                    mine_rows[:, cols], their_rows[:, cols], first % _WORD_BITS, round_width
+                )
+        if aligned:
+            np.subtract(round_width, counts, out=counts)
         return counts
 
     def band_key(self, i: int, band: int, band_width: int) -> bytes:
@@ -634,14 +560,14 @@ class IntSignatures(SignatureStore):
     def _scratch_for(
         self, n_pairs: int, width: int, dtype
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reusable gather/compare buffers for :meth:`count_matches_many`.
+        """Reusable gather/compare buffers for :meth:`count_matches_rounds`.
 
         The round-synchronous verifiers call with a shrinking pair count and a
         fixed width every round; reusing one allocation avoids repeated large
         allocations (and their page faults) in the hot loop.  Buffers are
-        keyed by ``(width, dtype)`` because the super-block reader alternates
-        between single-round and multi-round widths, and live in thread-local
-        storage so concurrent reader threads never share (and clobber) them.
+        keyed by ``(width, dtype)`` because callers alternate between
+        single-round and multi-round spans, and live in thread-local storage
+        so concurrent reader threads never share (and clobber) them.
         """
         buffers = getattr(self._scratch, "buffers", None)
         if buffers is None:
@@ -691,56 +617,6 @@ class IntSignatures(SignatureStore):
         columns = self._matrix.columns(start, end)
         return int(np.sum(columns[i] == columns[j]))
 
-    def count_matches_many(
-        self, left: np.ndarray, right: np.ndarray, start: int, end: int
-    ) -> np.ndarray:
-        """Vectorised :meth:`count_matches` over parallel arrays of row indices."""
-        if end > self.n_hashes:
-            raise IndexError(f"hash index {end} out of range (have {self.n_hashes})")
-        if end <= start:
-            return np.zeros(len(left), dtype=np.int64)
-        columns = self._matrix.columns_contiguous(start, end)
-        left = np.asarray(left)
-        right = np.asarray(right)
-        left_rows, right_rows, equal = self._scratch_for(
-            len(left), end - start, columns.dtype
-        )
-        np.take(columns, left, axis=0, out=left_rows)
-        np.take(columns, right, axis=0, out=right_rows)
-        np.equal(left_rows, right_rows, out=equal)
-        return equal.sum(axis=1, dtype=np.int64)
-
-    def count_matches_cross(
-        self, rows: np.ndarray, other: SignatureStore, other_rows: np.ndarray,
-        start: int, end: int,
-    ) -> np.ndarray:
-        """Cross-store agreement counts (see base); both stores must share hash functions."""
-        if not isinstance(other, IntSignatures):
-            raise TypeError(f"cannot cross-count against {type(other).__name__}")
-        if end > self.n_hashes or end > other.n_hashes:
-            raise IndexError(
-                f"hash index {end} out of range (have {self.n_hashes} / {other.n_hashes})"
-            )
-        if end <= start:
-            return np.zeros(len(rows), dtype=np.int64)
-        mine = self._matrix.columns_contiguous(start, end)
-        theirs = other._matrix.columns_contiguous(start, end)
-        rows = np.asarray(rows)
-        other_rows = np.asarray(other_rows)
-        n_pairs = len(rows)
-        # Cache-aware pair tiling (see _TILE_BYTES): per-pair equality counts
-        # are independent, so tiling only the pair axis is value-preserving.
-        tile = _tile_rows((end - start) * mine.dtype.itemsize)
-        if n_pairs <= tile:
-            equal = mine[rows] == theirs[other_rows]
-            return equal.sum(axis=1, dtype=np.int64)
-        counts = np.empty(n_pairs, dtype=np.int64)
-        for lo in range(0, n_pairs, tile):
-            hi = min(lo + tile, n_pairs)
-            equal = mine[rows[lo:hi]] == theirs[other_rows[lo:hi]]
-            counts[lo:hi] = equal.sum(axis=1, dtype=np.int64)
-        return counts
-
     def count_matches_rounds(
         self, left: np.ndarray, right: np.ndarray, start: int, end: int, round_width: int,
         other: "IntSignatures | None" = None,
@@ -758,17 +634,11 @@ class IntSignatures(SignatureStore):
         compare and the reduction passes.  Counts are bit-identical for any
         tile size — every per-pair value comes from the same expressions.
         """
-        span = end - start
-        if span < 0 or round_width <= 0 or span % round_width:
-            raise ValueError(
-                f"[{start}, {end}) is not a whole number of rounds of width {round_width}"
-            )
-        if end > self.n_hashes or (other is not None and end > other.n_hashes):
-            raise IndexError(f"hash index {end} out of range (have {self.n_hashes})")
+        n_rounds = self._rounds_in(start, end, round_width, other)
         n_pairs = len(left)
-        n_rounds = span // round_width
-        if span == 0:
+        if n_rounds == 0:
             return np.zeros((n_pairs, 0), dtype=np.int64)
+        span = end - start
         columns = self._matrix.columns_contiguous(start, end)
         theirs = columns if other is None else other._matrix.columns_contiguous(start, end)
         left = np.asarray(left)

@@ -112,6 +112,13 @@ DEFAULT_BLOCK_SIZE = 65536
 #: most signature bytes one replayed block of serving rounds gathers per side
 _BLOCK_BYTES = 1 << 15
 
+#: consecutive failures after which a resident pool quarantines a worker slot
+MAX_WORKER_FAILURES = 3
+#: seconds a retired slot waits before its first respawn; doubles per failure
+RESPAWN_BACKOFF = 0.1
+#: upper bound on the respawn backoff, in seconds
+RESPAWN_BACKOFF_CAP = 5.0
+
 
 # --------------------------------------------------------------------- #
 # incremental pair deduplication
@@ -694,9 +701,9 @@ class ServingPool:
 
     **Self-healing.**  A retired worker's slot is *respawned* at a later
     batch boundary after a capped exponential backoff
-    (``respawn_backoff * 2**(failures-1)``, capped at
-    ``respawn_backoff_cap``).  A slot that crash-loops —
-    ``max_worker_failures`` consecutive failures without completing a batch
+    (``RESPAWN_BACKOFF * 2**(failures-1)``, capped at
+    ``RESPAWN_BACKOFF_CAP``).  A slot that crash-loops —
+    ``MAX_WORKER_FAILURES`` consecutive failures without completing a batch
     — is quarantined for the pool's lifetime, degrading the pool to fewer
     workers and, once no slot remains, to the serial path; both transitions
     emit :class:`PoolDegradedWarning`.  A batch survived by a worker resets
@@ -721,21 +728,11 @@ class ServingPool:
         task: ServingTask,
         round_timeout: float | None = None,
         epoch: int = 0,
-        max_worker_failures: int = 3,
-        respawn_backoff: float = 0.1,
-        respawn_backoff_cap: float = 5.0,
     ):
         if n_workers < 2:
             raise ValueError(f"ServingPool needs n_workers >= 2, got {n_workers}")
-        if max_worker_failures < 1:
-            raise ValueError(
-                f"max_worker_failures must be at least 1, got {max_worker_failures}"
-            )
         self._requested_workers = int(n_workers)
         self._round_timeout = None if round_timeout is None else float(round_timeout)
-        self._max_worker_failures = int(max_worker_failures)
-        self._respawn_backoff = float(respawn_backoff)
-        self._respawn_backoff_cap = float(respawn_backoff_cap)
         self._lease_lock = threading.Lock()
         self._closed = False
         self._warned_serial = False
@@ -772,7 +769,7 @@ class ServingPool:
         """
         self._consecutive_failures[wid] += 1
         failures = self._consecutive_failures[wid]
-        if failures >= self._max_worker_failures:
+        if failures >= MAX_WORKER_FAILURES:
             self._quarantined.add(wid)
             live = len(self._pool.live_workers)
             warnings.warn(
@@ -782,13 +779,11 @@ class ServingPool:
                 stacklevel=2,
             )
             return f"quarantined after {failures} consecutive failures"
-        backoff = min(
-            self._respawn_backoff * (2 ** (failures - 1)), self._respawn_backoff_cap
-        )
+        backoff = min(RESPAWN_BACKOFF * (2 ** (failures - 1)), RESPAWN_BACKOFF_CAP)
         self._respawn_at[wid] = time.monotonic() + backoff
         return (
             f"slot respawns at a later batch boundary after {backoff:.2f}s backoff "
-            f"(failure {failures}/{self._max_worker_failures})"
+            f"(failure {failures}/{MAX_WORKER_FAILURES})"
         )
 
     def _heal(self) -> None:

@@ -439,7 +439,7 @@ class QueryIndex:
         query_store = query_family.signatures(n_hashes)
         return query_rows, query_family, query_store
 
-    def _fork_pool(self, n_workers: int, round_timeout, **healing) -> ServingPool:
+    def _fork_pool(self, n_workers: int, round_timeout) -> ServingPool:
         """Fork a :class:`~repro.search.executor.ServingPool` on the current state.
 
         Holds the update lock so a concurrent ``insert`` cannot commit a
@@ -454,7 +454,6 @@ class QueryIndex:
                 self._serving_task(),
                 round_timeout=round_timeout,
                 epoch=self._epoch,
-                **healing,
             )
 
     def _serving_task(self) -> ServingTask:
@@ -696,6 +695,8 @@ class QueryIndex:
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
+        if np.isnan(floor_threshold):  # every comparison with NaN is False
+            raise ValueError("floor_threshold must be a number, got nan")
         if rank_by not in ("exact", "estimate"):
             raise ValueError(f"rank_by must be 'exact' or 'estimate', got {rank_by!r}")
         if rank_by == "estimate" and self._verification != "bayes":
@@ -748,9 +749,6 @@ class QueryIndex:
         self,
         n_workers: int = 2,
         round_timeout: float | None = None,
-        max_worker_failures: int = 3,
-        respawn_backoff: float = 0.1,
-        respawn_backoff_cap: float = 5.0,
     ):
         """Attach a resident, self-healing worker pool to this index.
 
@@ -764,11 +762,12 @@ class QueryIndex:
         pool; their batches serialise on its lease.
 
         ``round_timeout`` is the default hung-worker deadline per gather
-        (overridable per call); ``max_worker_failures`` consecutive failures
-        quarantine a crash-looping worker slot, and failed slots otherwise
-        respawn at batch boundaries after a capped exponential backoff
-        (``respawn_backoff``/``respawn_backoff_cap`` seconds) — see
-        :class:`~repro.search.executor.ServingPool`.
+        (overridable per call).  A crash-looping worker slot is quarantined,
+        and failed slots otherwise respawn at batch boundaries after a
+        capped exponential backoff — the module constants of
+        :mod:`repro.search.executor` and
+        :class:`~repro.search.executor.ServingPool` say how long and how
+        often.
 
         Returns the pool (handy for :meth:`pool_stats`-style inspection).
         The pool must be shut down with :meth:`close` — or use the index as
@@ -781,13 +780,7 @@ class QueryIndex:
                 "a resident pool is already attached; close() it before "
                 "starting another"
             )
-        self._resident = self._fork_pool(
-            n_workers,
-            round_timeout,
-            max_worker_failures=max_worker_failures,
-            respawn_backoff=respawn_backoff,
-            respawn_backoff_cap=respawn_backoff_cap,
-        )
+        self._resident = self._fork_pool(n_workers, round_timeout)
         return self._resident
 
     def close(self) -> None:

@@ -576,11 +576,10 @@ class ServingDaemon:
         k = int(request.get("k", 10))
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
-        return {
-            "k": k,
-            "floor_threshold": float(request.get("floor_threshold", 0.1)),
-            "rank_by": rank_by,
-        }
+        floor_threshold = float(request.get("floor_threshold", 0.1))
+        if math.isnan(floor_threshold):
+            raise ValueError("floor_threshold must be a number, got nan")
+        return {"k": k, "floor_threshold": floor_threshold, "rank_by": rank_by}
 
     def _request_deadline(self, request: dict) -> float | None:
         """Seconds the request may take: its ``deadline_ms``, else the default."""

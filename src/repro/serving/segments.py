@@ -531,50 +531,37 @@ class SegmentedCollection:
         rows: np.ndarray,
         start: int,
         end: int,
-        round_width: int | None = None,
+        round_width: int,
     ) -> np.ndarray:
-        """Hash agreements between ``other_store`` rows and global ``rows`` here.
+        """Per-round hash agreements between ``other_store`` rows and global ``rows``.
 
-        The segment-offset-aware twin of
-        :meth:`~repro.hashing.signatures.SignatureStore.count_matches_cross`:
-        entry ``p`` counts hashes in ``[start, end)`` on which row
-        ``other_rows[p]`` of ``other_store`` (typically a query batch's
-        store) agrees with global row ``rows[p]`` of this collection.  Only
-        segments that actually own pairs are extended to ``end`` hashes —
-        the round-lazy hashing pattern of the BayesLSH verifier carries
-        over per segment.  Counts are per-pair and row-local, hence
-        independent of the segment layout.
-
-        With ``round_width`` the result is ``(n_pairs, n_rounds)``, one column
-        per round of that many hashes: the first round of ``[start, end)`` and
-        as many more as ``other_store`` and every involved segment have
-        *already materialised* — only the first round ever extends a store.
+        The segment-offset-aware form of
+        :meth:`~repro.hashing.signatures.SignatureStore.count_matches_rounds`
+        with ``other``: entry ``[p, r]`` counts the hashes of round ``r`` (of
+        ``round_width`` hashes from ``start``) on which row ``other_rows[p]``
+        of ``other_store`` (typically a query batch's store) agrees with
+        global row ``rows[p]`` of this collection.  The result holds the
+        first round of ``[start, end)`` and as many more as ``other_store``
+        and every involved segment have *already materialised* — only the
+        first round ever extends a store, and only segments that actually own
+        pairs are extended, so the round-lazy hashing pattern of the BayesLSH
+        verifier carries over per segment.  Counts are per-pair and
+        row-local, hence independent of the segment layout.
         """
         other_rows = np.asarray(other_rows, dtype=np.int64)
         rows = np.asarray(rows, dtype=np.int64)
         groups = list(self._grouped(rows))
-        if round_width is None:
-            result = np.zeros(len(rows), dtype=np.int64)
-        else:
-            # Only a block's first round ever extends a store: a further
-            # round counts once ``other_store`` and every involved segment
-            # already materialise it.
-            depth = min(
-                [other_store.n_hashes] + [segment.store.n_hashes for segment, _ in groups]
-            )
-            end = start + max(1, (min(depth, end) - start) // round_width) * round_width
-            result = np.zeros((len(rows), (end - start) // round_width), dtype=np.int64)
+        depth = min(
+            [other_store.n_hashes] + [segment.store.n_hashes for segment, _ in groups]
+        )
+        end = start + max(1, (min(depth, end) - start) // round_width) * round_width
+        result = np.zeros((len(rows), (end - start) // round_width), dtype=np.int64)
         for segment, positions in groups:
             store = segment.ensure_hashes(end)
             local = rows[positions] - segment.offset
-            if round_width is None:
-                result[positions] = store.count_matches_cross(
-                    local, other_store, other_rows[positions], start, end
-                )
-            else:
-                result[positions] = store.count_matches_rounds(
-                    local, other_rows[positions], start, end, round_width, other_store
-                )
+            result[positions] = store.count_matches_rounds(
+                local, other_rows[positions], start, end, round_width, other_store
+            )
         return result
 
     def cross_similarities(

@@ -105,9 +105,9 @@ class LSHApproxVerifier(Verifier):
         own signature rows).
         """
         store = self._family.signatures(self._num_hashes)
-        matches = store.count_matches_many(
-            candidates.left, candidates.right, 0, self._num_hashes
-        )
+        matches = store.count_matches_rounds(
+            candidates.left, candidates.right, 0, self._num_hashes, self._num_hashes
+        )[:, 0]
         return self._verify_arrays(candidates.left, candidates.right, matches)
 
     def verify_source(self, source, pool=None) -> VerificationOutput:
@@ -118,9 +118,10 @@ class LSHApproxVerifier(Verifier):
         fixed hash budget once and counts every block itself (a worker
         ``pool`` only scores pairs exactly, which this verifier never does).
         """
-        store = self._family.signatures(self._num_hashes)
+        n = self._num_hashes
+        store = self._family.signatures(n)
         outputs = []
         for left, right in source.blocks():
-            matches = store.count_matches_many(left, right, 0, self._num_hashes)
+            matches = store.count_matches_rounds(left, right, 0, n, n)[:, 0]
             outputs.append(self._verify_arrays(left, right, matches))
         return VerificationOutput.merge(outputs)

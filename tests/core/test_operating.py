@@ -4,7 +4,7 @@
 over the engine's own decision tables; here it is checked to be a
 probability distribution, to behave as a pruning curve must, and to agree
 with a Monte-Carlo of the paper's scalar pair-at-a-time loop
-(:func:`repro.reference.bayeslsh_pair_reference`, which consults the
+(:func:`tests.reference.bayeslsh_pair_reference`, which consults the
 posterior directly and knows nothing of tables) on Bernoulli(r) hash streams.
 """
 
@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import reference
 from repro.core.operating import operating_characteristic
 from repro.core.params import BayesLSHLiteParams, BayesLSHParams
 from repro.core.posteriors import GridCollisionPosterior, make_posterior
 from repro.core.rounds import RoundTables
+
+from tests import reference
 
 # derandomised: the Monte-Carlo tolerance is statistical, CI must not be
 _SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)

@@ -6,7 +6,7 @@ makes its prune/emit decisions, so it is checked here directly: on random
 agreement streams the array-at-a-time :class:`PairState` must reach, pair by
 pair, exactly the decisions, ``(m, n)`` counts, values, trace and comparison
 counter of the paper's pair-at-a-time loop
-(:func:`repro.reference.bayeslsh_pair_reference`, scalar posterior queries,
+(:func:`tests.reference.bayeslsh_pair_reference`, scalar posterior queries,
 no tables) in each of its three configurations: Algorithm 1, BayesLSH-Lite
 and the hybrid.
 """
@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import reference
 from repro.core.bayeslsh import BayesLSH
 from repro.core.params import BayesLSHLiteParams, BayesLSHParams
 from repro.core.posteriors import make_posterior
@@ -34,6 +33,8 @@ from repro.core.rounds import (
 from repro.hashing.base import get_hash_family
 from repro.similarity.measures import get_measure
 from repro.similarity.vectors import VectorCollection
+
+from tests import reference
 
 _SETTINGS = settings(max_examples=40, deadline=None)
 _K = 16
@@ -217,9 +218,9 @@ def test_verify_super_blocks_equal_round_at_a_time_on_real_stores(measure):
     state = run_rounds(
         RoundTables(posterior, params),
         len(left),
-        lambda active, n_prev, n_now: family.signatures(n_now).count_matches_many(
-            left[active], right[active], n_prev, n_now
-        ),
+        lambda active, n_prev, n_now: family.signatures(n_now).count_matches_rounds(
+            left[active], right[active], n_prev, n_now, n_now - n_prev
+        )[:, 0],
     )
     values, exhausted = state.outcome("estimate")
     mask = ~np.isnan(values)

@@ -273,6 +273,7 @@ def test_default_deadline_applies_when_request_carries_none(
         ("query", "threshold", float("nan")),
         ("top_k", "k", 0),
         ("top_k", "k", -3),
+        ("top_k", "floor_threshold", float("nan")),
         ("query", "deadline_ms", "soon"),
         ("top_k", "deadline_ms", [50]),
     ],

@@ -13,6 +13,7 @@ from __future__ import annotations
 import threading
 import time
 
+import repro.search.executor as executor
 from repro.serving import DaemonClient, ServingDaemon
 from repro.testing import faults
 
@@ -21,13 +22,14 @@ from tests.daemon.conftest import batch, index, socket_path  # noqa: F401  (fixt
 
 
 def test_kill_mid_batch_with_waiting_clients_is_bit_identical(
-    index, batch, socket_path
+    index, batch, socket_path, monkeypatch
 ):
     """SIGKILL a pool worker as a coalesced batch dispatches: every waiting
     client still gets the serial answer, and the slot respawns for the
     next batch instead of reforking the pool."""
     oracle = index.query_many(batch, threshold=0.55, n_workers=1)
-    index.start_pool(2, respawn_backoff=0.01)
+    monkeypatch.setattr(executor, "RESPAWN_BACKOFF", 0.01)
+    index.start_pool(2)
     try:
         n = len(batch)
         answers: list = [None] * n
@@ -61,12 +63,14 @@ def test_kill_mid_batch_with_waiting_clients_is_bit_identical(
         index.close()
 
 
-def test_respawn_storm_across_consecutive_batches(index, batch, socket_path):
+def test_respawn_storm_across_consecutive_batches(index, batch, socket_path, monkeypatch):
     """Killing a worker on three consecutive batches (below the quarantine
     limit each time, since survival resets the count) respawns three times
     and never corrupts an answer."""
     oracle = as_pairs(index.query_many(batch[:1], threshold=0.55, n_workers=1)[0])
-    index.start_pool(2, max_worker_failures=3, respawn_backoff=0.01)
+    monkeypatch.setattr(executor, "MAX_WORKER_FAILURES", 3)
+    monkeypatch.setattr(executor, "RESPAWN_BACKOFF", 0.01)
+    index.start_pool(2)
     try:
         with ServingDaemon(index, socket_path, batch_window_ms=1):
             with faults.inject() as plan:
@@ -92,12 +96,13 @@ def test_respawn_storm_across_consecutive_batches(index, batch, socket_path):
 
 
 def test_hung_worker_mid_batch_recovers_via_pool_round_timeout(
-    index, batch, socket_path
+    index, batch, socket_path, monkeypatch
 ):
     """A SIGSTOPped worker during a daemon batch is declared hung by the
     resident pool's own ``round_timeout`` and the answer stays correct."""
     oracle = as_pairs(index.query_many(batch[:1], threshold=0.55, n_workers=1)[0])
-    index.start_pool(2, round_timeout=2.0, respawn_backoff=0.01)
+    monkeypatch.setattr(executor, "RESPAWN_BACKOFF", 0.01)
+    index.start_pool(2, round_timeout=2.0)
     try:
         with ServingDaemon(index, socket_path, batch_window_ms=1):
             with faults.inject() as plan:

@@ -50,24 +50,24 @@ class TestBitSignatures:
         with pytest.raises(IndexError):
             store.count_matches(0, 1, 0, 64)
 
-    def test_count_matches_many_matches_scalar(self):
+    def test_count_matches_one_round_matches_scalar(self):
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, size=(6, 96)).astype(np.uint8)
         store = self._store_with_bits(bits)
         left = np.array([0, 1, 2])
         right = np.array([3, 4, 5])
-        batch = store.count_matches_many(left, right, 32, 96)
+        batch = store.count_matches_rounds(left, right, 32, 96, 64)[:, 0]
         singles = [store.count_matches(i, j, 32, 96) for i, j in zip(left, right)]
         assert batch.tolist() == singles
 
-    def test_count_matches_many_unaligned_matches_scalar(self):
+    def test_count_matches_one_unaligned_round_matches_scalar(self):
         rng = np.random.default_rng(13)
         bits = rng.integers(0, 2, size=(8, 96)).astype(np.uint8)
         store = self._store_with_bits(bits)
         left = rng.integers(0, 8, size=20)
         right = rng.integers(0, 8, size=20)
         for start, end in [(5, 40), (0, 17), (33, 96), (31, 33), (63, 64), (5, 6)]:
-            batch = store.count_matches_many(left, right, start, end)
+            batch = store.count_matches_rounds(left, right, start, end, end - start)[:, 0]
             singles = [
                 int(np.sum(bits[i, start:end] == bits[j, start:end]))
                 for i, j in zip(left, right)
@@ -80,15 +80,24 @@ class TestBitSignatures:
         store = self._store_with_bits(bits)
         left = rng.integers(0, 10, size=30)
         right = rng.integers(0, 10, size=30)
-        # word-aligned fast path and the unaligned fallback
-        for start, end, width in [(32, 160, 32), (0, 256, 64), (8, 28, 10)]:
+        # word-aligned fast path and the masked unaligned path
+        for start, end, width in [(32, 160, 32), (0, 256, 64), (8, 28, 10), (0, 96, 48)]:
             rounds = store.count_matches_rounds(left, right, start, end, width)
             assert rounds.shape == (30, (end - start) // width)
             for r in range((end - start) // width):
-                expected = store.count_matches_many(
-                    left, right, start + r * width, start + (r + 1) * width
-                )
-                assert rounds[:, r].tolist() == expected.tolist()
+                lo, hi = start + r * width, start + (r + 1) * width
+                expected = [store.count_matches(i, j, lo, hi) for i, j in zip(left, right)]
+                assert rounds[:, r].tolist() == expected
+
+    def test_count_matches_rounds_checks_other_store(self):
+        store = self._store_with_bits(np.zeros((2, 64), dtype=np.uint8))
+        shallow = self._store_with_bits(np.zeros((2, 32), dtype=np.uint8))
+        ints = IntSignatures(2)
+        ints.append_values(np.zeros((2, 64), dtype=np.int64))
+        with pytest.raises(TypeError, match="cannot cross-count"):
+            store.count_matches_rounds(np.array([0]), np.array([1]), 0, 32, 32, ints)
+        with pytest.raises(IndexError, match="out of range"):
+            store.count_matches_rounds(np.array([0]), np.array([1]), 0, 64, 32, shallow)
 
     def test_count_matches_rounds_rejects_ragged_span(self):
         store = self._store_with_bits(np.zeros((2, 64), dtype=np.uint8))
@@ -147,11 +156,11 @@ class TestIntSignatures:
         assert store.count_matches(0, 2, 0, 4) == 4
         assert store.count_matches(0, 1, 1, 3) == 1
 
-    def test_count_matches_many(self):
+    def test_count_matches_one_round(self):
         values = np.array([[1, 2], [1, 3], [5, 2], [1, 2]])
         store = self._store_with_values(values)
-        batch = store.count_matches_many(np.array([0, 0, 0]), np.array([1, 2, 3]), 0, 2)
-        assert batch.tolist() == [1, 1, 2]
+        batch = store.count_matches_rounds(np.array([0, 0, 0]), np.array([1, 2, 3]), 0, 2, 2)
+        assert batch.tolist() == [[1], [1], [2]]
 
     def test_incremental_append(self):
         store = IntSignatures(2)
@@ -169,10 +178,19 @@ class TestIntSignatures:
         for start, end, width in [(0, 96, 32), (16, 80, 16), (3, 93, 10)]:
             rounds = store.count_matches_rounds(left, right, start, end, width)
             for r in range((end - start) // width):
-                expected = store.count_matches_many(
-                    left, right, start + r * width, start + (r + 1) * width
-                )
-                assert rounds[:, r].tolist() == expected.tolist()
+                lo, hi = start + r * width, start + (r + 1) * width
+                expected = [store.count_matches(i, j, lo, hi) for i, j in zip(left, right)]
+                assert rounds[:, r].tolist() == expected
+
+    def test_count_matches_rounds_checks_other_store(self):
+        store = self._store_with_values(np.zeros((2, 64), dtype=np.int64))
+        shallow = self._store_with_values(np.zeros((2, 8), dtype=np.int64))
+        bits = BitSignatures(2)
+        bits.append_bits(np.zeros((2, 64), dtype=np.uint8))
+        with pytest.raises(TypeError, match="cannot cross-count"):
+            store.count_matches_rounds(np.array([0]), np.array([1]), 0, 32, 32, bits)
+        with pytest.raises(IndexError, match="out of range"):
+            store.count_matches_rounds(np.array([0]), np.array([1]), 0, 64, 32, shallow)
 
     def test_count_matches_rounds_rejects_ragged_span(self):
         store = self._store_with_values(np.zeros((2, 8), dtype=np.int64))

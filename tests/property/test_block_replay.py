@@ -4,7 +4,7 @@
 whose columns both sides have already materialised and replays them through
 ``repro.core.rounds.replay_rounds``; past that depth it extends lazily, one
 round at a time.  The reference here is ``run_rounds`` on a twin index,
-counting each round on its own with the one-round ``count_matches_cross`` —
+counting each round on its own with a one-round ``count_matches_cross`` —
 the loop the serving path ran before.  Both must agree on every value, the
 exhausted mask, the per-round trace and the comparison count, and must leave
 the two indices in the same hash state: no store is extended earlier (or
@@ -78,8 +78,13 @@ def _round_at_a_time(index, queries, on_budget):
         tables,
         len(rows),
         lambda active, n_prev, n_now: index._segments.count_matches_cross(
-            family.signatures(n_now), query_rows[active], rows[active], n_prev, n_now
-        ),
+            family.signatures(n_now),
+            query_rows[active],
+            rows[active],
+            n_prev,
+            n_now,
+            n_now - n_prev,
+        )[:, 0],
         tables.budget_for(on_budget),
     )
     return state.outcome(on_budget), state
@@ -125,14 +130,15 @@ def test_past_the_materialised_depth_the_rounds_extend_lazily(measure, monkeypat
     calls = []
     original = type(before._segments).count_matches_cross
 
-    def recording(self, store, other_rows, rows, start, end, round_width=None):
+    def recording(self, store, other_rows, rows, start, end, round_width):
         result = original(self, store, other_rows, rows, start, end, round_width)
-        if round_width is not None:  # the reference counts one round, 1-D
-            calls.append((start, result.shape[1]))
+        calls.append((self, start, result.shape[1]))
         return result
 
     monkeypatch.setattr(type(before._segments), "count_matches_cross", recording)
     state = _assert_equivalent(measure, 32, 3, False, [0, 0, 0], "estimate", 12)
+    # the block replay runs first; the reference then counts on its twin index
+    calls = [(start, n_rounds) for owner, start, n_rounds in calls if owner is calls[0][0]]
     assert state.hashes_seen.max() > min(widths_before), "no pair outlived a store"
     # the first block replays every materialised round it may gather at once...
     assert calls[0][0] == 0 and calls[0][1] > 1

@@ -83,3 +83,47 @@ class TestSignatureStoreProperties:
         expected = int(np.sum(values[i] == values[j]))
         assert store.count_matches(i, j, 0, n_hashes) == expected
         assert store.count_matches(i, i, 0, n_hashes) == n_hashes
+
+    @_SETTINGS
+    @given(
+        st.sampled_from(["bits", "ints"]),
+        st.integers(min_value=0, max_value=70),
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=0, max_value=3),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_count_matches_rounds_columns_equal_scalar(
+        self, kind, start, round_width, n_rounds, cross, seed
+    ):
+        """Each round column of the one batched kernel is the scalar count of that round.
+
+        Starts and widths are drawn freely, so bit windows are word-unaligned
+        as often as not; with ``cross`` the right rows live in a second store
+        of the same family, checked against one store holding both row sets.
+        """
+        end = start + n_rounds * round_width
+        n_hashes = (end // 32 + 1) * 32
+        rng = np.random.default_rng(seed)
+        n_mine, n_theirs = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        values = rng.integers(0, 2 if kind == "bits" else 4, size=(n_mine + n_theirs, n_hashes))
+
+        def store(block):
+            made = BitSignatures(len(block)) if kind == "bits" else IntSignatures(len(block))
+            append = made.append_bits if kind == "bits" else made.append_values
+            append(block[:, :32])  # two column chunks: reads may span both
+            append(block[:, 32:])
+            return made
+
+        both, mine = store(values), store(values[:n_mine])
+        theirs = store(values[n_mine:]) if cross else None
+        n_pairs = int(rng.integers(0, 20))
+        left = rng.integers(0, n_mine, size=n_pairs)
+        right = rng.integers(0, n_theirs if cross else n_mine, size=n_pairs)
+        counts = mine.count_matches_rounds(left, right, start, end, round_width, theirs)
+        assert counts.shape == (n_pairs, n_rounds)
+        offset = n_mine if cross else 0
+        for r in range(n_rounds):
+            lo, hi = start + r * round_width, start + (r + 1) * round_width
+            expected = [both.count_matches(i, j + offset, lo, hi) for i, j in zip(left, right)]
+            assert counts[:, r].tolist() == expected

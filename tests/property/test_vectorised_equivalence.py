@@ -1,7 +1,7 @@
 """Equivalence of the batched kernels and their scalar references.
 
 The vectorisation contract: every batched hot-path kernel must be
-*bit-identical* to the retained scalar formulation in :mod:`repro.reference`
+*bit-identical* to the retained scalar formulation in :mod:`tests.reference`
 — same seeds give same signatures, same prune/emit decisions, same candidate
 pairs and the same bookkeeping counters.  These tests check that contract on
 randomised inputs (random collections, random match counts, random
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro import reference
 from repro.candidates.allpairs import AllPairsGenerator
 from repro.candidates.arrayops import pairs_within_groups, ragged_arange
 from repro.candidates.lsh_index import LSHGenerator
@@ -32,6 +31,8 @@ from repro.similarity.measures import get_measure
 from repro.similarity.vectors import VectorCollection
 from repro.verification.base import exact_similarities_for_pairs
 from repro.verification.bayes import BayesLSHLiteVerifier, BayesLSHVerifier
+
+from tests import reference
 
 _SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -79,7 +80,7 @@ def _reference_prefix_bounds(collection: VectorCollection) -> list[float]:
     """Every running bound ``b`` the sequential AllPairs reference accumulates.
 
     The same float operations in the same order as
-    :func:`repro.reference.allpairs_candidates_reference`, so a threshold
+    :func:`tests.reference.allpairs_candidates_reference`, so a threshold
     taken from this list lands the reference's ``b >= t`` exactly on
     equality.
     """

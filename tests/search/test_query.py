@@ -224,3 +224,9 @@ class TestTopKSelection:
         result = index.top_k_many(queries, k=10, floor_threshold=1.5, rank_by=rank_by)
         assert result == [[] for _ in range(len(queries))]
         assert result == _top_k_by_python_sort(index, queries, 10, 1.5, rank_by)
+
+    @pytest.mark.parametrize("rank_by", ["exact", "estimate"])
+    def test_nan_floor_is_refused_not_an_empty_answer(self, duplicated, rank_by):
+        index, queries = duplicated
+        with pytest.raises(ValueError, match="floor_threshold"):
+            index.top_k_many(queries, k=10, floor_threshold=float("nan"), rank_by=rank_by)

@@ -18,6 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.search.executor as executor
 from repro.search.executor import PoolDegradedWarning
 from repro.search.query import QueryIndex
 from repro.testing import faults
@@ -206,11 +207,12 @@ def test_start_pool_twice_raises(index):
         index.close()
 
 
-def test_killed_worker_respawns_at_next_batch_boundary(index, batch):
+def test_killed_worker_respawns_at_next_batch_boundary(index, batch, monkeypatch):
     """A worker killed mid-batch is recovered serially, then respawned —
     and the pool is reused (no per-call refork)."""
     oracle = index.query_many(batch, threshold=0.55, n_workers=1)
-    index.start_pool(3, respawn_backoff=0.01)
+    monkeypatch.setattr(executor, "RESPAWN_BACKOFF", 0.01)
+    index.start_pool(3)
     try:
         with faults.inject() as plan:
             plan.kill_worker(0, event="serving_probe")
@@ -232,10 +234,12 @@ def test_killed_worker_respawns_at_next_batch_boundary(index, batch):
         index.close()
 
 
-def test_crash_loop_quarantines_with_typed_warning(index, batch):
+def test_crash_loop_quarantines_with_typed_warning(index, batch, monkeypatch):
     """Two consecutive kills of the same slot quarantine it for good."""
     oracle = index.query_many(batch, threshold=0.55, n_workers=1)
-    index.start_pool(3, max_worker_failures=2, respawn_backoff=0.01)
+    monkeypatch.setattr(executor, "MAX_WORKER_FAILURES", 2)
+    monkeypatch.setattr(executor, "RESPAWN_BACKOFF", 0.01)
+    index.start_pool(3)
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -265,10 +269,11 @@ def test_crash_loop_quarantines_with_typed_warning(index, batch):
         index.close()
 
 
-def test_full_quarantine_degrades_to_serial_but_stays_available(index, batch):
+def test_full_quarantine_degrades_to_serial_but_stays_available(index, batch, monkeypatch):
     """Quarantining every slot leaves a pool that serves serially."""
     oracle = index.query_many(batch, threshold=0.55, n_workers=1)
-    index.start_pool(2, max_worker_failures=1)
+    monkeypatch.setattr(executor, "MAX_WORKER_FAILURES", 1)
+    index.start_pool(2)
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

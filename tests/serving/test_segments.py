@@ -107,12 +107,12 @@ class TestKernelEquivalence:
         query_store = query_family.signatures(128)
         rows = np.array([1, 5, 13, 15, 20, 25, 24, 2], dtype=np.int64)
         query_rows = np.array([0, 1, 2, 3, 4, 5, 0, 1], dtype=np.int64)
-        for start, end in [(0, 32), (32, 96), (0, 128)]:
-            expected = query_store.count_matches_cross(
-                query_rows, mono_store, rows, start, end
+        for start, end, width in [(0, 32, 32), (32, 96, 64), (0, 128, 32), (5, 125, 40)]:
+            expected = mono_store.count_matches_rounds(
+                rows, query_rows, start, end, width, query_store
             )
             actual = segmented.count_matches_cross(
-                query_store, query_rows, rows, start, end
+                query_store, query_rows, rows, start, end, width
             )
             assert np.array_equal(actual, expected)
 
@@ -142,7 +142,7 @@ class TestLazyExtension:
         query_family = store.family.clone_for(query_prepared)
         query_store = query_family.signatures(512)
         store.count_matches_cross(
-            query_store, np.array([0]), np.array([8]), 0, 512
+            query_store, np.array([0]), np.array([8]), 0, 512, 512
         )
         assert store.segments[1].store.n_hashes >= 512
         assert store.segments[0].store.n_hashes == widths[0]
