@@ -14,6 +14,8 @@ experiment, so regressions in any one of them are visible in isolation:
   (``BayesLSHVerifier.verify``: one hash block, then exact scores) and
   through ``BayesLSHLiteVerifier.verify``: prior fit, pruning rounds and the
   exact scoring of the survivors;
+* **the round engine alone** — ``replay_rounds`` over ~600k pairs whose
+  agreement counts are already in hand, pruned at ``ap_text``'s rate;
 * **the two cost constants behind the hybrid's hash budget** — hashing and
   comparing one more hash for a pair, and scoring a pair exactly
   (``PosteriorModel.exact_budget``, ``docs/reproduction.md``);
@@ -38,7 +40,8 @@ from repro.candidates.lsh_index import LSHGenerator
 from repro.candidates.ppjoin import PPJoinGenerator
 from repro.core.bayeslsh import BayesLSH
 from repro.core.params import BayesLSHParams
-from repro.core.posteriors import BetaPosterior, TruncatedCollisionPosterior
+from repro.core.posteriors import BetaPosterior, TruncatedCollisionPosterior, make_posterior
+from repro.core.rounds import RoundTables, replay_rounds
 from repro.datasets.synthetic import synthetic_graph, synthetic_text_corpus
 from repro.hashing.minhash import MinHashFamily
 from repro.hashing.signatures import IntSignatures
@@ -292,6 +295,53 @@ def test_bench_cross_count_large(benchmark, minhash_store):
         minhash_store.count_matches_rounds, rows, query_rows, 64, 96, 32, queries
     )
     assert counts.shape == (200_000, 1)
+
+
+@pytest.fixture(scope="module")
+def recorded_round_blocks():
+    """Every count block ``BayesLSH.verify`` would hand the engine on ~600k pairs.
+
+    The pairs' collision rates make the first rounds prune like ``ap_text``'s
+    AllPairs candidates (cosine, t = 0.7, k = 32): ~31% survive round 1,
+    ~11% round 2 and ~0.6% reach the 256-hash budget.  Blocks are one round
+    wide for the first two rounds and up to four after, as ``verify`` cuts
+    them; they are recorded once, so the benchmark times no counting.
+    """
+    n_pairs, k, n_rounds = 618_000, 32, 8
+    rng = np.random.default_rng(34)
+    rates = 0.5 + 0.18 * rng.beta(1.0, 2.0, n_pairs)
+    near_duplicates = rng.random(n_pairs) < 0.003
+    rates[near_duplicates] = rng.uniform(0.85, 1.0, int(near_duplicates.sum()))
+    counts = rng.binomial(k, rates[:, None], size=(n_pairs, n_rounds))
+    tables = RoundTables(make_posterior("cosine"), BayesLSHParams(threshold=0.7, k=k))
+    blocks = []
+
+    def record(active, n_prev, remaining):
+        first = n_prev // k
+        width = 1 if first < 2 else min(4, remaining)
+        blocks.append(counts[active, first : first + width])
+        return blocks[-1]
+
+    trace = replay_rounds(tables, n_pairs, record).trace
+    return tables, n_pairs, blocks, trace
+
+
+def test_bench_replay_rounds_large(benchmark, recorded_round_blocks):
+    """The round engine's own work on an ``ap_text``-sized candidate set.
+
+    ``replay_rounds`` over pre-recorded count blocks: the per-round
+    bookkeeping, pruning and concentration tests and the decision writes,
+    without the signature gathers that produce the counts.
+    """
+    tables, n_pairs, blocks, trace = recorded_round_blocks
+
+    def run():
+        replay = iter(blocks)
+        return replay_rounds(tables, n_pairs, lambda *_: next(replay))
+
+    state = benchmark(run)
+    assert state.trace == trace
+    assert 0.25 < trace[0][1] / n_pairs < 0.4 and trace[-1][0] == tables.budget
 
 
 def test_bench_lsh_candidate_generation(benchmark, binary_collection):

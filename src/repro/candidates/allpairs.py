@@ -56,8 +56,9 @@ with no per-vector Python loop:
    count at its feature's first slot is where the feature's postings begin,
    and its own count is where "the vectors indexed before ``x``" end.
 4. *Gather.*  The probe prefixes are gathered in hit-budgeted batches, and
-   each batch's pair keys are deduplicated by
-   :func:`~repro.candidates.arrayops.sorted_unique`.
+   each batch's canonical pair keys ``min * n + max`` are deduplicated by
+   :func:`~repro.candidates.arrayops.sorted_unique`, so every block is
+   ``left < right`` in ascending order.
 
 Candidate pairs, their order, the counters and the emitted pair set are
 identical to the sequential reference
@@ -208,8 +209,13 @@ class AllPairsGenerator(CandidateGenerator):
         }
 
         # ---------------- phase 3: candidate generation ----------------------
-        # Gathered hits are materialised in budget-bounded batches; duplicate
-        # (x, y) pairs across batches are removed by from_arrays.
+        # Gathered hits are materialised in budget-bounded batches and
+        # deduplicated on canonical keys ``min * n + max``.  A pair is only
+        # ever found from its later-processed row, so canonicalising before
+        # deduplication merges nothing extra, and the blocks come out as
+        # ``left < right`` ascending — one batch is already the sorted set
+        # from_arrays would build.  Pairs repeated across batches are
+        # removed by from_arrays.
         def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
             for entry_start, entry_end in budgeted_batches(hit_counts, hit_budget):
                 batch = slice(entry_start, entry_end)
@@ -218,10 +224,11 @@ class AllPairsGenerator(CandidateGenerator):
                     continue
                 ys = posting_row[gathered]
                 xs = np.repeat(rows_of_entries[batch], hit_counts[batch])
-                pair_keys = sorted_unique(xs * n_vectors + ys)
+                pair_keys = sorted_unique(
+                    np.minimum(xs, ys) * n_vectors + np.maximum(xs, ys)
+                )
                 for start in range(0, len(pair_keys), block_size):
-                    chunk = pair_keys[start : start + block_size]
-                    yield chunk // n_vectors, chunk % n_vectors
+                    yield np.divmod(pair_keys[start : start + block_size], n_vectors)
 
         return BlockStream(blocks(), metadata)
 

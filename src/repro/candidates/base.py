@@ -81,26 +81,41 @@ class CandidateSet:
     def from_stream(cls, stream: "BlockStream") -> "CandidateSet":
         """Collect a fully-consumed :class:`BlockStream` into a candidate set.
 
-        Concatenates every raw block and canonicalises/deduplicates via
-        :meth:`from_arrays` with the stream's (then complete) metadata — the
-        shared tail of every generator's monolithic :meth:`generate`.
+        Concatenates every raw block (a lone block is passed on as it is)
+        and canonicalises/deduplicates via :meth:`from_arrays` with the
+        stream's (then complete) metadata — the shared tail of every
+        generator's monolithic :meth:`generate`.
         """
         left_parts: list[np.ndarray] = []
         right_parts: list[np.ndarray] = []
         for left, right in stream:
             left_parts.append(left)
             right_parts.append(right)
+        if len(left_parts) == 1:  # one block: nothing to join, no copy
+            return cls.from_arrays(left_parts[0], right_parts[0], **stream.metadata)
         left = np.concatenate(left_parts) if left_parts else np.zeros(0, dtype=np.int64)
         right = np.concatenate(right_parts) if right_parts else np.zeros(0, dtype=np.int64)
         return cls.from_arrays(left, right, **stream.metadata)
 
     @classmethod
     def from_arrays(cls, left, right, **metadata) -> "CandidateSet":
-        """Build a candidate set from parallel index arrays (canonicalising/deduplicating)."""
+        """Build a candidate set from parallel index arrays (canonicalising/deduplicating).
+
+        Pairs are canonicalised to ``i < j``, self-pairs are dropped and
+        duplicates removed; the result is in ascending ``(i, j)`` order.
+        Input that is already exactly that — 1-D, every pair
+        ``0 <= i < j < 2**31 - 1``, strictly ascending, as AllPairs emits a
+        single probe batch — is recognised in one O(n) pass and kept: the
+        returned ``left`` / ``right`` are then the caller's arrays (after
+        ``np.asarray(..., dtype=np.int64)``), not copies, and alias them.
+        Any other input is canonicalised and sorted into new arrays.
+        """
         left = np.asarray(left, dtype=np.int64)
         right = np.asarray(right, dtype=np.int64)
         if left.shape != right.shape:
             raise ValueError("left and right must have the same shape")
+        if _is_canonical(left, right):
+            return cls(left=left, right=right, metadata=dict(metadata))
         keep = left != right
         low = np.minimum(left[keep], right[keep])
         high = np.maximum(left[keep], right[keep])
@@ -136,6 +151,24 @@ class CandidateSet:
 
     def __repr__(self) -> str:
         return f"CandidateSet(n_pairs={len(self)})"
+
+
+def _is_canonical(left: np.ndarray, right: np.ndarray) -> bool:
+    """Whether ``from_arrays`` would return these very pairs, in this order.
+
+    True for non-empty 1-D pairs with ``0 <= left < right``, strictly
+    ascending by ``(left, right)``, whose composite keys fit the fast path
+    (a span of at least ``2**31`` keeps ``from_arrays``' slow path).  Once
+    ``left[0] >= 0``, strictly ascending keys ``left * span + right`` rule
+    out a negative index later on, so the key comparison covers the order.
+    """
+    if left.ndim != 1 or not len(left) or left[0] < 0:
+        return False
+    span = int(right.max()) + 1
+    if span >= 1 << 31 or not np.all(left < right):
+        return False
+    keys = left * span + right
+    return bool(np.all(keys[1:] > keys[:-1]))
 
 
 class CandidateGenerator(ABC):

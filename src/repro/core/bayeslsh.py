@@ -280,9 +280,9 @@ class BayesLSH:
                 materialised = (self._family.n_hashes - n_prev) // k
                 n_rounds = max(1, min(_SUPERBLOCK_ROUNDS, n_rounds, materialised))
             n_end = n_prev + n_rounds * k
-            return self._family.signatures(n_end).count_matches_rounds(
-                left[active], right[active], n_prev, n_end, k
-            )
+            # while every pair is active, count them as they are, ungathered
+            pairs = (left, right) if len(active) == len(left) else (left[active], right[active])
+            return self._family.signatures(n_end).count_matches_rounds(*pairs, n_prev, n_end, k)
 
         state = replay_rounds(self._tables, len(left), count_block)
         values, exhausted = state.outcome(self._tables.on_budget)

@@ -17,7 +17,8 @@ not — counts and decides in the calling process through them:
 * :class:`RoundTables` builds the decision tables for a posterior and a
   :class:`~repro.core.params.BayesLSHParams` and resolves the hash budget;
 * :class:`PairState` holds ``status`` / ``matches`` / ``hashes_seen`` for a
-  block of pairs, advances them one round at a time and reports their
+  block of pairs — the undecided ones compactly, a decided one's written
+  once — advances them one round at a time and reports their
   :meth:`~PairState.outcome` under a terminal rule;
 * :func:`replay_rounds` is the one driver: it runs a :class:`PairState` to
   completion over blocks of per-round agreement counts, wherever they were
@@ -99,6 +100,14 @@ class RoundTables:
 class PairState:
     """Round-synchronous state of a block of candidate pairs.
 
+    The pairs still undecided are held compactly: ``active`` and their
+    running agreement counts, side by side, shrink together each round.  A
+    pair's entries in the full-length ``status`` / ``matches`` /
+    ``hashes_seen`` are written once, in the round that decides it; the
+    undecided pairs' are filled in whenever those attributes are read, so
+    they read correctly at any point and the rounds never touch the pairs
+    already decided.
+
     Attributes
     ----------
     status, matches, hashes_seen:
@@ -116,12 +125,26 @@ class PairState:
     def __init__(self, tables: RoundTables, n_pairs: int):
         self._tables = tables
         self.status = np.full(n_pairs, ACTIVE, dtype=np.int8)
-        self.matches = np.zeros(n_pairs, dtype=np.int64)
-        self.hashes_seen = np.zeros(n_pairs, dtype=np.int64)
+        self._matches = np.zeros(n_pairs, dtype=np.int64)
+        self._hashes_seen = np.zeros(n_pairs, dtype=np.int64)
         self.active = np.arange(n_pairs, dtype=np.int64)
+        self._active_matches = np.zeros(n_pairs, dtype=np.int64)
+        self._n_now = 0
         self.n_pruned = 0
         self.trace: list[tuple[int, int]] = []
         self.hash_comparisons = 0
+
+    @property
+    def matches(self) -> np.ndarray:
+        """Agreement count ``m`` of every pair (the undecided ones' filled in now)."""
+        self._matches[self.active] = self._active_matches
+        return self._matches
+
+    @property
+    def hashes_seen(self) -> np.ndarray:
+        """Hashes compared ``n`` of every pair (the undecided ones' filled in now)."""
+        self._hashes_seen[self.active] = self._n_now
+        return self._hashes_seen
 
     @property
     def n_alive(self) -> int:
@@ -135,28 +158,52 @@ class PairState:
         gained over the ``k`` hashes ending at ``n_now``.  Runs the pruning
         test (line 10 of Algorithm 1) and, when the tables carry a
         concentration cache, the concentration test (line 15) on the pairs
-        that survived it.  Returns the mask over the *previous* ``active``
-        of pairs that stay active; ``active`` is updated to match.
+        that survived it.  Returns the ascending positions, in the
+        *previous* ``active``, of the pairs that stay active; ``active`` is
+        updated to match.
+
+        Survivors are selected by position (``nonzero`` + ``take``), not by
+        boolean mask, and only the pairs decided this round are written
+        to the full-length arrays — all of them in one whole-array write
+        while every pair is still active.
         """
         tables = self._tables
         rows = self.active
-        self.matches[rows] += new_matches
-        self.hashes_seen[rows] = n_now
+        matches = self._active_matches + new_matches
+        self._n_now = n_now
         self.hash_comparisons += len(rows) * tables.params.k
-        still = tables.min_matches.passes_many(self.matches[rows], n_now)
-        self.status[rows[~still]] = PRUNED
-        self.n_pruned += len(rows) - int(np.count_nonzero(still))
-        if tables.concentration is not None:
-            survivors = rows[still]
-            if len(survivors):
-                concentrated = tables.concentration.is_concentrated_many(
-                    self.matches[survivors], n_now
-                )
-                self.status[survivors[concentrated]] = EMITTED
-                still[still] = ~concentrated
-        self.active = rows[still]
+        still = tables.min_matches.passes_many(matches, n_now)
+        kept = still.nonzero()[0]
+        self.n_pruned += len(rows) - len(kept)
+        whole = len(rows) == len(self.status)
+        if whole:
+            # every pair is active, so positions are pair indices
+            self._matches[:] = matches
+            self._hashes_seen[:] = n_now
+            np.multiply(~still, PRUNED, out=self.status)  # ACTIVE is 0
+        elif len(kept) < len(rows):
+            pruned = (~still).nonzero()[0]
+            self._decide(rows.take(pruned), matches.take(pruned), n_now, PRUNED)
+        surviving = matches.take(kept)
+        if tables.concentration is not None and len(kept):
+            concentrated = tables.concentration.is_concentrated_many(surviving, n_now)
+            if concentrated.any():
+                emitted = kept[concentrated]
+                if whole:
+                    self.status[emitted] = EMITTED
+                else:
+                    self._decide(rows.take(emitted), surviving[concentrated], n_now, EMITTED)
+                kept = kept[~concentrated]
+                surviving = surviving[~concentrated]
+        self.active = rows.take(kept)
+        self._active_matches = surviving
         self.trace.append((n_now, self.n_alive))
-        return still
+        return kept
+
+    def _decide(self, rows: np.ndarray, matches: np.ndarray, n_now: int, status: int) -> None:
+        self.status[rows] = status
+        self._matches[rows] = matches
+        self._hashes_seen[rows] = n_now
 
     def outcome(self, on_budget: str) -> tuple[np.ndarray, np.ndarray]:
         """Per-pair values once the rounds have ended, and the exhausted mask.
@@ -201,6 +248,13 @@ def replay_rounds(
     time.  Decisions are that loop's too: each pair's ``(m, n)`` evolves as
     before, and a pair decided inside a block ignores its remaining columns.
     ``budget`` defaults to the tables' own.
+
+    ``active`` holds every pair index until the first round decides one, so
+    a callee may test ``len(active) == n_pairs`` and skip the gather.  Every
+    block is checked before it is replayed: a wrong shape, a non-integer
+    dtype or a count outside ``[0, k]`` raises ``ValueError``.  Inside a
+    block the rows still active are tracked as positions into it, narrowed
+    by what :meth:`PairState.advance` returns.
     """
     k = tables.params.k
     n_rounds = (tables.budget if budget is None else budget) // k
@@ -208,14 +262,36 @@ def replay_rounds(
     round_index = 0
     while round_index < n_rounds and len(state.active):
         n_prev = round_index * k
-        counts = count_block(state.active, n_prev, n_rounds - round_index)
-        local = np.arange(len(counts))
+        remaining = n_rounds - round_index
+        counts = _checked_block(
+            count_block(state.active, n_prev, remaining), len(state.active), remaining, k
+        )
+        local = None  # positions into the block's rows; None while all are active
         for s in range(counts.shape[1]):
-            local = local[state.advance(counts[local, s], n_prev + (s + 1) * k)]
+            column = counts[:, s] if local is None else counts[:, s].take(local)
+            kept = state.advance(column, n_prev + (s + 1) * k)
+            local = kept if local is None else local.take(kept)
             if len(local) == 0:
                 break
-        round_index += s + 1
+        round_index += counts.shape[1]
     return state
+
+
+def _checked_block(counts, n_active: int, remaining: int, k: int) -> np.ndarray:
+    """A callee's block of counts, or ``ValueError`` naming what is wrong with it."""
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or counts.shape[0] != n_active or not 1 <= counts.shape[1] <= remaining:
+        raise ValueError(
+            f"count block has shape {counts.shape}; expected ({n_active}, r) "
+            f"with 1 <= r <= {remaining}"
+        )
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"count block has dtype {counts.dtype}; agreement counts are integers")
+    low, high = int(counts.min()), int(counts.max())
+    if low < 0 or high > k:
+        bad = low if low < 0 else high
+        raise ValueError(f"count block holds {bad} agreements for a round of k={k} hashes")
+    return counts
 
 
 def run_rounds(

@@ -13,6 +13,8 @@ and the hybrid.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from repro.core.rounds import (
     PRUNED,
     PairState,
     RoundTables,
+    replay_rounds,
     run_rounds,
 )
 from repro.hashing.base import get_hash_family
@@ -73,12 +76,36 @@ def _agreement_streams(seed: int, n_pairs: int, n_rounds: int) -> np.ndarray:
     return rng.binomial(_K, rates[:, None], size=(n_pairs, n_rounds)).astype(np.int64)
 
 
+class _MemoisedPosterior:
+    """A posterior whose scalar queries are each computed once.
+
+    The reference loop still asks the posterior per ``(m, n)``; remembering
+    the answers only lets it run over thousands of pairs in a test.
+    """
+
+    def __init__(self, posterior):
+        self._posterior = posterior
+        self._answers: dict[tuple, float] = {}
+
+    def __getattr__(self, name):
+        query = getattr(self._posterior, name)
+
+        def memoised(*args):
+            key = (name, *args)
+            if key not in self._answers:
+                self._answers[key] = query(*args)
+            return self._answers[key]
+
+        return memoised
+
+
 def _assert_matches_scalar(tables: RoundTables, state: PairState, streams: np.ndarray) -> None:
     # an exact similarity above the threshold, so an exhausted pair's value
     # under "exact" is recognisably not an estimate
+    posterior = _MemoisedPosterior(tables.posterior)
     expected = [
         reference.bayeslsh_pair_reference(
-            tables.posterior, tables.params, tables.budget, stream, exact_similarity=2.0
+            posterior, tables.params, tables.budget, stream, exact_similarity=2.0
         )
         for stream in streams
     ]
@@ -196,6 +223,104 @@ def test_super_block_replay_equals_one_round_at_a_time(seed, block_rounds):
     assert state.trace == expected.trace
     assert state.hash_comparisons == expected.hash_comparisons
     assert state.n_pruned == expected.n_pruned
+
+
+def _streams_pruning_first_round(
+    tables: RoundTables, seed: int, n_pairs: int, n_rounds: int, share: float
+) -> np.ndarray:
+    """Agreement streams whose first round prunes ``share`` of the pairs, exactly.
+
+    The first round's count is drawn below ``minMatches(k)`` for that share
+    of the pairs and at or above it for the rest; later rounds are those of
+    :func:`_agreement_streams`.
+    """
+    rng = np.random.default_rng(seed + 1)
+    streams = _agreement_streams(seed, n_pairs, n_rounds)
+    floor = tables.min_matches.min_matches(_K)
+    pruned = rng.permutation(n_pairs) < round(share * n_pairs)
+    streams[pruned, 0] = rng.integers(0, floor, size=int(pruned.sum()))
+    streams[~pruned, 0] = rng.integers(floor, _K + 1, size=int((~pruned).sum()))
+    return streams
+
+
+def _advance_returning_positions(advance):
+    """``PairState.advance``, checked to return ascending positions into the previous ``active``."""
+
+    def checked(self, new_matches, n_now):
+        before = self.active.copy()
+        kept = advance(self, new_matches, n_now)
+        assert kept.dtype.kind == "i", kept.dtype
+        assert np.all(np.diff(kept) > 0), "positions are not strictly ascending"
+        assert len(kept) == 0 or (kept[0] >= 0 and kept[-1] < len(before))
+        np.testing.assert_array_equal(before[kept], self.active)
+        return kept
+
+    return checked
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=2_000, max_value=5_000),
+    st.sampled_from(["jaccard", "cosine"]),
+    st.sampled_from(_CONFIGURATIONS),
+    st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    st.integers(min_value=1, max_value=4),
+)
+def test_compacting_engine_matches_scalar_at_scale(
+    seed, n_pairs, measure, configuration, share, block_rounds
+):
+    """Thousands of pairs, a first round that prunes none, some, most or all.
+
+    Run one round at a time (``block_rounds == 1``) or replayed in
+    super-blocks of up to ``block_rounds`` rounds; every advance must hand
+    back ascending positions into the active set it was given.
+    """
+    tables = _tables(measure, configuration, 160)
+    n_rounds = 160 // _K
+    streams = _streams_pruning_first_round(tables, seed, n_pairs, n_rounds, share)
+
+    def count_block(active, n_prev, remaining):
+        first = n_prev // _K
+        return streams[active, first : first + min(block_rounds, remaining)]
+
+    checked = _advance_returning_positions(PairState.advance)
+    with mock.patch.object(PairState, "advance", checked):
+        state = replay_rounds(tables, n_pairs, count_block)
+    _assert_matches_scalar(tables, state, streams)
+    assert state.trace[0][1] == n_pairs - round(share * n_pairs)
+
+
+def _one_round_tables(configuration: str = "hybrid") -> RoundTables:
+    return _tables("cosine", configuration, 64)
+
+
+@pytest.mark.parametrize(
+    "extra_rows, n_columns, dtype, message",
+    [
+        (0, 0, np.int64, r"shape \(5, 0\)"),
+        (0, 5, np.int64, r"1 <= r <= 4"),  # a 64-hash budget is 4 rounds of 16
+        (-1, 1, np.int64, r"expected \(5, r\)"),
+        (1, 1, np.int64, r"expected \(5, r\)"),
+        (0, 1, np.float64, "dtype float64"),
+    ],
+    ids=["no-columns", "past-the-budget", "a-row-short", "a-row-over", "fractional"],
+)
+def test_a_malformed_block_is_refused(extra_rows, n_columns, dtype, message):
+    def block(active, n_prev, rounds_left):
+        return np.zeros((len(active) + extra_rows, n_columns), dtype=dtype)
+
+    with pytest.raises(ValueError, match=message):
+        replay_rounds(_one_round_tables(), 5, block)
+
+
+@pytest.mark.parametrize("count", [_K + 24, -1])
+def test_counts_outside_a_round_are_refused_even_by_lite(count):
+    """Lite has no concentration test to trip over ``m > n``; the driver refuses it."""
+    tables = _one_round_tables("lite")
+    assert tables.concentration is None
+    with pytest.raises(ValueError, match=f"holds {count} agreements"):
+        run_rounds(tables, 5, lambda active, n_prev, n_now: np.full(len(active), count))
 
 
 @pytest.mark.parametrize("measure", ["cosine", "jaccard"])

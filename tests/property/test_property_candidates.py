@@ -2,10 +2,14 @@
 
 For random small binary/weighted collections, the exact candidate generators
 (AllPairs, PPJoin+) must never miss a pair above the threshold, and the
-candidate-set container must always canonicalise pairs.
+candidate-set container must always canonicalise pairs — whether it
+recognises its input as already canonical or canonicalises it itself.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.candidates.allpairs import AllPairsGenerator
@@ -49,6 +53,82 @@ class TestCandidateSetProperties:
             seen.add((i, j))
         expected = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
         assert seen == expected
+
+
+def _pair_arrays(pairs, shape: str) -> tuple[np.ndarray, np.ndarray]:
+    """``pairs`` laid out as one of the input shapes ``from_arrays`` meets."""
+    canonical = sorted({(min(i, j), max(i, j)) for i, j in pairs if i != j})
+    if shape == "canonical":
+        laid_out = canonical
+    elif shape == "reversed":
+        laid_out = [(j, i) for i, j in canonical]
+    elif shape == "duplicated":
+        laid_out = sorted(canonical + canonical[::2])
+    elif shape == "self-pair":
+        laid_out = sorted(canonical + [(i, i) for i, _ in canonical[:3]] + [(0, 0)])
+    elif shape == "empty":
+        laid_out = []
+    else:  # unsorted: the raw draw, in any order and orientation
+        laid_out = list(pairs)
+    left = np.array([i for i, _ in laid_out], dtype=np.int64)
+    right = np.array([j for _, j in laid_out], dtype=np.int64)
+    return left, right
+
+
+_INDEX = st.integers(min_value=0, max_value=40)
+
+
+class TestFromArraysFastPath:
+    """Input already canonical is kept as it is; every other input is canonicalised."""
+
+    @_SETTINGS
+    @given(
+        st.lists(st.tuples(_INDEX, _INDEX), max_size=120),
+        st.sampled_from(["canonical", "reversed", "duplicated", "self-pair", "empty", "unsorted"]),
+    )
+    def test_fast_path_equals_the_canonicalising_path(self, pairs, shape):
+        left, right = _pair_arrays(pairs, shape)
+        fast = CandidateSet.from_arrays(left, right, generator="g", n=3)
+        with mock.patch("repro.candidates.base._is_canonical", return_value=False):
+            slow = CandidateSet.from_arrays(left, right, generator="g", n=3)
+        for name in ("left", "right"):
+            np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name))
+            assert getattr(fast, name).dtype == getattr(slow, name).dtype == np.int64
+        assert fast.metadata == slow.metadata == {"generator": "g", "n": 3}
+        laid_out = zip(left.tolist(), right.tolist())
+        assert fast.as_set() == CandidateSet.from_pairs(laid_out).as_set()
+        # the fast path keeps the caller's arrays; a canonicalised set is new
+        already = len(left) > 0 and np.array_equal(slow.left, left) and np.array_equal(
+            slow.right, right
+        )
+        assert np.shares_memory(fast.left, left) == already
+        assert np.shares_memory(fast.right, right) == already
+
+    @pytest.mark.parametrize(
+        "right, kept", [([2**31 - 2], True), ([2**31 - 1], False), ([2**31 - 1, 2**31], False)]
+    )
+    def test_keys_too_wide_for_int64_keep_the_pairwise_path(self, right, kept):
+        right = np.array(right, dtype=np.int64)
+        left = np.arange(len(right), dtype=np.int64)
+        candidate_set = CandidateSet.from_arrays(left, right)
+        np.testing.assert_array_equal(candidate_set.left, left)
+        np.testing.assert_array_equal(candidate_set.right, right)
+        assert np.shares_memory(candidate_set.right, right) == kept
+
+    @_SETTINGS
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([0.3, 0.5, 0.7]),
+        st.sampled_from([1, 7, 64]),
+    )
+    def test_allpairs_blocks_are_canonical(self, seed, threshold, block_size):
+        collection = _random_weighted(seed, n_rows=30, n_features=12)
+        generator = AllPairsGenerator("cosine", threshold)
+        blocks = list(generator.generate_blocks(collection, block_size))
+        for left, right in blocks:
+            assert np.all(left < right)
+        emitted = {pair for left, right in blocks for pair in zip(left.tolist(), right.tolist())}
+        assert emitted == generator.generate(collection).as_set()
 
 
 class TestGeneratorCompletenessProperties:
