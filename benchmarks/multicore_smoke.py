@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Wall-clock validation of the multicore execution and serving pools.
 
-The ``n_workers > 1`` paths — :class:`repro.search.executor.StreamExecutor`
-for the offline all-pairs engine and the serving pool behind
+The ``n_workers > 1`` paths — :meth:`repro.search.engine.SearchEngine.run`
+with an :class:`repro.search.executor.ExactPool` (forked on the verifier's
+first exact request) for the offline all-pairs engine and the serving pool behind
 ``QueryIndex.query_many``/``top_k_many`` — are bit-identity tested on every
 run (``tests/property/test_execution_invariance`` and
 ``tests/property/test_query_serving``), but bit-identity says nothing about

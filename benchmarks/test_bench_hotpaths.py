@@ -452,7 +452,7 @@ def test_bench_serve_one_row_query(benchmark, serve_index_and_queries):
     def run():
         return sum(len(index.query(row)) for row in queries)
 
-    assert benchmark.pedantic(run, rounds=3, iterations=1) > 0
+    assert benchmark.pedantic(run, rounds=10, iterations=1) > 0
 
 
 def test_bench_serve_one_row_top_k_estimate(benchmark, serve_index_and_queries):
@@ -462,4 +462,4 @@ def test_bench_serve_one_row_top_k_estimate(benchmark, serve_index_and_queries):
     def run():
         return sum(len(index.top_k(row, k=10, rank_by="estimate")) for row in queries)
 
-    assert benchmark.pedantic(run, rounds=3, iterations=1) > 0
+    assert benchmark.pedantic(run, rounds=10, iterations=1) > 0

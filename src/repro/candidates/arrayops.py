@@ -107,9 +107,15 @@ def ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     total = int(lengths.sum())
     if total == 0:
         return np.zeros(0, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    positions = np.arange(total, dtype=np.int64)
-    return np.repeat(starts, lengths) + (positions - np.repeat(offsets, lengths))
+    # One running sum of per-slot steps: 1 inside a segment, and at each
+    # non-empty segment's first slot the jump from the previous segment's
+    # last value (the first segment's jump is from 0).
+    non_empty = lengths > 0
+    starts, lengths = starts[non_empty], lengths[non_empty]
+    lasts = starts + lengths - 1
+    steps = np.ones(total, dtype=np.int64)
+    steps[np.cumsum(lengths) - lengths] = starts - np.concatenate(([0], lasts[:-1]))
+    return np.cumsum(steps, out=steps)
 
 
 def pairs_within_groups(

@@ -24,11 +24,10 @@ class BlockStream:
 
     Iterating yields ``(left, right)`` parallel index-array blocks.  Blocks
     are *raw*: pairs may repeat across blocks (LSH emits one copy per band
-    collision) and are not canonicalised; consumers deduplicate incrementally
-    (see :class:`repro.search.executor.StreamExecutor`) or via
-    :meth:`CandidateSet.from_arrays`.  ``metadata`` is filled in by the
-    producing generator as the stream is consumed and is only complete once
-    iteration has finished.
+    collision) and are not canonicalised; :meth:`CandidateSet.from_stream`
+    deduplicates them into the candidate set.  ``metadata`` is filled in by
+    the producing generator as the stream is consumed and is only complete
+    once iteration has finished.
     """
 
     def __init__(self, blocks: Iterator[tuple[np.ndarray, np.ndarray]], metadata: dict):
@@ -78,24 +77,37 @@ class CandidateSet:
         return cls(left=left, right=right, metadata=dict(metadata))
 
     @classmethod
-    def from_stream(cls, stream: "BlockStream") -> "CandidateSet":
+    def from_stream(cls, stream: "BlockStream", block_size: int | None = None) -> "CandidateSet":
         """Collect a fully-consumed :class:`BlockStream` into a candidate set.
 
-        Concatenates every raw block (a lone block is passed on as it is)
-        and canonicalises/deduplicates via :meth:`from_arrays` with the
-        stream's (then complete) metadata — the shared tail of every
-        generator's monolithic :meth:`generate`.
+        Raw blocks are buffered and folded into the deduplicated set by
+        :meth:`from_arrays` (the set's own pairs plus the buffer, one sort).
+        With ``block_size=None`` the fold happens once, at the end: every
+        block is concatenated (a lone block is passed on as it is) — the
+        shared tail of every generator's monolithic :meth:`generate`.  With a
+        ``block_size`` the buffer is folded as soon as it holds
+        ``max(len(set), block_size)`` raw pairs, so the raw pairs held at any
+        time stay within that bound plus one block while the total sorting
+        cost stays amortised ``O(N log N)``; the deduplicated set is kept as
+        ``left`` / ``right`` arrays, 16 bytes per unique pair.  The result is
+        the same for every ``block_size``.  ``metadata`` is the stream's,
+        read once iteration has finished.
         """
+        folded = cls.from_arrays([], [])
         left_parts: list[np.ndarray] = []
         right_parts: list[np.ndarray] = []
+        buffered = 0
         for left, right in stream:
             left_parts.append(left)
             right_parts.append(right)
-        if len(left_parts) == 1:  # one block: nothing to join, no copy
-            return cls.from_arrays(left_parts[0], right_parts[0], **stream.metadata)
-        left = np.concatenate(left_parts) if left_parts else np.zeros(0, dtype=np.int64)
-        right = np.concatenate(right_parts) if right_parts else np.zeros(0, dtype=np.int64)
-        return cls.from_arrays(left, right, **stream.metadata)
+            buffered += len(left)
+            if block_size is not None and buffered >= max(len(folded), block_size):
+                folded = _fold(folded, left_parts, right_parts)
+                left_parts, right_parts, buffered = [], [], 0
+        if left_parts:
+            folded = _fold(folded, left_parts, right_parts)
+        folded.metadata = dict(stream.metadata)
+        return folded
 
     @classmethod
     def from_arrays(cls, left, right, **metadata) -> "CandidateSet":
@@ -141,6 +153,17 @@ class CandidateSet:
         """``(left, right)`` of the pairs at ``positions`` (an index or an index array)."""
         return self.left[positions], self.right[positions]
 
+    def blocks(self, block_size: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``(left, right)`` slices of at most ``block_size`` pairs, in order.
+
+        ``None`` yields the whole set as one block.  An empty set yields one
+        empty block, so verifying it block by block is verifying it once.
+        """
+        n_pairs = max(len(self), 1)
+        step = n_pairs if block_size is None else block_size
+        for start in range(0, n_pairs, step):
+            yield self.left[start : start + step], self.right[start : start + step]
+
     def __iter__(self) -> Iterator[tuple[int, int]]:
         for i, j in zip(self.left, self.right):
             yield int(i), int(j)
@@ -151,6 +174,16 @@ class CandidateSet:
 
     def __repr__(self) -> str:
         return f"CandidateSet(n_pairs={len(self)})"
+
+
+def _fold(pairs: CandidateSet, left_parts: list, right_parts: list) -> CandidateSet:
+    """``pairs`` plus the (non-empty list of) raw blocks, deduplicated by ``from_arrays``."""
+    if len(pairs):
+        left_parts = [pairs.left, *left_parts]
+        right_parts = [pairs.right, *right_parts]
+    if len(left_parts) == 1:  # one block: nothing to join, no copy
+        return CandidateSet.from_arrays(left_parts[0], right_parts[0])
+    return CandidateSet.from_arrays(np.concatenate(left_parts), np.concatenate(right_parts))
 
 
 def _is_canonical(left: np.ndarray, right: np.ndarray) -> bool:
@@ -201,30 +234,15 @@ class CandidateGenerator(ABC):
         return self._threshold
 
     @abstractmethod
-    def generate(self, collection: VectorCollection) -> CandidateSet:
-        """Produce candidate pairs for the given collection."""
+    def generate(self, collection: VectorCollection, block_size: int | None = None) -> CandidateSet:
+        """Produce candidate pairs for the given collection.
 
-    def generate_blocks(self, collection: VectorCollection, block_size: int) -> BlockStream:
-        """Stream candidate pairs in bounded-size raw blocks.
-
-        The union of the yielded blocks (canonicalised and deduplicated)
-        equals :meth:`generate`'s pair set, and the stream's final metadata
-        equals the generated candidate set's metadata.  Generators with a
-        naturally streaming structure (LSH bands, inverted-index probe
-        batches) override this so no monolithic pair array is ever
-        materialised; the base implementation falls back to chunking a full
-        :meth:`generate` run.
+        With a ``block_size``, the generators that stream (LSH, AllPairs,
+        PPJoin+: ``generate_blocks(collection, block_size)``, a raw
+        :class:`BlockStream`) generate and deduplicate in blocks of about that
+        many raw pairs; the candidate set and its metadata are the same for
+        every ``block_size``.
         """
-        if block_size <= 0:
-            raise ValueError(f"block_size must be positive, got {block_size}")
-        candidates = self.generate(collection)
-
-        def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-            for start in range(0, len(candidates), block_size):
-                end = start + block_size
-                yield candidates.left[start:end], candidates.right[start:end]
-
-        return BlockStream(blocks(), dict(candidates.metadata))
 
     def __repr__(self) -> str:
         return (

@@ -31,8 +31,12 @@ class BruteForceGenerator(CandidateGenerator):
         super().__init__(measure, threshold)
         self._require_shared_feature = bool(require_shared_feature)
 
-    def generate(self, collection: VectorCollection) -> CandidateSet:
-        """Every pair (optionally restricted to pairs sharing a feature)."""
+    def generate(self, collection: VectorCollection, block_size: int | None = None) -> CandidateSet:
+        """Every pair (optionally restricted to pairs sharing a feature).
+
+        Built in one pass whatever the ``block_size``; the pairs are distinct
+        by construction, so there is nothing to deduplicate in blocks.
+        """
         n = collection.n_vectors
         if n < 2:
             return CandidateSet.from_pairs([], generator=self.name)

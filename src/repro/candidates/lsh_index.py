@@ -241,7 +241,7 @@ class BandPostings:
         hash functions as the member store).  Returns parallel
         ``(query position, member row)`` arrays — the union of all band hits,
         deduplicated and sorted lexicographically by ``(position, row)`` via
-        the same integer-key encoding the streamed executor uses.
+        the integer-key encoding ``CandidateSet.from_arrays`` uses.
 
         ``n_vectors`` is only a *lower bound* on the encoding span: the span
         actually used is raised to cover the largest member row observed, so
@@ -401,13 +401,14 @@ class LSHGenerator(CandidateGenerator):
 
         return BlockStream(blocks(), metadata)
 
-    def generate(self, collection: VectorCollection) -> CandidateSet:
-        """All banded-LSH collision pairs at once.
+    def generate(self, collection: VectorCollection, block_size: int | None = None) -> CandidateSet:
+        """All banded-LSH collision pairs (one unbounded block per band by default).
 
         Deterministic in ``(collection, seed)``: hash functions are pure
         functions of ``(seed, hash index)``, so repeated calls — or a
         streamed call with any block size — produce identical candidates.
         """
-        return CandidateSet.from_stream(
-            self.generate_blocks(collection, block_size=UNBOUNDED_BLOCK)
+        stream = self.generate_blocks(
+            collection, UNBOUNDED_BLOCK if block_size is None else block_size
         )
+        return CandidateSet.from_stream(stream, block_size)

@@ -112,15 +112,17 @@ class PPJoinGenerator(CandidateGenerator):
         hit_budget = int(min(_HIT_BATCH, max(block_size, 4096)))
         return self._stream(collection, hit_budget, block_size)
 
-    def generate(self, collection: VectorCollection) -> CandidateSet:
-        """All candidate pairs at once (the streamed path with one unbounded block).
+    def generate(self, collection: VectorCollection, block_size: int | None = None) -> CandidateSet:
+        """All candidate pairs (the streamed path with one unbounded block by default).
 
         Deterministic in the collection alone — no randomness is involved,
         and the accept-skip accounting makes the counters exact.
         """
-        return CandidateSet.from_stream(
-            self._stream(collection, _HIT_BATCH, UNBOUNDED_BLOCK)
-        )
+        if block_size is None:
+            stream = self._stream(collection, _HIT_BATCH, UNBOUNDED_BLOCK)
+        else:
+            stream = self.generate_blocks(collection, block_size)
+        return CandidateSet.from_stream(stream, block_size)
 
     def _stream(
         self, collection: VectorCollection, hit_budget: int, block_size: int

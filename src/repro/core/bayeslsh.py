@@ -105,9 +105,12 @@ class VerificationOutput:
         by round ``r`` contributes its final not-pruned count to every later
         round, which reconstructs exactly the trace a single monolithic
         round-synchronous run over the union of the blocks would record (every
-        prune/emit decision depends only on the pair's own ``(m, n)``).
+        prune/emit decision depends only on the pair's own ``(m, n)``).  A
+        single output is returned as it is, not copied.
         """
         outputs = list(outputs)
+        if len(outputs) == 1:
+            return outputs[0]
         if not outputs:
             return cls(
                 left=np.zeros(0, dtype=np.int64),
@@ -257,7 +260,7 @@ class BayesLSH:
         trace either way).
 
         Hash agreements are counted here, by the store's own kernel.  A
-        worker ``pool`` (the streamed executor's) only scores the exhausted
+        worker ``pool`` (the search engine's) only scores the exhausted
         pairs exactly, through its ``map_exact``; every decision is made
         here either way.
         """

@@ -140,8 +140,8 @@ def sample_pair_similarities(
 
     Used to fit the Beta prior for Jaccard BayesLSH.  ``pairs`` is an ordered
     pair sequence answering ``len()`` and ``pairs[positions] -> (left, right)``
-    for an array of positions (a :class:`~repro.candidates.base.CandidateSet`
-    or a :class:`~repro.search.executor.PairBlockSource`); only the sampled
+    for an array of positions (a :class:`~repro.candidates.base.CandidateSet`,
+    the whole set even when it is verified in blocks); only the sampled
     positions are read.  ``exact_similarities`` is a batched callable
     ``(left, right) -> float64 array`` and is called once, with the pairs in
     the order they were drawn.

@@ -9,23 +9,66 @@ the output in a :class:`~repro.search.results.SearchResult`.
 give it data, a threshold and a measure, and it picks the pipeline the
 paper's results suggest (AllPairs + BayesLSH for weighted cosine, LSH +
 BayesLSH for Jaccard) unless told otherwise.
+
+Streaming
+---------
+One code path runs every join; ``block_size`` is its only parameter, and
+``None`` means one block.
+
+* **Generation** — ``generator.generate(collection, block_size)``: a
+  generator that streams (:meth:`CandidateGenerator.generate_blocks`) yields
+  raw pair blocks of about ``block_size`` pairs, and
+  :meth:`CandidateSet.from_stream` folds them into the deduplicated set as
+  they arrive (kept as ``left`` / ``right``, 16 bytes per unique pair), so
+  the raw pairs held at once are bounded by the deduplicated set plus one
+  block instead of the raw collision count (for LSH the raw count is often
+  many times the unique count).
+* **Verification** — ``verifier.verify(candidates, block_size, pool)`` walks
+  :meth:`CandidateSet.blocks`, so the per-pair verification state is bounded
+  by the block size; per-block outputs are combined with
+  :meth:`~repro.core.bayeslsh.VerificationOutput.merge`.  With
+  ``n_workers > 1`` a :class:`~repro.search.executor.ExactPool` scores pairs
+  exactly in forked workers; hashes are counted, and every decision is made,
+  in the parent.
+
+Determinism contract
+--------------------
+For every pipeline, every ``block_size`` and every ``n_workers``:
+
+* the output pair set, its order, and every estimate are bit-identical to the
+  one-block serial run (workers run the same NumPy/scipy kernels on the same
+  inputs);
+* ``n_candidates`` / ``n_pruned`` / ``hash_comparisons`` /
+  ``exact_computations`` and the per-round trace are identical (the parent
+  keeps them; blocks merge round by round);
+* hash families are extended by the parent only, in the same order as the
+  serial path, so a given ``(seed, hash index)`` yields the same hash
+  function everywhere
+
+(enforced by ``tests/property/test_execution_invariance.py`` and, for the
+serving pools, ``tests/property/test_query_serving.py``).
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.candidates.base import CandidateGenerator
 from repro.datasets.base import Dataset
+from repro.search.executor import ExactPool
 from repro.search.results import SearchResult
 from repro.similarity.measures import get_measure
 from repro.similarity.vectors import VectorCollection
 from repro.verification.base import Verifier
 
-__all__ = ["SearchEngine", "all_pairs_similarity", "as_collection"]
+__all__ = ["DEFAULT_BLOCK_SIZE", "SearchEngine", "all_pairs_similarity", "as_collection"]
+
+#: candidate pairs per block when ``n_workers > 1`` is asked for without a ``block_size``
+DEFAULT_BLOCK_SIZE = 65536
 
 
 def as_collection(data, n_features: int | None = None) -> VectorCollection:
@@ -157,48 +200,83 @@ class SearchEngine:
         data:
             Anything :func:`as_collection` accepts.
         block_size:
-            When set, candidates are generated, deduplicated and verified in
-            bounded-memory blocks of at most this many pairs (see
-            :class:`~repro.search.executor.StreamExecutor`) instead of one
-            monolithic array.  Results are bit-identical either way.
+            Candidate pairs per block: generation deduplicates and
+            verification runs in blocks of about this many pairs (see the
+            module's *Streaming* notes), bounding the peak pair-array and
+            verification-state memory.  ``None`` is one block.  Results are
+            bit-identical for every value.
         n_workers:
-            When greater than 1, verification's hash counting and exact
-            scoring are sharded across this many forked worker processes
-            (implies streamed execution, with ``block_size`` defaulting to
-            :data:`~repro.search.executor.DEFAULT_BLOCK_SIZE`).  Results are
-            bit-identical to the serial path — including after worker loss,
-            which recomputes the lost shards serially in the parent.
+            When greater than 1, exact scoring is sharded across this many
+            forked worker processes, forked on the first exact request
+            (``block_size`` then defaults to :data:`DEFAULT_BLOCK_SIZE`).
+            Results are bit-identical to the serial run — including after
+            worker loss, which recomputes the lost shards serially in the
+            parent.
         round_timeout:
             Seconds a silent-but-alive worker may stall a gather before the
             supervisor declares it hung and falls back serially (``None``
             waits forever; dead workers are always detected promptly).  Only
             meaningful with ``n_workers > 1``.
+
+        A run with a ``block_size`` or ``n_workers > 1`` records them under
+        ``metadata["execution"]``.
         """
         collection = as_collection(data)
         self._check_collection(collection)
-        if n_workers is not None and int(n_workers) < 1:
+        n_workers = 1 if n_workers is None else int(n_workers)
+        if n_workers < 1:
             raise ValueError(f"n_workers must be at least 1, got {n_workers}")
-        if block_size is not None or (n_workers is not None and int(n_workers) > 1):
-            return self._run_streamed(collection, block_size, n_workers, round_timeout)
+        if block_size is None and n_workers > 1:
+            block_size = DEFAULT_BLOCK_SIZE
+        if block_size is not None:
+            block_size = int(block_size)
+            if block_size <= 0:
+                raise ValueError(f"block_size must be positive, got {block_size}")
         start_total = time.perf_counter()
 
-        start = time.perf_counter()
-        candidates = self._generator.generate(collection)
-        generation_time = time.perf_counter() - start
+        candidates = self._generator.generate(collection, block_size)
+        generation_time = time.perf_counter() - start_total
 
         start = time.perf_counter()
-        output = self._verifier.verify(candidates)
+        workers = (
+            ExactPool(n_workers, self._verifier.exact_similarities, round_timeout)
+            if n_workers > 1
+            else nullcontext()
+        )
+        with workers as pool:
+            output = self._verifier.verify(candidates, block_size, pool)
         verification_time = time.perf_counter() - start
 
-        total_time = time.perf_counter() - start_total
-        return self._result(
-            output,
-            dict(candidates.metadata),
-            {
-                "generation": generation_time,
-                "verification": verification_time,
-                "total": total_time,
-            },
+        timings = {
+            "generation": generation_time,
+            "verification": verification_time,
+            "total": time.perf_counter() - start_total,
+        }
+        metadata = {
+            "candidate_metadata": dict(candidates.metadata),
+            "hash_comparisons": output.hash_comparisons,
+            "exact_computations": output.exact_computations,
+            "n_exact": int(np.count_nonzero(output.exact_mask)),
+            "n_unconcentrated": output.n_unconcentrated,
+            "prune_trace": list(output.trace),
+        }
+        if block_size is not None:
+            metadata["execution"] = {
+                "mode": "streamed", "block_size": block_size, "n_workers": n_workers
+            }
+        return SearchResult(
+            left=output.left,
+            right=output.right,
+            similarities=output.estimates,
+            method=self._name,
+            threshold=self._verifier.threshold,
+            measure=self._verifier.measure.name,
+            n_candidates=output.n_candidates,
+            n_pruned=output.n_pruned,
+            timings=timings,
+            exact_similarities=self._verifier.exact_output,
+            metadata=metadata,
+            exact_mask=output.exact_mask,
         )
 
     def _check_collection(self, collection: VectorCollection) -> None:
@@ -223,58 +301,6 @@ class SearchEngine:
                 f"cannot run on a different one (got {theirs.matrix.shape}); "
                 "build the pipeline over the data it will run on"
             )
-
-    def _result(self, output, candidate_metadata: dict, timings: dict, **metadata) -> SearchResult:
-        """Package a verification output (either execution path) as a result."""
-        return SearchResult(
-            left=output.left,
-            right=output.right,
-            similarities=output.estimates,
-            method=self._name,
-            threshold=self._verifier.threshold,
-            measure=self._verifier.measure.name,
-            n_candidates=output.n_candidates,
-            n_pruned=output.n_pruned,
-            timings=timings,
-            exact_similarities=self._verifier.exact_output,
-            metadata={
-                "candidate_metadata": candidate_metadata,
-                "hash_comparisons": output.hash_comparisons,
-                "exact_computations": output.exact_computations,
-                "n_exact": int(np.count_nonzero(output.exact_mask)),
-                "n_unconcentrated": output.n_unconcentrated,
-                "prune_trace": list(output.trace),
-                **metadata,
-            },
-            exact_mask=output.exact_mask,
-        )
-
-    def _run_streamed(
-        self,
-        collection,
-        block_size: int | None,
-        n_workers: int | None,
-        round_timeout: float | None = None,
-    ) -> SearchResult:
-        """Streamed/sharded execution path (bit-identical to the serial one)."""
-        from repro.search.executor import StreamExecutor
-
-        executor = StreamExecutor(
-            block_size=block_size, n_workers=n_workers, round_timeout=round_timeout
-        )
-        candidate_metadata, output, timings = executor.run(
-            self._generator, self._verifier, collection
-        )
-        return self._result(
-            output,
-            candidate_metadata,
-            timings,
-            execution={
-                "mode": "streamed",
-                "block_size": executor.block_size,
-                "n_workers": executor.n_workers,
-            },
-        )
 
     def __repr__(self) -> str:
         return f"SearchEngine(name={self._name!r})"
@@ -309,7 +335,7 @@ def all_pairs_similarity(
     seed:
         Seed for all randomised components.
     block_size, n_workers, round_timeout:
-        Streamed/sharded execution knobs, forwarded to :meth:`SearchEngine.run`
+        Block size and worker knobs, forwarded to :meth:`SearchEngine.run`
         (results are bit-identical to the defaults, including after worker
         loss and serial fallback).
     pipeline_kwargs:

@@ -1,7 +1,7 @@
-"""Sharded, block-streamed execution of the candidate/verify pipeline.
+"""Worker pools: the candidate/verify pipeline's exact scoring and serving on more cores.
 
 Everything here exists to run the *same* computation as the serial paths on
-more cores or in less memory.  Three ideas carry the module:
+more cores.  Three ideas carry the module:
 
 **Workers probe and score, the parent counts and decides.**  BayesLSH prunes
 because comparing hashes costs far less than scoring a pair exactly, and
@@ -17,10 +17,11 @@ pools) scores a shard of pairs exactly, ``"probe"`` (serving) probes the band
 postings for a slice of query rows.  No signature column leaves the parent.
 
 **One pool mechanism.**  :class:`_WorkerPool` is the process/queue plumbing
-with worker supervision.  The offline engine (:class:`StreamExecutor`, used
-by :meth:`SearchEngine.run` when ``block_size``/``n_workers`` is set) forks
-it on the verifier; the serving layer wraps it in :class:`ServingPool`,
-which ``QueryIndex.start_pool`` keeps attached across calls and
+with worker supervision.  The offline engine (:meth:`SearchEngine.run` with
+``n_workers > 1``) wraps it in :class:`ExactPool`, which forks on the
+verifier's first exact request, so a verifier that never scores exactly
+forks nothing; the serving layer wraps it in :class:`ServingPool`, which
+``QueryIndex.start_pool`` keeps attached across calls and
 ``query_many(..., n_workers=k)`` opens and closes around a single call.  The
 parent extends the hash families, so the RNG stream consumption is identical
 to the serial path.
@@ -38,41 +39,9 @@ single- or multi-worker loss are bit-identical to the all-serial run
 (enforced by ``tests/faults/``).  :class:`WorkerFailure` (naming the workers
 and the task tag) is what the supervisor raises to ``map_shards``, and each
 retirement is logged with the same two.  Shutdown is unconditional: every
-call site tears its pool down under ``try``/``finally`` and
+call site tears its pool down under ``try``/``finally`` (or ``with``) and
 :meth:`~_WorkerPool.shutdown` force-kills stragglers, so no exception path
 leaves a worker behind.
-
-Streaming
----------
-The serial :meth:`SearchEngine.run` path materialises every candidate pair
-in one array and verifies it on one core.  The streamed engine instead has:
-
-* **Streamed generation** — candidate generators yield raw pair blocks
-  (:meth:`CandidateGenerator.generate_blocks`); the executor canonicalises
-  and deduplicates them *incrementally* against a compact sorted key set
-  (8 bytes per unique pair), so the peak pair-array footprint is bounded by
-  the block size plus the deduplicated key set instead of the raw collision
-  count (for LSH the raw count is often many times the unique count).
-* **Blocked verification** — the deduplicated pairs are verified in
-  ``block_size`` slices (:class:`PairBlockSource`), so the per-pair
-  verification state is bounded by the block size.  Per-block outputs are
-  combined with :meth:`~repro.core.bayeslsh.VerificationOutput.merge`.
-
-Determinism contract
---------------------
-For every pipeline, every ``block_size`` and every ``n_workers``:
-
-* the output pair set, its order, and every estimate are bit-identical to the
-  serial path (workers run the same NumPy/scipy kernels on the same inputs);
-* ``n_candidates`` / ``n_pruned`` / ``hash_comparisons`` /
-  ``exact_computations`` and the per-round trace are identical (the parent
-  keeps them; blocks merge round by round);
-* hash families are extended by the parent only, in the same order as the
-  serial path, so a given ``(seed, hash index)`` yields the same hash
-  function everywhere
-
-(enforced by ``tests/property/test_execution_invariance.py`` and
-``tests/property/test_query_serving.py``).
 """
 
 from __future__ import annotations
@@ -85,29 +54,23 @@ import time
 import traceback
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
 
 import numpy as np
 
-from repro.candidates.arrayops import sorted_unique
 from repro.core.rounds import RoundTables, replay_rounds
 from repro.hashing.signatures import store_from_parts, store_parts
 from repro.testing import faults as _faults
 
 __all__ = [
-    "DEFAULT_BLOCK_SIZE",
-    "PairBlockSource",
+    "ExactPool",
     "PoolDegradedWarning",
     "ServingPool",
     "ServingTask",
-    "StreamExecutor",
     "WorkerFailure",
 ]
 
 _LOGGER = logging.getLogger("repro.search.executor")
-
-#: default number of candidate pairs per verification block
-DEFAULT_BLOCK_SIZE = 65536
 
 #: most signature bytes one replayed block of serving rounds gathers per side
 _BLOCK_BYTES = 1 << 15
@@ -118,95 +81,6 @@ MAX_WORKER_FAILURES = 3
 RESPAWN_BACKOFF = 0.1
 #: upper bound on the respawn backoff, in seconds
 RESPAWN_BACKOFF_CAP = 5.0
-
-
-# --------------------------------------------------------------------- #
-# incremental pair deduplication
-# --------------------------------------------------------------------- #
-class _PairKeyAccumulator:
-    """Incrementally deduplicated candidate pairs as sorted ``int64`` keys.
-
-    A pair ``(i, j)`` with ``i < j`` is encoded as ``i * n_vectors + j``;
-    keys sort in the same lexicographic ``(i, j)`` order that
-    :meth:`CandidateSet.from_arrays` produces, so decoding the final key
-    array yields exactly the serial candidate arrays.  Incoming blocks are
-    buffered and merged amortised (when the pending volume reaches the
-    consolidated size), keeping the total cost at ``O(N log N)`` over any
-    number of blocks.
-    """
-
-    def __init__(self, n_vectors: int):
-        if n_vectors >= 1 << 31:
-            raise NotImplementedError(
-                "streamed deduplication supports up to 2**31 - 1 vectors "
-                "(pair keys must fit in int64); use the monolithic path"
-            )
-        self._span = int(n_vectors)
-        self._sorted = np.zeros(0, dtype=np.int64)
-        self._pending: list[np.ndarray] = []
-        self._pending_total = 0
-
-    def add(self, left: np.ndarray, right: np.ndarray) -> None:
-        left = np.asarray(left, dtype=np.int64)
-        right = np.asarray(right, dtype=np.int64)
-        keep = left != right
-        low = np.minimum(left[keep], right[keep])
-        high = np.maximum(left[keep], right[keep])
-        if not len(low):
-            return
-        self._pending.append(sorted_unique(low * self._span + high))
-        self._pending_total += len(self._pending[-1])
-        if self._pending_total >= max(len(self._sorted), 1 << 16):
-            self._consolidate()
-
-    def _consolidate(self) -> None:
-        if not self._pending:
-            return
-        self._sorted = sorted_unique(np.concatenate([self._sorted, *self._pending]))
-        self._pending = []
-        self._pending_total = 0
-
-    def finalize(self) -> np.ndarray:
-        self._consolidate()
-        return self._sorted
-
-
-class PairBlockSource:
-    """Deduplicated candidate pairs, readable in contiguous sorted blocks.
-
-    Also acts as a lazy pair sequence (``len`` / indexing by position or by
-    an array of positions), which is what the Jaccard prior fitting samples
-    from — the sampled positions and hence the fitted prior are identical to
-    the serial path's, which samples from the same pairs in the same sorted
-    order.
-    """
-
-    def __init__(self, keys: np.ndarray, n_vectors: int, block_size: int):
-        self._keys = keys
-        self._span = int(n_vectors)
-        self._block_size = int(block_size)
-
-    @property
-    def block_size(self) -> int:
-        """Pairs per verification slice (the executor's memory bound)."""
-        return self._block_size
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __getitem__(self, positions) -> tuple[np.ndarray, np.ndarray]:
-        keys = self._keys[positions]
-        return keys // self._span, keys % self._span
-
-    def all_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The full (sorted, deduplicated) pair arrays."""
-        return self._keys // self._span, self._keys % self._span
-
-    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(left, right)`` slices of at most ``block_size`` pairs."""
-        for start in range(0, len(self._keys), self._block_size):
-            chunk = self._keys[start : start + self._block_size]
-            yield chunk // self._span, chunk % self._span
 
 
 # --------------------------------------------------------------------- #
@@ -564,6 +438,37 @@ class _WorkerPool:
                 queue.close()
             except Exception:
                 pass
+
+
+class ExactPool:
+    """The offline engine's workers, forked by the first exact request.
+
+    :meth:`SearchEngine.run` hands this to ``Verifier.verify`` when
+    ``n_workers > 1``.  Workers answer only ``"exact"`` (``scorer``, the
+    verifier's own ``exact_similarities``, inherited through the fork); a
+    verifier that never scores a pair exactly (LSH Approx, Algorithm 1)
+    therefore forks no process at all.  Used as a context manager: leaving
+    it shuts down whatever was forked.
+    """
+
+    def __init__(self, n_workers: int, scorer, round_timeout: float | None = None):
+        self._start = partial(_WorkerPool, n_workers, {"exact": scorer}, round_timeout)
+        self._pool: _WorkerPool | None = None
+
+    def map_exact(self, left: np.ndarray, right: np.ndarray, fallback) -> np.ndarray:
+        """Sharded exact similarities; forks the workers on the first non-empty request."""
+        if not len(left):
+            return fallback(left, right)
+        if self._pool is None:
+            self._pool = self._start()
+        return self._pool.map_exact(left, right, fallback)
+
+    def __enter__(self) -> "ExactPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
 
 
 # --------------------------------------------------------------------- #
@@ -951,76 +856,3 @@ class ServingPool:
     def rounds_ended(self) -> None:
         """Mark the point between a batch's BayesLSH rounds and its terminal rule."""
         _faults.fire("serving_estimates", pool=self._pool)
-
-
-# --------------------------------------------------------------------- #
-# the executor
-# --------------------------------------------------------------------- #
-class StreamExecutor:
-    """Streamed (and optionally multicore) pipeline execution.
-
-    Parameters
-    ----------
-    block_size:
-        Candidate pairs per verification block (and per generation block);
-        bounds the peak candidate-array and verification-state memory.
-        ``None`` selects :data:`DEFAULT_BLOCK_SIZE`.
-    n_workers:
-        Worker processes for the verification phase.  ``1`` (default) runs
-        the blocked pipeline in-process; ``> 1`` forks a pool and shards each
-        exact-scoring request's pairs across it (hash agreements are counted
-        in the parent).
-    round_timeout:
-        Seconds a live worker may stay silent within one gather before the
-        supervisor declares it hung, SIGKILLs it, and recomputes its shard
-        serially (see :class:`_WorkerPool`).  ``None`` (default) waits
-        forever on live workers; dead workers are always detected promptly.
-    """
-
-    def __init__(
-        self,
-        block_size: int | None = None,
-        n_workers: int | None = None,
-        round_timeout: float | None = None,
-    ):
-        self.block_size = DEFAULT_BLOCK_SIZE if block_size is None else int(block_size)
-        if self.block_size <= 0:
-            raise ValueError(f"block_size must be positive, got {self.block_size}")
-        self.n_workers = 1 if n_workers is None else int(n_workers)
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be at least 1, got {self.n_workers}")
-        self.round_timeout = None if round_timeout is None else float(round_timeout)
-
-    def run(self, generator, verifier, collection):
-        """Stream-generate, deduplicate and verify; returns
-        ``(candidate_metadata, output, timings)``."""
-        start_total = time.perf_counter()
-        stream = generator.generate_blocks(collection, self.block_size)
-        accumulator = _PairKeyAccumulator(collection.n_vectors)
-        for left, right in stream:
-            accumulator.add(left, right)
-        source = PairBlockSource(
-            accumulator.finalize(), collection.n_vectors, self.block_size
-        )
-        generation_time = time.perf_counter() - start_total
-
-        start = time.perf_counter()
-        pool = None
-        if self.n_workers > 1 and len(source):
-            pool = _WorkerPool(
-                self.n_workers,
-                {"exact": verifier.exact_similarities},
-                round_timeout=self.round_timeout,
-            )
-        try:
-            output = verifier.verify_source(source, pool=pool)
-        finally:
-            if pool is not None:
-                pool.shutdown()
-        verification_time = time.perf_counter() - start
-        timings = {
-            "generation": generation_time,
-            "verification": verification_time,
-            "total": time.perf_counter() - start_total,
-        }
-        return dict(stream.metadata), output, timings

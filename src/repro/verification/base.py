@@ -143,20 +143,18 @@ class Verifier(ABC):
         return exact_similarities_for_pairs(self._prepared, self._measure, left, right)
 
     @abstractmethod
-    def verify(self, candidates: CandidateSet) -> VerificationOutput:
-        """Verify a candidate set."""
+    def verify(
+        self, candidates: CandidateSet, block_size: int | None = None, pool=None
+    ) -> VerificationOutput:
+        """Verify a candidate set, ``block_size`` pairs at a time.
 
-    def verify_source(self, source, pool=None) -> VerificationOutput:
-        """Verify a deduplicated :class:`~repro.search.executor.PairBlockSource`.
-
-        Called by the streamed executor.  Subclasses shipped with the library
-        override this with true block-by-block (and optionally multicore)
-        processing whose outputs are bit-identical to :meth:`verify` on the
-        concatenated pairs; this fallback simply materialises the pairs so
-        third-party verifiers keep working under the streamed engine.
+        ``None`` verifies every pair in one block.  A block bounds the
+        per-pair verification state; each pair's decision depends only on
+        the pair, so the merged output is bit-identical for every
+        ``block_size``.  A worker ``pool`` (see
+        :class:`~repro.search.executor.ExactPool`), when given, scores pairs
+        exactly through its ``map_exact``; everything else runs here.
         """
-        left, right = source.all_pairs()
-        return self.verify(CandidateSet(left=left, right=right, metadata={}))
 
     def __repr__(self) -> str:
         return (

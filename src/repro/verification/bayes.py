@@ -72,14 +72,12 @@ class _BayesVerifierBase(Verifier):
         """The core algorithm instance used by the most recent verify() call."""
         return self._last_algorithm
 
-    def _posterior_for(self, pairs) -> PosteriorModel:
+    def _posterior_for(self, pairs: CandidateSet) -> PosteriorModel:
         """Posterior model, fitting the Jaccard Beta prior to the candidates if asked.
 
-        ``pairs`` is a :class:`~repro.candidates.base.CandidateSet` or a lazy
-        :class:`~repro.search.executor.PairBlockSource`; the prior sampling
-        only reads ``len(pairs)`` and a seeded random subset of positions, so
-        the fitted prior is identical for any representation of the same
-        ordered pair sequence.
+        The prior sampling only reads ``len(pairs)`` and a seeded random
+        subset of positions of the whole candidate set, so the fitted prior
+        does not depend on the block size the pairs are verified in.
         """
         if self._measure.name != "jaccard" or not self._fit_prior or len(pairs) == 0:
             return make_posterior(self._measure.name)
@@ -91,37 +89,26 @@ class _BayesVerifierBase(Verifier):
         )
         return BetaPosterior(fit_beta_prior(samples))
 
-    def _algorithm_for(self, pairs) -> BayesLSH:
+    def _algorithm_for(self, candidates: CandidateSet) -> BayesLSH:
         # The scorer is ``exact_similarities`` minus the reference to ``self``:
         # the algorithm is kept as ``last_algorithm``, and a bound method in it
         # would make every engine (stores, projections, prepared views) cyclic
         # garbage that only a full collection frees.
         scorer = partial(exact_similarities_for_pairs, self._prepared, self._measure)
         self._last_algorithm = BayesLSH(
-            self._family, self._posterior_for(pairs), self._params, scorer
+            self._family, self._posterior_for(candidates), self._params, scorer
         )
         return self._last_algorithm
 
     # Each public class spells out its own ``verify`` over this: instrumentation
     # that wraps entry points per class (``benchmarks/e2e/trace.py``) must see
     # one span per call, not a subclass's nested in its parent's.
-    def _verify(self, candidates: CandidateSet) -> VerificationOutput:
-        return self._algorithm_for(candidates).verify(candidates.left, candidates.right)
-
-    def verify_source(self, source, pool=None) -> VerificationOutput:
-        """Block-streamed (and optionally pooled) verify.
-
-        The prior is fitted once against the full deduplicated pair sequence
-        (identical sampling to the serial path), then each block is verified
-        with the shared decision tables; every prune/emit decision depends
-        only on the pair's own ``(m, n)``, so the merged output is
-        bit-identical to one monolithic verify() call.  A worker ``pool``
-        only scores exactly: each block still runs through
-        ``algorithm.verify``, which counts hash agreements itself.
-        """
-        algorithm = self._algorithm_for(source)
+    def _verify(self, candidates: CandidateSet, block_size, pool) -> VerificationOutput:
+        # The posterior and the decision tables are built once, over the whole
+        # candidate set; every block is then verified with them.
+        algorithm = self._algorithm_for(candidates)
         return VerificationOutput.merge(
-            [algorithm.verify(left, right, pool) for left, right in source.blocks()]
+            [algorithm.verify(left, right, pool) for left, right in candidates.blocks(block_size)]
         )
 
 
@@ -181,20 +168,24 @@ class BayesLSHVerifier(_BayesVerifierBase):
             collection, measure, threshold, params, family, seed, fit_prior, prior_sample_size
         )
 
-    def verify(self, candidates: CandidateSet) -> VerificationOutput:
+    def verify(
+        self, candidates: CandidateSet, block_size: int | None = None, pool=None
+    ) -> VerificationOutput:
         """Run the rounds over the candidate pairs and apply the terminal rule.
 
         Deterministic in ``(candidates, family seed, params)``: every
         prune/emit decision depends only on the pair's own hash-agreement
-        counts, so the output is independent of pair batching or ordering
-        (the execution-invariance contract).  From round 2 onward the core
-        algorithm gathers multi-round super-blocks through the stores'
-        cache-aware tiled kernels at *any* active count (pair tiles sized to
-        L2 — see :meth:`~repro.hashing.signatures.SignatureStore.count_matches_rounds`);
+        counts, so the output is independent of ``block_size`` and of pair
+        ordering (the execution-invariance contract).  Hash agreements are
+        counted here; a worker ``pool`` only scores the pairs that exhaust
+        the budget.  From round 2 onward the core algorithm gathers
+        multi-round super-blocks through the stores' cache-aware tiled
+        kernels at *any* active count (pair tiles sized to L2 — see
+        :meth:`~repro.hashing.signatures.SignatureStore.count_matches_rounds`);
         tiling and super-blocking are value-preserving, so this is purely a
         throughput matter.
         """
-        return self._verify(candidates)
+        return self._verify(candidates, block_size, pool)
 
 
 class BayesLSHLiteVerifier(_BayesVerifierBase):
@@ -225,10 +216,13 @@ class BayesLSHLiteVerifier(_BayesVerifierBase):
             collection, measure, threshold, params, family, seed, fit_prior, prior_sample_size
         )
 
-    def verify(self, candidates: CandidateSet) -> VerificationOutput:
+    def verify(
+        self, candidates: CandidateSet, block_size: int | None = None, pool=None
+    ) -> VerificationOutput:
         """BayesLSH-Lite: Bayesian pruning, exact similarities for survivors.
 
         Deterministic in ``(candidates, family seed, params)`` — per-pair
-        decisions are independent of batching, as for the full verifier.
+        decisions are independent of ``block_size``, as for the full
+        verifier; a worker ``pool`` only scores the survivors.
         """
-        return self._verify(candidates)
+        return self._verify(candidates, block_size, pool)

@@ -7,6 +7,8 @@ baselines (AllPairs, plain LSH, PPJoin+) in the paper's evaluation.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.candidates.base import CandidateSet
@@ -36,28 +38,22 @@ class ExactVerifier(Verifier):
             exact_mask=np.ones(int(above.sum()), dtype=bool),
         )
 
-    def verify(self, candidates: CandidateSet) -> VerificationOutput:
+    def verify(
+        self, candidates: CandidateSet, block_size: int | None = None, pool=None
+    ) -> VerificationOutput:
         """Exact similarity for every candidate; emits pairs above the threshold.
 
-        Deterministic and batching-independent: similarities are row-local
-        computations on the prepared collection.
+        Deterministic and independent of the block and shard split:
+        similarities are row-local computations on the prepared collection,
+        and the serial fallback a ``pool`` uses for failed shards is the very
+        kernel its workers run.
         """
-        similarities = self.exact_similarities(candidates.left, candidates.right)
-        return self._verify_arrays(candidates.left, candidates.right, similarities)
-
-    def verify_source(self, source, pool=None) -> VerificationOutput:
-        """Block-streamed (and optionally sharded) exact verification.
-
-        Exact similarities are computed row-pair-wise, so any block/shard
-        split produces the same floats as the monolithic call — the serial
-        fallback the pool uses for failed shards is the very kernel the
-        workers run.
-        """
-        outputs = []
-        for left, right in source.blocks():
-            if pool is not None:
-                similarities = pool.map_exact(left, right, fallback=self.exact_similarities)
-            else:
-                similarities = self.exact_similarities(left, right)
-            outputs.append(self._verify_arrays(left, right, similarities))
-        return VerificationOutput.merge(outputs)
+        score = self.exact_similarities
+        if pool is not None:
+            score = partial(pool.map_exact, fallback=self.exact_similarities)
+        return VerificationOutput.merge(
+            [
+                self._verify_arrays(left, right, score(left, right))
+                for left, right in candidates.blocks(block_size)
+            ]
+        )

@@ -97,31 +97,21 @@ class LSHApproxVerifier(Verifier):
             exact_computations=0,
         )
 
-    def verify(self, candidates: CandidateSet) -> VerificationOutput:
+    def verify(
+        self, candidates: CandidateSet, block_size: int | None = None, pool=None
+    ) -> VerificationOutput:
         """MLE estimates from a fixed hash budget; emits pairs above the threshold.
 
         Deterministic in ``(candidates, family seed, num_hashes)`` and
-        independent of pair batching (each pair's estimate reads only its
-        own signature rows).
-        """
-        store = self._family.signatures(self._num_hashes)
-        matches = store.count_matches_rounds(
-            candidates.left, candidates.right, 0, self._num_hashes, self._num_hashes
-        )[:, 0]
-        return self._verify_arrays(candidates.left, candidates.right, matches)
-
-    def verify_source(self, source, pool=None) -> VerificationOutput:
-        """Block-streamed fixed-budget estimation.
-
-        Match counting and the MLE map are per-pair operations, so any block
-        split reproduces the monolithic floats; the parent materialises the
-        fixed hash budget once and counts every block itself (a worker
-        ``pool`` only scores pairs exactly, which this verifier never does).
+        independent of the block split (each pair's estimate reads only its
+        own signature rows).  The fixed budget is materialised once and
+        counted here block by block; nothing is scored exactly, so a
+        ``pool`` is never asked for anything.
         """
         n = self._num_hashes
         store = self._family.signatures(n)
         outputs = []
-        for left, right in source.blocks():
+        for left, right in candidates.blocks(block_size):
             matches = store.count_matches_rounds(left, right, 0, n, n)[:, 0]
             outputs.append(self._verify_arrays(left, right, matches))
         return VerificationOutput.merge(outputs)

@@ -1,10 +1,18 @@
 """Unit tests for the candidate-set container and generator base class."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.candidates.base import CandidateGenerator, CandidateSet
+from repro.candidates.allpairs import AllPairsGenerator
+from repro.candidates.base import UNBOUNDED_BLOCK, BlockStream, CandidateGenerator, CandidateSet
 from repro.candidates.brute_force import BruteForceGenerator
+from repro.candidates.lsh_index import LSHGenerator
+
+
+def _stream(blocks, **metadata) -> BlockStream:
+    return BlockStream(iter([(np.asarray(a), np.asarray(b)) for a, b in blocks]), metadata)
 
 
 class TestCandidateSet:
@@ -32,6 +40,147 @@ class TestCandidateSet:
         assert sorted(candidate_set) == [(0, 1), (1, 2)]
         assert candidate_set.metadata["generator"] == "test"
         assert "n_pairs=2" in repr(candidate_set)
+
+
+class TestFromStream:
+    """The one deduplication of raw pair blocks, for every ``block_size``."""
+
+    @pytest.mark.parametrize("block_size", [None, 1, 7, 64, UNBOUNDED_BLOCK])
+    def test_matches_one_shot_from_arrays(self, block_size):
+        rng = np.random.default_rng(3)
+        blocks = [
+            (rng.integers(0, 50, size=40), rng.integers(0, 50, size=40)) for _ in range(20)
+        ]
+        reference = CandidateSet.from_arrays(
+            np.concatenate([left for left, _ in blocks]),
+            np.concatenate([right for _, right in blocks]),
+        )
+        collected = CandidateSet.from_stream(_stream(blocks, generator="g"), block_size)
+        np.testing.assert_array_equal(collected.left, reference.left)
+        np.testing.assert_array_equal(collected.right, reference.right)
+        assert collected.left.dtype == collected.right.dtype == np.int64
+        assert collected.metadata == {"generator": "g"}
+
+    @pytest.mark.parametrize("block_size", [None, 1, 2])
+    def test_drops_self_pairs_and_canonicalises(self, block_size):
+        stream = _stream([([3, 5, 7], [3, 2, 7])])
+        assert CandidateSet.from_stream(stream, block_size).as_set() == {(2, 5)}
+
+    @pytest.mark.parametrize("block_size", [None, 1, 2])
+    def test_cross_block_duplicates_removed(self, block_size):
+        stream = _stream([([1], [2]), ([2], [1]), ([4], [1])])
+        collected = CandidateSet.from_stream(stream, block_size)
+        assert collected.left.tolist() == [1, 1] and collected.right.tolist() == [2, 4]
+
+    @pytest.mark.parametrize("block_size", [None, 1])
+    def test_empty_stream(self, block_size):
+        assert len(CandidateSet.from_stream(_stream([]), block_size)) == 0
+        assert len(CandidateSet.from_stream(_stream([([], [])]), block_size)) == 0
+
+    def test_indices_past_int32_take_the_slow_path(self):
+        big = 1 << 31
+        stream = _stream([([big + 5, 3], [1, big + 5]), ([1], [big + 5])])
+        collected = CandidateSet.from_stream(stream, block_size=1)
+        assert collected.left.tolist() == [1, 3]
+        assert collected.right.tolist() == [big + 5, big + 5]
+
+    @pytest.mark.parametrize("block_size", [1, 16, 64])
+    def test_buffered_raw_pairs_stay_bounded(self, block_size):
+        """Raw pairs held <= max(deduplicated so far, block_size) + one block.
+
+        The stream watches the blocks it yielded (weakly): each time the
+        collector asks for the next block it counts the raw pairs still
+        alive, i.e. buffered or in hand.  190 possible pairs arrive 5,000
+        times over, so holding every raw block would break the bound.
+        """
+        rng = np.random.default_rng(5)
+        block = 50
+        yielded: list = []
+        seen: set = set()
+        held_and_bound: list[tuple[int, int]] = []
+
+        def blocks():
+            for _ in range(100):
+                held = sum(len(array) for ref in yielded if (array := ref()) is not None)
+                held_and_bound.append((held, max(len(seen), block_size) + block))
+                # reversed pairs: the collector must build new arrays, never keep these
+                high = rng.integers(1, 20, size=block)
+                low = rng.integers(0, 20, size=block) % high
+                seen.update(zip(low.tolist(), high.tolist()))
+                yielded.append(weakref.ref(high))
+                yield high, low
+                del high, low
+
+        collected = CandidateSet.from_stream(BlockStream(blocks(), {}), block_size)
+        assert len(collected) == len(seen)
+        assert max(held for held, _ in held_and_bound) > 0
+        assert all(held <= bound for held, bound in held_and_bound), held_and_bound
+
+
+class TestBlocks:
+    def _pairs(self):
+        return CandidateSet(
+            left=np.array([0, 0, 2, 2, 5], dtype=np.int64),
+            right=np.array([1, 4, 3, 6, 6], dtype=np.int64),
+        )
+
+    def test_len_and_getitem(self):
+        pairs = self._pairs()
+        assert len(pairs) == 5
+        assert pairs[0] == (0, 1)
+        assert pairs[4] == (5, 6)
+        left, right = pairs[np.array([1, 3])]
+        assert left.tolist() == [0, 2] and right.tolist() == [4, 6]
+
+    @pytest.mark.parametrize("block_size", [1, 2, 5, 6])
+    def test_blocks_cover_all_pairs_in_order(self, block_size):
+        collected = []
+        for left, right in self._pairs().blocks(block_size):
+            assert 0 < len(left) <= block_size
+            collected.extend(zip(left.tolist(), right.tolist()))
+        assert collected == [(0, 1), (0, 4), (2, 3), (2, 6), (5, 6)]
+
+    def test_no_block_size_is_one_block(self):
+        pairs = self._pairs()
+        ((left, right),) = pairs.blocks()
+        assert left.tolist() == pairs.left.tolist() and right.tolist() == pairs.right.tolist()
+
+    @pytest.mark.parametrize("block_size", [None, 3])
+    def test_an_empty_set_is_one_empty_block(self, block_size):
+        ((left, right),) = CandidateSet.from_pairs([]).blocks(block_size)
+        assert len(left) == len(right) == 0
+
+
+class TestStreamedDeduplication:
+    """``from_stream`` at any ``block_size`` == one-shot ``from_arrays`` on raw
+    generator streams whose blocks repeat pairs."""
+
+    @pytest.mark.parametrize("kind", ["allpairs", "lsh"])
+    @pytest.mark.parametrize("block_size", [1, 4096, UNBOUNDED_BLOCK])
+    def test_equals_one_shot_from_arrays(self, kind, block_size, sparse_text_collection):
+        if kind == "allpairs":
+            generator = AllPairsGenerator("cosine", 0.3)
+        else:
+            generator = LSHGenerator("cosine", 0.5, seed=4)
+        raw = list(generator.generate_blocks(sparse_text_collection, block_size))
+        stream = generator.generate_blocks(sparse_text_collection, block_size)
+        collected = CandidateSet.from_stream(stream, block_size)
+        reference = CandidateSet.from_arrays(
+            np.concatenate([left for left, _ in raw]),
+            np.concatenate([right for _, right in raw]),
+            **stream.metadata,
+        )
+        assert len(reference) > 0
+        if kind == "lsh" or block_size != UNBOUNDED_BLOCK:
+            # (one unbounded AllPairs probe batch deduplicates itself)
+            assert sum(len(left) for left, _ in raw) > len(reference), (
+                "the stream must repeat pairs across blocks"
+            )
+        np.testing.assert_array_equal(collected.left, reference.left)
+        np.testing.assert_array_equal(collected.right, reference.right)
+        assert collected.left.dtype == collected.right.dtype == np.int64
+        assert collected.metadata == reference.metadata
+        assert collected.metadata == generator.generate(sparse_text_collection).metadata
 
 
 class TestGeneratorBase:

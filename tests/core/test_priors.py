@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.candidates.base import CandidateSet
+from repro.candidates.base import BlockStream, CandidateSet
 from repro.core.priors import (
     BetaPrior,
     UniformCollisionPrior,
     fit_beta_prior,
     sample_pair_similarities,
 )
-from repro.search.executor import PairBlockSource
 
 
 class TestBetaPrior:
@@ -155,10 +154,12 @@ class TestSamplePairSimilarities:
     @pytest.mark.parametrize("n_pairs", [37, 64, 65, 400])  # below, at, above the sample size
     @pytest.mark.parametrize("seed", [0, 7])
     def test_same_draw_and_fit_for_every_pair_representation(self, n_pairs, seed):
-        """CandidateSet == PairBlockSource == the old tuple list, bit for bit."""
+        """CandidateSet == one collected from shuffled raw blocks == the old tuple list."""
         rng = np.random.default_rng(n_pairs)
         span = 90
-        keys = np.sort(rng.choice(span * span, size=n_pairs, replace=False)).astype(np.int64)
+        every = np.arange(span * span, dtype=np.int64)
+        canonical = every[every // span < every % span]  # i < j, as a candidate set holds
+        keys = np.sort(rng.choice(canonical, size=n_pairs, replace=False))
         left, right = keys // span, keys % span
 
         def score(i, j):  # order-sensitive: every pair has its own value
@@ -170,9 +171,11 @@ class TestSamplePairSimilarities:
         from_set = sample_pair_similarities(
             CandidateSet(left=left, right=right), score, sample_size=64, seed=seed
         )
-        from_source = sample_pair_similarities(
-            PairBlockSource(keys, n_vectors=span, block_size=16), score, sample_size=64, seed=seed
-        )
+        # the same pairs, reversed and shuffled into raw blocks, collected in blocks of 16
+        shuffled = rng.permutation(n_pairs)
+        raw = [(right[part], left[part]) for part in np.array_split(shuffled, 7)]
+        collected = CandidateSet.from_stream(BlockStream(iter(raw), {}), block_size=16)
+        from_source = sample_pair_similarities(collected, score, sample_size=64, seed=seed)
         assert from_set.tolist() == reference.tolist()  # same pairs, same order
         assert from_source.tolist() == reference.tolist()
         assert fit_beta_prior(from_set) == fit_beta_prior(from_source) == fit_beta_prior(reference)

@@ -1,7 +1,7 @@
 """Execution invariance: streamed/sharded runs are bit-identical to serial.
 
-The determinism contract of the streamed executor
-(:mod:`repro.search.executor`): for every pipeline, the output pairs, the
+The determinism contract of the one execution path
+(:mod:`repro.search.engine`): for every pipeline, the output pairs, the
 similarity estimates, every counter (``n_candidates`` / ``n_pruned`` /
 ``hash_comparisons`` / ``exact_computations``), which values are exact, the
 per-round prune trace and the candidate metadata must be *bit-identical* for
@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets.synthetic import synthetic_text_corpus
-from repro.search.executor import DEFAULT_BLOCK_SIZE
+from repro.search.engine import DEFAULT_BLOCK_SIZE
 from repro.search.pipelines import PIPELINES, make_pipeline
 from repro.similarity.transforms import tfidf_weighting
 

@@ -446,6 +446,11 @@ class TestExactSimilarityEquivalence:
 class TestArrayOps:
     @_SETTINGS
     @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 8)), max_size=12))
+    @example(segments=[(7, 0), (3, 2), (40, 3)])  # leading empty segment
+    @example(segments=[(3, 2), (40, 3), (9, 0)])  # trailing empty segment
+    @example(segments=[(5, 1), (6, 0), (1, 0), (0, 4)])  # consecutive empty segments
+    @example(segments=[(4, 0), (0, 0)])  # every segment empty
+    @example(segments=[])
     def test_ragged_arange(self, segments):
         starts = np.array([s for s, _ in segments], dtype=np.int64)
         lengths = np.array([length for _, length in segments], dtype=np.int64)

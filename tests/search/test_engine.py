@@ -6,9 +6,15 @@ import scipy.sparse as sp
 
 from repro.candidates.lsh_index import LSHGenerator
 from repro.datasets.synthetic import synthetic_text_corpus
-from repro.search.engine import SearchEngine, all_pairs_similarity, as_collection
+from repro.search.engine import (
+    DEFAULT_BLOCK_SIZE,
+    SearchEngine,
+    all_pairs_similarity,
+    as_collection,
+)
 from repro.search.pipelines import make_pipeline
 from repro.similarity.vectors import VectorCollection
+from repro.testing import faults
 from repro.verification.exact import ExactVerifier
 
 
@@ -122,6 +128,49 @@ class TestRunOnItsOwnCorpusOnly:
         np.testing.assert_array_equal(got.left, expected.left)
         np.testing.assert_array_equal(got.right, expected.right)
         np.testing.assert_array_equal(got.similarities, expected.similarities)
+
+
+class TestBlockSizeAndWorkers:
+    """``block_size`` and ``n_workers`` of the one execution path."""
+
+    @pytest.mark.parametrize("entry", ["run", "all_pairs_similarity"])
+    def test_validates_parameters(self, entry, sparse_text_collection):
+        def call(**kwargs):
+            if entry == "run":
+                engine = make_pipeline("allpairs", sparse_text_collection, threshold=0.7)
+                return engine.run(sparse_text_collection, **kwargs)
+            return all_pairs_similarity(sparse_text_collection, 0.7, method="allpairs", **kwargs)
+
+        with pytest.raises(ValueError, match="block_size"):
+            call(block_size=0)
+        with pytest.raises(ValueError, match="n_workers"):
+            call(n_workers=0)
+
+    def test_execution_metadata(self, sparse_text_collection):
+        engine = make_pipeline("lsh", sparse_text_collection, threshold=0.7, seed=1)
+        assert "execution" not in engine.run(sparse_text_collection).metadata
+        assert "execution" not in engine.run(sparse_text_collection, n_workers=1).metadata
+        assert engine.run(sparse_text_collection, block_size=9).metadata["execution"] == {
+            "mode": "streamed", "block_size": 9, "n_workers": 1,
+        }
+        pooled = engine.run(sparse_text_collection, n_workers=2)
+        assert pooled.metadata["execution"] == {
+            "mode": "streamed", "block_size": DEFAULT_BLOCK_SIZE, "n_workers": 2,
+        }
+
+    def test_lsh_approx_forks_no_worker(self, sparse_text_collection):
+        """LSH Approx never scores a pair exactly, so ``n_workers`` forks nothing."""
+        engine = make_pipeline("lsh_approx", sparse_text_collection, threshold=0.5, seed=3)
+        serial = engine.run(sparse_text_collection)
+        started = []
+        with faults.inject() as plan:
+            plan.on_event("pool_start", started.append)
+            pooled = engine.run(sparse_text_collection, n_workers=2)
+        assert started == []
+        assert len(serial) > 0
+        np.testing.assert_array_equal(pooled.left, serial.left)
+        np.testing.assert_array_equal(pooled.right, serial.right)
+        np.testing.assert_array_equal(pooled.similarities, serial.similarities)
 
 
 class TestAllPairsSimilarity:

@@ -1,81 +1,13 @@
-"""Unit tests for the streamed executor's building blocks."""
+"""Unit tests for the offline engine's pool and the merge of block outputs."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.candidates.allpairs import AllPairsGenerator
-from repro.candidates.base import UNBOUNDED_BLOCK, CandidateSet
-from repro.candidates.lsh_index import LSHGenerator
 from repro.core.bayeslsh import VerificationOutput
-from repro.search.executor import (
-    DEFAULT_BLOCK_SIZE,
-    PairBlockSource,
-    StreamExecutor,
-    _PairKeyAccumulator,
-)
-
-
-class TestPairKeyAccumulator:
-    def test_matches_candidate_set_dedup(self):
-        rng = np.random.default_rng(3)
-        n_vectors = 50
-        accumulator = _PairKeyAccumulator(n_vectors)
-        all_left, all_right = [], []
-        for _ in range(20):
-            left = rng.integers(0, n_vectors, size=40)
-            right = rng.integers(0, n_vectors, size=40)
-            accumulator.add(left, right)
-            all_left.append(left)
-            all_right.append(right)
-        keys = accumulator.finalize()
-        reference = CandidateSet.from_arrays(
-            np.concatenate(all_left), np.concatenate(all_right)
-        )
-        np.testing.assert_array_equal(keys // n_vectors, reference.left)
-        np.testing.assert_array_equal(keys % n_vectors, reference.right)
-
-    def test_drops_self_pairs_and_canonicalises(self):
-        accumulator = _PairKeyAccumulator(10)
-        accumulator.add(np.array([3, 5, 7]), np.array([3, 2, 7]))
-        keys = accumulator.finalize()
-        assert keys.tolist() == [2 * 10 + 5]
-
-    def test_cross_block_duplicates_removed(self):
-        accumulator = _PairKeyAccumulator(10)
-        accumulator.add(np.array([1]), np.array([2]))
-        accumulator.add(np.array([2]), np.array([1]))
-        assert len(accumulator.finalize()) == 1
-
-    def test_rejects_huge_collections(self):
-        with pytest.raises(NotImplementedError):
-            _PairKeyAccumulator(1 << 31)
-
-
-class TestPairBlockSource:
-    def _source(self, block_size=3):
-        keys = np.array([0 * 7 + 1, 0 * 7 + 4, 2 * 7 + 3, 2 * 7 + 6, 5 * 7 + 6])
-        return PairBlockSource(keys, n_vectors=7, block_size=block_size)
-
-    def test_len_and_getitem(self):
-        source = self._source()
-        assert len(source) == 5
-        assert source[0] == (0, 1)
-        assert source[4] == (5, 6)
-
-    def test_blocks_cover_all_pairs_in_order(self):
-        source = self._source(block_size=2)
-        pairs = []
-        for left, right in source.blocks():
-            assert len(left) <= 2
-            pairs.extend(zip(left.tolist(), right.tolist()))
-        assert pairs == [(0, 1), (0, 4), (2, 3), (2, 6), (5, 6)]
-
-    def test_all_pairs(self):
-        left, right = self._source().all_pairs()
-        assert left.tolist() == [0, 0, 2, 2, 5]
-        assert right.tolist() == [1, 4, 3, 6, 6]
+from repro.search.executor import ExactPool
+from repro.testing import faults
 
 
 class TestVerificationOutputMerge:
@@ -117,6 +49,10 @@ class TestVerificationOutputMerge:
         with pytest.raises(ValueError, match="mismatched round boundaries"):
             VerificationOutput.merge([a, b])
 
+    def test_a_single_output_is_returned_as_is(self):
+        only = self._output(5, 2, [(32, 3)])
+        assert VerificationOutput.merge([only]) is only
+
     def test_empty_merge(self):
         merged = VerificationOutput.merge([])
         assert merged.n_candidates == 0
@@ -124,58 +60,34 @@ class TestVerificationOutputMerge:
         assert merged.trace == []
 
 
-class TestStreamExecutor:
-    def test_validates_parameters(self):
-        with pytest.raises(ValueError, match="block_size"):
-            StreamExecutor(block_size=0)
-        with pytest.raises(ValueError, match="n_workers"):
-            StreamExecutor(n_workers=0)
-
-    def test_defaults(self):
-        executor = StreamExecutor()
-        assert executor.block_size == DEFAULT_BLOCK_SIZE
-        assert executor.n_workers == 1
+def _score(left, right):
+    return (left * 100 + right).astype(np.float64)
 
 
-class _RecordingVerifier:
-    """Stands in for a verifier: keeps the pairs the executor hands over."""
+class TestExactPool:
+    """The engine's workers are forked by the first exact request, not before."""
 
-    def verify_source(self, source, pool=None):
-        self.left, self.right = source.all_pairs()
-        self.blocks = list(source.blocks())
-        return None
+    def test_no_request_forks_nothing(self):
+        started = []
+        with faults.inject() as plan:
+            plan.on_event("pool_start", started.append)
+            with ExactPool(2, _score):
+                pass
+        assert started == []
 
-
-class TestStreamedDeduplication:
-    """The executor's incremental dedup == ``CandidateSet.from_stream`` on raw
-    streams whose blocks repeat pairs, for every block size."""
-
-    @pytest.mark.parametrize("kind", ["allpairs", "lsh"])
-    @pytest.mark.parametrize("block_size", [1, 4096, UNBOUNDED_BLOCK])
-    def test_equals_from_stream(self, kind, block_size, sparse_text_collection):
-        if kind == "allpairs":
-            generator = AllPairsGenerator("cosine", 0.3)
-        else:
-            generator = LSHGenerator("cosine", 0.5, seed=4)
-        n_raw = sum(
-            len(left) for left, _ in generator.generate_blocks(sparse_text_collection, block_size)
-        )
-        reference = CandidateSet.from_stream(
-            generator.generate_blocks(sparse_text_collection, block_size)
-        )
-        assert len(reference) > 0
-        if kind == "lsh" or block_size != UNBOUNDED_BLOCK:
-            # (one unbounded AllPairs probe batch deduplicates itself)
-            assert n_raw > len(reference), "the stream must repeat pairs across blocks"
-
-        verifier = _RecordingVerifier()
-        metadata, _, _ = StreamExecutor(block_size=block_size).run(
-            generator, verifier, sparse_text_collection
-        )
-        np.testing.assert_array_equal(verifier.left, reference.left)
-        np.testing.assert_array_equal(verifier.right, reference.right)
-        assert verifier.left.dtype == verifier.right.dtype == np.int64
-        assert metadata == reference.metadata
-        np.testing.assert_array_equal(
-            np.concatenate([left for left, _ in verifier.blocks]), reference.left
-        )
+    def test_forks_once_on_the_first_non_empty_request(self):
+        started = []
+        empty = np.zeros(0, dtype=np.int64)
+        left, right = np.arange(9), np.arange(9) + 3
+        with faults.inject() as plan:
+            plan.on_event("pool_start", started.append, count=2)
+            with ExactPool(2, _score) as pool:
+                assert pool.map_exact(empty, empty, fallback=_score).tolist() == []
+                assert started == []
+                first = pool.map_exact(left, right, fallback=_score)
+                second = pool.map_exact(right, left, fallback=_score)
+            assert len(started) == 1
+            workers = started[0]["pool"]._processes
+        np.testing.assert_array_equal(first, _score(left, right))
+        np.testing.assert_array_equal(second, _score(right, left))
+        assert not any(process.is_alive() for process in workers)

@@ -5,12 +5,11 @@ import importlib
 import numpy as np
 import pytest
 
-from repro.candidates.base import CandidateSet
+from repro.candidates.base import BlockStream, CandidateSet
 from repro.core.params import BayesLSHLiteParams, BayesLSHParams
 from repro.core.posteriors import BetaPosterior
 from repro.core.priors import fit_beta_prior
 from repro.hashing.base import get_hash_family
-from repro.search.executor import PairBlockSource
 from repro.similarity.measures import JaccardSimilarity
 from repro.verification.bayes import (
     DEFAULT_LITE_HASHES,
@@ -77,15 +76,13 @@ class TestBayesLSHVerifier:
     def test_fitted_prior_bit_equal_for_every_pair_representation(
         self, binary_sets_collection, sample_size
     ):
-        """CandidateSet == PairBlockSource == per-pair scoring of a tuple list."""
+        """CandidateSet == one collected from raw blocks == per-pair scoring of a tuple list."""
         candidates = _candidates(30)
         verifier = BayesLSHVerifier(
             binary_sets_collection, "jaccard", 0.5, seed=1, prior_sample_size=sample_size
         )
-        span = binary_sets_collection.n_vectors
-        source = PairBlockSource(
-            candidates.left * span + candidates.right, n_vectors=span, block_size=50
-        )
+        raw = [(candidates.right[::-1], candidates.left[::-1])] * 2  # reversed, repeated
+        source = CandidateSet.from_stream(BlockStream(iter(raw), {}), block_size=50)
         # The construction this replaced, kept as the reference: a Python
         # list of every candidate tuple, one scalar measure.exact per draw.
         pairs = list(zip(candidates.left.tolist(), candidates.right.tolist()))
@@ -164,14 +161,7 @@ class TestBayesLSHLiteVerifier:
         verifier = BayesLSHLiteVerifier(
             binary_sets_collection, "jaccard", 0.3, seed=2, prior_sample_size=100
         )
-        if streamed:
-            span = binary_sets_collection.n_vectors
-            source = PairBlockSource(
-                candidates.left * span + candidates.right, n_vectors=span, block_size=97
-            )
-            output = verifier.verify_source(source)
-        else:
-            output = verifier.verify(candidates)
+        output = verifier.verify(candidates, block_size=97 if streamed else None)
         assert 0 < output.exact_computations < len(candidates)
         assert sum(scored) == output.exact_computations + 100
         assert scalar_calls == []
