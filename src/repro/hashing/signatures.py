@@ -16,7 +16,8 @@ Two stores implement these operations:
 
 Both stores are append-only: more hash functions can be added later, which is
 how the library reproduces the paper's "each point is hashed only as many
-times as necessary" behaviour without re-hashing from scratch.
+times as necessary" behaviour without re-hashing from scratch.  Their row
+count is fixed at construction; hash columns are the only way they grow.
 
 Batching layout
 ---------------
@@ -112,16 +113,6 @@ class SignatureStore(ABC):
         """Number of hash functions currently materialised."""
 
     @abstractmethod
-    def append_rows_from(self, other: "SignatureStore") -> None:
-        """Append every row of ``other`` below the existing rows.
-
-        ``other`` must be a store of the same concrete type holding exactly
-        :attr:`n_hashes` hashes per row — the serving layer hashes freshly
-        inserted vectors with a clone of the index's family (same seed, hence
-        the same hash functions) and splices the resulting rows in here.
-        """
-
-    @abstractmethod
     def count_matches(self, i: int, j: int, start: int, end: int) -> int:
         """Number of agreeing hashes between rows ``i`` and ``j`` in ``[start, end)``."""
 
@@ -179,17 +170,6 @@ class SignatureStore(ABC):
             return 0.0
         return self.count_matches(i, j, 0, n) / n
 
-    def rebind(self, backing: np.ndarray) -> None:
-        """Swap the store's backing matrix for an equal-valued replacement.
-
-        Used by the spill path to move a store's signatures onto a read-only
-        memory map of the flat snapshot just written from it (see
-        :meth:`_ChunkedMatrix.rebind` for the invariants).  The store object
-        — and every family clone holding a reference to it — is unchanged;
-        only where the words live moves.
-        """
-        self._matrix.rebind(np.asarray(backing))
-
 
 class _ChunkedMatrix:
     """A matrix of signature columns grown by appending column blocks.
@@ -205,12 +185,13 @@ class _ChunkedMatrix:
         self._chunks: list[np.ndarray] = []
         self._offsets: list[int] = []  # starting column of each chunk
         self._n_columns = 0
-        # Serialises the mutating operations (append / consolidation /
-        # extend_rows) against each other.  Plain column reads stay lock-free:
-        # chunk contents are immutable once appended, the chunk/offset lists
-        # only ever grow or get replaced wholesale by equivalent consolidated
-        # state, and `_n_columns` is published *after* its chunk — so a
-        # lock-free reader sees a consistent prefix of the matrix.
+        # Serialises the two mutations, column append and consolidation,
+        # against each other.  Plain column reads stay lock-free: the row
+        # count is fixed at construction, chunk contents are immutable once
+        # appended, the chunk/offset lists only ever grow or get replaced
+        # wholesale by the concatenation of the same chunks, and `_n_columns`
+        # is published *after* its chunk — so a lock-free reader sees a
+        # consistent prefix of the matrix.
         self._lock = threading.Lock()
 
     @property
@@ -257,59 +238,6 @@ class _ChunkedMatrix:
             return columns
         return np.ascontiguousarray(columns)
 
-    def rebind(self, backing: np.ndarray) -> None:
-        """Replace the consolidated chunk with an equal-valued backing array.
-
-        The spill path rebinds a store to the read-only memory map of the
-        flat-snapshot file that was just serialised from it.  The matrix must
-        already be consolidated to a single chunk (serialisation consolidates
-        as a side effect) and ``backing`` must match its shape and dtype
-        exactly; values are assumed identical because the backing *is* the
-        serialised copy.  Readers are unaffected mid-swap: both arrays are
-        immutable and hold the same bits.
-        """
-        with self._lock:
-            if not self._chunks:
-                if backing.shape[1] != 0:
-                    raise ValueError(
-                        f"cannot rebind an empty matrix to shape {backing.shape}"
-                    )
-                return
-            if len(self._chunks) != 1:
-                raise ValueError(
-                    "rebind requires a consolidated matrix; call consolidated() first"
-                )
-            current = self._chunks[0]
-            if backing.shape != current.shape or backing.dtype != current.dtype:
-                raise ValueError(
-                    f"backing of shape {backing.shape} dtype {backing.dtype} does not "
-                    f"match chunk of shape {current.shape} dtype {current.dtype}"
-                )
-            self._chunks = [backing]
-
-    def extend_rows(self, block: np.ndarray) -> None:
-        """Append rows below the existing ones (the column count must match).
-
-        Row growth is much rarer than column growth (one call per ingest
-        batch, not one per hash round), so it simply consolidates and
-        reallocates; mixed integer dtypes promote to the common signed type,
-        matching what lazy consolidation of mixed column chunks would do.
-        """
-        if block.ndim != 2 or block.shape[1] != self._n_columns:
-            raise ValueError(
-                f"expected a block of shape (n_new_rows, {self._n_columns}), got {block.shape}"
-            )
-        if self._n_columns:
-            mine = self.consolidated()
-            common = np.promote_types(mine.dtype, block.dtype)
-            merged = np.concatenate(
-                [mine.astype(common, copy=False), block.astype(common, copy=False)]
-            )
-            with self._lock:
-                self._chunks = [merged]
-                self._offsets = [0]
-        self._n_rows += block.shape[0]
-
 
 class BitSignatures(SignatureStore):
     """Packed one-bit-per-hash signatures (signed random projections).
@@ -338,17 +266,6 @@ class BitSignatures(SignatureStore):
             store._matrix.append(words)
         store._n_hashes = int(n_hashes)
         return store
-
-    def append_rows_from(self, other: SignatureStore) -> None:
-        """Append every row of ``other`` below the existing rows (see base)."""
-        if not isinstance(other, BitSignatures):
-            raise TypeError(f"cannot append rows of {type(other).__name__} to BitSignatures")
-        if other.n_hashes != self._n_hashes:
-            raise ValueError(
-                f"row source holds {other.n_hashes} hashes, this store {self._n_hashes}"
-            )
-        self._matrix.extend_rows(other.words)
-        self._n_vectors += other.n_vectors
 
     @property
     def n_vectors(self) -> int:
@@ -535,17 +452,6 @@ class IntSignatures(SignatureStore):
         store = cls(values.shape[0])
         store.append_values(values)
         return store
-
-    def append_rows_from(self, other: SignatureStore) -> None:
-        """Append every row of ``other`` below the existing rows (see base)."""
-        if not isinstance(other, IntSignatures):
-            raise TypeError(f"cannot append rows of {type(other).__name__} to IntSignatures")
-        if other.n_hashes != self.n_hashes:
-            raise ValueError(
-                f"row source holds {other.n_hashes} hashes, this store {self.n_hashes}"
-            )
-        self._matrix.extend_rows(other.values)
-        self._n_vectors += other.n_vectors
 
     @property
     def n_vectors(self) -> int:

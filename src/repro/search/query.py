@@ -1147,44 +1147,3 @@ class QueryIndex:
         from repro.serving.snapshot import load_query_index
 
         return load_query_index(path, storage=storage, wal=wal)
-
-    def spill(self, path) -> "QueryIndex":
-        """Spill the sealed segment data to a flat snapshot and serve it mmap.
-
-        Writes a flat-layout snapshot at ``path`` (consolidating segments'
-        signature chunks in the process) and rebinds this index's segment
-        backing arrays — CSR components, external ids, signature words — to
-        read-only memory maps of the files just written.  Answers are
-        bit-identical before and after; the difference is residency: the
-        spilled columns leave the Python heap and fault back in on demand.
-
-        Prepared similarity views and band postings stay in RAM — they are
-        derived, query-hot state, and rebuilding them lazily is the job of
-        :meth:`load`, not ``spill``.  The index remains fully updatable;
-        inserts append new in-RAM chunks after the mmap-backed ones.
-
-        Returns ``self`` for chaining.
-        """
-        from repro.serving.snapshot import (
-            SNAPSHOT_VERSION,
-            _snapshot_payload,
-            read_flat,
-            write_flat,
-        )
-
-        with self._update_lock:
-            meta, arrays = _snapshot_payload(self, compact=False)
-            write_flat(path, SNAPSHOT_VERSION, meta, arrays)
-            _, _, restored_arrays = read_flat(path, storage="mmap")
-            for number, segment in enumerate(self._segments.segments):
-                prefix = f"seg{number}_"
-                components = (
-                    restored_arrays[prefix + "collection_data"],
-                    restored_arrays[prefix + "collection_indices"],
-                    restored_arrays[prefix + "collection_indptr"],
-                )
-                shape = tuple(restored_arrays[prefix + "collection_shape"])
-                ids = restored_arrays[prefix + "collection_ids"]
-                segment.rebind_backing(components, shape, ids, restored_arrays[prefix + "store"])
-            self._epoch += 1
-        return self

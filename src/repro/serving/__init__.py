@@ -27,16 +27,17 @@ into something a long-running process can operate:
   latency window, with bounded-queue admission control (typed
   :class:`~repro.serving.daemon.Overloaded` rejection), per-request
   deadlines propagated into ``round_timeout``, exact→estimate shedding
-  under pressure, and health/readiness/stats/snapshot/drain ops endpoints;
+  under pressure, and health/readiness/stats/checkpoint/drain ops endpoints;
 * **durable ingest** (:mod:`repro.serving.wal`) — a write-ahead log of
   CRC-framed insert/delete records appended under the index's update lock
   before each mutation, so a crash between snapshots loses nothing: a
   restart replays the tail on top of the latest snapshot bit-identically.
-  Checkpoints (snapshot + segment roll) bound replay; the daemon speaks
-  the same log through ``insert``/``delete``/``checkpoint``/``wal_stats``
-  ops, and :class:`~repro.serving.client.DaemonClient` retries transient
-  transport failures with idempotency-keyed (at-most-once) mutations,
-  raising :class:`~repro.serving.client.RetriesExhausted` past the budget.
+  Checkpoints (a snapshot that rolls the log) bound replay; the daemon
+  speaks the same log through ``insert``/``delete``/``checkpoint``/
+  ``wal_stats`` ops, and :class:`~repro.serving.client.DaemonClient`
+  retries transient transport failures with idempotency-keyed
+  (at-most-once) mutations, raising
+  :class:`~repro.serving.client.RetriesExhausted` past the budget.
 
 See ``docs/serving.md`` for the operational guide (snapshot format and
 version history, staleness budget, compaction semantics, the batched-query

@@ -325,16 +325,12 @@ class DaemonClient:
         """The served index's write-ahead-log stats (``None`` if no WAL)."""
         return self._call({"op": "wal_stats"})["wal"]
 
-    def snapshot(self) -> str:
-        """Trigger a crash-safe snapshot; returns the snapshot path."""
-        return self._call({"op": "snapshot"})["path"]
-
     def checkpoint(self) -> dict:
-        """Snapshot + seal-and-prune the WAL; returns ``{"path", "wal"}``.
+        """Crash-safe snapshot (+ seal-and-prune the WAL); ``{"path", "wal"}``.
 
-        Requires a WAL-attached index and a configured snapshot store.
-        The returned ``wal`` dict is the post-checkpoint view — segments
-        older than every retained snapshot are already pruned.
+        Requires a configured snapshot store.  ``wal`` is the
+        post-checkpoint log view — segments older than every retained
+        snapshot are already pruned — or ``None`` without a WAL.
         """
         response = self._call({"op": "checkpoint"})
         return {"path": response["path"], "wal": response["wal"]}

@@ -38,11 +38,10 @@ Operational behaviour, in the order a request experiences it:
 * **ops endpoints** — ``health``/``ready`` (degraded to not-ready while a
   WAL replay is recovering the index), ``stats`` (including the resident
   pool's health dict and the durability block: WAL bytes/records, fsync
-  policy, last checkpoint, replay counters), ``snapshot`` and
-  ``checkpoint`` (through a configured
-  :class:`~repro.serving.snapshot.SnapshotStore`; a checkpoint seals and
-  prunes the WAL), ``wal_stats`` and ``drain`` (reject new work, finish
-  everything admitted, then shut down).
+  policy, last checkpoint, replay counters), ``checkpoint`` (a snapshot
+  through a configured :class:`~repro.serving.snapshot.SnapshotStore`;
+  with a WAL attached it also seals and prunes the log), ``wal_stats`` and
+  ``drain`` (reject new work, finish everything admitted, then shut down).
 
 The wire protocol is JSON lines (one request object per line, one response
 object per line, a request line at most :data:`MAX_LINE_BYTES` long) — see
@@ -245,7 +244,7 @@ class ServingDaemon:
         whatever the index already has (resident pool or serial).
     snapshot_store:
         A :class:`~repro.serving.snapshot.SnapshotStore` (or a directory
-        path for one) backing the ``snapshot`` ops endpoint; ``None``
+        path for one) backing the ``checkpoint`` ops endpoint; ``None``
         disables the endpoint.
     """
 
@@ -496,10 +495,8 @@ class ServingDaemon:
             }
         if op == "stats":
             return {"ok": True, "stats": self.stats()}
-        if op == "snapshot":
-            return await self._handle_snapshot(request)
         if op == "checkpoint":
-            return await self._handle_checkpoint(request)
+            return await self._handle_checkpoint()
         if op == "wal_stats":
             return {"ok": True, "wal": self._index.wal_stats()}
         if op == "drain":
@@ -717,48 +714,27 @@ class ServingDaemon:
             },
         }
 
-    async def _handle_snapshot(self, request: dict) -> dict:
+    async def _handle_checkpoint(self) -> dict:
+        """Save a snapshot through the store; the WAL view rides along.
+
+        ``SnapshotStore.save`` is the checkpoint: on a WAL-attached index
+        the save rolls the log atomically with the payload capture and then
+        prunes segments no retained snapshot needs, so ``wal`` is the
+        post-checkpoint view (``None`` without a WAL).
+        """
         if self._snapshots is None:
             return {
                 "ok": False,
                 "error": "bad_request",
                 "message": "no snapshot store configured",
             }
-        layout = request.get("layout")
-        if layout not in (None, "flat"):
-            return {
-                "ok": False,
-                "error": "bad_request",
-                "message": f"layout must be 'flat' (the only snapshot format), got {layout!r}",
-            }
         loop = asyncio.get_running_loop()
         path = await loop.run_in_executor(
             self._executor, functools.partial(self._snapshots.save, self._index)
         )
-        self._last_checkpoint = str(path)
-        return {"ok": True, "path": str(path)}
-
-    async def _handle_checkpoint(self, request: dict) -> dict:
-        """Persist a snapshot and (with a WAL attached) seal+prune the log.
-
-        The snapshot machinery does the real work — ``save_query_index``
-        rolls the WAL atomically with the payload capture and
-        ``SnapshotStore.save`` prunes segments no retained snapshot needs —
-        so this endpoint is ``snapshot`` plus the post-checkpoint WAL view
-        in the response.
-        """
-        if self._index.wal is None:
-            return {
-                "ok": False,
-                "error": "bad_request",
-                "message": "no WAL attached to the index; use 'snapshot' instead",
-            }
-        response = await self._handle_snapshot(request)
-        if not response.get("ok"):
-            return response
         self._stats["checkpoints"] += 1
-        response["wal"] = self._index.wal_stats()
-        return response
+        self._last_checkpoint = str(path)
+        return {"ok": True, "path": str(path), "wal": self._index.wal_stats()}
 
     async def _handle_drain(self) -> dict:
         """Reject new work, finish everything admitted, then shut down."""

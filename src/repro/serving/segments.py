@@ -159,39 +159,6 @@ class CollectionSegment:
             self._prepared = prepared
             self._family = family
 
-    def rebind_backing(
-        self,
-        components: tuple[np.ndarray, np.ndarray, np.ndarray],
-        shape: tuple[int, int],
-        ids: np.ndarray,
-        store_backing: np.ndarray,
-    ) -> None:
-        """Swap this segment's raw arrays for equal-valued replacements.
-
-        The spill path calls this after writing a flat snapshot: the CSR
-        components, external ids and signature words are rebound to the
-        read-only memory maps of the files just written, releasing the heap
-        copies.  The replacements must be bit-identical to the current
-        arrays (they were just serialised from them), so every kernel —
-        verification gathers, band-key gathers, id lookups — reads the same
-        values from the new backing.
-
-        The prepared view and family clone, if already materialised, are
-        intentionally left untouched: they are derived, query-hot state and
-        keep serving from RAM (for binary collections the prepared view *is*
-        the old collection object, which then stays resident — spill trades
-        only the raw backing, not derived views).
-        """
-        n_before = self.collection.n_vectors
-        self.collection = VectorCollection.restored(components, shape, ids=ids)
-        if self.collection.n_vectors != n_before:
-            raise ValueError(
-                f"replacement backing has {self.collection.n_vectors} rows, "
-                f"segment owns {n_before}"
-            )
-        self.ids = np.asarray(ids)
-        self.store.rebind(store_backing)
-
     @property
     def n_vectors(self) -> int:
         """Number of rows this segment owns."""

@@ -263,11 +263,6 @@ class WriteAheadLog:
         return self._directory
 
     @property
-    def fsync_policy(self) -> str:
-        """The configured durability policy (``always``/``batch``/``off``)."""
-        return self._fsync
-
-    @property
     def active_segment(self) -> int:
         """Number of the segment currently receiving appends."""
         return self._active_segment

@@ -5,7 +5,7 @@ window between the client and the index changes *nothing* about the
 answers.  Concurrent clients get exactly the rows and float-identical
 similarities the serial in-process call produces, requests are provably
 coalesced (fewer batches than requests), and the ops endpoints (health,
-readiness, stats, snapshot, drain) behave as the runbook documents.
+readiness, stats, checkpoint, drain) behave as the runbook documents.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import logging
 import os
 import socket
 import threading
+
+from pathlib import Path
 
 import pytest
 import scipy.sparse as sp
@@ -26,6 +28,7 @@ from repro.serving import (
     ServingDaemon,
 )
 from repro.serving.daemon import MAX_LINE_BYTES, decode_vector, encode_vector
+from repro.serving.snapshot import SnapshotStore
 
 from tests.daemon.conftest import as_pairs
 from tests.faults.conftest import planted_collection
@@ -185,7 +188,7 @@ def test_client_refuses_an_over_limit_request_without_retrying(index, socket_pat
             assert client.health()["ok"]  # nothing was sent; same connection
 
 
-def test_ops_endpoints_and_snapshot(index, batch, socket_path, tmp_path):
+def test_ops_endpoints_and_checkpoint(index, batch, socket_path, tmp_path):
     snapshot_dir = tmp_path / "snapshots"
     with ServingDaemon(
         index, socket_path, snapshot_store=str(snapshot_dir)
@@ -194,23 +197,50 @@ def test_ops_endpoints_and_snapshot(index, batch, socket_path, tmp_path):
             health = client.health()
             assert health["ok"] and health["serving"] and not health["draining"]
             assert client.ready()["ready"]
-            path = client.snapshot()
-            assert os.path.isdir(path) and path.endswith(".flat")
-            # "flat" stays an accepted spelling; any other layout is refused.
-            assert client._call({"op": "snapshot", "layout": "flat"})["ok"]
-            with pytest.raises(DaemonError, match="layout must be 'flat'"):
-                client._call({"op": "snapshot", "layout": "npz"})
+            checkpoint = client.checkpoint()
+            assert os.path.isdir(checkpoint["path"]) and checkpoint["path"].endswith(".flat")
+            assert checkpoint["wal"] is None  # no WAL attached
+            # "checkpoint" is the one save op; "snapshot" is an unknown op.
+            with pytest.raises(DaemonError, match="unknown op 'snapshot'"):
+                client._call({"op": "snapshot"})
             stats = client.stats()
             assert stats["queue_depth"] == 0
             assert stats["config"]["max_batch"] == 64
             assert stats["pool"] is None  # serving serially
+            assert stats["checkpoints"] == 1
+            assert stats["durability"]["last_checkpoint"] == checkpoint["path"]
 
 
-def test_snapshot_endpoint_without_store_is_a_typed_error(index, socket_path):
+def test_checkpoint_endpoint_without_store_is_a_typed_error(index, socket_path):
     with ServingDaemon(index, socket_path):
         with DaemonClient(socket_path) as client:
             with pytest.raises(DaemonError, match="no snapshot store"):
-                client.snapshot()
+                client.checkpoint()
+            assert client.stats()["checkpoints"] == 0
+
+
+def test_checkpoint_on_a_wal_attached_daemon_prunes_and_counts(
+    index, batch, socket_path, tmp_path
+):
+    """A checkpoint after inserts prunes the log per ``keep`` and is counted."""
+    index.attach_wal(tmp_path / "wal")
+    store = SnapshotStore(tmp_path / "snapshots", keep=1)
+    store.save(index)
+    with ServingDaemon(index, socket_path, snapshot_store=store):
+        with DaemonClient(socket_path) as client:
+            client.insert(batch[:2])
+            client.insert(batch[2:4])
+            before = client.wal_stats()
+            checkpoint = client.checkpoint()
+            stats = client.stats()
+    index.wal.close()
+    assert store.snapshots() == [Path(checkpoint["path"])]  # keep=1 dropped the first
+    # Only the segment the retained snapshot replays from survives.
+    assert checkpoint["wal"]["segments"] == 1
+    assert checkpoint["wal"]["active_segment"] == before["active_segment"] + 1
+    assert checkpoint["wal"]["pruned_segments"] == before["pruned_segments"] + before["segments"]
+    assert stats["checkpoints"] == 1
+    assert stats["durability"]["last_checkpoint"] == checkpoint["path"]
 
 
 def test_drain_finishes_admitted_work_then_stops(index, batch, socket_path):

@@ -16,11 +16,18 @@ else — and no signature column leaves the parent, so nothing under ``src/``
 imports ``multiprocessing.shared_memory``.  And every fault-injection seam
 the code fires is one ``repro.testing.faults`` documents, and the other way
 round.
+
+Nothing under ``src/repro`` defines a function, method or class that no
+file in ``src/``, ``benchmarks/``, ``examples/`` or ``tests/`` names: a
+definition whose only mention is its own ``def`` line is a path nothing
+runs.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -227,3 +234,74 @@ def test_the_seam_check_sees_what_it_is_for():
     )
     assert fired_seams(source, "s.py") == ({"wal_append", "flat_replace"}, ["s.py:3"])
     assert {"pool_start", "serving_probe", "serving_estimates", "serving_exact"} <= documented_seams()
+
+
+# --------------------------------------------------------------------- #
+# every definition under src/ is referenced somewhere
+# --------------------------------------------------------------------- #
+_ROOT = _SRC.parents[1]
+_REFERENCING = ("src", "benchmarks", "examples", "tests")
+_DEFINITION_LINE = re.compile(r"^\s*(?:async\s+)?(?:def|class)\s+(\w+)")
+
+
+def defined_names(source: str, filename: str) -> list[tuple[str, str]]:
+    """``(name, file:line)`` of every function, method and class, dunders exempt."""
+    return [
+        (node.name, f"{filename}:{node.lineno}")
+        for node in ast.walk(ast.parse(source, filename=filename))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def word_counts(source: str) -> Counter:
+    """Whole-word occurrences, strings and comments included, each ``def`` /
+    ``class`` line's own name excluded."""
+    counts: Counter = Counter()
+    for line in source.splitlines():
+        words = re.findall(r"\w+", line)
+        definition = _DEFINITION_LINE.match(line)
+        if definition:
+            words.remove(definition.group(1))
+        counts.update(words)
+    return counts
+
+
+def unreferenced(definitions: list[tuple[str, str]], counts: Counter) -> list[str]:
+    return [f"{name} ({where})" for name, where in definitions if not counts[name]]
+
+
+def test_every_definition_under_src_is_referenced():
+    definitions = [
+        definition
+        for path in sorted(_SRC.rglob("*.py"))
+        for definition in defined_names(path.read_text(), str(path.relative_to(_ROOT)))
+    ]
+    assert definitions, f"nothing to check under {_SRC}"
+    counts: Counter = Counter()
+    for directory in _REFERENCING:
+        for path in sorted((_ROOT / directory).rglob("*.py")):
+            counts.update(word_counts(path.read_text()))
+    dead = unreferenced(definitions, counts)
+    assert not dead, "defined under src/ and named nowhere else: " + ", ".join(dead)
+
+
+def test_the_dead_definition_check_sees_what_it_is_for():
+    # the shape of the row-splicing path the signature stores kept after
+    # every insert sealed its own segment (names made up: a real one written
+    # here would count as a reference)
+    source = (
+        "class Store:\n"
+        "    def splice_rows(self, other):\n"
+        "        self.grow_rows(other.words)\n"
+        "    def grow_rows(self, block):\n"
+        "        \"\"\"Called by Store.consolidate.\"\"\"\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "async def serve():\n"
+        "    pass\n"
+    )
+    assert sorted(unreferenced(defined_names(source, "s.py"), word_counts(source))) == [
+        "serve (s.py:8)",
+        "splice_rows (s.py:2)",
+    ]
