@@ -55,8 +55,9 @@ with no per-vector Python loop:
    count of indexed entries gives every entry both ends of its probe: the
    count at its feature's first slot is where the feature's postings begin,
    and its own count is where "the vectors indexed before ``x``" end.
-4. *Gather.*  The probe prefixes are gathered in hit-budgeted batches, and
-   each batch's canonical pair keys ``min * n + max`` are deduplicated by
+4. *Gather.*  The probe prefixes are gathered in batches of whole rows
+   within a hit budget, and each batch's canonical pair keys
+   ``min * n + max`` are deduplicated by
    :func:`~repro.candidates.arrayops.sorted_unique`, so every block is
    ``left < right`` in ascending order.
 
@@ -73,19 +74,13 @@ import numpy as np
 
 from typing import Iterator
 
-from repro.candidates.arrayops import budgeted_batches, ragged_arange, sorted_unique
-from repro.candidates.base import (
-    UNBOUNDED_BLOCK,
-    BlockStream,
-    CandidateGenerator,
-    CandidateSet,
+from repro.candidates.arrayops import (
+    block_slices, budgeted_batches, hit_budget, ragged_arange, sorted_unique,
 )
+from repro.candidates.base import BlockStream, CandidateGenerator
 from repro.similarity.vectors import VectorCollection
 
 __all__ = ["AllPairsGenerator"]
-
-#: cap on gathered posting hits materialised per probe batch
-_HIT_BATCH = 4_000_000
 
 
 class AllPairsGenerator(CandidateGenerator):
@@ -110,36 +105,25 @@ class AllPairsGenerator(CandidateGenerator):
                 f"got {self.measure.name!r}"
             )
 
-    def generate_blocks(self, collection: VectorCollection, block_size: int) -> BlockStream:
+    generate = CandidateGenerator.generate  # named here for benchmarks/e2e/trace.py to wrap
+
+    def generate_blocks(
+        self, collection: VectorCollection, block_size: int | None = None
+    ) -> BlockStream:
         """Stream candidate pairs probe-batch by probe-batch.
 
-        The inverted-index probe over all entries proceeds in hit-budgeted
-        batches (the budget scales with ``block_size``); each batch's pairs
+        The inverted-index probe proceeds in batches of whole rows within a
+        hit budget that scales with ``block_size``
+        (:func:`~repro.candidates.arrayops.hit_budget`); each batch's pairs
         are deduplicated within the batch and yielded in ``block_size``
-        chunks, so the peak pair-array footprint is bounded by the batch
-        budget instead of the total candidate count.
-        """
-        if block_size <= 0:
-            raise ValueError(f"block_size must be positive, got {block_size}")
-        hit_budget = int(min(_HIT_BATCH, max(block_size, 4096)))
-        return self._stream(collection, hit_budget, block_size)
-
-    def generate(self, collection: VectorCollection, block_size: int | None = None) -> CandidateSet:
-        """All candidate pairs (the streamed path with one unbounded block by default).
-
+        chunks, so the peak pair-array footprint is bounded by the budget
+        (or by one row's hits, where a row alone exceeds it) instead of the
+        total candidate count.  A pair is found only from its
+        later-processed row, so no pair appears in two blocks.
         Deterministic in the collection alone: the index-then-probe sweep
-        involves no randomness, so repeated calls yield identical pairs,
-        counts and metadata.
+        involves no randomness.
         """
-        if block_size is None:
-            stream = self._stream(collection, _HIT_BATCH, UNBOUNDED_BLOCK)
-        else:
-            stream = self.generate_blocks(collection, block_size)
-        return CandidateSet.from_stream(stream, block_size)
-
-    def _stream(
-        self, collection: VectorCollection, hit_budget: int, block_size: int
-    ) -> BlockStream:
+        budget = hit_budget(block_size)
         prepared = self.measure.prepare(collection).normalized()
         n_vectors = prepared.n_vectors
         if n_vectors < 2:
@@ -211,15 +195,15 @@ class AllPairsGenerator(CandidateGenerator):
         }
 
         # ---------------- phase 3: candidate generation ----------------------
-        # Gathered hits are materialised in budget-bounded batches and
-        # deduplicated on canonical keys ``min * n + max``.  A pair is only
-        # ever found from its later-processed row, so canonicalising before
-        # deduplication merges nothing extra, and the blocks come out as
-        # ``left < right`` ascending — one batch is already the sorted set
-        # from_arrays would build.  Pairs repeated across batches are
-        # removed by from_arrays.
+        # Gathered hits are materialised in batches of whole rows within the
+        # hit budget and deduplicated on canonical keys ``min * n + max``.  A
+        # pair is only ever found from its later-processed row, so
+        # canonicalising before deduplication merges nothing extra, no pair
+        # reaches two batches, and the blocks come out as ``left < right``
+        # ascending — one batch is already the sorted set from_arrays would
+        # build.
         def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-            for entry_start, entry_end in budgeted_batches(hit_counts, hit_budget):
+            for entry_start, entry_end in budgeted_batches(hit_counts, budget, rows_of_entries):
                 batch = slice(entry_start, entry_end)
                 gathered = ragged_arange(prefix_starts[batch], hit_counts[batch])
                 if not len(gathered):
@@ -229,8 +213,8 @@ class AllPairsGenerator(CandidateGenerator):
                 pair_keys = sorted_unique(
                     np.minimum(xs, ys) * n_vectors + np.maximum(xs, ys)
                 )
-                for start in range(0, len(pair_keys), block_size):
-                    yield np.divmod(pair_keys[start : start + block_size], n_vectors)
+                for chunk in block_slices(len(pair_keys), block_size):
+                    yield np.divmod(pair_keys[chunk], n_vectors)
 
         return BlockStream(blocks(), metadata)
 

@@ -10,7 +10,10 @@ patterns they need:
 * :func:`pairs_within_groups` — all intra-group index pairs of a grouped
   array, the core of LSH bucket pair enumeration;
 * :func:`sorted_unique` — the one definition of "sorted distinct integer
-  keys", which every pair/probe deduplication goes through.
+  keys", which every pair/probe deduplication goes through;
+* :func:`hit_budget`, :func:`budgeted_batches` and :func:`block_slices` —
+  the one batching rule of the streaming generators: probe batches of whole
+  rows within a hit budget, cut into blocks of ``block_size`` pairs.
 
 The first two are built from ``repeat``/``cumsum`` only, so their cost is
 linear in the output size; the third is a bool mask over a dense key range
@@ -19,9 +22,19 @@ and one sort otherwise.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-__all__ = ["ragged_arange", "pairs_within_groups", "budgeted_batches", "sorted_unique"]
+__all__ = [
+    "block_slices", "budgeted_batches", "hit_budget", "pairs_within_groups", "ragged_arange",
+    "sorted_unique",
+]
+
+#: cap on gathered posting hits materialised per probe batch
+_HIT_BATCH = 4_000_000
+#: least hit budget of a probe batch when blocks are bounded
+_HIT_BATCH_FLOOR = 4096
 
 #: keys whose range is at most this many times their count are deduplicated
 #: through a bool mask instead of a sort
@@ -68,32 +81,40 @@ def _unique_by_sort(keys: np.ndarray) -> np.ndarray:
     return ordered[distinct]
 
 
-def budgeted_batches(
-    lengths: np.ndarray, budget: int, group_ids: np.ndarray | None = None
-):
-    """Yield ``(start, end)`` index ranges whose summed lengths stay near ``budget``.
+def hit_budget(block_size: int | None) -> int:
+    """Posting hits one probe batch may gather when blocks hold ``block_size`` pairs:
+    the cap for ``None``, else ``block_size`` within the floor and the cap."""
+    if block_size is None:
+        return _HIT_BATCH
+    if block_size <= 0:
+        raise ValueError(f"block_size must be positive, got {block_size}")
+    return min(_HIT_BATCH, max(block_size, _HIT_BATCH_FLOOR))
 
-    Used to bound how many ragged-gather results are materialised at once.
-    Each batch holds at least one entry, so a single oversized entry still
-    forms its own batch.  When ``group_ids`` is given (same length as
-    ``lengths``), batch boundaries are extended so a group is never split
-    across batches — required when downstream accounting must see a group's
-    entries together.
+
+def budgeted_batches(lengths: np.ndarray, budget: int, group_ids: np.ndarray):
+    """Yield ``(start, end)`` ranges of whole groups whose lengths sum to at most ``budget``.
+
+    ``group_ids`` (same length as ``lengths``) labels each entry's group,
+    and a group's entries are contiguous.  A batch never splits a group, so
+    downstream code sees a group's entries together; a group whose own
+    lengths exceed ``budget`` is a batch by itself.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    cumulative = np.cumsum(lengths)
-    n_entries = len(lengths)
-    start = 0
-    while start < n_entries:
-        consumed = int(cumulative[start - 1]) if start else 0
-        end = int(np.searchsorted(cumulative, consumed + budget, side="right"))
-        end = max(end, start + 1)
-        if group_ids is not None:
-            last_group = group_ids[end - 1]
-            while end < n_entries and group_ids[end] == last_group:
-                end += 1
-        yield start, end
-        start = end
+    if not len(lengths):
+        return
+    group_ends = np.flatnonzero(np.append(group_ids[1:] != group_ids[:-1], True)) + 1
+    through = np.cumsum(lengths, dtype=np.int64)[group_ends - 1]  # summed up to each group end
+    first = 0  # the batch's first group
+    while first < len(group_ends):
+        consumed = int(through[first - 1]) if first else 0
+        last = max(int(np.searchsorted(through, consumed + budget, side="right")), first + 1)
+        yield (int(group_ends[first - 1]) if first else 0), int(group_ends[last - 1])
+        first = last
+
+
+def block_slices(n_items: int, block_size: int | None) -> Iterator[slice]:
+    """Slices cutting ``n_items`` items into runs of ``block_size`` (``None``: one run)."""
+    step = block_size or max(n_items, 1)
+    return (slice(start, start + step) for start in range(0, n_items, step))
 
 
 def ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

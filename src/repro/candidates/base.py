@@ -12,20 +12,21 @@ from repro.candidates.arrayops import sorted_unique
 from repro.similarity.measures import SimilarityMeasure, get_measure
 from repro.similarity.vectors import VectorCollection
 
-__all__ = ["BlockStream", "CandidateGenerator", "CandidateSet", "UNBOUNDED_BLOCK"]
+__all__ = ["BlockStream", "CandidateGenerator", "CandidateSet"]
 
-#: block size that never splits: a monolithic generate() consuming its own
-#: block stream passes this so every natural block arrives whole
-UNBOUNDED_BLOCK = 1 << 62
+#: pair keys are ``left << 31 | right``; an index from here on takes the slow path
+_KEY_LIMIT = (1 << 31) - 1
 
 
 class BlockStream:
     """A stream of raw candidate-pair blocks with late-bound metadata.
 
-    Iterating yields ``(left, right)`` parallel index-array blocks.  Blocks
-    are *raw*: pairs may repeat across blocks (LSH emits one copy per band
-    collision) and are not canonicalised; :meth:`CandidateSet.from_stream`
-    deduplicates them into the candidate set.  ``metadata`` is filled in by
+    Iterating yields ``(left, right)`` parallel index-array blocks of at most
+    the ``block_size`` the stream was made for (``None``: every natural block
+    whole).  Blocks are *raw*: not canonicalised, and pairs may repeat across
+    blocks (LSH emits one copy per band collision; AllPairs and PPJoin+ never
+    repeat a pair); :meth:`CandidateSet.from_stream` deduplicates them into
+    the candidate set.  ``metadata`` is filled in by
     the producing generator as the stream is consumed and is only complete
     once iteration has finished.
     """
@@ -80,18 +81,18 @@ class CandidateSet:
     def from_stream(cls, stream: "BlockStream", block_size: int | None = None) -> "CandidateSet":
         """Collect a fully-consumed :class:`BlockStream` into a candidate set.
 
-        Raw blocks are buffered and folded into the deduplicated set by
-        :meth:`from_arrays` (the set's own pairs plus the buffer, one sort).
-        With ``block_size=None`` the fold happens once, at the end: every
-        block is concatenated (a lone block is passed on as it is) — the
-        shared tail of every generator's monolithic :meth:`generate`.  With a
-        ``block_size`` the buffer is folded as soon as it holds
-        ``max(len(set), block_size)`` raw pairs, so the raw pairs held at any
-        time stay within that bound plus one block while the total sorting
-        cost stays amortised ``O(N log N)``; the deduplicated set is kept as
-        ``left`` / ``right`` arrays, 16 bytes per unique pair.  The result is
-        the same for every ``block_size``.  ``metadata`` is the stream's,
-        read once iteration has finished.
+        Raw blocks are buffered.  A fold merges the buffer into the set held
+        so far, which is never re-canonicalised: canonical blocks are
+        ascending runs as they are, the others go through :meth:`from_arrays`
+        together, and one stable sort of the runs' keys merges them, repeats
+        dropped.  With
+        ``block_size=None`` nothing is held: the one fold, at the end, takes
+        every block concatenated (a lone block as it is).  With a
+        ``block_size`` the buffer is folded once it holds ``max(len(set),
+        block_size)`` raw pairs, so the raw pairs held stay within that bound
+        plus one block; the held set is ``left`` / ``right``, 16 bytes per
+        unique pair.  The result is the same for every ``block_size``;
+        ``metadata`` is the stream's, read once iteration has finished.
         """
         folded = cls.from_arrays([], [])
         left_parts: list[np.ndarray] = []
@@ -176,14 +177,35 @@ class CandidateSet:
         return f"CandidateSet(n_pairs={len(self)})"
 
 
-def _fold(pairs: CandidateSet, left_parts: list, right_parts: list) -> CandidateSet:
-    """``pairs`` plus the (non-empty list of) raw blocks, deduplicated by ``from_arrays``."""
-    if len(pairs):
-        left_parts = [pairs.left, *left_parts]
-        right_parts = [pairs.right, *right_parts]
-    if len(left_parts) == 1:  # one block: nothing to join, no copy
-        return CandidateSet.from_arrays(left_parts[0], right_parts[0])
-    return CandidateSet.from_arrays(np.concatenate(left_parts), np.concatenate(right_parts))
+def _fold(held: CandidateSet, left_parts: list, right_parts: list) -> CandidateSet:
+    """The set ``held`` plus the (non-empty list of) raw blocks, deduplicated."""
+    if not len(held):
+        if len(left_parts) == 1:  # one block: nothing to join, no copy
+            return CandidateSet.from_arrays(left_parts[0], right_parts[0])
+        return CandidateSet.from_arrays(np.concatenate(left_parts), np.concatenate(right_parts))
+    # The held set and canonical blocks (AllPairs') are ascending runs
+    # already; from the first other block on, the blocks are canonicalised
+    # together into one more run.
+    runs, rest = [held], []
+    for left, right in zip(left_parts, right_parts):
+        left, right = np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
+        if not rest and _is_canonical(left, right):
+            runs.append(CandidateSet(left, right))
+        else:
+            rest.append((left, right))
+    if rest:
+        runs.append(CandidateSet.from_arrays(*map(np.concatenate, zip(*rest))))
+    left = [run.left for run in runs]
+    right = [run.right for run in runs]
+    if max(int(part.max(initial=0)) for part in right) >= _KEY_LIMIT:
+        return CandidateSet.from_arrays(np.concatenate(left), np.concatenate(right))
+    # A stable sort (timsort) merges the runs and leaves every repeat next to its twin.
+    keys = np.concatenate([high << 31 | low for high, low in zip(left, right)])
+    keys.sort(kind="stable")
+    distinct = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    keys = keys[distinct]
+    return CandidateSet(left=keys >> 31, right=keys & _KEY_LIMIT)
 
 
 def _is_canonical(left: np.ndarray, right: np.ndarray) -> bool:
@@ -208,7 +230,9 @@ class CandidateGenerator(ABC):
     """Base class of all candidate generation algorithms.
 
     A generator is constructed with a similarity measure and a threshold and
-    produces a :class:`CandidateSet` from a vector collection.  Generators
+    produces a :class:`CandidateSet` from a vector collection.  A generator
+    is its block stream: it implements :meth:`generate_blocks` only, and the
+    one :meth:`generate` collects that stream.  Generators
     are free to miss pairs (LSH misses with a controlled false-negative rate)
     or to produce false positives (all of them do); the verification phase is
     responsible for the final answer.
@@ -233,15 +257,21 @@ class CandidateGenerator(ABC):
         """The similarity threshold the candidate set targets."""
         return self._threshold
 
-    @abstractmethod
     def generate(self, collection: VectorCollection, block_size: int | None = None) -> CandidateSet:
-        """Produce candidate pairs for the given collection.
+        """Candidate pairs: :meth:`generate_blocks` collected by :meth:`CandidateSet.from_stream`.
 
-        With a ``block_size``, the generators that stream (LSH, AllPairs,
-        PPJoin+: ``generate_blocks(collection, block_size)``, a raw
-        :class:`BlockStream`) generate and deduplicate in blocks of about that
-        many raw pairs; the candidate set and its metadata are the same for
-        every ``block_size``.
+        The set and its metadata are the same for every ``block_size``.
+        """
+        return CandidateSet.from_stream(self.generate_blocks(collection, block_size), block_size)
+
+    @abstractmethod
+    def generate_blocks(
+        self, collection: VectorCollection, block_size: int | None = None
+    ) -> BlockStream:
+        """The raw candidate pairs, as blocks of at most ``block_size`` pairs.
+
+        ``None`` yields every natural block (a probe batch, an LSH band)
+        whole.  Raises ``ValueError`` for a ``block_size`` below one.
         """
 
     def __repr__(self) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.candidates.base import CandidateGenerator, CandidateSet
+from repro.candidates.base import BlockStream, CandidateGenerator, CandidateSet
 from repro.similarity.vectors import VectorCollection
 
 __all__ = ["BruteForceGenerator"]
@@ -31,11 +31,19 @@ class BruteForceGenerator(CandidateGenerator):
         super().__init__(measure, threshold)
         self._require_shared_feature = bool(require_shared_feature)
 
+    def generate_blocks(
+        self, collection: VectorCollection, block_size: int | None = None
+    ) -> BlockStream:
+        """:meth:`generate`'s pairs as one block, whatever the ``block_size``."""
+        pairs = self.generate(collection)
+        return BlockStream(iter([(pairs.left, pairs.right)]), pairs.metadata)
+
     def generate(self, collection: VectorCollection, block_size: int | None = None) -> CandidateSet:
         """Every pair (optionally restricted to pairs sharing a feature).
 
         Built in one pass whatever the ``block_size``; the pairs are distinct
-        by construction, so there is nothing to deduplicate in blocks.
+        by construction, so there is nothing to deduplicate in blocks, and
+        they keep the order they are built in.
         """
         n = collection.n_vectors
         if n < 2:

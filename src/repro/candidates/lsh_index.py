@@ -33,13 +33,8 @@ import numpy as np
 
 from typing import Iterator, Protocol
 
-from repro.candidates.arrayops import pairs_within_groups, sorted_unique
-from repro.candidates.base import (
-    UNBOUNDED_BLOCK,
-    BlockStream,
-    CandidateGenerator,
-    CandidateSet,
-)
+from repro.candidates.arrayops import block_slices, pairs_within_groups, sorted_unique
+from repro.candidates.base import BlockStream, CandidateGenerator
 from repro.hashing.base import HashFamily, get_hash_family
 from repro.hashing.signatures import SignatureStore
 from repro.similarity.vectors import VectorCollection
@@ -355,14 +350,22 @@ class LSHGenerator(CandidateGenerator):
 
         return float(cosine_to_collision(self._threshold))
 
-    def generate_blocks(self, collection: VectorCollection, block_size: int) -> BlockStream:
+    generate = CandidateGenerator.generate  # named here for benchmarks/e2e/trace.py to wrap
+
+    def generate_blocks(
+        self, collection: VectorCollection, block_size: int | None = None
+    ) -> BlockStream:
         """Stream raw collision pairs band by band.
 
         Each LSH band is bucketed independently, so its collision pairs form a
         natural block (split further to respect ``block_size``); no cross-band
-        pair array is ever materialised.
+        pair array is ever materialised.  A pair colliding in several bands
+        appears in several blocks.  Deterministic in ``(collection, seed)``:
+        hash functions are pure functions of ``(seed, hash index)``, so
+        repeated calls — or a streamed call with any block size — produce
+        identical candidates.
         """
-        if block_size <= 0:
+        if block_size is not None and block_size <= 0:
             raise ValueError(f"block_size must be positive, got {block_size}")
         prepared = self.measure.prepare(collection)
         # A supplied family is used as is, so it must be the one built over
@@ -395,20 +398,7 @@ class LSHGenerator(CandidateGenerator):
                 bucket_rows = non_empty[order]
                 earlier, later = pairs_within_groups(bucket_rows, offsets)
                 metadata["n_raw_collisions"] += len(earlier)
-                for start in range(0, len(earlier), block_size):
-                    end = start + block_size
-                    yield earlier[start:end], later[start:end]
+                for chunk in block_slices(len(earlier), block_size):
+                    yield earlier[chunk], later[chunk]
 
         return BlockStream(blocks(), metadata)
-
-    def generate(self, collection: VectorCollection, block_size: int | None = None) -> CandidateSet:
-        """All banded-LSH collision pairs (one unbounded block per band by default).
-
-        Deterministic in ``(collection, seed)``: hash functions are pure
-        functions of ``(seed, hash index)``, so repeated calls — or a
-        streamed call with any block size — produce identical candidates.
-        """
-        stream = self.generate_blocks(
-            collection, UNBOUNDED_BLOCK if block_size is None else block_size
-        )
-        return CandidateSet.from_stream(stream, block_size)

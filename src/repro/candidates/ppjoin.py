@@ -44,19 +44,11 @@ import numpy as np
 
 from typing import Iterator
 
-from repro.candidates.arrayops import budgeted_batches, ragged_arange
-from repro.candidates.base import (
-    UNBOUNDED_BLOCK,
-    BlockStream,
-    CandidateGenerator,
-    CandidateSet,
-)
+from repro.candidates.arrayops import block_slices, budgeted_batches, hit_budget, ragged_arange
+from repro.candidates.base import BlockStream, CandidateGenerator
 from repro.similarity.vectors import VectorCollection
 
 __all__ = ["PPJoinGenerator"]
-
-#: cap on gathered posting hits materialised per probe batch
-_HIT_BATCH = 4_000_000
 
 
 def _minimum_overlap(measure_name: str, threshold: float, size_x: int, size_y: int) -> float:
@@ -99,34 +91,21 @@ class PPJoinGenerator(CandidateGenerator):
         self._use_positional_filter = bool(use_positional_filter)
         self._use_suffix_filter = bool(use_suffix_filter)
 
-    def generate_blocks(self, collection: VectorCollection, block_size: int) -> BlockStream:
+    def generate_blocks(
+        self, collection: VectorCollection, block_size: int | None = None
+    ) -> BlockStream:
         """Stream candidate pairs probe-batch by probe-batch.
 
-        Probe batches respect record boundaries (the accept-skip accounting
-        needs a record's hits together) and their gathered-hit budget scales
-        with ``block_size``; accepted pairs are yielded in ``block_size``
-        chunks.
+        Probe batches hold whole records (the accept-skip accounting needs a
+        record's hits together) within a hit budget that scales with
+        ``block_size`` (:func:`~repro.candidates.arrayops.hit_budget`);
+        accepted pairs are yielded in ``block_size`` chunks.  A pair is
+        accepted only while probing its later-processed record, so no pair
+        appears in two blocks.  Deterministic in the collection alone — no
+        randomness is involved, and the accept-skip accounting makes the
+        counters exact.
         """
-        if block_size <= 0:
-            raise ValueError(f"block_size must be positive, got {block_size}")
-        hit_budget = int(min(_HIT_BATCH, max(block_size, 4096)))
-        return self._stream(collection, hit_budget, block_size)
-
-    def generate(self, collection: VectorCollection, block_size: int | None = None) -> CandidateSet:
-        """All candidate pairs (the streamed path with one unbounded block by default).
-
-        Deterministic in the collection alone — no randomness is involved,
-        and the accept-skip accounting makes the counters exact.
-        """
-        if block_size is None:
-            stream = self._stream(collection, _HIT_BATCH, UNBOUNDED_BLOCK)
-        else:
-            stream = self.generate_blocks(collection, block_size)
-        return CandidateSet.from_stream(stream, block_size)
-
-    def _stream(
-        self, collection: VectorCollection, hit_budget: int, block_size: int
-    ) -> BlockStream:
+        budget = hit_budget(block_size)
         prepared = self.measure.prepare(collection)
         n_vectors = prepared.n_vectors
         if n_vectors < 2:
@@ -221,9 +200,7 @@ class PPJoinGenerator(CandidateGenerator):
         def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
             # Batch on record boundaries (a record's hits must be examined
             # together) with a bound on gathered hits per batch.
-            for entry_start, entry_end in budgeted_batches(
-                hit_counts, hit_budget, group_ids=entry_rows
-            ):
+            for entry_start, entry_end in budgeted_batches(hit_counts, budget, entry_rows):
                 batch = slice(entry_start, entry_end)
                 gathered = ragged_arange(probe_starts[batch], hit_counts[batch])
                 n_hits = len(gathered)
@@ -302,8 +279,7 @@ class PPJoinGenerator(CandidateGenerator):
                     )
 
                 accepted = unique_pairs[first_pass < n_hits]
-                for start in range(0, len(accepted), block_size):
-                    chunk = accepted[start : start + block_size]
-                    yield chunk // n_vectors, chunk % n_vectors
+                for chunk in block_slices(len(accepted), block_size):
+                    yield np.divmod(accepted[chunk], n_vectors)
 
         return BlockStream(blocks(), metadata)

@@ -16,13 +16,17 @@ One code path runs every join; ``block_size`` is its only parameter, and
 ``None`` means one block.
 
 * **Generation** — ``generator.generate(collection, block_size)``: a
-  generator that streams (:meth:`CandidateGenerator.generate_blocks`) yields
-  raw pair blocks of about ``block_size`` pairs, and
+  generator is its block stream (:meth:`CandidateGenerator.generate_blocks`,
+  raw pair blocks of at most ``block_size`` pairs), and
   :meth:`CandidateSet.from_stream` folds them into the deduplicated set as
-  they arrive (kept as ``left`` / ``right``, 16 bytes per unique pair), so
-  the raw pairs held at once are bounded by the deduplicated set plus one
-  block instead of the raw collision count (for LSH the raw count is often
-  many times the unique count).
+  they arrive: each buffer of raw blocks is deduplicated on its own and
+  merged into the held set (kept as ``left`` / ``right``, 16 bytes per
+  unique pair), so the raw pairs held at once are bounded by the
+  deduplicated set plus one block instead of the raw collision count (for
+  LSH the raw count is often many times the unique count).  The
+  inverted-index generators probe in batches of whole rows within a hit
+  budget (a row over it is a batch of its own), so no pair is in two of
+  their blocks.
 * **Verification** — ``verifier.verify(candidates, block_size, pool)`` walks
   :meth:`CandidateSet.blocks`, so the per-pair verification state is bounded
   by the block size; per-block outputs are combined with

@@ -1075,7 +1075,7 @@ class QueryIndex:
         index._family = index._segments.family
         index._family.restore_state(family_state)
         for collection, store, ids in segments_data:
-            index._segments.append_restored(collection, store, ids=ids, defer=True)
+            index._segments.append_restored(collection, store, ids=ids)
         if len(deleted) != index._segments.n_vectors:
             raise ValueError(
                 f"tombstone mask covers {len(deleted)} rows, collection has "

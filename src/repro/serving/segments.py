@@ -86,7 +86,7 @@ class CollectionSegment:
     never mutated afterwards, except for lazily extending the signature
     store with more hash *columns* (never rows) via :meth:`ensure_hashes`.
 
-    Restored segments may be built **deferred** (``prepared``/``family``
+    Restored segments are built **deferred** (``prepared``/``family``
     passed as ``None`` with the measure and master family in ``deferred``):
     the prepared view and the family clone are then derived on first access
     instead of at load time.  Both are deterministic functions of the raw
@@ -384,40 +384,24 @@ class SegmentedCollection:
         return self._seal(collection, prepared, family, store, ids)
 
     def append_restored(
-        self,
-        collection: VectorCollection,
-        store: SignatureStore,
-        ids=None,
-        defer: bool = False,
+        self, collection: VectorCollection, store: SignatureStore, ids=None
     ) -> CollectionSegment:
         """Re-attach a deserialised segment (snapshot load path).
 
-        ``store`` already holds this segment's signature rows; the family
-        clone adopts it and keeps extending lazily from where it left off.
-        With ``defer=True`` the O(nnz) preparation and the family clone are
-        postponed to the segment's first use (see
-        :class:`CollectionSegment`) — bit-identical either way, and the
-        reason a memory-mapped snapshot load need not touch the raw
-        vectors at all.
+        ``store`` already holds this segment's signature rows.  The O(nnz)
+        preparation and the family clone, which adopts ``store`` and keeps
+        extending it lazily from where it left off, are postponed to the
+        segment's first use (see :class:`CollectionSegment`) — the reason a
+        memory-mapped snapshot load need not touch the raw vectors at all.
         """
         if collection.n_features != self._n_features:
             raise ValueError(
                 f"segment has {collection.n_features} features, collection "
                 f"holds {self._n_features}"
             )
-        if defer:
-            return self._seal(
-                collection,
-                None,
-                None,
-                store,
-                ids,
-                deferred=(self._measure, self._family),
-            )
-        prepared = self._measure.prepare(collection)
-        family = self._family.clone_for(prepared)
-        family.attach_store(store)
-        return self._seal(collection, prepared, family, store, ids)
+        return self._seal(
+            collection, None, None, store, ids, deferred=(self._measure, self._family)
+        )
 
     # ------------------------------------------------------------------ #
     # segment routing

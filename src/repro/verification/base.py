@@ -45,13 +45,16 @@ def cross_similarities_for_pairs(
     corpus.  Every operation is per-pair and row-local, so results do not
     depend on how pairs are batched (a batch of one reproduces the batched
     value bit for bit).  With ``prepared_left is prepared_right`` this is
-    exactly :func:`exact_similarities_for_pairs`.
+    exactly :func:`exact_similarities_for_pairs`.  Raises ``ValueError`` for
+    a measure other than cosine, Jaccard and binary cosine.
     """
+    name = measure.name
+    if name not in ("cosine", "jaccard", "binary_cosine"):
+        raise ValueError(f"no exact pair kernel for measure {name!r}")
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
     n_pairs = len(left)
     result = np.empty(n_pairs, dtype=np.float64)
-    name = measure.name
     for start in range(0, n_pairs, chunk_size):
         end = min(start + chunk_size, n_pairs)
         chunk_l = left[start:end]
@@ -65,31 +68,12 @@ def cross_similarities_for_pairs(
         elif name == "jaccard":
             union = prepared_left.row_nnz[chunk_l] + prepared_right.row_nnz[chunk_r] - inner
             values = np.divide(inner, union, out=np.zeros_like(inner), where=union > 0)
-        elif name == "binary_cosine":
+        else:  # binary_cosine
             denom = np.sqrt(
                 prepared_left.row_nnz[chunk_l].astype(np.float64)
                 * prepared_right.row_nnz[chunk_r].astype(np.float64)
             )
             values = np.divide(inner, denom, out=np.zeros_like(inner), where=denom > 0)
-        elif prepared_left is prepared_right:
-            # fall back to the measure's scalar implementation
-            values = np.array(
-                [
-                    measure.exact(prepared_left, int(i), int(j))
-                    for i, j in zip(chunk_l, chunk_r)
-                ]
-            )
-        else:  # cross-collection fallback: scalar measure on a joint pair view
-            import scipy.sparse as sp
-
-            values = np.empty(end - start, dtype=np.float64)
-            for offset, (i, j) in enumerate(zip(chunk_l, chunk_r)):
-                joint = VectorCollection(
-                    sp.vstack(
-                        [prepared_left.matrix.getrow(int(i)), prepared_right.matrix.getrow(int(j))]
-                    )
-                )
-                values[offset] = measure.exact(measure.prepare(joint), 0, 1)
         result[start:end] = np.minimum(values, 1.0)
     return result
 

@@ -5,10 +5,14 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.candidates import arrayops
 from repro.candidates.allpairs import AllPairsGenerator
-from repro.candidates.base import UNBOUNDED_BLOCK, BlockStream, CandidateGenerator, CandidateSet
+from repro.candidates.base import BlockStream, CandidateGenerator, CandidateSet
 from repro.candidates.brute_force import BruteForceGenerator
 from repro.candidates.lsh_index import LSHGenerator
+from repro.candidates.ppjoin import PPJoinGenerator
+
+from tests.property.test_vectorised_equivalence import _random_weighted_collection
 
 
 def _stream(blocks, **metadata) -> BlockStream:
@@ -42,15 +46,37 @@ class TestCandidateSet:
         assert "n_pairs=2" in repr(candidate_set)
 
 
+def _random_blocks():
+    """Twenty raw blocks of random (unordered, repeating, self-) pairs."""
+    rng = np.random.default_rng(3)
+    return [(rng.integers(0, 50, size=40), rng.integers(0, 50, size=40)) for _ in range(20)]
+
+
+def _blocks_overlapping_the_held_set():
+    """Blocks that re-send pairs an earlier fold already holds: a canonical
+    block, then its pairs again as a strided canonical subset and reversed,
+    then new pairs mixed with held ones (at ``block_size=1`` the last three
+    are one buffer: a canonical run, then two blocks to canonicalise)."""
+    rng = np.random.default_rng(4)
+    first = CandidateSet.from_arrays(rng.integers(0, 50, size=60), rng.integers(0, 50, size=60))
+    return [
+        (first.left, first.right),
+        (first.left[1::3], first.right[1::3]),
+        (first.right[::2], first.left[::2]),
+        (np.concatenate([rng.integers(0, 50, size=30), first.left[:9]]),
+         np.concatenate([rng.integers(0, 50, size=30), first.right[:9]])),
+    ]
+
+
 class TestFromStream:
     """The one deduplication of raw pair blocks, for every ``block_size``."""
 
-    @pytest.mark.parametrize("block_size", [None, 1, 7, 64, UNBOUNDED_BLOCK])
-    def test_matches_one_shot_from_arrays(self, block_size):
-        rng = np.random.default_rng(3)
-        blocks = [
-            (rng.integers(0, 50, size=40), rng.integers(0, 50, size=40)) for _ in range(20)
-        ]
+    @pytest.mark.parametrize(
+        "make_blocks", [_random_blocks, _blocks_overlapping_the_held_set], ids=["random", "overlap"]
+    )
+    @pytest.mark.parametrize("block_size", [None, 1, 7, 64, 1 << 20])
+    def test_matches_one_shot_from_arrays(self, block_size, make_blocks):
+        blocks = make_blocks()
         reference = CandidateSet.from_arrays(
             np.concatenate([left for left, _ in blocks]),
             np.concatenate([right for _, right in blocks]),
@@ -151,17 +177,24 @@ class TestBlocks:
         assert len(left) == len(right) == 0
 
 
+def _generator(kind):
+    if kind == "allpairs":
+        return AllPairsGenerator("cosine", 0.3)
+    if kind == "ppjoin":
+        return PPJoinGenerator("jaccard", 0.3)
+    return LSHGenerator("cosine", 0.5, seed=4)
+
+
 class TestStreamedDeduplication:
     """``from_stream`` at any ``block_size`` == one-shot ``from_arrays`` on raw
-    generator streams whose blocks repeat pairs."""
+    generator streams.  The inverted-index generators find a pair from one
+    row only and cut their probe batches at row boundaries, so no pair is in
+    two of their blocks; LSH blocks repeat pairs across bands."""
 
-    @pytest.mark.parametrize("kind", ["allpairs", "lsh"])
-    @pytest.mark.parametrize("block_size", [1, 4096, UNBOUNDED_BLOCK])
+    @pytest.mark.parametrize("kind", ["allpairs", "ppjoin", "lsh"])
+    @pytest.mark.parametrize("block_size", [None, 1, 7, 4096])
     def test_equals_one_shot_from_arrays(self, kind, block_size, sparse_text_collection):
-        if kind == "allpairs":
-            generator = AllPairsGenerator("cosine", 0.3)
-        else:
-            generator = LSHGenerator("cosine", 0.5, seed=4)
+        generator = _generator(kind)
         raw = list(generator.generate_blocks(sparse_text_collection, block_size))
         stream = generator.generate_blocks(sparse_text_collection, block_size)
         collected = CandidateSet.from_stream(stream, block_size)
@@ -171,16 +204,43 @@ class TestStreamedDeduplication:
             **stream.metadata,
         )
         assert len(reference) > 0
-        if kind == "lsh" or block_size != UNBOUNDED_BLOCK:
-            # (one unbounded AllPairs probe batch deduplicates itself)
+        assert block_size is None or max(len(left) for left, _ in raw) <= block_size
+        if kind == "lsh":
             assert sum(len(left) for left, _ in raw) > len(reference), (
                 "the stream must repeat pairs across blocks"
+            )
+        else:
+            assert sum(len(left) for left, _ in raw) == len(reference), (
+                "no pair may appear in two blocks"
             )
         np.testing.assert_array_equal(collected.left, reference.left)
         np.testing.assert_array_equal(collected.right, reference.right)
         assert collected.left.dtype == collected.right.dtype == np.int64
         assert collected.metadata == reference.metadata
         assert collected.metadata == generator.generate(sparse_text_collection).metadata
+
+    @pytest.mark.parametrize("kind", ["allpairs", "ppjoin"])
+    @pytest.mark.parametrize("block_size", [1, 7, 4096])
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_rows_over_a_tiny_budget_stay_whole(self, kind, block_size, seed, monkeypatch):
+        """A five-hit budget splits the probe into many batches, and rows
+        with more hits (the hub row holds every feature) exceed it; still no
+        pair is in two blocks."""
+        collection = _random_weighted_collection(seed)
+        generator = _generator(kind)
+        whole = generator.generate(collection)
+        monkeypatch.setattr(arrayops, "_HIT_BATCH", 5)
+        monkeypatch.setattr(arrayops, "_HIT_BATCH_FLOOR", 5)
+        raw = list(generator.generate_blocks(collection, block_size))
+        left = np.concatenate([left for left, _ in raw])
+        right = np.concatenate([right for _, right in raw])
+        assert len(raw) > 1
+        assert len(left) == len(whole), "no pair may appear in two blocks"
+        collected = generator.generate(collection, block_size)
+        np.testing.assert_array_equal(collected.left, whole.left)
+        np.testing.assert_array_equal(collected.right, whole.right)
+        assert collected.metadata == whole.metadata
+        assert CandidateSet.from_arrays(left, right).as_set() == whole.as_set()
 
 
 class TestGeneratorBase:

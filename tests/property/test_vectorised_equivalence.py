@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.candidates import arrayops
 from repro.candidates.allpairs import AllPairsGenerator
 from repro.candidates.arrayops import pairs_within_groups, ragged_arange
 from repro.candidates.lsh_index import LSHGenerator
@@ -292,15 +293,19 @@ class TestCandidateGeneratorEquivalence:
                 expected_pairs
             )
             assert candidates.metadata == {"generator": "allpairs", **expected_meta}
-            # The public entry points floor the hit budget at 4,096 hits, more
-            # than these collections gather, so a budget of a few hits is what
-            # splits the probe into many batches.
-            streams = (generator.generate_blocks(collection, 3), generator._stream(collection, 5, 3))
-            for stream in streams:
-                streamed = CandidateSet.from_stream(stream)
-                np.testing.assert_array_equal(streamed.left, candidates.left)
-                np.testing.assert_array_equal(streamed.right, candidates.right)
-                assert streamed.metadata == candidates.metadata
+            # The hit budget's floor, 4,096 hits, is more than these
+            # collections gather, so a budget of a few hits is what splits the
+            # probe into many batches.
+            with pytest.MonkeyPatch.context() as patch:
+                streams = [generator.generate_blocks(collection, 3)]
+                patch.setattr(arrayops, "_HIT_BATCH", 5)
+                patch.setattr(arrayops, "_HIT_BATCH_FLOOR", 5)
+                streams.append(generator.generate_blocks(collection, 3))
+                for stream in streams:
+                    streamed = CandidateSet.from_stream(stream)
+                    np.testing.assert_array_equal(streamed.left, candidates.left)
+                    np.testing.assert_array_equal(streamed.right, candidates.right)
+                    assert streamed.metadata == candidates.metadata
 
     def test_the_weighted_collection_has_the_intended_shapes(self):
         """Guard: a 10x hub, single-entry and empty rows, tied maximum weights."""
@@ -460,6 +465,30 @@ class TestArrayOps:
             else np.zeros(0, dtype=np.int64)
         )
         np.testing.assert_array_equal(ragged_arange(starts, lengths), expected)
+
+    @_SETTINGS
+    @given(
+        st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=4), max_size=10),
+        st.integers(1, 12),
+    )
+    @example(groups=[[2], [9, 4], [1], [0, 0]], budget=5)  # a group over budget between two
+    @example(groups=[[2], [2, 2], [1]], budget=5)  # the batch ends before the straddling group
+    @example(groups=[], budget=3)
+    def test_budgeted_batches(self, groups, budget):
+        """Greedy batches of whole groups within the budget; a group over it alone."""
+        lengths = np.array([length for group in groups for length in group], dtype=np.int64)
+        group_ids = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+        ends = np.cumsum([len(group) for group in groups]).tolist()
+        totals = [sum(group) for group in groups]
+        batches = list(arrayops.budgeted_batches(lengths, budget, group_ids))
+        expected, first = [], 0
+        while first < len(groups):
+            last = first + 1
+            while last < len(groups) and sum(totals[first : last + 1]) <= budget:
+                last += 1
+            expected.append((ends[first - 1] if first else 0, ends[last - 1]))
+            first = last
+        assert batches == expected
 
     @_SETTINGS
     @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8))

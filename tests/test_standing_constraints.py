@@ -17,6 +17,12 @@ imports ``multiprocessing.shared_memory``.  And every fault-injection seam
 the code fires is one ``repro.testing.faults`` documents, and the other way
 round.
 
+A candidate generator is its block stream: under ``candidates/`` only the
+base class (which collects ``generate_blocks``) and brute force (which
+builds its pairs in one pass) define ``generate`` (a class may name the
+base's own method, as the benchmark's tracer needs), and one module owns
+the probe batches' hit cap ``_HIT_BATCH``.
+
 Nothing under ``src/repro`` defines a function, method or class that no
 file in ``src/``, ``benchmarks/``, ``examples/`` or ``tests/`` names: a
 definition whose only mention is its own ``def`` line is a path nothing
@@ -305,3 +311,89 @@ def test_the_dead_definition_check_sees_what_it_is_for():
         "serve (s.py:8)",
         "splice_rows (s.py:2)",
     ]
+
+
+# --------------------------------------------------------------------- #
+# a candidate generator is its block stream
+# --------------------------------------------------------------------- #
+_OWN_GENERATE = {"CandidateGenerator", "BruteForceGenerator"}
+
+
+def _binds_generate(item: ast.stmt) -> bool:
+    """Whether a class-body statement binds ``generate`` to anything but the
+    base class's own method (``generate = CandidateGenerator.generate``, the
+    name the end-to-end benchmark's tracer wraps)."""
+    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return item.name == "generate"
+    if isinstance(item, ast.Assign):
+        alias = ast.unparse(item.value) == "CandidateGenerator.generate"
+        return not alias and any(
+            isinstance(target, ast.Name) and target.id == "generate" for target in item.targets
+        )
+    return False
+
+
+def generate_definitions(source: str, filename: str) -> list[str]:
+    """``Class (file:line)`` of every ``generate`` a class other than the base
+    and brute force defines."""
+    return [
+        f"{node.name} ({filename}:{item.lineno})"
+        for node in ast.walk(ast.parse(source, filename=filename))
+        if isinstance(node, ast.ClassDef) and node.name not in _OWN_GENERATE
+        for item in node.body
+        if _binds_generate(item)
+    ]
+
+
+def hit_batch_assignments(source: str, filename: str) -> list[str]:
+    """``file:line`` of every assignment to a name ``_HIT_BATCH``."""
+    return [
+        f"{filename}:{node.lineno}"
+        for node in ast.walk(ast.parse(source, filename=filename))
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id == "_HIT_BATCH"
+    ]
+
+
+def test_a_candidate_generator_is_its_block_stream():
+    overrides = [
+        override
+        for path in sorted((_SRC / "candidates").rglob("*.py"))
+        for override in generate_definitions(path.read_text(), str(path.relative_to(_ROOT)))
+    ]
+    assert not overrides, (
+        "a streaming generator implements generate_blocks only; the base class's "
+        "generate collects it: " + ", ".join(overrides)
+    )
+    assignments = [
+        assignment
+        for path in sorted(_SRC.rglob("*.py"))
+        for assignment in hit_batch_assignments(path.read_text(), str(path.relative_to(_ROOT)))
+    ]
+    assert len({assignment.split(":")[0] for assignment in assignments}) == 1, (
+        "one module owns the hit budget of every probe batch: " + ", ".join(assignments)
+    )
+
+
+def test_the_block_stream_check_sees_what_it_is_for():
+    # the shape each inverted-index generator had while it wrapped its own stream
+    source = (
+        "_HIT_BATCH = 4_000_000\n"
+        "class AllPairsGenerator(CandidateGenerator):\n"
+        "    def generate(self, collection, block_size=None):\n"
+        "        return self._stream(collection, _HIT_BATCH, block_size)\n"
+        "class BruteForceGenerator(CandidateGenerator):\n"
+        "    def generate(self, collection, block_size=None):\n"
+        "        budget: int = _HIT_BATCH\n"
+        "class LSHGenerator(CandidateGenerator):\n"
+        "    generate = CandidateGenerator.generate\n"
+        "class PPJoinGenerator(CandidateGenerator):\n"
+        "    generate = streamed_generate\n"
+        "def generate(collection):\n"
+        "    limits._HIT_BATCH = 5\n"
+    )
+    assert generate_definitions(source, "g.py") == [
+        "AllPairsGenerator (g.py:3)", "PPJoinGenerator (g.py:11)",
+    ]
+    assert hit_batch_assignments(source, "g.py") == ["g.py:1"]

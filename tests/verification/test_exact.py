@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.candidates.base import CandidateSet
-from repro.similarity.measures import get_measure
-from repro.verification.base import exact_similarities_for_pairs
+from repro.similarity.measures import SimilarityMeasure, get_measure
+from repro.verification.base import cross_similarities_for_pairs, exact_similarities_for_pairs
 from repro.verification.exact import ExactVerifier
 
 
@@ -34,6 +34,28 @@ class TestExactSimilaritiesForPairs:
         measure = get_measure("cosine")
         prepared = measure.prepare(sparse_text_collection)
         assert len(exact_similarities_for_pairs(prepared, measure, [], [])) == 0
+
+    def test_a_measure_without_a_pair_kernel_is_refused_by_name(self, sparse_text_collection):
+        class Overlap(SimilarityMeasure):
+            """Shared-feature count: a measure no pair kernel knows."""
+
+            name = "overlap"
+            lsh_family = "minhash"
+
+            def prepare(self, collection):
+                return collection.binarized()
+
+            def exact(self, collection, i, j):
+                return float(collection.matrix[i].multiply(collection.matrix[j]).sum())
+
+        measure = Overlap()
+        prepared = measure.prepare(sparse_text_collection)
+        for call in (
+            lambda: exact_similarities_for_pairs(prepared, measure, [0], [1]),
+            lambda: cross_similarities_for_pairs(prepared, prepared, measure, [], []),
+        ):
+            with pytest.raises(ValueError, match="'overlap'"):
+                call()
 
 
 class TestExactVerifier:
