@@ -20,7 +20,9 @@ experiment, so regressions in any one of them are visible in isolation:
   comparing one more hash for a pair, and scoring a pair exactly
   (``PosteriorModel.exact_budget``, ``docs/reproduction.md``);
 * **candidate generation** — the LSH banding index, AllPairs and PPJoin on
-  the synthetic corpus, and AllPairs on a community graph with hub rows.
+  the synthetic corpus, and AllPairs on a community graph with hub rows;
+* **a whole AllPairs + BayesLSH join**, whose first hash block is computed
+  while AllPairs generates.
 
 The verification workload deliberately mixes same-cluster (high-similarity)
 pairs with random pairs: random pairs are pruned in the first round, so a
@@ -380,6 +382,23 @@ def test_bench_allpairs_candidate_generation_graph(benchmark):
 
     candidates = benchmark.pedantic(run, rounds=3, iterations=1)
     assert len(candidates) > 0
+
+
+def test_bench_allpairs_hybrid_join(benchmark, tfidf_collection):
+    """A whole default ``ap_bayeslsh`` join (cosine, threshold 0.7), pipeline built each round.
+
+    The verifier's first simhash block is hashed on a helper thread while
+    AllPairs generates, so this tracks the overlap of the two phases as
+    well as their sum: losing the overlap costs about the hashing's share.
+    """
+    from repro.search.pipelines import make_pipeline
+
+    def run():
+        engine = make_pipeline("ap_bayeslsh", tfidf_collection, threshold=0.7, seed=3)
+        return engine.run(tfidf_collection)
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert result.n_candidates > len(result) > 0
 
 
 def test_bench_ppjoin_candidate_generation(benchmark, binary_collection):

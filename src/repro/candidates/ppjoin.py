@@ -38,8 +38,6 @@ the scalar reference (:func:`tests.reference.ppjoin_candidates_reference`).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from typing import Iterator
@@ -49,14 +47,6 @@ from repro.candidates.base import BlockStream, CandidateGenerator
 from repro.similarity.vectors import VectorCollection
 
 __all__ = ["PPJoinGenerator"]
-
-
-def _minimum_overlap(measure_name: str, threshold: float, size_x: int, size_y: int) -> float:
-    """Minimum overlap ``alpha`` two sets need to reach the similarity threshold."""
-    if measure_name == "jaccard":
-        return threshold / (1.0 + threshold) * (size_x + size_y)
-    # binary cosine
-    return threshold * math.sqrt(size_x * size_y)
 
 
 class PPJoinGenerator(CandidateGenerator):

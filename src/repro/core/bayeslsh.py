@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.params import BayesLSHParams
 from repro.core.posteriors import PosteriorModel
-from repro.core.rounds import RoundTables, replay_rounds
+from repro.core.rounds import PairState, RoundTables, replay_rounds
 from repro.hashing.base import HashFamily
 
 __all__ = ["BayesLSH", "VerificationOutput"]
@@ -211,40 +211,36 @@ class BayesLSH:
         return self._tables
 
     def output(
-        self,
-        left: np.ndarray,
-        right: np.ndarray,
-        values: np.ndarray,
-        exhausted: np.ndarray,
-        trace: list,
-        hash_comparisons: int,
-        exact_similarities=None,
+        self, left: np.ndarray, right: np.ndarray, state: PairState, exact_similarities=None
     ) -> VerificationOutput:
-        """Apply the terminal rule to a block's :meth:`PairState.outcome`.
+        """Apply the terminal rule to a block's finished :class:`PairState`.
 
-        Under ``"exact"`` the exhausted pairs are scored (through
+        Built from :meth:`PairState.survivors`, the pairs the rounds did not
+        prune.  Under ``"exact"`` the exhausted ones are scored (through
         ``exact_similarities`` when given, the algorithm's own scorer
         otherwise) and dropped unless they exceed the threshold; under
         ``"estimate"`` every pair that was not pruned is output.
         ``n_pruned`` counts the pruning test's eliminations only.
         """
         exact = self._tables.on_budget == "exact"
-        pruned = np.isnan(values) & ~exhausted
-        keep = ~pruned
+        positions, values, exhausted = state.survivors(self._tables.on_budget)
+        keep = np.ones(len(positions), dtype=bool)
         if exact:
             score = exact_similarities or self.exact_similarities
-            scored = np.asarray(score(left[exhausted], right[exhausted]), dtype=np.float64)
+            scored_rows = positions[exhausted]
+            scored = np.asarray(score(left[scored_rows], right[scored_rows]), dtype=np.float64)
             values[exhausted] = scored
             keep[exhausted] = scored > self._tables.params.threshold
+        rows = positions[keep]
         n_exhausted = int(np.count_nonzero(exhausted))
         return VerificationOutput(
-            left=left[keep],
-            right=right[keep],
+            left=left[rows],
+            right=right[rows],
             estimates=values[keep],
             n_candidates=len(left),
-            n_pruned=int(np.count_nonzero(pruned)),
-            trace=trace,
-            hash_comparisons=hash_comparisons,
+            n_pruned=state.n_pruned,
+            trace=state.trace,
+            hash_comparisons=state.hash_comparisons,
             exact_computations=n_exhausted if exact else 0,
             exact_mask=exhausted[keep] if exact else None,
             n_unconcentrated=0 if exact else n_exhausted,
@@ -288,13 +284,9 @@ class BayesLSH:
             return self._family.signatures(n_end).count_matches_rounds(*pairs, n_prev, n_end, k)
 
         state = replay_rounds(self._tables, len(left), count_block)
-        values, exhausted = state.outcome(self._tables.on_budget)
         return self.output(
             left,
             right,
-            values,
-            exhausted,
-            state.trace,
-            state.hash_comparisons,
+            state,
             None if pool is None else partial(pool.map_exact, fallback=self.exact_similarities),
         )

@@ -18,8 +18,8 @@ not — counts and decides in the calling process through them:
   :class:`~repro.core.params.BayesLSHParams` and resolves the hash budget;
 * :class:`PairState` holds ``status`` / ``matches`` / ``hashes_seen`` for a
   block of pairs — the undecided ones compactly, a decided one's written
-  once — advances them one round at a time and reports their
-  :meth:`~PairState.outcome` under a terminal rule;
+  once — advances them one round at a time and reports the pairs it did
+  not prune (:meth:`~PairState.survivors`) under a terminal rule;
 * :func:`replay_rounds` is the one driver: it runs a :class:`PairState` to
   completion over blocks of per-round agreement counts, wherever they were
   counted (:func:`run_rounds` for callers that count one round at a time).
@@ -130,6 +130,7 @@ class PairState:
         self.active = np.arange(n_pairs, dtype=np.int64)
         self._active_matches = np.zeros(n_pairs, dtype=np.int64)
         self._n_now = 0
+        self._emitted: list[np.ndarray] = []  # ascending positions, one array per round
         self.n_pruned = 0
         self.trace: list[tuple[int, int]] = []
         self.hash_comparisons = 0
@@ -192,7 +193,9 @@ class PairState:
                 if whole:
                     self.status[emitted] = EMITTED
                 else:
-                    self._decide(rows.take(emitted), surviving[concentrated], n_now, EMITTED)
+                    emitted = rows.take(emitted)
+                    self._decide(emitted, surviving[concentrated], n_now, EMITTED)
+                self._emitted.append(emitted)
                 kept = kept[~concentrated]
                 surviving = surviving[~concentrated]
         self.active = rows.take(kept)
@@ -205,28 +208,47 @@ class PairState:
         self._matches[rows] = matches
         self._hashes_seen[rows] = n_now
 
-    def outcome(self, on_budget: str) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pair values once the rounds have ended, and the exhausted mask.
+    def survivors(self, on_budget: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs not pruned once the rounds have ended, with their values.
 
-        A pruned pair's value is NaN and a concentrated pair's its MAP
+        Returns their ascending positions, their values and which of them
+        exhausted the budget, read from the emitted positions each round
+        recorded and the pairs still active, so the cost is the survivors'
+        count, not the block's.  A concentrated pair's value is its MAP
         estimate (bit-identical to the scalar ``map_estimate``).  A pair
         that exhausted the budget undecided reports its current estimate
         under ``"estimate"`` (0 if it never saw a hash); under ``"exact"``
         its value is left NaN for the caller, who holds the vectors, to
         fill with the exact similarity.
         """
-        exhausted = self.status == ACTIVE
-        estimated = self.status == EMITTED
-        if on_budget == "estimate":
-            estimated |= exhausted
-        values = np.full(len(self.status), np.nan, dtype=np.float64)
+        emitted = np.concatenate(self._emitted) if self._emitted else self.active[:0]
+        positions = np.concatenate([emitted, self.active])
+        order = positions.argsort()
+        positions = positions.take(order)
+        exhausted = order >= len(emitted)
+        estimated = np.ones_like(exhausted) if on_budget == "estimate" else ~exhausted
+        values = np.full(len(positions), np.nan, dtype=np.float64)
         if estimated.any():
-            hashes = self.hashes_seen[estimated]
+            rows = positions[estimated]
+            hashes = self.hashes_seen[rows]
             values[estimated] = np.where(
                 hashes > 0,
-                self._tables.posterior.map_estimate_many(self.matches[estimated], hashes),
+                self._tables.posterior.map_estimate_many(self.matches[rows], hashes),
                 0.0,
             )
+        return positions, values, exhausted
+
+    def outcome(self, on_budget: str) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`survivors` spread over the block: per-pair values and the exhausted mask.
+
+        A pruned pair's value is NaN, as is, under ``"exact"``, an exhausted
+        pair's.
+        """
+        positions, kept_values, kept_exhausted = self.survivors(on_budget)
+        values = np.full(len(self.status), np.nan, dtype=np.float64)
+        values[positions] = kept_values
+        exhausted = np.zeros(len(self.status), dtype=bool)
+        exhausted[positions[kept_exhausted]] = True
         return values, exhausted
 
 
@@ -242,11 +264,13 @@ def replay_rounds(
     array, ``1 <= r <= n_rounds``, whose column ``s`` holds the agreements of
     the pairs ``active`` over hashes ``[n_prev + s*k, n_prev + (s+1)*k)``.  How
     many rounds a block holds is the callee's policy under one rule: past its
-    first round, only columns that are already materialised — so hashes no
-    pair reaches are never generated (the lazy hashing the paper's cost
-    argument rests on) and the RNG stream is consumed as by one round at a
-    time.  Decisions are that loop's too: each pair's ``(m, n)`` evolves as
-    before, and a pair decided inside a block ignores its remaining columns.
+    first round, only columns that are already materialised — so past the
+    family's first block, hashes no pair reaches are never generated (the
+    lazy hashing the paper's cost argument rests on; the search engine hashes
+    that first block ahead, whatever the candidates) and the RNG stream is
+    consumed as by one round at a time.  Decisions are that loop's too: each
+    pair's ``(m, n)`` evolves as before, and a pair decided inside a block
+    ignores its remaining columns.
     ``budget`` defaults to the tables' own.
 
     ``active`` holds every pair index until the first round decides one, so

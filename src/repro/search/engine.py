@@ -27,6 +27,23 @@ One code path runs every join; ``block_size`` is its only parameter, and
   inverted-index generators probe in batches of whole rows within a hit
   budget (a row over it is a batch of its own), so no pair is in two of
   their blocks.
+* **Hashing ahead** — a verifier's hashes depend only on the collection and
+  the seed, never on the candidates, so while the generator runs, one helper
+  thread computes the verifier's first signature block
+  (``family.signatures(k)``, which the family rounds up to its block: 256
+  simhash or 64 minhash columns).  It runs only for BayesLSH and
+  BayesLSH-Lite behind a generator that does not share their family
+  (AllPairs, PPJoin+, brute force; the ``lsh_*`` generators have already
+  hashed with theirs), and never for the exact verifier.  The family's
+  extension lock is the only synchronisation: the first round's
+  ``signatures`` call waits on it while the helper holds it, and finds the
+  block there.  The helper is joined in a ``finally``, and before
+  verification when ``n_workers > 1``, so no thread but the caller's is
+  alive when :class:`~repro.search.executor.ExactPool` forks; an exception
+  raised on it is re-raised to the caller of :meth:`SearchEngine.run`.  The
+  overlap is bounded by the GIL: the Gaussian draws and sorts release it,
+  scipy's sparse-times-dense product (``csr_matvecs``, the simhash sign
+  products) holds it.
 * **Verification** — ``verifier.verify(candidates, block_size, pool)`` walks
   :meth:`CandidateSet.blocks`, so the per-pair verification state is bounded
   by the block size; per-block outputs are combined with
@@ -47,7 +64,12 @@ For every pipeline, every ``block_size`` and every ``n_workers``:
   keeps them; blocks merge round by round);
 * hash families are extended by the parent only, in the same order as the
   serial path, so a given ``(seed, hash index)`` yields the same hash
-  function everywhere
+  function everywhere.  Hashing ahead does not change that order: the helper
+  makes the very request the first round would make, under the same lock,
+  and nothing else draws from the family's generator before it, so columns
+  ``[0, block)`` and the RNG position after them are the same whichever
+  thread draws them.  The one exception: a join with no candidates draws
+  that first block too
 
 (enforced by ``tests/property/test_execution_invariance.py`` and, for the
 serving pools, ``tests/property/test_query_serving.py``).
@@ -55,8 +77,10 @@ serving pools, ``tests/property/test_query_serving.py``).
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import nullcontext
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,6 +92,7 @@ from repro.search.results import SearchResult
 from repro.similarity.measures import get_measure
 from repro.similarity.vectors import VectorCollection
 from repro.verification.base import Verifier
+from repro.verification.bayes import BayesLSHLiteVerifier, BayesLSHVerifier
 
 __all__ = ["DEFAULT_BLOCK_SIZE", "SearchEngine", "all_pairs_similarity", "as_collection"]
 
@@ -237,18 +262,20 @@ class SearchEngine:
             if block_size <= 0:
                 raise ValueError(f"block_size must be positive, got {block_size}")
         start_total = time.perf_counter()
+        join_hashing = _hash_first_block(self._generator, self._verifier)
+        try:
+            candidates = self._generator.generate(collection, block_size)
+            generation_time = time.perf_counter() - start_total
 
-        candidates = self._generator.generate(collection, block_size)
-        generation_time = time.perf_counter() - start_total
-
-        start = time.perf_counter()
-        workers = (
-            ExactPool(n_workers, self._verifier.exact_similarities, round_timeout)
-            if n_workers > 1
-            else nullcontext()
-        )
-        with workers as pool:
-            output = self._verifier.verify(candidates, block_size, pool)
+            start = time.perf_counter()
+            workers = nullcontext()
+            if n_workers > 1:
+                join_hashing()  # no thread but this one may be alive when the pool forks
+                workers = ExactPool(n_workers, self._verifier.exact_similarities, round_timeout)
+            with workers as pool:
+                output = self._verifier.verify(candidates, block_size, pool)
+        finally:
+            join_hashing()
         verification_time = time.perf_counter() - start
 
         timings = {
@@ -308,6 +335,38 @@ class SearchEngine:
 
     def __repr__(self) -> str:
         return f"SearchEngine(name={self._name!r})"
+
+
+def _hash_first_block(generator: CandidateGenerator, verifier: Verifier) -> Callable[[], None]:
+    """Start hashing the verifier's first signature block on a helper thread.
+
+    Returns the join: it waits for the thread and re-raises, with its own
+    type, anything the hashing raised.  The thread starts only for a
+    BayesLSH or BayesLSH-Lite verifier whose family the generator does not
+    share (the ``lsh_*`` pipelines' generator has already hashed with it);
+    otherwise the join is a no-op.  See the module's *Streaming* notes.
+    """
+    if not isinstance(verifier, (BayesLSHVerifier, BayesLSHLiteVerifier)) or (
+        verifier.family is getattr(generator, "family", None)
+    ):
+        return lambda: None
+    failure: list[BaseException] = []
+
+    def hash_block() -> None:
+        try:
+            verifier.family.signatures(verifier.params.k)
+        except BaseException as exc:  # handed to the joining thread
+            failure.append(exc)
+
+    thread = threading.Thread(target=hash_block, name="repro-first-hash-block", daemon=True)
+    thread.start()
+
+    def join() -> None:
+        thread.join()
+        if failure:
+            raise failure.pop()
+
+    return join
 
 
 def all_pairs_similarity(

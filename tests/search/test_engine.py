@@ -1,11 +1,17 @@
 """Unit tests for the search engine and the one-call entry point."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.candidates.brute_force import BruteForceGenerator
 from repro.candidates.lsh_index import LSHGenerator
+from repro.candidates.ppjoin import PPJoinGenerator
 from repro.datasets.synthetic import synthetic_text_corpus
+from repro.search import engine as engine_module
 from repro.search.engine import (
     DEFAULT_BLOCK_SIZE,
     SearchEngine,
@@ -15,6 +21,7 @@ from repro.search.engine import (
 from repro.search.pipelines import make_pipeline
 from repro.similarity.vectors import VectorCollection
 from repro.testing import faults
+from repro.verification.bayes import BayesLSHVerifier
 from repro.verification.exact import ExactVerifier
 
 
@@ -204,3 +211,165 @@ class TestAllPairsSimilarity:
             sparse_text_dataset.collection, 0.8, "cosine", method="allpairs"
         )
         assert from_dataset.pair_set() == from_collection.pair_set()
+
+
+# --------------------------------------------------------------------- #
+# the first signature block is hashed on a helper thread during generation
+# --------------------------------------------------------------------- #
+class _HashingFailed(Exception):
+    """Raised by a patched family on the helper thread only."""
+
+
+def _started_threads(monkeypatch) -> list:
+    """Record every thread started from now on (the test's own scope)."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+def _no_hashing_ahead(monkeypatch):
+    monkeypatch.setattr(engine_module, "_hash_first_block", lambda generator, verifier: lambda: None)
+
+
+def _hashing_engines(sparse_text_collection, binary_sets_collection):
+    """Every verifier that hashes with a family its generator does not share."""
+    return {
+        "ap_bayeslsh": lambda: make_pipeline(
+            "ap_bayeslsh", sparse_text_collection, threshold=0.5, seed=3
+        ),
+        "ap_bayeslsh_lite": lambda: make_pipeline(
+            "ap_bayeslsh_lite", sparse_text_collection, threshold=0.5, seed=3
+        ),
+        "ppjoin+bayeslsh": lambda: SearchEngine(
+            PPJoinGenerator("jaccard", 0.5),
+            BayesLSHVerifier(binary_sets_collection, "jaccard", 0.5, seed=3),
+        ),
+        "brute_force+bayeslsh": lambda: SearchEngine(
+            BruteForceGenerator("cosine", 0.5),
+            BayesLSHVerifier(sparse_text_collection, "cosine", 0.5, seed=3),
+        ),
+    }
+
+
+def _state_arrays(state: dict) -> dict:
+    return {key: np.asarray(value).tolist() for key, value in state.items()}
+
+
+class TestHashingAhead:
+    """The helper thread changes when the first block is hashed, nothing else."""
+
+    @pytest.mark.parametrize(
+        "name", ["ap_bayeslsh", "ap_bayeslsh_lite", "ppjoin+bayeslsh", "brute_force+bayeslsh"]
+    )
+    def test_results_and_hash_state_are_those_of_the_serial_run(
+        self, name, monkeypatch, sparse_text_collection, binary_sets_collection
+    ):
+        build = _hashing_engines(sparse_text_collection, binary_sets_collection)[name]
+        data = binary_sets_collection if name.startswith("ppjoin") else sparse_text_collection
+        started = _started_threads(monkeypatch)
+        ahead = build()
+        got = ahead.run(data)
+        assert len(started) == 1, "the first block was not hashed on a helper thread"
+        _no_hashing_ahead(monkeypatch)
+        serial = build()
+        expected = serial.run(data)
+        assert len(started) == 1
+        assert expected.n_candidates > 0 and len(expected) > 0
+        np.testing.assert_array_equal(got.left, expected.left)
+        np.testing.assert_array_equal(got.right, expected.right)
+        np.testing.assert_array_equal(got.similarities, expected.similarities)
+        np.testing.assert_array_equal(got.exact_mask, expected.exact_mask)
+        assert got.n_pruned == expected.n_pruned
+        assert got.metadata["prune_trace"] == expected.metadata["prune_trace"]
+        assert got.metadata["hash_comparisons"] == expected.metadata["hash_comparisons"]
+        family, serial_family = ahead.verifier.family, serial.verifier.family
+        assert family.n_hashes == serial_family.n_hashes
+        assert _state_arrays(family.state_dict()) == _state_arrays(serial_family.state_dict())
+
+    @pytest.mark.parametrize("pipeline", ["lsh_bayeslsh", "lsh_bayeslsh_lite", "lsh", "allpairs"])
+    def test_shared_families_and_the_exact_verifier_start_no_thread(
+        self, pipeline, monkeypatch, sparse_text_collection
+    ):
+        started = _started_threads(monkeypatch)
+        engine = make_pipeline(pipeline, sparse_text_collection, threshold=0.5, seed=3)
+        engine.run(sparse_text_collection)
+        assert started == []
+
+    def test_a_join_without_candidates_still_draws_the_first_block(self):
+        collection = VectorCollection.from_dense(np.eye(6))
+        engine = make_pipeline("ap_bayeslsh", collection, threshold=0.5, seed=3)
+        result = engine.run(collection)
+        assert result.n_candidates == 0
+        assert engine.verifier.family.n_hashes == 256
+
+    @pytest.mark.parametrize("fails", [None, "generator", "verifier"])
+    def test_no_thread_outlives_the_run(self, fails, monkeypatch, sparse_text_collection):
+        engine = make_pipeline("ap_bayeslsh", sparse_text_collection, threshold=0.5, seed=3)
+        baseline = threading.active_count()
+        if fails is not None:
+            def fail(*args, **kwargs):
+                raise RuntimeError(f"the {fails} failed")
+
+            part = engine.generator if fails == "generator" else engine.verifier
+            monkeypatch.setattr(part, "generate" if fails == "generator" else "verify", fail)
+            with pytest.raises(RuntimeError, match=fails):
+                engine.run(sparse_text_collection)
+        else:
+            engine.run(sparse_text_collection)
+        assert threading.active_count() == baseline
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_a_failure_on_the_helper_reaches_the_caller(self, monkeypatch, sparse_text_collection):
+        engine = make_pipeline("ap_bayeslsh", sparse_text_collection, threshold=0.5, seed=3)
+        family = engine.verifier.family
+        signatures = family.signatures
+
+        def failing_on_the_helper(n_hashes):
+            if threading.current_thread() is not threading.main_thread():
+                raise _HashingFailed("hashing ahead failed")
+            return signatures(n_hashes)
+
+        monkeypatch.setattr(family, "signatures", failing_on_the_helper)
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        baseline = threading.active_count()
+        with pytest.raises(_HashingFailed, match="hashing ahead failed"):
+            engine.run(sparse_text_collection)
+        assert unhandled == []
+        assert threading.active_count() == baseline
+
+    def test_no_helper_is_alive_when_the_pool_forks(self, monkeypatch, sparse_text_collection):
+        started = _started_threads(monkeypatch)
+        engine = make_pipeline("ap_bayeslsh", sparse_text_collection, threshold=0.5, seed=3)
+        family = engine.verifier.family
+        signatures = family.signatures
+
+        def slow_on_the_helper(n_hashes):
+            # keeps the helper alive well past the fork unless it is joined first
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.3)
+            return signatures(n_hashes)
+
+        monkeypatch.setattr(family, "signatures", slow_on_the_helper)
+        alive_at_fork = []
+        with faults.inject() as plan:
+            plan.on_event(
+                "pool_start",
+                lambda info: alive_at_fork.append([t for t in started if t.is_alive()]),
+            )
+            pooled = engine.run(sparse_text_collection, n_workers=2)
+        assert len(alive_at_fork) == 1, "the pool never forked"
+        assert alive_at_fork == [[]]
+        assert started, "the first block was not hashed on a helper thread"
+        _no_hashing_ahead(monkeypatch)
+        serial = make_pipeline(
+            "ap_bayeslsh", sparse_text_collection, threshold=0.5, seed=3
+        ).run(sparse_text_collection)
+        np.testing.assert_array_equal(pooled.left, serial.left)
+        np.testing.assert_array_equal(pooled.similarities, serial.similarities)

@@ -76,19 +76,20 @@ def test_planted_bug_replay_skips_a_round(monkeypatch):
 def test_planted_bug_exhausted_pairs_not_filtered(monkeypatch):
     """Exhausted pairs are scored exactly but the ``> t`` filter is forgotten."""
 
-    def unfiltered(self, left, right, values, exhausted, trace, hash_comparisons, exact_similarities=None):
-        values[exhausted] = self.exact_similarities(left[exhausted], right[exhausted])
-        keep = ~np.isnan(values)
+    def unfiltered(self, left, right, state, exact_similarities=None):
+        positions, values, exhausted = state.survivors(self.params.on_budget)
+        scored = positions[exhausted]
+        values[exhausted] = self.exact_similarities(left[scored], right[scored])
         return VerificationOutput(
-            left=left[keep],
-            right=right[keep],
-            estimates=values[keep],
+            left=left[positions],
+            right=right[positions],
+            estimates=values,
             n_candidates=len(left),
-            n_pruned=int(np.sum(~keep)),
-            trace=trace,
-            hash_comparisons=hash_comparisons,
+            n_pruned=state.n_pruned,
+            trace=state.trace,
+            hash_comparisons=state.hash_comparisons,
             exact_computations=int(exhausted.sum()),
-            exact_mask=exhausted[keep],
+            exact_mask=exhausted,
         )
 
     problems = _problems_with(monkeypatch, BayesLSH, "output", unfiltered)
