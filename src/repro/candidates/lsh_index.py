@@ -16,13 +16,15 @@ The hash family object is exposed so the verification phase can reuse the
 very same hashes — the amortisation the paper highlights as advantage 3 of
 BayesLSH.
 
-Bucketing is array-based: each band's contents are fetched for all rows at
-once (:meth:`SignatureStore.band_keys_many`), rows are grouped into buckets
-with one lexicographic sort per band, and intra-bucket pairs are enumerated
-with the ragged-array primitives in :mod:`repro.candidates.arrayops` — no
-per-row dict or per-pair Python loop.  Pairs, collision counts and the
-emitted candidate set are identical to the dict-of-buckets reference
-(:func:`tests.reference.lsh_candidates_reference`).
+Bucketing is array-based: every band's contents are fetched for all rows
+(:meth:`SignatureStore.band_keys_many`; one gather for an integer store),
+every band is grouped into buckets by :func:`group_bands_by_content` — two
+value sorts of position-tagged ``uint64`` keys over all bands at once — and
+intra-bucket pairs are enumerated with the ragged-array primitives in
+:mod:`repro.candidates.arrayops`: no per-row dict or per-pair Python loop.
+Buckets come out in the order a dict of buckets is filled in, and pairs,
+collision counts and the emitted candidate set are identical to the
+dict-of-buckets reference (:func:`tests.reference.lsh_candidates_reference`).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Iterator, Protocol
 from repro.candidates.arrayops import block_slices, pairs_within_groups, sorted_unique
 from repro.candidates.base import BlockStream, CandidateGenerator
 from repro.hashing.base import HashFamily, get_hash_family
-from repro.hashing.signatures import SignatureStore
+from repro.hashing.signatures import IntSignatures, SignatureStore
 from repro.similarity.vectors import VectorCollection
 
 __all__ = ["BandKeySource", "BandPostings", "LSHGenerator", "signatures_for_false_negative_rate"]
@@ -58,54 +60,159 @@ class BandKeySource(Protocol):
         ...
 
 
-def _order_words(keys: np.ndarray) -> np.ndarray:
-    """Each row of integer ``keys`` packed into ``uint64`` words that sort like it.
+#: odd 64-bit multiplier of the band-content fingerprint (one multiply-xor per word)
+_FINGERPRINT_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
-    Every value is made order-preserving unsigned (signed values get their
-    sign bit flipped) and written big-endian, so a row's bytes compare
-    lexicographically exactly as its values do; the bytes are zero-padded to
-    a whole number of words and read back as big-endian ``uint64``.  Two rows
-    are equal iff their words are, and ``lexsort`` over the words (first
-    word most significant) orders rows as ``lexsort`` over the columns would.
+
+def group_bands_by_content(keys: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group each band's rows by band content, every band in one pass.
+
+    ``keys`` stacks every band's ``band_keys_many`` result as ``(bands, rows,
+    width)``.  Returns one ``(order, offsets)`` per band: ``order`` permutes
+    row positions so equal-content rows are consecutive, in argument order
+    inside each group, and group ``g`` spans ``order[offsets[g]:offsets[g +
+    1]]``.  Groups come out in first-occurrence order (by their smallest row
+    position), the order a dict of buckets is filled in.  Shared by the
+    all-pairs bucketing and the serving-layer postings so both group with
+    literally the same procedure.
+
+    Both sorts are value sorts of ``(bands, rows)`` ``uint64`` keys whose low
+    ``ceil(log2 rows)`` bits hold the row position, which makes them stable
+    by construction.  The high bits hold the band content itself when it fits
+    (each value less the minimum, at the bits the values' range needs) and
+    otherwise a multiply-xor fingerprint of the content (a minhash band is
+    4 x 31 bits).  Fingerprint runs are confirmed by comparing neighbours'
+    real contents; a run whose rows differ is regrouped exactly, over its own
+    rows only.  The second sort is keyed on each row's group head (the
+    group's smallest position), which orders the groups by first occurrence
+    whatever the fingerprint.  Rows are assumed fewer than ``2**32``.
     """
-    keys = np.ascontiguousarray(keys)
-    n_rows, width = keys.shape
-    itemsize = keys.dtype.itemsize
-    unsigned = keys.view(f"u{itemsize}")
-    if keys.dtype.kind == "i":
-        unsigned = unsigned ^ unsigned.dtype.type(1 << (8 * itemsize - 1))
-    row_bytes = unsigned.astype(unsigned.dtype.newbyteorder(">")).view(np.uint8)
-    n_words = -(-width * itemsize // 8)
-    if n_words * 8 != width * itemsize:
-        padded = np.zeros((n_rows, n_words * 8), dtype=np.uint8)
-        padded[:, : width * itemsize] = row_bytes
-        row_bytes = padded
-    return row_bytes.view(">u8").astype(np.uint64)
+    keys = np.asarray(keys)
+    n_bands, n_rows, width = keys.shape
+    if n_bands == 0 or n_rows == 0:
+        return [(np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64))] * n_bands
+    shift = (n_rows - 1).bit_length()
+    row_bits = np.uint64((1 << shift) - 1)
+    low = int(keys.min())
+    value_bits = (int(keys.max()) - low).bit_length()
+    words = None
+    if width * value_bits <= 64 - shift:
+        sort_keys = _packed_content(keys, low, value_bits) << shift
+    else:
+        words = _content_words(keys)
+        sort_keys = _fingerprint(words) & ~row_bits
+    sort_keys |= np.arange(n_rows, dtype=np.uint64)
+    sort_keys.sort(axis=1)
+    flat = sort_keys.reshape(-1)
+    starts = np.ones((n_bands, n_rows), dtype=bool)
+    tags = sort_keys >> shift
+    np.not_equal(tags[:, 1:], tags[:, :-1], out=starts[:, 1:])
+    flat_starts = starts.reshape(-1)
+    if words is not None:
+        later = np.flatnonzero(~flat_starts)
+        bands = later // n_rows
+        later_rows = (flat[later] & row_bits).astype(np.intp)
+        earlier_rows = (flat[later - 1] & row_bits).astype(np.intp)
+        differ = np.zeros(len(later), dtype=bool)
+        for column in range(words.shape[2]):
+            plane = words[:, :, column]
+            differ |= plane[bands, later_rows] != plane[bands, earlier_rows]
+        if differ.any():
+            _regroup_runs(words, flat, flat_starts, later[differ], n_rows, row_bits)
+
+    # Every group is now consecutive and in position order, so its first row
+    # is its head; sorting on (head, position) orders groups by first occurrence.
+    group_starts = np.flatnonzero(flat_starts)
+    rows = flat & row_bits
+    by_head = np.repeat(rows[group_starts], np.diff(group_starts, append=len(flat)))
+    by_head <<= shift
+    by_head |= rows
+    by_head = by_head.reshape(n_bands, n_rows)
+    by_head.sort(axis=1)
+    order = (by_head & row_bits).astype(np.int64)
+    heads = by_head >> shift
+    np.not_equal(heads[:, 1:], heads[:, :-1], out=starts[:, 1:])
+    group_starts = np.flatnonzero(flat_starts)
+    bounds = np.searchsorted(group_starts, np.arange(n_bands + 1) * n_rows)
+    return [
+        (order[band], np.append(group_starts[lo:hi] - band * n_rows, n_rows))
+        for band, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
 
 
-def group_by_band_content(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group rows whose band contents compare equal, with one sort.
+def _packed_content(keys: np.ndarray, low: int, value_bits: int) -> np.ndarray:
+    """Each row's values less ``low``, packed at ``value_bits`` apiece: ``(bands, rows)``."""
+    offset = np.uint64(low % 2**64)
+    packed = np.zeros(keys.shape[:2], dtype=np.uint64)
+    for column in range(keys.shape[2]):
+        packed <<= value_bits
+        packed |= keys[:, :, column].astype(np.uint64) - offset
+    return packed
 
-    ``keys`` is a ``band_keys_many`` result (one row of band content per
-    input row).  Returns ``(order, offsets)``: ``order`` permutes row
-    positions so equal-content rows are consecutive (stable, so original
-    order is preserved inside each group) and group ``g`` spans
-    ``order[offsets[g]:offsets[g + 1]]``.  Shared by the all-pairs bucketing
-    and the serving-layer postings so both group with literally the same
-    procedure.  Groups come out in lexicographic order of their content
-    (column 0 most significant).  The sort is one stable ``lexsort`` over
-    :func:`_order_words` — ``ceil(bytes / 8)`` keys instead of one per column
-    (a 4-minhash band is 2 keys, an 8-bit simhash band 1).
+
+def _content_words(keys: np.ndarray) -> np.ndarray:
+    """``keys`` as ``(bands, rows, words)`` ``uint64``, rows zero-padded to whole words.
+
+    Two rows' words are equal iff their values are.  A row of whole words
+    with contiguous values (a 4 x ``int32`` minhash band) is a view.
     """
-    words = _order_words(keys)
-    order = np.lexsort(words.T[::-1])
-    if not len(order):
-        return order, np.zeros(1, dtype=np.int64)
-    changed = np.zeros(len(order) - 1, dtype=bool)
-    for column in words[order].T:
-        changed |= column[1:] != column[:-1]
-    starts = np.flatnonzero(changed) + 1
-    return order, np.concatenate([[0], starts, [len(order)]])
+    per_word = 8 // keys.dtype.itemsize
+    width = keys.shape[2]
+    padded_width = -(-width // per_word) * per_word
+    if padded_width != width or keys.strides[2] != keys.dtype.itemsize:
+        padded = np.zeros((*keys.shape[:2], padded_width), dtype=keys.dtype)
+        padded[:, :, :width] = keys
+        keys = padded
+    return keys.view(np.uint64)
+
+
+def _fingerprint(words: np.ndarray) -> np.ndarray:
+    """A multiply-xor hash of each row's words: ``(bands, rows)`` ``uint64``, C order."""
+    fingerprint = np.ascontiguousarray(words[:, :, 0] * _FINGERPRINT_MULTIPLIER)
+    for column in range(1, words.shape[2]):
+        fingerprint ^= words[:, :, column]
+        fingerprint *= _FINGERPRINT_MULTIPLIER
+    return fingerprint
+
+
+def _regroup_runs(
+    words: np.ndarray, flat: np.ndarray, flat_starts: np.ndarray, mismatched: np.ndarray,
+    n_rows: int, row_bits: np.uint64,
+) -> None:
+    """Group exactly, in place, the fingerprint runs holding the ``mismatched`` entries.
+
+    ``flat`` / ``flat_starts`` are the sorted keys and group starts of every
+    band end to end.  The runs' entries are reordered inside the runs by one
+    stable lexsort on (run, content), so each group keeps position order.
+    """
+    run_ids = np.cumsum(flat_starts) - 1
+    collided = np.zeros(run_ids[-1] + 1, dtype=bool)
+    collided[run_ids[mismatched]] = True
+    members = np.flatnonzero(collided[run_ids])
+    runs = run_ids[members]
+    contents = words[members // n_rows, (flat[members] & row_bits).astype(np.intp)]
+    regrouped = np.lexsort((*contents.T[::-1], runs))
+    flat[members] = flat[members[regrouped]]
+    runs, contents = runs[regrouped], contents[regrouped]
+    changed = (contents[1:] != contents[:-1]).any(axis=1)
+    flat_starts[members[1:]] = changed | (runs[1:] != runs[:-1])
+
+
+def _band_keys(
+    source: BandKeySource, rows: np.ndarray, n_bands: int, band_width: int
+) -> np.ndarray:
+    """Every band's ``band_keys_many`` for ``rows``, stacked as ``(bands, rows, width)``.
+
+    Each band's keys are exactly what ``band_keys_many`` returns for it alone
+    (what :meth:`BandPostings.probe_many` looks up).  Integer bands are
+    consecutive columns, so one gather holds them all; a bit store is gathered
+    band by band, since a gather over several bands returns packed words
+    whenever it is word-aligned, even where a single band is not.
+    """
+    if isinstance(source, IntSignatures):
+        keys = source.band_keys_many(rows, 0, n_bands * band_width)
+        return keys.reshape(len(rows), n_bands, band_width).transpose(1, 0, 2)
+    return np.stack([source.band_keys_many(rows, band, band_width) for band in range(n_bands)])
 
 
 #: default signature widths (number of hashes concatenated per signature)
@@ -149,9 +256,10 @@ class BandPostings:
     The query-serving counterpart of :class:`LSHGenerator`'s all-pairs
     bucketing: each band maps band content (as bytes) to the list of member
     rows holding that content.  Members are added in batches — initial build
-    and every serving-layer ingest use the same vectorised path (one
-    ``band_keys_many`` + :func:`group_by_band_content` sort per band) — and
-    probing looks up a whole batch of query signatures at once.
+    and every serving-layer ingest use the same vectorised path as the
+    all-pairs bucketing (every band's keys stacked, one
+    :func:`group_bands_by_content` over all bands) — and probing looks up a
+    whole batch of query signatures at once.
 
     Deletions are *not* represented here: the owner tombstones rows and
     filters probe results, then rebuilds the postings from scratch once the
@@ -216,14 +324,13 @@ class BandPostings:
         rows = np.asarray(rows, dtype=np.int64)
         if len(rows) == 0:
             return
-        for band in range(self._n_bands):
-            keys = store.band_keys_many(rows, band, self._band_width)
-            order, offsets = group_by_band_content(keys)
+        keys = _band_keys(store, rows, self._n_bands, self._band_width)
+        for band, (order, offsets) in enumerate(group_bands_by_content(keys)):
             grouped = rows[order]
             bucket = self._buckets[band]
             for group in range(len(offsets) - 1):
                 lo, hi = offsets[group], offsets[group + 1]
-                key = keys[order[lo]].tobytes()
+                key = keys[band, order[lo]].tobytes()
                 bucket.setdefault(key, []).extend(grouped[lo:hi].tolist())
         self._members.extend(rows.tolist())
 
@@ -389,12 +496,10 @@ class LSHGenerator(CandidateGenerator):
             store = family.signatures(n_signatures * width)
             # Skip empty vectors: they share no features with anything.
             non_empty = np.flatnonzero(prepared.row_nnz > 0)
-            for band in range(n_signatures if len(non_empty) else 0):
-                # Group rows by band content with one sort per band instead
-                # of a dict of per-row byte keys: rows whose band columns
-                # compare equal land in the same group.
-                keys = store.band_keys_many(non_empty, band, width)
-                order, offsets = group_by_band_content(keys)
+            if not len(non_empty):
+                return
+            keys = _band_keys(store, non_empty, n_signatures, width)
+            for order, offsets in group_bands_by_content(keys):
                 bucket_rows = non_empty[order]
                 earlier, later = pairs_within_groups(bucket_rows, offsets)
                 metadata["n_raw_collisions"] += len(earlier)

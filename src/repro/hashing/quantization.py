@@ -49,8 +49,11 @@ def quantize_floats(values: np.ndarray) -> np.ndarray:
     # (no rounding), so only the subtraction rounds in either formulation, and
     # clipping the scaled value is equivalent to clipping the input.  The
     # uint16 cast truncates, which equals floor for the non-negative clipped
-    # scale; values at the top of the range pin to the highest level.
-    scaled = (values - _RANGE_LOW) * (_LEVELS / _RANGE_WIDTH)
+    # scale; values at the top of the range pin to the highest level.  A
+    # finite value near the float64 limit scales to +-inf, which clips like
+    # any other out-of-range value, so the overflow is not worth a warning.
+    with np.errstate(over="ignore"):
+        scaled = (values - _RANGE_LOW) * (_LEVELS / _RANGE_WIDTH)
     return np.clip(scaled, 0.0, _LEVELS - 1, out=scaled).astype(np.uint16)
 
 

@@ -125,9 +125,9 @@ class SignatureStore(ABC):
         """Band contents for many rows at once, as a 2-D array.
 
         Rows whose returned rows compare equal element-wise belong to the same
-        bucket; the array form lets callers group rows with one sort
-        (:func:`~repro.candidates.lsh_index.group_by_band_content`) instead
-        of hashing per-row byte strings.
+        bucket; the array form lets callers group every band's rows with two
+        sorts (:func:`~repro.candidates.lsh_index.group_bands_by_content`)
+        instead of hashing per-row byte strings.
         """
 
     @abstractmethod

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.candidates import lsh_index
 from repro.candidates.lsh_index import (
     BandPostings,
     LSHGenerator,
-    group_by_band_content,
+    group_bands_by_content,
     signatures_for_false_negative_rate,
 )
 from repro.evaluation.ground_truth import exact_all_pairs
 from repro.hashing.base import get_hash_family
+from tests import reference
 
 
 class TestSignatureCountFormula:
@@ -74,6 +76,18 @@ class TestLSHGeneratorCosine:
         assert generator.family is family
         assert family.n_hashes >= generator.n_signatures * generator.signature_width
 
+    @pytest.mark.parametrize("signature_width", [3, 8, 32])
+    def test_matches_bucket_reference(self, signature_width, sparse_text_collection):
+        """Bit bands, unaligned and word-aligned, against the dict of buckets."""
+        generator = LSHGenerator("cosine", 0.7, signature_width=signature_width, seed=2)
+        candidates = generator.generate(sparse_text_collection)
+        rows = np.flatnonzero(sparse_text_collection.row_nnz > 0)
+        expected_pairs, expected_collisions = reference.lsh_candidates_reference(
+            generator.family.signatures(0), rows, generator.n_signatures, signature_width
+        )
+        assert candidates.as_set() == expected_pairs
+        assert candidates.metadata["n_raw_collisions"] == expected_collisions
+
     def test_higher_threshold_fewer_candidates(self, sparse_text_dataset):
         low = LSHGenerator("cosine", 0.5, seed=2).generate(sparse_text_dataset.collection)
         high = LSHGenerator("cosine", 0.9, seed=2).generate(sparse_text_dataset.collection)
@@ -104,12 +118,27 @@ class TestLSHGeneratorJaccard:
             LSHGenerator("cosine", 0.7, signature_width=0)
 
 
-def _group_by_unique_rows(keys):
-    """The construction ``group_by_band_content`` replaced, kept as the reference."""
-    _, inverse = np.unique(keys, axis=0, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(inverse))])
-    return order, offsets
+def _group_by_first_occurrence(keys):
+    """A dict of buckets over one band's keys: the reference ``(order, offsets)``.
+
+    Groups come in the order their first row appears, rows in argument order.
+    """
+    buckets: dict[bytes, list[int]] = {}
+    for position, key in enumerate(keys):
+        buckets.setdefault(key.tobytes(), []).append(position)
+    order = np.array([p for members in buckets.values() for p in members], dtype=np.int64)
+    sizes = [len(members) for members in buckets.values()]
+    return order, np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+
+def _assert_groups_equal_reference(stacked):
+    groups = group_bands_by_content(stacked)
+    assert len(groups) == len(stacked)
+    for keys, (order, offsets) in zip(stacked, groups):
+        ref_order, ref_offsets = _group_by_first_occurrence(keys)
+        np.testing.assert_array_equal(order, ref_order)
+        np.testing.assert_array_equal(offsets, ref_offsets)
+        assert order.dtype == offsets.dtype == np.int64
 
 
 _GROUPING_RNG = np.random.default_rng(11)
@@ -147,14 +176,16 @@ _GROUPING_CASES = {
 
 class TestGroupByBandContent:
     @pytest.mark.parametrize("case", sorted(_GROUPING_CASES))
-    def test_equals_the_unique_rows_construction(self, case):
+    def test_equals_the_first_occurrence_reference(self, case):
+        _assert_groups_equal_reference(_GROUPING_CASES[case][None])
+
+    @pytest.mark.parametrize("case", sorted(_GROUPING_CASES))
+    def test_stacked_bands_group_independently(self, case):
         keys = _GROUPING_CASES[case]
-        order, offsets = group_by_band_content(keys)
-        ref_order, ref_offsets = _group_by_unique_rows(keys)
-        np.testing.assert_array_equal(order, ref_order)
-        np.testing.assert_array_equal(offsets, ref_offsets)
-        assert order.dtype == ref_order.dtype
-        assert offsets.dtype == ref_offsets.dtype
+        _assert_groups_equal_reference(np.stack([keys, keys[::-1], np.roll(keys, 3, axis=0)]))
+
+    def test_no_bands(self):
+        assert group_bands_by_content(np.zeros((0, 5, 2), dtype=np.int32)) == []
 
     @pytest.mark.parametrize("family_name", ["simhash", "minhash"])
     @pytest.mark.parametrize("band_width", [3, 32])
@@ -166,12 +197,33 @@ class TestGroupByBandContent:
         family = get_hash_family(family_name, collection, seed=5)
         store = family.signatures(2 * band_width)
         rows = np.arange(collection.n_vectors)
-        for band in range(2):
-            keys = store.band_keys_many(rows, band, band_width)
-            order, offsets = group_by_band_content(keys)
-            ref_order, ref_offsets = _group_by_unique_rows(keys)
+        _assert_groups_equal_reference(
+            np.stack([store.band_keys_many(rows, band, band_width) for band in range(2)])
+        )
+
+    @pytest.mark.parametrize("kind", ["int32_minhash", "uint8_bits"])
+    def test_colliding_fingerprints_group_exactly(self, kind, binary_sets_collection, monkeypatch):
+        """With the fingerprint constant zeroed every row of a band collides:
+        each run is then regrouped by its real contents, to the same output."""
+        if kind == "int32_minhash":
+            store = get_hash_family("minhash", binary_sets_collection, seed=5).signatures(12)
+            rows = np.arange(binary_sets_collection.n_vectors)
+            stacked = np.stack([store.band_keys_many(rows, band, 4) for band in range(3)])
+        else:
+            rng = np.random.default_rng(3)
+            contents = rng.integers(0, 2, size=(40, 60)).astype(np.uint8)
+            stacked = contents[rng.integers(0, 40, size=(2, 500))]
+        n_rows, width = stacked.shape[1:]
+        value_bits = int(stacked.max() - stacked.min()).bit_length()
+        assert width * value_bits > 64 - (n_rows - 1).bit_length(), "must take the fingerprint"
+        plain = group_bands_by_content(stacked)
+        assert all(np.diff(offsets).max() > 1 for _, offsets in plain)
+        monkeypatch.setattr(lsh_index, "_FINGERPRINT_MULTIPLIER", np.uint64(0))
+        collided = group_bands_by_content(stacked)
+        for (order, offsets), (ref_order, ref_offsets) in zip(collided, plain):
             np.testing.assert_array_equal(order, ref_order)
             np.testing.assert_array_equal(offsets, ref_offsets)
+        _assert_groups_equal_reference(stacked)
 
 
 class TestBandPostingsProbe:
@@ -182,15 +234,15 @@ class TestBandPostingsProbe:
         store = family.signatures(self.N_BANDS * self.WIDTH)
         return store, np.arange(n_queries)
 
-    def _reference(self, store, member_rows, query_rows):
+    def _reference(self, store, member_rows, query_rows, n_bands=N_BANDS, width=WIDTH):
         """Sorted distinct ``(position, member)`` pairs from a dict of buckets."""
         pairs = set()
-        for band in range(self.N_BANDS):
+        for band in range(n_bands):
             buckets: dict = {}
-            keys = store.band_keys_many(member_rows, band, self.WIDTH)
+            keys = store.band_keys_many(member_rows, band, width)
             for row, key in zip(member_rows.tolist(), keys):
                 buckets.setdefault(key.tobytes(), []).append(row)
-            query_keys = store.band_keys_many(query_rows, band, self.WIDTH)
+            query_keys = store.band_keys_many(query_rows, band, width)
             for position, key in enumerate(query_keys):
                 pairs.update((position, row) for row in buckets.get(key.tobytes(), ()))
         ordered = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
@@ -206,6 +258,20 @@ class TestBandPostingsProbe:
         np.testing.assert_array_equal(positions, ref_positions)
         np.testing.assert_array_equal(members, ref_members)
         assert positions.dtype == members.dtype == np.int64
+
+    def test_four_bands_of_eight_bits_equal_dict_of_buckets(self, sparse_text_collection):
+        """32 bits in all: one gather over every band would return packed
+        words, while each band on its own is 8 unpacked bits.  The postings
+        must key each band exactly as ``probe_many`` looks it up."""
+        store = get_hash_family("simhash", sparse_text_collection, seed=9).signatures(32)
+        member_rows = np.arange(sparse_text_collection.n_vectors)
+        query_rows = member_rows[:40]
+        postings = BandPostings.build(store, member_rows, 4, 8)
+        positions, members = postings.probe_many(store, query_rows, len(member_rows))
+        ref_positions, ref_members = self._reference(store, member_rows, query_rows, 4, 8)
+        assert len(members) > len(query_rows)  # more than the self-hits
+        np.testing.assert_array_equal(positions, ref_positions)
+        np.testing.assert_array_equal(members, ref_members)
 
     def test_incremental_adds_probe_like_one_build(self, binary_sets_collection):
         store, query_rows = self._stores(binary_sets_collection, 40)

@@ -85,7 +85,7 @@ def test_hung_worker_allpairs_recovers_via_round_timeout(corpus, method):
     reference = _run(corpus, method)
     with faults.inject() as plan:
         plan.hang_worker(0, event="pool_start")
-        result = _run(corpus, method, n_workers=2, round_timeout=3.0)
+        result = _run(corpus, method, n_workers=2, round_timeout=0.5)
     assert ("hang", 0) in plan.fired
     _assert_identical(result, reference)
 
@@ -107,7 +107,7 @@ def test_dropped_exact_message_recovers_via_round_timeout(corpus, method):
     reference = _run(corpus, method)
     with faults.inject() as plan:
         plan.drop_messages(0, tag="exact")
-        result = _run(corpus, method, n_workers=2, round_timeout=3.0)
+        result = _run(corpus, method, n_workers=2, round_timeout=0.5)
     assert ("drop", "exact") in plan.fired
     assert np.array_equal(result.left, reference.left)
     assert np.array_equal(result.right, reference.right)

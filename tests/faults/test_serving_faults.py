@@ -91,7 +91,7 @@ def test_hung_worker_recovers_via_round_timeout(
     with faults.inject() as plan:
         plan.hang_worker(1, event=event)
         answers = serving_index.query_many(
-            query_batch, threshold=0.55, n_workers=2, round_timeout=3.0
+            query_batch, threshold=0.55, n_workers=2, round_timeout=0.5
         )
     assert ("hang", 1) in plan.fired
     assert answers == serial_answers["query"]
@@ -106,7 +106,7 @@ def test_dropped_request_recovers_via_round_timeout(
     with faults.inject() as plan:
         plan.drop_messages(1, tag=tag)
         answers = serving_index.query_many(
-            query_batch, threshold=0.55, n_workers=2, round_timeout=3.0
+            query_batch, threshold=0.55, n_workers=2, round_timeout=0.5
         )
     assert ("drop", tag) in plan.fired
     assert answers == serial_answers["query"]

@@ -1,5 +1,7 @@
 """Unit tests for the 2-byte Gaussian quantisation scheme (Section 4.3)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,13 @@ class TestQuantizeRoundTrip:
         recovered = dequantize_floats(codes)
         assert recovered[0] == pytest.approx(-8.0, abs=1e-3)
         assert recovered[1] == pytest.approx(8.0, abs=1e-3)
+
+    def test_values_near_the_float64_limit_clip_without_a_warning(self):
+        values = np.array([1e308, -1e308, np.inf, -np.inf, np.finfo(np.float64).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = quantize_floats(values)
+        np.testing.assert_array_equal(codes, [65535, 0, 65535, 0, 65535])
 
     def test_monotonicity(self):
         values = np.linspace(-7.9, 7.9, 1000)
