@@ -171,7 +171,7 @@ def recovery_smoke(n_documents: int, n_queries: int, n_workers: int, repeats: in
 
     def faulted():
         with faults.inject() as plan:
-            plan.kill_worker(0, event="serving_probe")
+            plan.kill_worker(0, event="serving_exact")
             return index.query_many(queries, threshold=0.7, n_workers=n_workers)
 
     faulted_result, faulted_wall = timed_best(faulted, repeats)

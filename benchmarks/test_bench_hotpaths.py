@@ -22,7 +22,9 @@ experiment, so regressions in any one of them are visible in isolation:
 * **candidate generation** — the LSH banding index, AllPairs and PPJoin on
   the synthetic corpus, and AllPairs on a community graph with hub rows;
 * **a whole AllPairs + BayesLSH join**, whose first hash block is computed
-  while AllPairs generates.
+  while AllPairs generates;
+* **the serving band probe** — ``BandPostings.probe_many`` for one and for
+  64 query rows over an index grown to 30 segments.
 
 The verification workload deliberately mixes same-cluster (high-similarity)
 pairs with random pairs: random pairs are pruned in the first round, so a
@@ -482,3 +484,51 @@ def test_bench_serve_one_row_top_k_estimate(benchmark, serve_index_and_queries):
         return sum(len(index.top_k(row, k=10, rank_by="estimate")) for row in queries)
 
     assert benchmark.pedantic(run, rounds=10, iterations=1) > 0
+
+
+# --------------------------------------------------------------------- #
+# the serving band probe over a many-segment index
+# --------------------------------------------------------------------- #
+_PROBE_SEGMENTS = 30
+_PROBE_INSERT = 32
+
+
+@pytest.fixture(scope="module")
+def probe_index_and_queries():
+    """A 3,000-document cosine index grown to 30 segments by 32-row inserts,
+    and 64 held-out queries hashed as ``query_many`` hashes them."""
+    from repro.search.query import QueryIndex
+
+    corpus = synthetic_text_corpus(
+        n_documents=_SERVE_DOCUMENTS + 64,
+        vocabulary_size=5000,
+        average_length=60,
+        duplicate_fraction=0.5,
+        cluster_size=_CLUSTER_SIZE,
+        mutation_rate=0.1,
+        seed=41,
+    )
+    matrix = tfidf_weighting(corpus.collection).matrix
+    first = _SERVE_DOCUMENTS - (_PROBE_SEGMENTS - 1) * _PROBE_INSERT
+    index = QueryIndex(matrix[:first], measure="cosine", threshold=0.7, seed=11)
+    for start in range(first, _SERVE_DOCUMENTS, _PROBE_INSERT):
+        index.insert(matrix[start : start + _PROBE_INSERT])
+    assert index.n_segments == _PROBE_SEGMENTS
+    query_rows, _, query_store = index._hash_queries(
+        index._queries_collection(matrix[_SERVE_DOCUMENTS:])
+    )
+    return index, query_store, query_rows
+
+
+@pytest.mark.parametrize("n_queries", [1, 64])
+def test_bench_band_probe(benchmark, probe_index_and_queries, n_queries):
+    """``BandPostings.probe_many`` for one and for 64 query rows: every run
+    searched once for all bands' keys (30 segments, O(log) runs)."""
+    index, query_store, query_rows = probe_index_and_queries
+    rows = query_rows[:n_queries]
+
+    def run():
+        return index._postings.probe_many(query_store, rows, index._segments)
+
+    positions, members = benchmark.pedantic(run, rounds=60, iterations=5)
+    assert len(members) >= n_queries

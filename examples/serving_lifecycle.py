@@ -70,13 +70,12 @@ def main() -> None:
         print(f"inserted: rows {new_rows[0]}..{new_rows[-1]}, "
               f"now {index.n_segments} segments")
 
-        # 4. Delete: tombstoned rows vanish from results immediately; the
-        #    postings clean themselves up lazily via the staleness budget.
+        # 4. Delete: tombstoned rows vanish from results immediately, and
+        #    leave the band postings when their run next merges.
         index.delete(range(0, 50))
         probe = vectors.matrix[0]
         assert all(pair.j != 0 for pair in index.query(probe, threshold=0.5))
-        print(f"deleted : {index.n_deleted} rows tombstoned "
-              f"({index.n_stale_postings} stale postings)")
+        print(f"deleted : {index.n_deleted} rows tombstoned")
 
         # 5. Compact on save: the snapshot merges the segments and drops the
         #    tombstoned rows; survivors are renumbered but keep their ids.

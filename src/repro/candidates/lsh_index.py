@@ -17,14 +17,17 @@ very same hashes — the amortisation the paper highlights as advantage 3 of
 BayesLSH.
 
 Bucketing is array-based: every band's contents are fetched for all rows
-(:meth:`SignatureStore.band_keys_many`; one gather for an integer store),
-every band is grouped into buckets by :func:`group_bands_by_content` — two
-value sorts of position-tagged ``uint64`` keys over all bands at once — and
-intra-bucket pairs are enumerated with the ragged-array primitives in
+in one gather (:meth:`SignatureStore.band_keys_many`), every band is grouped
+into buckets by :func:`group_bands_by_content` — two value sorts of
+position-tagged ``uint64`` keys over all bands at once — and intra-bucket
+pairs are enumerated with the ragged-array primitives in
 :mod:`repro.candidates.arrayops`: no per-row dict or per-pair Python loop.
 Buckets come out in the order a dict of buckets is filled in, and pairs,
 collision counts and the emitted candidate set are identical to the
 dict-of-buckets reference (:func:`tests.reference.lsh_candidates_reference`).
+The serving layer's :class:`BandPostings` keeps the same band keys as
+sealed sorted runs, probed exactly like a dict of buckets
+(:func:`tests.reference.band_probe_reference`).
 """
 
 from __future__ import annotations
@@ -35,10 +38,15 @@ import numpy as np
 
 from typing import Iterator, Protocol
 
-from repro.candidates.arrayops import block_slices, pairs_within_groups, sorted_unique
+from repro.candidates.arrayops import (
+    block_slices,
+    pairs_within_groups,
+    ragged_arange,
+    sorted_unique,
+)
 from repro.candidates.base import BlockStream, CandidateGenerator
 from repro.hashing.base import HashFamily, get_hash_family
-from repro.hashing.signatures import IntSignatures, SignatureStore
+from repro.hashing.signatures import SignatureStore
 from repro.similarity.vectors import VectorCollection
 
 __all__ = ["BandKeySource", "BandPostings", "LSHGenerator", "signatures_for_false_negative_rate"]
@@ -201,24 +209,67 @@ def _regroup_runs(
 def _band_keys(
     source: BandKeySource, rows: np.ndarray, n_bands: int, band_width: int
 ) -> np.ndarray:
-    """Every band's ``band_keys_many`` for ``rows``, stacked as ``(bands, rows, width)``.
+    """Every band's contents for ``rows`` from one gather: ``(bands, rows, width)``.
 
-    Each band's keys are exactly what ``band_keys_many`` returns for it alone
-    (what :meth:`BandPostings.probe_many` looks up).  Integer bands are
-    consecutive columns, so one gather holds them all; a bit store is gathered
-    band by band, since a gather over several bands returns packed words
-    whenever it is word-aligned, even where a single band is not.
+    Band ``b`` is ``band_keys_many(rows, b, band_width)``, read as one gather
+    over every band's hashes.  A bit store returns packed ``uint32`` words
+    when that span is word-aligned, even where a single band is not (four
+    8-bit bands), so words are unpacked to the bits a lone band returns.
     """
-    if isinstance(source, IntSignatures):
-        keys = source.band_keys_many(rows, 0, n_bands * band_width)
-        return keys.reshape(len(rows), n_bands, band_width).transpose(1, 0, 2)
-    return np.stack([source.band_keys_many(rows, band, band_width) for band in range(n_bands)])
+    keys = source.band_keys_many(rows, 0, n_bands * band_width)
+    if keys.dtype == np.uint32:
+        keys = np.unpackbits(keys.view(np.uint8), axis=1, bitorder="little")
+    return keys.reshape(len(rows), n_bands, band_width).transpose(1, 0, 2)
+
+
+def _run_keys(contents: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Each ``(band, row)``'s postings key, ``(bands, rows)`` ``uint64``, and whether it is exact.
+
+    The band number fills the high bits.  Below it sits the band content
+    packed at a fixed width per value (one bit for a bit store, the dtype's
+    width for an integer store) when that fits, and otherwise the content's
+    multiply-xor fingerprint, whose equal keys the caller must confirm
+    against the real contents (a minhash band is 4 x 31 bits).
+    """
+    n_bands, _, width = contents.shape
+    band_bits = n_bands.bit_length()
+    if contents.dtype.kind == "u":
+        low, value_bits = 0, 1
+    else:
+        low, value_bits = int(np.iinfo(contents.dtype).min), 8 * contents.dtype.itemsize
+    exact = width * value_bits <= 64 - band_bits
+    if exact:
+        keys = _packed_content(contents, low, value_bits)
+    else:
+        keys = _fingerprint(_content_words(contents)) >> np.uint64(band_bits)
+    keys |= np.arange(n_bands, dtype=np.uint64)[:, None] << np.uint64(64 - band_bits)
+    return keys, exact
+
+
+def _sorted_run(keys: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(keys, rows)`` ordered by ``(key, row)``.
+
+    One stable sort on the keys, which is a linear merge when the input is
+    sorted runs laid end to end.  Equal keys then keep input order, which is
+    row order for a batch of ascending rows and for runs whose rows all
+    precede the next run's (an index only appends rows); anything else
+    falls back to a two-key sort.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys, rows = keys[order], rows[order]
+    if ((keys[1:] == keys[:-1]) & (rows[1:] < rows[:-1])).any():
+        order = np.lexsort((rows, keys))
+        keys, rows = keys[order], rows[order]
+    return keys, rows
 
 
 #: default signature widths (number of hashes concatenated per signature)
 _DEFAULT_WIDTH = {"simhash": 8, "minhash": 4}
 #: safety cap on the number of signatures
 _MAX_SIGNATURES = 2000
+#: a new postings run merges into the run before it while that one is at
+#: most this many times its size
+_MERGE_FACTOR = 2
 
 
 def signatures_for_false_negative_rate(
@@ -251,133 +302,134 @@ def signatures_for_false_negative_rate(
 
 
 class BandPostings:
-    """Banded LSH postings supporting incremental inserts and batched probes.
+    """Banded LSH postings: sealed sorted runs, grown by batches, probed in one pass.
 
     The query-serving counterpart of :class:`LSHGenerator`'s all-pairs
-    bucketing: each band maps band content (as bytes) to the list of member
-    rows holding that content.  Members are added in batches — initial build
-    and every serving-layer ingest use the same vectorised path as the
-    all-pairs bucketing (every band's keys stacked, one
-    :func:`group_bands_by_content` over all bands) — and probing looks up a
-    whole batch of query signatures at once.
+    bucketing.  Every ``(band, member row)`` is one entry keyed by
+    :func:`_run_keys`: the band number in the high bits, the band content
+    below it (a fingerprint of the content where it does not fit).  A *run*
+    is a ``uint64`` key array and a parallel ``int64`` member-row array
+    ordered by ``(key, row)``, so a run's bytes are a function of its member
+    set alone.  Runs are never edited: :meth:`add` seals the batch as a new
+    run from one gather of every band, then merges it with the run before
+    it while that run holds at most ``_MERGE_FACTOR`` times its entries, so
+    ingest stays O(batch) amortised and a probe touches O(log) runs.
 
-    Deletions are *not* represented here: the owner tombstones rows and
-    filters probe results, then rebuilds the postings from scratch once the
-    tombstone fraction exceeds its staleness budget.  Rebuilding from the
-    concatenated member sequence reproduces bucket lists in the exact order
-    incremental adds created them (within one :meth:`add` call rows land in
-    argument order, and consecutive calls append), which is what lets a
-    snapshot serialise the postings as just that member sequence.
+    Deletions are the owner's: it tombstones rows and filters probe results.
+    A merge drops the members tombstoned at that moment (the ``deleted``
+    mask passed to :meth:`add`), and a compacted snapshot drops them all.
 
     Concurrency contract: *one* mutator at a time (the owning
-    :class:`~repro.search.query.QueryIndex` serialises :meth:`add` and the
-    staleness rebuild under its update lock — the rebuild builds a fresh
-    instance and swaps the reference atomically), while :meth:`probe_many`
-    may run concurrently from reader threads: probes only ``get`` bucket
-    lists and read each exactly once (one atomic ``extend`` into the probe's
-    own flat list), and :meth:`add` grows buckets with single atomic
-    ``extend`` calls, so a concurrent probe observes each bucket either
-    before or after a batch — never a torn list.
+    :class:`~repro.search.query.QueryIndex` calls :meth:`add` under its
+    update lock), while :meth:`probe_many` may run concurrently from reader
+    threads.  :meth:`add` publishes the new runs tuple with one attribute
+    assignment and a probe reads that tuple once, so a probe racing an
+    ``add`` answers exactly as before it or after it.
     """
 
-    def __init__(self, n_bands: int, band_width: int):
+    def __init__(self, n_bands: int, band_width: int, runs=()):
         if n_bands <= 0:
             raise ValueError(f"n_bands must be positive, got {n_bands}")
         if band_width <= 0:
             raise ValueError(f"band_width must be positive, got {band_width}")
         self._n_bands = int(n_bands)
         self._band_width = int(band_width)
-        self._buckets: list[dict[bytes, list[int]]] = [{} for _ in range(self._n_bands)]
-        self._members: list[int] = []
+        self._runs: tuple[tuple[np.ndarray, np.ndarray], ...] = tuple(runs)
 
     @classmethod
     def build(
         cls, store: BandKeySource, rows: np.ndarray, n_bands: int, band_width: int
     ) -> "BandPostings":
-        """Postings over ``rows`` of ``store`` (order defines bucket order)."""
+        """Postings over ``rows`` of ``store``, sealed as one run."""
         postings = cls(n_bands, band_width)
         postings.add(store, rows)
         return postings
 
     @property
-    def n_bands(self) -> int:
-        """Number of independent LSH bands."""
-        return self._n_bands
+    def runs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The sealed ``(keys, rows)`` runs, oldest first (the serialisable state)."""
+        return self._runs
 
-    @property
-    def band_width(self) -> int:
-        """Hashes concatenated per band."""
-        return self._band_width
+    def add(self, store: BandKeySource, rows, deleted: np.ndarray | None = None) -> None:
+        """Seal ``rows`` of ``store`` as a run and merge it into the runs before it.
 
-    @property
-    def n_members(self) -> int:
-        """Total member rows inserted (tombstoned members included)."""
-        return len(self._members)
-
-    @property
-    def members(self) -> np.ndarray:
-        """Member rows in insertion order (the serialisable postings state)."""
-        return np.asarray(self._members, dtype=np.int64)
-
-    def add(self, store: BandKeySource, rows) -> None:
-        """Insert ``rows`` of ``store`` into every band's buckets."""
+        A merge drops every member ``deleted`` (a tombstone mask indexed by
+        row) marks; the new rows themselves are always kept.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         if len(rows) == 0:
             return
-        keys = _band_keys(store, rows, self._n_bands, self._band_width)
-        for band, (order, offsets) in enumerate(group_bands_by_content(keys)):
-            grouped = rows[order]
-            bucket = self._buckets[band]
-            for group in range(len(offsets) - 1):
-                lo, hi = offsets[group], offsets[group + 1]
-                key = keys[band, order[lo]].tobytes()
-                bucket.setdefault(key, []).extend(grouped[lo:hi].tolist())
-        self._members.extend(rows.tolist())
+        keys, _ = _run_keys(_band_keys(store, rows, self._n_bands, self._band_width))
+        run = _sorted_run(keys.reshape(-1), np.tile(rows, self._n_bands))
+        runs = list(self._runs)
+        while runs and len(runs[-1][0]) <= _MERGE_FACTOR * len(run[0]):
+            earlier_keys, earlier_rows = runs.pop()
+            keys = np.concatenate([earlier_keys, run[0]])
+            members = np.concatenate([earlier_rows, run[1]])
+            if deleted is not None:
+                alive = ~deleted[members]
+                keys, members = keys[alive], members[alive]
+            run = _sorted_run(keys, members)
+        runs.append(run)
+        self._runs = tuple(runs)
+
+    def compacted(self, alive: np.ndarray) -> "BandPostings":
+        """One run of the members ``alive`` keeps, renumbered to ``alive``'s rank.
+
+        Row ``r`` becomes the number of alive rows before it, the row map of
+        a compacted snapshot.
+        """
+        renumber = np.cumsum(alive, dtype=np.int64) - 1
+        keys = np.concatenate([np.zeros(0, dtype=np.uint64), *(k for k, _ in self._runs)])
+        rows = np.concatenate([np.zeros(0, dtype=np.int64), *(r for _, r in self._runs)])
+        keep = alive[rows]
+        run = _sorted_run(keys[keep], renumber[rows[keep]])
+        return BandPostings(self._n_bands, self._band_width, [run])
 
     def probe_many(
-        self, query_store: SignatureStore, query_rows, n_vectors: int
+        self, query_store: SignatureStore, query_rows, store: BandKeySource
     ) -> tuple[np.ndarray, np.ndarray]:
         """Member rows sharing at least one band with each query row.
 
         ``query_store`` holds the queries' signatures (drawn from the same
-        hash functions as the member store).  Returns parallel
+        hash functions as the member store ``store``).  Returns parallel
         ``(query position, member row)`` arrays — the union of all band hits,
         deduplicated and sorted lexicographically by ``(position, row)`` via
         the integer-key encoding ``CandidateSet.from_arrays`` uses.
 
-        ``n_vectors`` is only a *lower bound* on the encoding span: the span
-        actually used is raised to cover the largest member row observed, so
-        a concurrent ingest that appends members beyond the caller's
-        snapshot mid-probe cannot corrupt the decode (any span above every
-        member row yields the identical ``(position, row)`` sort order, so
-        the result is span-independent — and hence identical to a
-        race-free probe over the rows that were visible).
+        Every run is searched once for all query rows' keys of all bands: one
+        pair of ``searchsorted`` calls and one ragged gather.  Fingerprint
+        keys are confirmed against the members' real band contents, gathered
+        from ``store``, so the probe is exact whatever collides.
         """
         query_rows = np.asarray(query_rows, dtype=np.int64)
-        if len(query_rows) == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        # Every hit bucket is chained into one flat list and converted once.
-        # A hit's length is the growth of the flat list, so each bucket list
-        # is read exactly once (the ``extend``): a concurrent ``add`` cannot
-        # make the recorded length disagree with the members copied.
-        hit_members: list[int] = []
-        hit_positions: list[int] = []
-        hit_lengths: list[int] = []
-        for band in range(self._n_bands):
-            keys = query_store.band_keys_many(query_rows, band, self._band_width)
-            bucket = self._buckets[band]
-            for position in range(len(query_rows)):
-                members = bucket.get(keys[position].tobytes())
-                if members is not None:
-                    n_before = len(hit_members)
-                    hit_members.extend(members)
-                    hit_positions.append(position)
-                    hit_lengths.append(len(hit_members) - n_before)
-        if not hit_members:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        members = np.asarray(hit_members, dtype=np.int64)
-        positions = np.repeat(np.asarray(hit_positions, dtype=np.int64), hit_lengths)
-        span = max(int(n_vectors), int(members.max()) + 1)
+        runs = self._runs
+        empty = np.zeros(0, dtype=np.int64)
+        if len(query_rows) == 0 or not runs:
+            return empty, empty
+        contents = _band_keys(query_store, query_rows, self._n_bands, self._band_width)
+        keys, exact = _run_keys(contents)
+        keys = keys.reshape(-1)  # entry = band * len(query_rows) + position
+        order = np.argsort(keys)  # sorted needles search faster
+        keys = keys[order]
+        entries, members = [], []
+        for run_keys, run_rows in runs:
+            first = np.searchsorted(run_keys, keys, side="left")
+            counts = np.searchsorted(run_keys, keys, side="right") - first
+            entries.append(np.repeat(order, counts))
+            members.append(run_rows[ragged_arange(first, counts)])
+        entries, members = np.concatenate(entries), np.concatenate(members)
+        positions = entries % len(query_rows)
+        if not exact and len(members):
+            bands = entries // len(query_rows)
+            distinct = sorted_unique(members)
+            member_contents = _band_keys(store, distinct, self._n_bands, self._band_width)
+            member_contents = member_contents[bands, np.searchsorted(distinct, members)]
+            same = (member_contents == contents[bands, positions]).all(axis=1)
+            positions, members = positions[same], members[same]
+        if not len(members):
+            return empty, empty
+        span = int(members.max()) + 1
         encoded = sorted_unique(positions * span + members)
         return encoded // span, encoded % span
 

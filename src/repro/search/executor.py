@@ -3,7 +3,7 @@
 Everything here exists to run the *same* computation as the serial paths on
 more cores.  Three ideas carry the module:
 
-**Workers probe and score, the parent counts and decides.**  BayesLSH prunes
+**Workers score, the parent probes, counts and decides.**  BayesLSH prunes
 because comparing hashes costs far less than scoring a pair exactly, and
 shipping signature columns to another process costs more than counting them
 where they live.  So every hash agreement is counted in the parent by the
@@ -11,10 +11,11 @@ serial kernels — ``BayesLSH.verify`` through
 ``SignatureStore.count_matches_rounds``, :func:`serial_verify_bayes` through
 ``SegmentedCollection.count_matches_cross`` — and every prune/emit decision
 is made there by the one block-replaying driver
-(:func:`~repro.core.rounds.replay_rounds`).  A pool worker answers stateless
-requests over the state it inherited through the fork: ``"exact"`` (both
-pools) scores a shard of pairs exactly, ``"probe"`` (serving) probes the band
-postings for a slice of query rows.  No signature column leaves the parent.
+(:func:`~repro.core.rounds.replay_rounds`).  The serving band probe runs
+there too: it costs about as much as the fork hand-off would.  A pool
+worker answers one stateless request over the state it inherited through
+the fork, ``"exact"``: score a shard of pairs exactly.  No signature column
+leaves the parent.
 
 **One pool mechanism.**  :class:`_WorkerPool` is the process/queue plumbing
 with worker supervision.  The offline engine (:meth:`SearchEngine.run` with
@@ -59,7 +60,6 @@ from functools import partial
 import numpy as np
 
 from repro.core.rounds import RoundTables, replay_rounds
-from repro.hashing.signatures import store_from_parts, store_parts
 from repro.testing import faults as _faults
 
 __all__ = [
@@ -99,7 +99,7 @@ class WorkerFailure(RuntimeError):
         The replies successfully collected from the surviving workers —
         recovery paths reuse them so only the failed shards are recomputed.
     tag:
-        The task tag being gathered (``"batch"``, ``"probe"``, ``"exact"``).
+        The task tag being gathered (``"batch"`` or ``"exact"``).
     """
 
     def __init__(self, failed: dict, replies: dict, tag: str):
@@ -479,46 +479,29 @@ class ServingTask:
     """Everything a serving worker inherits through the fork, and its requests.
 
     Built by :class:`~repro.search.query.QueryIndex` (under its update lock)
-    each time a pool forks or refreshes: the workers read the postings and
-    the prepared segments from their forked copy of this object.  The query
-    batch is the only per-batch state — each batch installs it with one
-    ``"batch"`` message carrying the prepared query rows and the query
-    signatures as hashed for banding.  The same methods answer the workers'
-    requests and recompute a lost shard in the parent.
+    each time a pool forks or refreshes: the workers read the prepared
+    segments from their forked copy of this object.  The query batch is the
+    only per-batch state — each batch installs it with one ``"batch"``
+    message carrying the prepared query rows.  The same method answers the
+    workers' ``"exact"`` requests and recomputes a lost shard in the parent.
     """
 
     #: the index's :class:`~repro.serving.segments.SegmentedCollection`
     segments: object
-    #: the index's band postings (already rebuilt if the staleness budget required it)
-    postings: object
-    #: total collection rows (probe-result encoding span)
-    n_vectors: int
     #: the current batch's prepared queries (measure-specific view)
     query_prepared: object = None
-    #: the current batch's signature store, hashed to (at least) the banding width
-    query_store: object = None
 
     def install(self, blob: bytes) -> None:
-        """Replace the query state with a pickled ``"batch"`` payload.
-
-        The store is rebuilt from its raw matrix, so the worker never touches
-        a lock the fork may have captured held by another parent thread.
-        """
-        query_prepared, kind, matrix, n_hashes = pickle.loads(blob)
-        self.query_prepared = query_prepared
-        self.query_store = store_from_parts(kind, matrix, n_hashes)
-
-    def probe(self, query_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Band probes of a slice of query rows (positions relative to the slice)."""
-        return self.postings.probe_many(self.query_store, query_rows, self.n_vectors)
+        """Replace the query state with a pickled ``"batch"`` payload."""
+        self.query_prepared = pickle.loads(blob)
 
     def exact(self, query_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Exact similarities of (query row, collection row) pairs."""
         return self.segments.cross_similarities(self.query_prepared, query_rows, rows)
 
     def handlers(self) -> dict:
-        """The serving worker's requests: ``"batch"``, ``"probe"``, ``"exact"``."""
-        return {"batch": self.install, "probe": self.probe, "exact": self.exact}
+        """The serving worker's requests: ``"batch"`` and ``"exact"``."""
+        return {"batch": self.install, "exact": self.exact}
 
 
 def serial_verify_bayes(
@@ -571,30 +554,25 @@ class ServingPool:
     """A self-healing pool of forked workers serving batched query calls.
 
     The pool is forked once and serves any number of batches: workers keep
-    the fork-inherited postings and prepared segments, and each batch ships
-    its query state in one ``"batch"`` control message (the prepared query
-    rows and the query signature matrix, rebuilt worker-side with fresh
-    locks).  ``QueryIndex.start_pool`` keeps one attached across calls;
-    ``n_workers=k`` on a query call opens one, serves the one batch and
-    closes it — the same object with a shorter lifetime.
+    the fork-inherited prepared segments, and each batch ships its prepared
+    query rows in one ``"batch"`` control message.  ``QueryIndex.start_pool``
+    keeps one attached across calls; ``n_workers=k`` on a query call opens
+    one, serves the one batch and closes it — the same object with a
+    shorter lifetime.
 
-    The workers do the two request kinds whose inputs never change during a
-    batch:
+    The workers do one request kind, **exact scoring**, sharded over the
+    candidate pairs, which arrive sorted by ``(query row, collection row)``
+    — since global rows are assigned segment-contiguously, a balanced
+    contiguous cut of that order is a query-major, owning-segment-minor
+    partition of the (query x segment) grid.  Many-query batches therefore
+    split across queries, while a single huge-candidate-set query splits
+    across its owning segments/row ranges — both shapes parallelise.
 
-    * **probing** is sharded by query slice (each worker probes a contiguous
-      run of query rows against the full inherited postings);
-    * **exact scoring** is sharded over the candidate pairs, which arrive
-      sorted by ``(query row, collection row)`` — since global rows are
-      assigned segment-contiguously, a balanced contiguous cut of that order
-      is a query-major, owning-segment-minor partition of the
-      (query x segment) grid.  Many-query batches therefore split across
-      queries, while a single huge-candidate-set query splits across its
-      owning segments/row ranges — both shapes parallelise.
-
-    The parent remains the sole RNG/extension authority and the sole
-    decision maker: :func:`serial_verify_bayes` runs and counts the BayesLSH
-    rounds exactly as it does unpooled, so store widths and RNG stream
-    positions after the call are those of serial execution.  Per-worker
+    The parent probes the band postings, remains the sole RNG/extension
+    authority and is the sole decision maker: :func:`serial_verify_bayes`
+    runs and counts the BayesLSH rounds exactly as it does unpooled, so
+    store widths and RNG stream positions after the call are those of
+    serial execution.  Per-worker
     replies are merged back in shard order, which restores the exact serial
     pair order — outputs are bit-identical to the serial batch path
     (enforced by ``tests/property/test_query_serving.py``).
@@ -615,9 +593,9 @@ class ServingPool:
     its consecutive-failure count.
 
     **Epochs.**  The pool records the index epoch it forked from; segment
-    churn (``insert``, posting rebuilds) bumps the index's epoch under its
-    update lock, and the index refreshes the pool (full re-fork via
-    :meth:`refresh`) before admitting the next batch — forked state is
+    churn (``insert``) bumps the index's epoch under its update lock, and
+    the index refreshes the pool (full re-fork via :meth:`refresh`) before
+    admitting the next batch — forked state is
     copy-on-write, so without a refresh the workers would silently serve
     the pre-churn corpus.  Quarantine and backoff state reset at refresh:
     the replacement workers share nothing with the crash-looping ones.
@@ -702,11 +680,7 @@ class ServingPool:
             _faults.fire("pool_respawn", pool=self._pool, worker=wid)
 
     def lease(
-        self,
-        query_prepared,
-        query_store,
-        round_timeout: float | None = None,
-        refresh=None,
+        self, query_prepared, round_timeout: float | None = None, refresh=None
     ) -> bool:
         """Acquire the pool for one batch and install the batch's query state.
 
@@ -724,17 +698,15 @@ class ServingPool:
             if not self._closed:
                 if refresh is not None:
                     refresh()
-                self.begin_batch(query_prepared, query_store, round_timeout=round_timeout)
+                self.begin_batch(query_prepared, round_timeout=round_timeout)
                 leased = True
         finally:
             if not leased:
                 self._lease_lock.release()
         return leased
 
-    def begin_batch(
-        self, query_prepared, query_store, round_timeout: float | None = None
-    ) -> None:
-        """Open a batch: heal slots, ship the query state, sync the workers.
+    def begin_batch(self, query_prepared, round_timeout: float | None = None) -> None:
+        """Open a batch: heal slots, ship the prepared queries, sync the workers.
 
         Every live worker acks the ``"batch"`` message before any shard is
         sent, so a reply can never be mistaken for the next request's.
@@ -747,9 +719,7 @@ class ServingPool:
         self._pool.set_round_timeout(
             self._round_timeout if round_timeout is None else float(round_timeout)
         )
-        task = self._task
-        task.query_prepared = query_prepared
-        task.query_store = query_store
+        self._task.query_prepared = query_prepared
         self._batches_served += 1
         live = self._pool.live_workers
         if not live:
@@ -763,7 +733,7 @@ class ServingPool:
                 )
             self._serial_batches += 1
             return
-        blob = pickle.dumps((query_prepared, *store_parts(query_store)))
+        blob = pickle.dumps(query_prepared)
         self._pool.send(live, ("batch", blob))
         try:
             self._pool.collect(live, tag="batch")
@@ -787,7 +757,7 @@ class ServingPool:
         when the pool's epoch trails the index's: forked state is
         copy-on-write, so segment churn is invisible to the old workers.
         Tears the old worker set down and forks a fresh one that inherits
-        the current segments/postings.
+        the current segments.
         """
         self._pool.shutdown()
         self._fork_pool(task)
@@ -825,23 +795,7 @@ class ServingPool:
                 self._closed = True
                 self._pool.shutdown()
 
-    # ------------------------- probing and scoring ------------------------ #
-    def probe(self, query_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sharded :meth:`BandPostings.probe_many` over the query rows.
-
-        Each worker probes a contiguous query slice; worker results are
-        relative to their slice and re-based on merge.  Slices are disjoint
-        and ascending, and probe results are sorted by (position, row) within
-        a slice, so the concatenation equals the serial probe bit for bit.
-        Failed shards are re-probed serially in the parent (the postings are
-        read-only for the duration of the call), preserving bit-identity.
-        """
-        _faults.fire("serving_probe", pool=self._pool)
-        shards = self._pool.map_shards("probe", (query_rows,), self._task.probe)
-        positions = np.concatenate([reply[0] + lo for lo, reply in shards])
-        rows = np.concatenate([reply[1] for _, reply in shards])
-        return positions, rows
-
+    # ------------------------------ scoring ------------------------------ #
     def map_exact(self, query_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Sharded exact cross-similarities (pair order preserved).
 

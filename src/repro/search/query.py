@@ -22,9 +22,10 @@ is verified against its candidates with the same Bayesian pruning.
   singular ``query(vector, ...)`` / ``top_k(vector, k)`` per row;
 * ``n_workers > 1`` additionally opens a worker pool
   (:class:`~repro.search.executor.ServingPool`) for the duration of the
-  call and shards band probing and exact scoring across it — bit-identical
-  to the serial batch for every worker count, with the parent as sole
-  hash/RNG authority and the only place hash agreements are counted;
+  call and shards exact scoring across it — bit-identical to the serial
+  batch for every worker count, with the parent as sole hash/RNG
+  authority and the only place bands are probed and hash agreements are
+  counted;
   ``start_pool`` keeps the same pool attached across calls instead (see
   ``docs/serving.md`` for when the fork overhead pays off);
 * under ``verification="bayes"`` a ``query`` runs the hybrid: candidates are
@@ -34,8 +35,8 @@ is verified against its candidates with the same Bayesian pruning.
   touches the raw vectors and ranks survivors by the posterior MAP estimates
   computed during pruning — the estimate-driven path trades exact scores for
   latency (see ``docs/serving.md`` for the measured trade-off);
-* ``delete(rows)`` tombstones rows (filtered from every result immediately;
-  band postings are lazily rebuilt once past the ``staleness_budget``);
+* ``delete(rows)`` tombstones rows (filtered from every result immediately,
+  dropped from the band postings when their run next merges);
 * ``save(path)`` / ``load(path)`` round-trip the entire index — segments,
   hash-family state (drawn coefficients/projections *and* RNG stream
   position), per-segment signature stores, band postings and tombstones —
@@ -97,12 +98,6 @@ class QueryIndex:
         always runs ``"estimate"``.
     seed:
         Seed for the hash family.
-    staleness_budget:
-        Maximum fraction of band-posting members that may be tombstoned by
-        :meth:`delete` before the next query triggers a posting rebuild.
-        ``0.0`` rebuilds on the first query after any deletion; ``1.0``
-        effectively never rebuilds (tombstones are always filtered from
-        results either way — the budget only bounds wasted probe work).
 
     Determinism contract: for a fixed ``(seed, measure, parameters)``, query
     answers are a pure function of the *logical* collection — independent of
@@ -125,16 +120,11 @@ class QueryIndex:
         max_hashes: int | None = None,
         on_budget: str = "exact",
         seed: int = 0,
-        staleness_budget: float = 0.2,
     ):
         if verification not in ("bayes", "exact"):
             raise ValueError(f"verification must be 'bayes' or 'exact', got {verification!r}")
         if not 0.0 < threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-        if not 0.0 <= staleness_budget <= 1.0:
-            raise ValueError(
-                f"staleness_budget must lie in [0, 1], got {staleness_budget}"
-            )
         self._measure = get_measure(measure)
         initial = as_collection(data)
         self._threshold = float(threshold)
@@ -144,7 +134,6 @@ class QueryIndex:
             threshold, epsilon, delta, gamma, k, max_hashes, on_budget=on_budget
         )
         self._seed = int(seed)
-        self._staleness_budget = float(staleness_budget)
         self._segments = SegmentedCollection(
             self._measure, initial.n_features, seed=self._seed
         )
@@ -165,8 +154,6 @@ class QueryIndex:
         first = self._segments.append(initial, self._banding_hashes)
         self._next_default_id = self._initial_next_default_id()
         self._deleted = np.zeros(first.n_vectors, dtype=bool)
-        self._n_stale_postings = 0
-        self._postings_lock = threading.Lock()
         non_empty = np.flatnonzero(first.prepared.row_nnz > 0)
         self._postings = BandPostings.build(
             self._segments, non_empty, self._n_signatures, self._signature_width
@@ -276,16 +263,6 @@ class QueryIndex:
         return self._signature_width
 
     @property
-    def staleness_budget(self) -> float:
-        """Tombstoned posting fraction tolerated before a lazy rebuild."""
-        return self._staleness_budget
-
-    @property
-    def n_stale_postings(self) -> int:
-        """Tombstoned rows still present in the band postings."""
-        return self._n_stale_postings
-
-    @property
     def verification(self) -> str:
         """The verification mode: ``"bayes"`` or ``"exact"``."""
         return self._verification
@@ -330,93 +307,6 @@ class QueryIndex:
     # ------------------------------------------------------------------ #
     # candidate generation
     # ------------------------------------------------------------------ #
-    @property
-    def _postings(self):
-        """The band postings, built lazily on first use after a snapshot load.
-
-        A loaded index carries only the postings' *member sequence*; the
-        posting dictionaries themselves are a deterministic function of it
-        and are rebuilt here on the first probe (or insert) instead of at
-        load time — which is what keeps a memory-mapped load a millisecond
-        cold start.  Building is identical to the eager path bit for bit;
-        only *when* the O(N) band-key gather runs changes.
-        """
-        postings = self._postings_obj
-        if postings is None:
-            postings = self._build_postings()
-        return postings
-
-    @_postings.setter
-    def _postings(self, value) -> None:
-        # Publish the built postings before retiring the pending member
-        # sequence, so a racing ``_postings_members`` reader always finds
-        # one of the two.
-        self._postings_obj = value
-        self._lazy_postings_members = None
-
-    def _build_postings(self):
-        """Materialise lazily-restored postings exactly once (thread-safe).
-
-        Serialises on a dedicated lock (not the update lock) so an
-        ``insert`` holding the update lock can trigger the build without
-        deadlocking, while concurrent readers build at most once.
-        """
-        with self._postings_lock:
-            if self._postings_obj is None:
-                self._postings = BandPostings.build(
-                    self._segments,
-                    self._lazy_postings_members,
-                    self._n_signatures,
-                    self._signature_width,
-                )
-            return self._postings_obj
-
-    def _postings_members(self) -> np.ndarray:
-        """The postings' member sequence without forcing a lazy build.
-
-        Snapshot writers serialise only this sequence; when the postings
-        have not been materialised yet it *is* the pending restored array,
-        so saving a freshly mmap-loaded index never pays the build.
-        """
-        postings = self._postings_obj
-        if postings is None:
-            members = self._lazy_postings_members
-            if members is not None:
-                return members
-            postings = self._postings_obj  # a racing build just published
-        return postings.members
-
-    def _maybe_rebuild_postings(self) -> None:
-        """Lazily rebuild the band postings once past the staleness budget.
-
-        The rebuild runs under the index's update lock so a concurrent reader
-        triggering it cannot interleave with ``insert``/``delete`` (or with a
-        second reader's rebuild); readers that need no rebuild never take the
-        lock.  The postings reference is swapped atomically at the end.
-        """
-        if self._n_stale_postings == 0:
-            return
-        if self._n_stale_postings <= self._staleness_budget * self._postings.n_members:
-            return
-        with self._update_lock:
-            # Re-check under the lock: another reader may have just rebuilt.
-            if self._n_stale_postings == 0 or (
-                self._n_stale_postings
-                <= self._staleness_budget * self._postings.n_members
-            ):
-                return
-            alive_non_empty = np.flatnonzero(
-                (self._segments.row_nnz > 0) & ~self._deleted
-            )
-            self._postings = BandPostings.build(
-                self._segments, alive_non_empty, self._n_signatures, self._signature_width
-            )
-            self._n_stale_postings = 0
-            # Forked resident workers hold the old postings object (their
-            # fork's copy-on-write view); bump the epoch so the next batch
-            # refreshes them onto the rebuilt, tombstone-free postings.
-            self._epoch += 1
-
     def _hash_queries(self, query_prepared: VectorCollection):
         """Hash the non-empty query rows once, for probing and the first rounds.
 
@@ -428,7 +318,6 @@ class QueryIndex:
         anything and their hashes are degenerate, so only non-empty rows
         participate.
         """
-        self._maybe_rebuild_postings()
         query_rows = np.flatnonzero(query_prepared.row_nnz > 0)
         if len(query_rows) == 0:
             return query_rows, None, None
@@ -444,28 +333,19 @@ class QueryIndex:
 
         Holds the update lock so a concurrent ``insert`` cannot commit a
         segment between the fork-time snapshot and the worker forks — every
-        worker inherits the same segment list, postings and row count
-        (writers block for the few milliseconds of forking; other readers
-        are unaffected).
+        worker inherits the same segment list (writers block for the few
+        milliseconds of forking; other readers are unaffected).
         """
         with self._update_lock:
             return ServingPool(
                 n_workers,
-                self._serving_task(),
+                ServingTask(segments=self._segments),
                 round_timeout=round_timeout,
                 epoch=self._epoch,
             )
 
-    def _serving_task(self) -> ServingTask:
-        """The fork-inherited worker state (caller holds the update lock)."""
-        return ServingTask(
-            segments=self._segments,
-            postings=self._postings,
-            n_vectors=self._segments.n_vectors,
-        )
-
     @contextmanager
-    def _serving_pool(self, n_workers, query_prepared, query_store, round_timeout):
+    def _serving_pool(self, n_workers, query_prepared, round_timeout):
         """Lease the pool serving this call; yields ``None`` for the serial path.
 
         ``n_workers=None`` uses the attached pool (serial when there is
@@ -485,12 +365,12 @@ class QueryIndex:
         def refresh():
             with self._update_lock:
                 if pool.epoch != self._epoch:
-                    pool.refresh(self._serving_task(), self._epoch)
+                    pool.refresh(ServingTask(segments=self._segments), self._epoch)
 
         leased = False
         try:
             leased = pool is not None and pool.lease(
-                query_prepared, query_store, round_timeout=round_timeout, refresh=refresh
+                query_prepared, round_timeout=round_timeout, refresh=refresh
             )
             yield pool if leased else None
         finally:
@@ -508,10 +388,11 @@ class QueryIndex:
         filtered out.  ``on_budget=None`` scores every candidate exactly;
         otherwise the candidates run the BayesLSH rounds under that terminal
         rule (NaN for pruned pairs) and only the pairs ``"exact"`` leaves
-        undecided reach the exact kernel; ``exact`` marks exact values.  With
-        a pool, probing is sharded by query slice and exact scoring by pair
-        slice; the rounds run here either way, and the merges are
-        bit-identical to the serial kernels.
+        undecided reach the exact kernel; ``exact`` marks exact values.  The
+        probe and the rounds run here; with a pool, exact scoring is sharded
+        by pair slice, and the merge is bit-identical to the serial kernel.
+        The probe precedes the pool's lease, so the workers' fork-inherited
+        segments hold every row it returns.
         """
         if n_workers is not None:
             n_workers = int(n_workers)
@@ -522,16 +403,10 @@ class QueryIndex:
         empty = np.zeros(0, dtype=np.int64)
         if query_family is None:
             return query_prepared.n_vectors, empty, empty, np.zeros(0), np.zeros(0, dtype=bool)
-        with self._serving_pool(n_workers, query_prepared, query_store, round_timeout) as pool:
-            if pool is not None:
-                positions, rows = pool.probe(query_rows)
-            else:
-                positions, rows = self._postings.probe_many(
-                    query_store, query_rows, self._segments.n_vectors
-                )
-            keep = ~self._deleted[rows]
-            query_rows, rows = query_rows[positions[keep]], rows[keep]
-
+        positions, rows = self._postings.probe_many(query_store, query_rows, self._segments)
+        keep = ~self._deleted[rows]
+        query_rows, rows = query_rows[positions[keep]], rows[keep]
+        with self._serving_pool(n_workers, query_prepared, round_timeout) as pool:
             def score(queries_of: np.ndarray, rows_of: np.ndarray) -> np.ndarray:
                 if pool is not None:
                     return pool.map_exact(queries_of, rows_of)
@@ -602,9 +477,9 @@ class QueryIndex:
         recover pairs the index-level pruning already discarded.
 
         ``n_workers > 1`` opens a worker pool scoped to this call (forked,
-        leased for the one batch, closed) and shards band probing and exact
-        scoring across it; hash agreements are counted here, in the calling
-        process — results are bit-identical to the serial batch for every
+        leased for the one batch, closed) and shards exact scoring across
+        it; bands are probed and hash agreements counted here, in the
+        calling process — results are bit-identical to the serial batch for every
         worker count (see ``docs/serving.md`` for when the fork overhead
         pays off).  Leaving ``n_workers`` unset runs on the index's resident
         pool when :meth:`start_pool` attached one (serial otherwise).  Worker
@@ -683,7 +558,7 @@ class QueryIndex:
           documented in ``docs/serving.md``).
 
         ``n_workers > 1`` opens a worker pool scoped to this call and shards
-        band probing and exact ranking across it (estimate ranking's hash
+        exact ranking across it (the probe and estimate ranking's hash
         counts stay in the calling process), bit-identically to the serial
         batch (see ``docs/serving.md``);
         leaving it unset runs on the resident pool when :meth:`start_pool`
@@ -755,8 +630,8 @@ class QueryIndex:
         Once attached, every ``query``/``query_many``/``top_k``/
         ``top_k_many`` call that leaves ``n_workers`` unset runs on the pool
         — paying a per-batch control message instead of a per-call fork —
-        and stays bit-identical to the serial path.  The workers probe and
-        score exactly; this process hashes, counts agreements and decides.
+        and stays bit-identical to the serial path.  The workers score
+        exactly; this process hashes, probes, counts agreements and decides.
         An explicit ``n_workers`` is unaffected (``1`` forces serial,
         ``> 1`` opens a second pool scoped to that call).  Concurrent callers share the
         pool; their batches serialise on its lease.
@@ -772,8 +647,8 @@ class QueryIndex:
         Returns the pool (handy for :meth:`pool_stats`-style inspection).
         The pool must be shut down with :meth:`close` — or use the index as
         a context manager.  Only one resident pool may be attached at a
-        time; ``insert`` and posting rebuilds are safe while it runs (the
-        epoch mechanism refreshes the pool before its next batch).
+        time; ``insert`` is safe while it runs (the epoch mechanism
+        refreshes the pool before its next batch).
         """
         if self._resident is not None:
             raise RuntimeError(
@@ -950,8 +825,8 @@ class QueryIndex:
         collision-free after a compacted snapshot load, where surviving rows
         keep ids larger than their (renumbered) row indices.
 
-        Mutators (``insert``/``delete``/the lazy posting rebuild) serialise
-        on the index's update lock; *reader* threads may run concurrently
+        Mutators (``insert``/``delete``) serialise on the index's update
+        lock; *reader* threads may run concurrently
         with one ingest stream (state is published in an order that keeps
         every observable row consistent — see
         :mod:`repro.serving.segments` and
@@ -990,7 +865,9 @@ class QueryIndex:
             # in a probe result, so extend it before the postings learn the
             # new rows.
             self._deleted = np.concatenate([self._deleted, np.zeros(n_new, dtype=bool)])
-            self._postings.add(self._segments, new_rows[segment.prepared.row_nnz > 0])
+            self._postings.add(
+                self._segments, new_rows[segment.prepared.row_nnz > 0], self._deleted
+            )
             # Segment churn invalidates forked resident workers (they serve
             # a copy-on-write view of the pre-insert corpus); the epoch bump
             # makes the pool refresh before it admits another batch.
@@ -1000,10 +877,10 @@ class QueryIndex:
     def delete(self, rows) -> int:
         """Tombstone indexed rows (by row index); returns how many were live.
 
-        Deleted rows stay in the signature store and (until the staleness
-        budget forces a posting rebuild) in the band postings, but are
-        filtered from every query result immediately.  Deleting an already
-        deleted row is a no-op.  Tombstones are physically dropped only by
+        Deleted rows stay in the signature store and (until their postings
+        run next merges) in the band postings, but are filtered from every
+        query result immediately.  Deleting an already deleted row is a
+        no-op.  Tombstoned rows are physically dropped only by
         ``save(path, compact=True)``.
         """
         rows = sorted_unique(np.asarray(rows, dtype=np.int64).ravel())
@@ -1021,7 +898,6 @@ class QueryIndex:
             self._mutations += 1
             fresh = rows[~self._deleted[rows]]
             self._deleted[fresh] = True
-            self._n_stale_postings += int(np.sum(self._segments.row_nnz[fresh] > 0))
             return len(fresh)
 
     # ------------------------------------------------------------------ #
@@ -1036,16 +912,16 @@ class QueryIndex:
         meta: dict,
         family_state: dict,
         deleted: np.ndarray,
-        postings_members: np.ndarray,
+        postings_runs: tuple,
     ) -> "QueryIndex":
         """Rewire an index from deserialised snapshot state.
 
         ``segments_data`` is a list of ``(collection, store, ids)`` triples,
-        one per sealed segment.  Only the state a snapshot carries is taken
-        from the arguments; the prepared views, hash family clones, band
-        postings and BayesLSH decision tables are deterministic functions of
-        it and are rebuilt here (see :mod:`repro.serving.snapshot` for the
-        format).
+        one per sealed segment, and ``postings_runs`` the band postings'
+        sealed ``(keys, rows)`` runs, adopted as they are (memory-mapped ones
+        stay mapped).  The prepared views, hash family clones and BayesLSH
+        decision tables are deterministic functions of that state and are
+        rebuilt here (see :mod:`repro.serving.snapshot` for the format).
         """
         index = cls.__new__(cls)
         index._measure = get_measure(meta["measure"])
@@ -1063,7 +939,6 @@ class QueryIndex:
             on_budget=meta.get("on_budget", "estimate"),
         )
         index._seed = int(meta["seed"])
-        index._staleness_budget = float(meta["staleness_budget"])
         index._signature_width = int(meta["signature_width"])
         index._n_signatures = int(meta["n_signatures"])
         index._segments = SegmentedCollection(
@@ -1083,14 +958,9 @@ class QueryIndex:
             )
         index._next_default_id = index._initial_next_default_id()
         index._deleted = deleted
-        index._n_stale_postings = int(meta["n_stale_postings"])
-        # Defer the O(N) postings build to first use: only the member
-        # sequence is snapshot state, the dictionaries are a deterministic
-        # function of it.  This is what makes loading — especially the
-        # memory-mapped flat layout — a constant-time cold start.
-        index._postings_lock = threading.Lock()
-        index._postings_obj = None
-        index._lazy_postings_members = postings_members
+        index._postings = BandPostings(
+            index._n_signatures, index._signature_width, postings_runs
+        )
         index._wire_tables(defer=True)
         index._update_lock = threading.Lock()
         index._epoch = 0

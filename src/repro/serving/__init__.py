@@ -40,7 +40,7 @@ into something a long-running process can operate:
   :class:`~repro.serving.client.RetriesExhausted` past the budget.
 
 See ``docs/serving.md`` for the operational guide (snapshot format and
-version history, staleness budget, compaction semantics, the batched-query
+version history, deletes, compaction semantics, the batched-query
 API, the estimate-vs-exact top-k trade-off, the operational-robustness
 contract, and the daemon runbook).
 """

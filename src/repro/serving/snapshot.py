@@ -29,15 +29,17 @@ bit-identically on its own:
     round trip — hash function ``i`` is the same before and after, whether
     it was drawn before the save or after the load (clones of the master
     re-draw any missing coefficients from the same deterministic stream).
-``deleted`` / ``postings_members``
-    The global tombstone mask and the band postings' member sequence in
-    insertion order — replaying that sequence rebuilds every posting list in
-    the exact order incremental inserts created it.
+``deleted``
+    The global tombstone mask.
+``postings_keys`` / ``postings_rows`` / ``postings_run_sizes``
+    The band postings' sealed runs end to end (each a sorted ``uint64`` key
+    array and its parallel member rows) and each run's length.  A load
+    adopts them as they are, so neither the load nor the first query builds
+    anything; a memory-mapped load maps them.
 
 What is *not* serialised is exactly the state that is a deterministic
 function of the above: the measures' prepared views, the per-segment family
-clones, the BayesLSH decision tables and the posting dictionaries themselves
-are rebuilt on load.
+clones and the BayesLSH decision tables are rebuilt on load.
 
 ``MANIFEST.json`` is two sections in one file: a first line of header JSON
 (format magic ``"repro-query-index-flat"``, flat-layout version, CRC32 and
@@ -45,21 +47,22 @@ size of the payload section) followed by the payload JSON — the snapshot
 version, the generation, the member table mapping each array to its file,
 dtype, shape and byte size, and the ``meta`` document: the index's scalar
 configuration (measure, threshold, verification mode, BayesLSH parameters,
-seed, staleness budget and counters), the segment layout (``n_segments``,
+seed), the segment layout (``n_segments``,
 per-segment ``store_n_hashes``), the hash family's scalar state including
 the JSON-encoded RNG bit-generator state, and a mandatory ``checksums``
 table mapping every array member to its CRC32.  A bit flip anywhere in the
 manifest breaks the header parse, the magic, or the payload CRC — the
 manifest is self-validating.
 
-The current snapshot format is **version 3** (flat layout version 1).  An
-intact manifest of any other version raises a plain ``ValueError``, and so
-does a regular file — the retired single-archive ``.npz`` snapshots are not
-read (there is no second reader).  :func:`save_query_index` with
-``compact=True`` writes the same format in **compacted** form: all segments
-merged into one, tombstoned rows physically dropped, surviving rows
-renumbered (order and external ids preserved) and the postings member
-sequence remapped accordingly.
+The current snapshot format is **version 4** (flat layout version 1).  An
+intact manifest of any other version — version 3's postings member
+sequence included — raises a plain ``ValueError``, and so does a regular
+file — the retired single-archive ``.npz`` snapshots are not read (there is
+no second reader).  :func:`save_query_index` with ``compact=True`` writes
+the same format in **compacted** form: all segments merged into one,
+tombstoned rows physically dropped, surviving rows renumbered (order and
+external ids preserved) and the postings written as one run of the
+renumbered members.
 
 Load backends
 -------------
@@ -145,7 +148,7 @@ __all__ = [
 ]
 
 #: current snapshot format version — the only one this build reads
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 #: magic string identifying snapshot manifests
 FLAT_FORMAT = "repro-query-index-flat"
 #: current flat-layout version (the *snapshot* version is carried separately)
@@ -428,7 +431,7 @@ def read_flat(path, storage: str = "ram") -> tuple[int, dict, dict]:
 # --------------------------------------------------------------------- #
 # the QueryIndex payload
 # --------------------------------------------------------------------- #
-def _segment_payload(index) -> tuple[list[dict], str, list[int], np.ndarray, np.ndarray]:
+def _segment_payload(index) -> tuple[list[dict], str, list[int], np.ndarray, object]:
     """Per-segment arrays for a plain (non-compacted) snapshot."""
     arrays: list[dict] = []
     kinds: set[str] = set()
@@ -443,7 +446,7 @@ def _segment_payload(index) -> tuple[list[dict], str, list[int], np.ndarray, np.
         packed["store"] = matrix
         arrays.append(packed)
     (kind,) = kinds or {"bits"}
-    return arrays, kind, widths, index._deleted, index._postings_members()
+    return arrays, kind, widths, index._deleted, index._postings
 
 
 def _store_matrix_at_width(segment, width: int) -> np.ndarray:
@@ -470,12 +473,13 @@ def _store_matrix_at_width(segment, width: int) -> np.ndarray:
     return store_parts(scratch)[1]
 
 
-def _compacted_payload(index) -> tuple[list[dict], str, list[int], np.ndarray, np.ndarray]:
+def _compacted_payload(index) -> tuple[list[dict], str, list[int], np.ndarray, object]:
     """A single merged segment with tombstoned rows physically dropped.
 
     Surviving rows are renumbered monotonically (their relative order is
     preserved, so sorted query results map one-to-one) and the postings
-    member sequence is remapped through the old-to-new row map.  The
+    become one run of their alive members, remapped through the same
+    old-to-new row map.  The
     *written copies* of narrower segment stores are extended to the widest
     segment's hash count so the merged store has one uniform width; the
     in-memory index is not touched (see :func:`_store_matrix_at_width`).
@@ -508,13 +512,8 @@ def _compacted_payload(index) -> tuple[list[dict], str, list[int], np.ndarray, n
     packed = collection_arrays(VectorCollection(merged_matrix, ids=merged_ids), prefix="")
     packed["store"] = merged_store
 
-    # Old global row -> new compacted row (only defined for alive rows).
-    new_index = np.cumsum(alive, dtype=np.int64) - 1
-    members = index._postings_members()
-    members = new_index[members[alive[members]]]
-
     deleted = np.zeros(int(alive.sum()), dtype=bool)
-    return [packed], kind, [int(width)], deleted, members
+    return [packed], kind, [int(width)], deleted, index._postings.compacted(alive)
 
 
 def _snapshot_payload(index, compact: bool) -> tuple[dict, dict]:
@@ -533,12 +532,9 @@ def _snapshot_payload(index, compact: bool) -> tuple[dict, dict]:
         {"quantize": bool(family_state["quantize"])} if "quantize" in family_state else {}
     )
 
-    if compact:
-        segment_arrays, store_kind, store_widths, deleted, members = _compacted_payload(index)
-        n_stale_postings = 0
-    else:
-        segment_arrays, store_kind, store_widths, deleted, members = _segment_payload(index)
-        n_stale_postings = index._n_stale_postings
+    payload_of = _compacted_payload if compact else _segment_payload
+    segment_arrays, store_kind, store_widths, deleted, postings = payload_of(index)
+    runs = postings.runs
 
     params = index._params
     meta = {
@@ -555,8 +551,6 @@ def _snapshot_payload(index, compact: bool) -> tuple[dict, dict]:
         "max_hashes": params.max_hashes,
         "on_budget": params.on_budget,
         "seed": index._seed,
-        "staleness_budget": index._staleness_budget,
-        "n_stale_postings": n_stale_postings,
         "family": index._family.name,
         "family_scalars": family_scalars,
         "family_kwargs": family_kwargs,
@@ -573,7 +567,9 @@ def _snapshot_payload(index, compact: bool) -> tuple[dict, dict]:
             payload[prefix] = value
     arrays: dict[str, np.ndarray] = {
         "deleted": deleted,
-        "postings_members": members,
+        "postings_keys": np.concatenate([np.zeros(0, dtype=np.uint64), *(k for k, _ in runs)]),
+        "postings_rows": np.concatenate([np.zeros(0, dtype=np.int64), *(r for _, r in runs)]),
+        "postings_run_sizes": np.array([len(k) for k, _ in runs], dtype=np.int64),
         **payload,
         **family_arrays,
     }
@@ -652,6 +648,15 @@ def _load_segments(arrays, meta) -> list[tuple]:
     return segments
 
 
+def _load_runs(path: Path, arrays) -> tuple:
+    """The postings' ``(keys, rows)`` runs: views into the stored arrays, never copies."""
+    keys, rows = arrays["postings_keys"], arrays["postings_rows"]
+    bounds = np.concatenate([[0], np.cumsum(arrays["postings_run_sizes"])]).tolist()
+    if not len(keys) == len(rows) == bounds[-1]:
+        raise SnapshotCorruptError(path, "postings run sizes disagree with their arrays")
+    return tuple((keys[lo:hi], rows[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+
 def load_query_index(path, storage: str = "ram", wal=None):
     """Load an index snapshot written by :func:`save_query_index`.
 
@@ -693,7 +698,7 @@ def load_query_index(path, storage: str = "ram", wal=None):
         # family arrays may be grown by later draws — copy both out of any
         # read-only mmap backing (they are O(N) and O(hashes), not O(nnz)).
         deleted = np.array(arrays["deleted"], dtype=bool)
-        postings_members = np.asarray(arrays["postings_members"], dtype=np.int64)
+        postings_runs = _load_runs(path, arrays)
 
         family_state: dict[str, object] = dict(meta["family_scalars"])
         for name, value in arrays.items():
@@ -713,7 +718,7 @@ def load_query_index(path, storage: str = "ram", wal=None):
         meta=meta,
         family_state=family_state,
         deleted=deleted,
-        postings_members=postings_members,
+        postings_runs=postings_runs,
     )
     if wal is not None:
         index.recover(wal)

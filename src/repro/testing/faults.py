@@ -9,8 +9,8 @@ a :class:`FaultPlan` via :func:`inject`.  The seams are:
 * ``serving_estimates`` — a pooled batch's rounds (counted in the parent)
   have ended and the terminal rule (the outcome, then exact scoring of the
   exhausted pairs) is next;
-* ``serving_probe`` / ``serving_exact`` — the serving pool is about to be
-  sent a batch's band probes / exact similarities;
+* ``serving_exact`` — the serving pool is about to be sent a batch's exact
+  similarities;
 * ``pool_respawn`` — a resident pool just respawned a dead worker slot
   (fires after the fresh process started, before the next batch uses it);
 * ``daemon_admit`` — the daemon admitted one request into its queue;
@@ -42,7 +42,7 @@ a :class:`FaultPlan` via :func:`inject`.  The seams are:
 A plan schedules faults against those seams:
 
 * :meth:`FaultPlan.kill_worker` — SIGKILL a chosen worker when a chosen
-  event fires (e.g. a batch's band probes), simulating an OOM kill or
+  event fires (e.g. a batch's exact scoring), simulating an OOM kill or
   native crash;
 * :meth:`FaultPlan.hang_worker` — SIGSTOP a worker so it stays alive but
   silent, exercising the supervisor's ``round_timeout`` hung-worker path;
@@ -67,7 +67,7 @@ Usage::
     from repro.testing import faults
 
     with faults.inject() as plan:
-        plan.kill_worker(1, event="serving_probe")
+        plan.kill_worker(1, event="serving_exact")
         results = index.query_many(batch, n_workers=4)
 
 Every scheduled fault fires at most once; ``plan.fired`` records what
@@ -145,7 +145,7 @@ class FaultPlan:
     # worker faults
     # ------------------------------------------------------------------ #
     def kill_worker(
-        self, worker: int, event: str = "serving_probe", round_index: int | None = None
+        self, worker: int, event: str = "serving_exact", round_index: int | None = None
     ) -> None:
         """SIGKILL worker ``worker`` of the pool active when ``event`` fires.
 
@@ -157,7 +157,7 @@ class FaultPlan:
         )
 
     def hang_worker(
-        self, worker: int, event: str = "serving_probe", round_index: int | None = None
+        self, worker: int, event: str = "serving_exact", round_index: int | None = None
     ) -> None:
         """SIGSTOP a worker (alive but silent) when ``event`` fires.
 
@@ -172,7 +172,7 @@ class FaultPlan:
         self,
         worker: int,
         seconds: float,
-        event: str = "serving_probe",
+        event: str = "serving_exact",
         round_index: int | None = None,
     ) -> None:
         """Make a worker sleep ``seconds`` before its next message.

@@ -235,24 +235,15 @@ class TestBandPostingsProbe:
         return store, np.arange(n_queries)
 
     def _reference(self, store, member_rows, query_rows, n_bands=N_BANDS, width=WIDTH):
-        """Sorted distinct ``(position, member)`` pairs from a dict of buckets."""
-        pairs = set()
-        for band in range(n_bands):
-            buckets: dict = {}
-            keys = store.band_keys_many(member_rows, band, width)
-            for row, key in zip(member_rows.tolist(), keys):
-                buckets.setdefault(key.tobytes(), []).append(row)
-            query_keys = store.band_keys_many(query_rows, band, width)
-            for position, key in enumerate(query_keys):
-                pairs.update((position, row) for row in buckets.get(key.tobytes(), ()))
-        ordered = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-        return ordered[:, 0], ordered[:, 1]
+        return reference.band_probe_reference(
+            store, member_rows, store, query_rows, n_bands, width
+        )
 
     def test_equals_dict_of_buckets_brute_force(self, binary_sets_collection):
         store, query_rows = self._stores(binary_sets_collection, 40)
         member_rows = np.arange(binary_sets_collection.n_vectors)
         postings = BandPostings.build(store, member_rows, self.N_BANDS, self.WIDTH)
-        positions, members = postings.probe_many(store, query_rows, len(member_rows))
+        positions, members = postings.probe_many(store, query_rows, store)
         ref_positions, ref_members = self._reference(store, member_rows, query_rows)
         assert len(members) > len(query_rows)  # more than the self-hits
         np.testing.assert_array_equal(positions, ref_positions)
@@ -260,14 +251,14 @@ class TestBandPostingsProbe:
         assert positions.dtype == members.dtype == np.int64
 
     def test_four_bands_of_eight_bits_equal_dict_of_buckets(self, sparse_text_collection):
-        """32 bits in all: one gather over every band would return packed
-        words, while each band on its own is 8 unpacked bits.  The postings
-        must key each band exactly as ``probe_many`` looks it up."""
+        """32 bits in all: one gather over every band returns packed words,
+        while each band on its own is 8 unpacked bits.  The postings must key
+        each band exactly as a lone band's gather reads it."""
         store = get_hash_family("simhash", sparse_text_collection, seed=9).signatures(32)
         member_rows = np.arange(sparse_text_collection.n_vectors)
         query_rows = member_rows[:40]
         postings = BandPostings.build(store, member_rows, 4, 8)
-        positions, members = postings.probe_many(store, query_rows, len(member_rows))
+        positions, members = postings.probe_many(store, query_rows, store)
         ref_positions, ref_members = self._reference(store, member_rows, query_rows, 4, 8)
         assert len(members) > len(query_rows)  # more than the self-hits
         np.testing.assert_array_equal(positions, ref_positions)
@@ -280,30 +271,72 @@ class TestBandPostingsProbe:
         for start in range(0, n, 37):
             postings.add(store, np.arange(start, min(start + 37, n)))
         built = BandPostings.build(store, np.arange(n), self.N_BANDS, self.WIDTH)
+        assert len(built.runs) == 1 < len(postings.runs)
         for left, right in zip(
-            postings.probe_many(store, query_rows, n), built.probe_many(store, query_rows, n)
+            postings.probe_many(store, query_rows, store),
+            built.probe_many(store, query_rows, store),
         ):
             np.testing.assert_array_equal(left, right)
 
-    def test_span_covers_members_beyond_n_vectors(self, binary_sets_collection):
-        """``n_vectors`` is a lower bound: a member row above it (appended by a
-        concurrent ingest after the caller's snapshot) must decode intact."""
+    def test_runs_merge_geometrically_and_are_canonical(self, binary_sets_collection):
+        """One-row adds leave every run over twice the size of the next, so
+        O(log) runs, each sorted by ``(key, row)`` and byte-identical to one
+        build over its member rows."""
+        store, _ = self._stores(binary_sets_collection, 0)
+        postings = BandPostings(self.N_BANDS, self.WIDTH)
+        for row in range(100):
+            postings.add(store, [row])
+            sizes = [len(keys) for keys, _ in postings.runs]
+            assert sum(sizes) == (row + 1) * self.N_BANDS
+            assert all(earlier > 2 * later for earlier, later in zip(sizes, sizes[1:]))
+        assert len(postings.runs) <= 7
+        for keys, rows in postings.runs:
+            ascending = (keys[1:] > keys[:-1]) | ((keys[1:] == keys[:-1]) & (rows[1:] > rows[:-1]))
+            assert ascending.all()
+            (built_keys, built_rows), = BandPostings.build(
+                store, np.unique(rows), self.N_BANDS, self.WIDTH
+            ).runs
+            np.testing.assert_array_equal(keys, built_keys)
+            np.testing.assert_array_equal(rows, built_rows)
+
+    def test_runs_are_canonical_whatever_order_rows_arrive_in(self, binary_sets_collection):
+        store, _ = self._stores(binary_sets_collection, 0)
+        ((keys, rows),) = BandPostings.build(store, np.arange(60), self.N_BANDS, self.WIDTH).runs
+        shuffled = BandPostings.build(
+            store, np.random.default_rng(1).permutation(60), self.N_BANDS, self.WIDTH
+        )
+        backwards = BandPostings.build(store, np.arange(30, 60), self.N_BANDS, self.WIDTH)
+        backwards.add(store, np.arange(30))  # merges a run of smaller rows after larger
+        for postings in (shuffled, backwards):
+            ((other_keys, other_rows),) = postings.runs
+            np.testing.assert_array_equal(other_keys, keys)
+            np.testing.assert_array_equal(other_rows, rows)
+
+    def test_merges_drop_members_tombstoned_at_that_moment(self, binary_sets_collection):
         store, query_rows = self._stores(binary_sets_collection, 40)
-        member_rows = np.arange(binary_sets_collection.n_vectors)
-        postings = BandPostings.build(store, member_rows, self.N_BANDS, self.WIDTH)
-        reference = self._reference(store, member_rows, query_rows)
-        assert reference[1].max() > 10
-        for stale_n_vectors in (0, 10):
-            positions, members = postings.probe_many(store, query_rows, stale_n_vectors)
-            np.testing.assert_array_equal(positions, reference[0])
-            np.testing.assert_array_equal(members, reference[1])
+        n = binary_sets_collection.n_vectors
+        deleted = np.zeros(n, dtype=bool)
+        postings = BandPostings.build(store, np.arange(n // 2), self.N_BANDS, self.WIDTH)
+        deleted[[0, 3, 5]] = True
+        postings.add(store, np.arange(n // 2, n), deleted)
+        (keys, rows), = postings.runs
+        assert not deleted[rows].any()
+        alive = np.flatnonzero(~deleted)
+        for left, right in zip(
+            postings.probe_many(store, query_rows, store),
+            self._reference(store, alive, query_rows),
+        ):
+            np.testing.assert_array_equal(left, right)
 
     def test_no_hits_and_no_queries(self, binary_sets_collection):
         store, query_rows = self._stores(binary_sets_collection, 5)
         empty = BandPostings(self.N_BANDS, self.WIDTH)
         for positions, members in (
-            empty.probe_many(store, query_rows, 100),
-            empty.probe_many(store, [], 100),
+            empty.probe_many(store, query_rows, store),
+            empty.probe_many(store, [], store),
+            BandPostings.build(store, [7], self.N_BANDS, self.WIDTH).probe_many(
+                store, [], store
+            ),
         ):
             assert positions.dtype == members.dtype == np.int64
             assert len(positions) == len(members) == 0

@@ -102,7 +102,7 @@ def test_hung_worker_mid_batch_recovers_via_pool_round_timeout(
     resident pool's own ``round_timeout`` and the answer stays correct."""
     oracle = as_pairs(index.query_many(batch[:1], threshold=0.55, n_workers=1)[0])
     monkeypatch.setattr(executor, "RESPAWN_BACKOFF", 0.01)
-    index.start_pool(2, round_timeout=2.0)
+    index.start_pool(2, round_timeout=0.5)
     try:
         with ServingDaemon(index, socket_path, batch_window_ms=1):
             with faults.inject() as plan:

@@ -1,7 +1,7 @@
 """Worker-loss recovery in the serving pool: bit-identity at every seam.
 
 The acceptance property: SIGKILLing any one worker at every stage of
-``query_many``/``top_k_many`` (probing, between the parent's rounds and the
+``query_many``/``top_k_many`` (the fork, between the parent's rounds and the
 terminal rule, exact ranking) must complete via the parent's recomputation
 of the lost shard, with answers bit-identical to the all-serial run — and
 create no ``/dev/shm`` segment (enforced suite-wide by the autouse
@@ -21,11 +21,11 @@ from repro.testing import faults
 
 from .conftest import planted_collection
 
-# Every seam a pooled ``query_many`` passes: the fork, the band probes, the end
-# of the parent's rounds and the exact scoring of the pairs they leave undecided.
-EVENTS = ["pool_start", "serving_probe", "serving_estimates", "serving_exact"]
+# Every seam a pooled ``query_many`` passes: the fork, the end of the parent's
+# rounds and the exact scoring of the pairs they leave undecided.
+EVENTS = ["pool_start", "serving_estimates", "serving_exact"]
 # ``rank_by="estimate"`` scores nothing exactly, so it never reaches ``serving_exact``.
-ESTIMATE_EVENTS = ["pool_start", "serving_probe", "serving_estimates"]
+ESTIMATE_EVENTS = ["pool_start", "serving_estimates"]
 
 
 @pytest.mark.parametrize("event", EVENTS)
@@ -58,7 +58,7 @@ def test_kill_one_worker_top_k_estimate_bit_identical(
     assert ranked == serial_answers["topk_estimate"]
 
 
-@pytest.mark.parametrize("event", ["serving_probe", "serving_exact"])
+@pytest.mark.parametrize("event", ["serving_exact"])
 def test_kill_one_worker_top_k_exact_bit_identical(
     serving_index, query_batch, serial_answers, event
 ):
@@ -76,14 +76,14 @@ def test_kill_every_worker_falls_back_fully_serial(
 ):
     """Losing the whole pool degrades to the plain serial path, bit-identically."""
     with faults.inject() as plan:
-        plan.kill_worker(0, event="serving_probe")
-        plan.kill_worker(1, event="serving_probe")
+        plan.kill_worker(0, event="serving_exact")
+        plan.kill_worker(1, event="serving_exact")
         answers = serving_index.query_many(query_batch, threshold=0.55, n_workers=2)
     assert ("kill", 0) in plan.fired and ("kill", 1) in plan.fired
     assert answers == serial_answers["query"]
 
 
-@pytest.mark.parametrize("event", ["serving_probe", "serving_exact"])
+@pytest.mark.parametrize("event", ["serving_exact"])
 def test_hung_worker_recovers_via_round_timeout(
     serving_index, query_batch, serial_answers, event
 ):
@@ -97,11 +97,11 @@ def test_hung_worker_recovers_via_round_timeout(
     assert answers == serial_answers["query"]
 
 
-@pytest.mark.parametrize("tag", ["probe", "exact"])
+@pytest.mark.parametrize("tag", ["exact"])
 def test_dropped_request_recovers_via_round_timeout(
     serving_index, query_batch, serial_answers, tag
 ):
-    """A swallowed parent→worker probe or exact request looks like a hang; the
+    """A swallowed parent→worker exact request looks like a hang; the
     deadline recovers it."""
     with faults.inject() as plan:
         plan.drop_messages(1, tag=tag)
@@ -116,7 +116,7 @@ def test_slow_worker_is_not_killed(serving_index, query_batch, serial_answers, c
     """A worker sleeping well under the deadline must not be retired."""
     with caplog.at_level(logging.WARNING, logger="repro.search.executor"):
         with faults.inject() as plan:
-            plan.delay_worker(1, 0.3, event="serving_probe")
+            plan.delay_worker(1, 0.3, event="serving_exact")
             answers = serving_index.query_many(
                 query_batch, threshold=0.55, n_workers=2, round_timeout=30.0
             )
@@ -142,7 +142,7 @@ def _allpairs_call(serving_index, query_batch) -> None:
 
 @pytest.mark.parametrize(
     "event,tag,call",
-    [("serving_probe", "probe", _serving_call), ("pool_start", "exact", _allpairs_call)],
+    [("serving_exact", "exact", _serving_call), ("pool_start", "exact", _allpairs_call)],
     ids=["serving", "allpairs"],
 )
 def test_recovery_is_logged_with_worker_tag_and_fallback(
@@ -164,10 +164,10 @@ def test_recovery_is_logged_with_worker_tag_and_fallback(
 
 def test_worker_failure_message_names_worker_and_tag():
     """The typed error carries worker ids and the task tag."""
-    failure = WorkerFailure({1: "died without replying (exit code -9)"}, {0: "reply"}, "probe")
+    failure = WorkerFailure({1: "died without replying (exit code -9)"}, {0: "reply"}, "exact")
     message = str(failure)
     assert "worker(s) [1]" in message
-    assert "'probe'" in message
+    assert "'exact'" in message
     assert "exit code -9" in message
     assert failure.failed == {1: "died without replying (exit code -9)"}
     assert failure.replies == {0: "reply"}

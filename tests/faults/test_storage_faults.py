@@ -121,7 +121,7 @@ def mmap_index(flat_path) -> QueryIndex:
     return QueryIndex.load(flat_path, storage="mmap")
 
 
-@pytest.mark.parametrize("event", ["serving_probe", "serving_estimates", "serving_exact"])
+@pytest.mark.parametrize("event", ["serving_estimates", "serving_exact"])
 def test_kill_worker_over_mmap_segments_bit_identical(
     mmap_index, query_batch, serial_answers, event
 ):
@@ -176,8 +176,8 @@ def test_kill_every_worker_over_mmap_segments_falls_back_serial(
     mmap_index, query_batch, serial_answers
 ):
     with faults.inject() as plan:
-        plan.kill_worker(0, event="serving_probe")
-        plan.kill_worker(1, event="serving_probe")
+        plan.kill_worker(0, event="serving_exact")
+        plan.kill_worker(1, event="serving_exact")
         answers = mmap_index.query_many(query_batch, threshold=0.55, n_workers=2)
     assert ("kill", 0) in plan.fired and ("kill", 1) in plan.fired
     assert answers == serial_answers["query"]

@@ -48,7 +48,7 @@ def _index(measure: str, k: int, n_segments: int, tombstones: bool, depths) -> Q
 def _candidates(index: QueryIndex, queries: np.ndarray):
     prepared = index._queries_collection(queries)
     query_rows, family, store = index._hash_queries(prepared)
-    positions, rows = index._postings.probe_many(store, query_rows, index._segments.n_vectors)
+    positions, rows = index._postings.probe_many(store, query_rows, index._segments)
     keep = ~index._deleted[rows]
     return family, query_rows[positions[keep]], rows[keep]
 

@@ -10,8 +10,8 @@ Five contracts (see ``repro/search/query.py``):
   queried against its own index always retrieves itself;
 * **update equivalence** — an index grown by ``insert`` answers exactly like
   an index built from scratch over the final collection, and ``delete``
-  filters tombstoned rows immediately whether or not the staleness budget
-  has forced a posting rebuild;
+  filters tombstoned rows immediately whether or not a postings merge has
+  dropped them yet;
 * **segmentation invariance** — query answers are independent of how the
   corpus is split across sealed segments: an index grown through any insert
   history is bit-identical to a monolithic scratch rebuild over
@@ -150,13 +150,11 @@ def test_incremental_insert_equals_scratch_build(measure, verification):
     assert grown.top_k_many(queries, k=5) == scratch.top_k_many(queries, k=5)
 
 
-@pytest.mark.parametrize("budget", [0.0, 0.5, 1.0])
-def test_delete_filters_immediately_and_rebuild_preserves_answers(budget):
+def test_delete_filters_immediately_and_merges_preserve_answers():
     corpus = _random_collection(13, n=60)
     queries = corpus[:8]
     index = QueryIndex(
-        corpus, measure="cosine", threshold=0.6, verification="exact",
-        seed=5, staleness_budget=budget,
+        corpus[:40], measure="cosine", threshold=0.6, verification="exact", seed=5
     )
     victims = list(range(0, 12))
     assert index.delete(victims) == 12
@@ -166,16 +164,17 @@ def test_delete_filters_immediately_and_rebuild_preserves_answers(budget):
     results = index.query_many(queries, threshold=0.4)
     for hits in results:
         assert all(pair.j not in set(victims) for pair in hits)
-    if budget == 0.0:
-        # The query above crossed the (zero) budget and rebuilt the postings.
-        assert index.n_stale_postings == 0
-    # Answers are identical before and after a forced rebuild.
+    # An insert whose run merges with the corpus's drops the tombstoned
+    # rows from the postings; answers equal an index that never merged.
+    index.insert(corpus[40:])
+    assert len(index._postings.runs) == 1
     reference = QueryIndex(
-        corpus, measure="cosine", threshold=0.6, verification="exact",
-        seed=5, staleness_budget=0.0,
+        corpus, measure="cosine", threshold=0.6, verification="exact", seed=5
     )
     reference.delete(victims)
-    assert reference.query_many(queries, threshold=0.4) == results
+    assert reference.query_many(queries, threshold=0.4) == index.query_many(
+        queries, threshold=0.4
+    )
 
 
 @pytest.mark.parametrize("measure", MEASURES)

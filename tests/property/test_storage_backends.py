@@ -6,7 +6,7 @@ a loaded index's arrays live — verified RAM reads or read-only memory maps
 operation through both backends (``storage`` ∈ {ram, mmap}) and asserts the results (ids, similarities, ranked orders), the posterior
 estimates, the post-call per-segment store widths and the hash family's RNG
 stream position are identical across all of them — including after loads
-into live mutation (insert / delete / staleness rebuild), a compacted
+into live mutation (insert / delete / postings merge), a compacted
 re-save round trip and resident-pool execution at ``n_workers`` ∈ {1, 2}.
 ``save`` + ``load(storage="mmap")`` is the one way to serve out of core.
 """
@@ -125,25 +125,29 @@ def test_insert_after_load_identical_across_backends(measure, tmp_path):
 
 
 @pytest.mark.parametrize("measure", ["cosine", "binary_cosine"])
-def test_delete_and_staleness_rebuild_identical_across_backends(measure, tmp_path):
-    """Deletes + the zero-budget posting rebuild behave identically loaded."""
+def test_delete_and_postings_merge_identical_across_backends(measure, tmp_path):
+    """Deletes, then an insert whose postings run merges into the loaded
+    (possibly memory-mapped) run and drops the tombstoned rows, behave
+    identically loaded."""
     corpus = _random_collection(53, n=60)
     queries = corpus[:8]
 
     def build() -> QueryIndex:
-        return QueryIndex(
-            corpus, measure=measure, threshold=0.6, seed=23, staleness_budget=0.0
-        )
+        return QueryIndex(corpus[:40], measure=measure, threshold=0.6, seed=23)
 
     reference_index = build()
     reference_index.delete(list(range(10)))
+    reference_index.insert(corpus[40:])
     reference = reference_index.query_many(queries, threshold=0.4)
-    assert reference_index.n_stale_postings == 0  # the query forced a rebuild
+    assert len(reference_index._postings.runs) == 1  # the insert merged
 
     for name, loaded in _loaded_matrix(build(), tmp_path):
         assert loaded.delete(list(range(10))) == 10, name
+        loaded.insert(corpus[40:])
         assert loaded.query_many(queries, threshold=0.4) == reference, name
-        assert loaded.n_stale_postings == 0, name
+        for left, right in zip(loaded._postings.runs, reference_index._postings.runs):
+            np.testing.assert_array_equal(left[0], right[0])
+            np.testing.assert_array_equal(left[1], right[1])
 
 
 @pytest.mark.parametrize("measure", MEASURES)

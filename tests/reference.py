@@ -35,6 +35,7 @@ __all__ = [
     "prob_above_threshold_reference",
     "bayeslsh_pair_reference",
     "lsh_candidates_reference",
+    "band_probe_reference",
     "allpairs_candidates_reference",
     "ppjoin_candidates_reference",
 ]
@@ -162,6 +163,32 @@ def lsh_candidates_reference(
                     n_raw_collisions += 1
                     pairs.add((i, j) if i < j else (j, i))
     return pairs, n_raw_collisions
+
+
+def band_probe_reference(
+    store: SignatureStore,
+    member_rows: np.ndarray,
+    query_store: SignatureStore,
+    query_rows: np.ndarray,
+    n_bands: int,
+    band_width: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dict-of-buckets band probe: sorted distinct ``(query position, member row)`` arrays.
+
+    Per band a dict maps each member's band bytes to its rows; every query
+    row looks its own band bytes up.  What ``BandPostings.probe_many``
+    returns over the same members.
+    """
+    pairs: set[tuple[int, int]] = set()
+    for band in range(n_bands):
+        buckets: dict[bytes, list[int]] = defaultdict(list)
+        for row in member_rows:
+            buckets[store.band_key(int(row), band, band_width)].append(int(row))
+        for position, row in enumerate(query_rows):
+            hits = buckets.get(query_store.band_key(int(row), band, band_width), ())
+            pairs.update((position, member) for member in hits)
+    ordered = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    return ordered[:, 0], ordered[:, 1]
 
 
 def allpairs_candidates_reference(

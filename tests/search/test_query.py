@@ -109,45 +109,41 @@ class TestQueryIndexServing:
             )
         assert index.insert([]).size == 0
 
-    def test_delete_tombstones_and_staleness_accounting(self, sparse_text_collection):
+    def test_delete_tombstones_and_accounting(self, sparse_text_collection):
         index = QueryIndex(
             sparse_text_collection,
             measure="cosine",
             threshold=0.7,
             verification="exact",
             seed=3,
-            staleness_budget=1.0,  # never rebuild during this test
         )
         query = sparse_text_collection.matrix[5].toarray().ravel()
         assert 5 in {pair.j for pair in index.query(query, threshold=0.9)}
         assert index.delete([5]) == 1
         assert index.n_deleted == 1
         assert index.n_alive == index.n_indexed - 1
-        assert index.n_stale_postings == 1
         assert 5 not in {pair.j for pair in index.query(query, threshold=0.9)}
         # Idempotent, and bounds are validated.
         assert index.delete([5]) == 0
         with pytest.raises(IndexError):
             index.delete([index.n_indexed])
 
-    def test_zero_staleness_budget_rebuilds_on_next_query(self, sparse_text_collection):
-        index = QueryIndex(
-            sparse_text_collection,
-            measure="cosine",
-            threshold=0.7,
-            verification="exact",
-            seed=3,
-            staleness_budget=0.0,
-        )
+    def test_insert_merge_drops_tombstoned_rows_from_the_postings(
+        self, sparse_text_collection
+    ):
+        """An insert whose run merges into the corpus's drops the rows
+        tombstoned by then; the tombstones themselves stay."""
+        matrix = sparse_text_collection.matrix
+        index = QueryIndex(matrix[:-2], measure="cosine", threshold=0.7, seed=3)
+        ((_, rows),) = index._postings.runs
+        assert {1, 2} <= set(rows.tolist())
         index.delete([1, 2])
-        assert index.n_stale_postings == 2
-        index.query(sparse_text_collection.matrix[7].toarray().ravel())
-        assert index.n_stale_postings == 0
-        assert index.n_deleted == 2  # tombstones survive the rebuild
-
-    def test_invalid_staleness_budget_rejected(self, sparse_text_collection):
-        with pytest.raises(ValueError, match="staleness_budget"):
-            QueryIndex(sparse_text_collection, staleness_budget=1.5)
+        index.insert(matrix[-2:])
+        assert len(index._postings.runs) == 2  # the small run merges later
+        index.insert(matrix[-1:].toarray().repeat(len(set(rows.tolist())) // 2, axis=0))
+        ((_, rows),) = index._postings.runs
+        assert not {1, 2} & set(rows.tolist())
+        assert index.n_deleted == 2
 
 
 class TestQueryIndexJaccard:

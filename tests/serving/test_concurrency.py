@@ -10,8 +10,10 @@ The serving contract is *many reader threads, one writer thread* (see
 * a reader probing/counting while ``insert`` publishes a new segment —
   readers must only ever observe rows whose segment, tombstone-mask slot and
   postings entries are all live;
-* readers racing a staleness-budget postings rebuild triggered by another
-  reader after deletes.
+* readers racing deletes, and the inserts whose postings merges drop the
+  deleted rows;
+* a band probe racing ``BandPostings.add``, which must answer exactly as
+  before or after the add.
 
 Correctness oracle: hash functions are deterministic in ``(seed, index)`` and
 every serving kernel is row-local, so whatever subset of inserted rows a
@@ -155,22 +157,18 @@ def test_pooled_readers_during_insert():
     assert not errors, errors[0]
 
 
-def test_readers_during_delete_and_posting_rebuild():
-    """Readers race deletes that push the postings past the staleness budget.
+def test_readers_during_deletes_and_postings_merges():
+    """Readers race deletes, then inserts whose postings runs merge.
 
-    The rebuild is triggered lazily *by a reader* and runs under the index's
-    update lock; deleted rows must vanish from results immediately and
-    surviving original rows must keep their exact similarities throughout.
+    A merge drops the rows deleted by then and publishes the new runs under
+    the index's update lock; deleted rows must vanish from results
+    immediately and surviving original rows must keep their exact
+    similarities throughout.
     """
     corpus = _corpus(43, _N_INITIAL)
     queries = corpus[:8]
     index = QueryIndex(
-        corpus,
-        measure="cosine",
-        threshold=0.55,
-        verification="exact",
-        seed=9,
-        staleness_budget=0.05,
+        corpus, measure="cosine", threshold=0.55, verification="exact", seed=9
     )
     victims = list(range(60, 80))
     reference = QueryIndex(
@@ -201,71 +199,63 @@ def test_readers_during_delete_and_posting_rebuild():
         thread.start()
     for row in victims:
         index.delete([row])
+    for batch in range(4):
+        index.insert(_corpus(300 + batch, _BATCH))
     for thread in readers:
         thread.join()
 
     assert not errors, errors[0]
-    assert index.query_many(queries, threshold=0.5) == reference.query_many(
-        queries, threshold=0.5
-    )
+    # the inserts merged into the corpus's run, dropping every victim
+    assert not set(victims) & set(index._postings.runs[0][1].tolist())
+    original = [
+        {j: s for j, s in hits.items() if j < _N_INITIAL}
+        for hits in _result_key(index.query_many(queries, threshold=0.5))
+    ]
+    assert original == _result_key(reference.query_many(queries, threshold=0.5))
 
 
-class _SlowToMeasure(list):
-    """A bucket list whose ``len`` dawdles before answering.
+def test_probes_racing_adds_answer_as_before_or_after_each_add():
+    """Readers probe the very postings a writer is adding to.
 
-    The length is taken first and returned after a pause that lets the writer
-    run, so code that asks for the length and then copies the list reliably
-    meets a list that grew in between — the interleaving a thread switch
-    between those two reads produces by chance.
+    ``BandPostings.add`` seals and merges runs off to the side and publishes
+    the new runs tuple with one assignment; ``probe_many`` reads that tuple
+    once.  So every probe must return exactly the answer of some whole
+    prefix of the adds, and a reader's successive probes never go back to
+    an earlier prefix.  The corpus is eight mutually disjoint token sets in
+    many identical copies; each add carries one copy of every set, so it
+    lands in every bucket the eight queries hit, in every band, and the
+    growing adds merge runs as they go.
     """
-
-    def __len__(self):
-        length = super().__len__()
-        time.sleep(2e-4)
-        return length
-
-
-def test_probes_during_adds_into_the_probed_buckets_see_whole_batches():
-    """Readers probe the very buckets a writer is growing.
-
-    ``BandPostings.probe_many`` copies every hit bucket into one flat list and
-    takes the hit's length from that copy, so a bucket is read exactly once.
-    Reading it twice (``len(members)`` for the length, ``extend(members)`` for
-    the copy) lets a concurrent ``add`` land between the two reads, and the
-    (position, member) arrays fall out of step.
-
-    The corpus is eight mutually disjoint token sets, each present in many
-    identical copies; copy ``c`` of every set is inserted by batch ``c``, so
-    each batch lands in every bucket the eight queries hit, in every band.
-    Whatever a probe observes, the members it reports for a query must be
-    that query's copies from a *prefix* of the batches — what a race-free
-    probe returns after some number of whole inserts.
-    """
-    n_sets, n_copies, n_bands, width = 8, 100, 16, 2
+    n_sets, n_copies, n_bands, width = 8, 60, 16, 2
     distinct = [set(range(40 * s, 40 * s + 30)) for s in range(n_sets)]
     collection = as_collection(distinct * n_copies, n_features=40 * n_sets)
     store = get_hash_family("minhash", collection, seed=3).signatures(n_bands * width)
     queries = np.arange(n_sets)
-    postings = BandPostings.build(store, queries, n_bands, width)
-    for bucket in postings._buckets:
-        for key, members in bucket.items():
-            bucket[key] = _SlowToMeasure(members)
+    batches = [n_sets * copy + queries for copy in range(1, n_copies)]
 
+    twin = BandPostings.build(store, queries, n_bands, width)
+    answers = [twin.probe_many(store, queries, store)]
+    for rows in batches:
+        twin.add(store, rows)
+        answers.append(twin.probe_many(store, queries, store))
+    by_size = {len(members): prefix for prefix, (_, members) in enumerate(answers)}
+    assert len(by_size) == len(answers)
+
+    postings = BandPostings.build(store, queries, n_bands, width)
     errors: list = []
     done = threading.Event()
 
     def probe_loop():
         try:
+            last = 0
             while not done.is_set():
-                positions, members = postings.probe_many(store, queries, n_sets)
-                for position in range(n_sets):
-                    seen = members[positions == position]
-                    prefix = position + n_sets * np.arange(len(seen))
-                    if len(seen) == 0 or not np.array_equal(seen, prefix):
-                        raise AssertionError(
-                            f"query {position}: {seen.tolist()} is not its copies "
-                            "from a prefix of the inserted batches"
-                        )
+                positions, members = postings.probe_many(store, queries, store)
+                prefix = by_size.get(len(members))
+                if prefix is None or prefix < last:
+                    raise AssertionError(f"{len(members)} hits answer no later prefix")
+                np.testing.assert_array_equal(positions, answers[prefix][0])
+                np.testing.assert_array_equal(members, answers[prefix][1])
+                last = prefix
         except Exception as error:  # propagate to the main thread
             errors.append(error)
             done.set()
@@ -276,10 +266,10 @@ def test_probes_during_adds_into_the_probed_buckets_see_whole_batches():
     try:
         for thread in readers:
             thread.start()
-        for copy in range(1, n_copies):
+        for rows in batches:
             if done.is_set():
                 break
-            postings.add(store, n_sets * copy + queries)
+            postings.add(store, rows)
             time.sleep(1e-3)
         done.set()
         for thread in readers:
@@ -289,8 +279,5 @@ def test_probes_during_adds_into_the_probed_buckets_see_whole_batches():
 
     assert not any(thread.is_alive() for thread in readers)
     assert not errors, errors[0]
-    positions, members = postings.probe_many(store, queries, n_sets)
-    np.testing.assert_array_equal(positions, np.repeat(queries, n_copies))
-    np.testing.assert_array_equal(
-        members, (queries[:, None] + n_sets * np.arange(n_copies)).ravel()
-    )
+    for left, right in zip(postings.probe_many(store, queries, store), answers[-1]):
+        np.testing.assert_array_equal(left, right)

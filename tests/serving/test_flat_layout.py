@@ -23,6 +23,7 @@ from repro.serving.snapshot import (
     FLAT_FORMAT,
     FLAT_VERSION,
     MANIFEST_NAME,
+    SNAPSHOT_VERSION,
     SnapshotCorruptError,
     load_query_index,
     read_flat,
@@ -341,11 +342,11 @@ def test_empty_members_round_trip(tmp_path):
         "full": np.arange(6, dtype=np.int32).reshape(2, 3),
     }
     meta = {"checksums": {name: int(zlib.crc32(value.tobytes())) for name, value in arrays.items()}}
-    path = write_flat(tmp_path / "tiny.flat", 3, meta, arrays)
+    path = write_flat(tmp_path / "tiny.flat", SNAPSHOT_VERSION, meta, arrays)
     assert (path / MANIFEST_NAME).exists()
     for storage in ("ram", "mmap"):
         version, _, loaded = read_flat(path, storage=storage)
-        assert version == 3
+        assert version == SNAPSHOT_VERSION
         assert loaded["empty"].shape == (0, 4)
         assert loaded["empty"].dtype == np.float64
         assert np.array_equal(loaded["full"], arrays["full"])

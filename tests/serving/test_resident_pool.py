@@ -215,7 +215,7 @@ def test_killed_worker_respawns_at_next_batch_boundary(index, batch, monkeypatch
     index.start_pool(3)
     try:
         with faults.inject() as plan:
-            plan.kill_worker(0, event="serving_probe")
+            plan.kill_worker(0, event="serving_exact")
             answers = index.query_many(batch, threshold=0.55)
         assert ("kill", 0) in plan.fired
         assert answers == oracle
@@ -252,7 +252,7 @@ def test_crash_loop_quarantines_with_typed_warning(index, batch, monkeypatch):
                     # second kill hits a live worker, not a corpse.
                     time.sleep(0.3)
                 with faults.inject() as plan:
-                    plan.kill_worker(0, event="serving_probe")
+                    plan.kill_worker(0, event="serving_exact")
                     assert index.query_many(batch, threshold=0.55) == oracle
                 assert ("kill", 0) in plan.fired
         degraded = [w for w in caught if issubclass(w.category, PoolDegradedWarning)]
@@ -278,8 +278,8 @@ def test_full_quarantine_degrades_to_serial_but_stays_available(index, batch, mo
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with faults.inject() as plan:
-                plan.kill_worker(0, event="serving_probe")
-                plan.kill_worker(1, event="serving_probe")
+                plan.kill_worker(0, event="serving_exact")
+                plan.kill_worker(1, event="serving_exact")
                 assert index.query_many(batch, threshold=0.55) == oracle
             # Still answers — now on the degraded serial path.
             assert index.query_many(batch, threshold=0.55) == oracle

@@ -89,9 +89,7 @@ def test_rng_stream_resumes_after_load(tmp_path, corpus, queries, measure):
 
 
 def test_round_trip_preserves_updates_and_counters(tmp_path, corpus, queries):
-    index = QueryIndex(
-        corpus, measure="cosine", threshold=0.6, seed=2, staleness_budget=0.9
-    )
+    index = QueryIndex(corpus, measure="cosine", threshold=0.6, seed=2)
     index.insert(_corpus(55, n=12))
     index.delete([0, 3, 5])
     expected = index.query_many(queries, threshold=0.5)
@@ -99,8 +97,9 @@ def test_round_trip_preserves_updates_and_counters(tmp_path, corpus, queries):
     loaded = QueryIndex.load(index.save(tmp_path / "updated"))
     assert loaded.n_indexed == index.n_indexed
     assert loaded.n_deleted == 3
-    assert loaded.n_stale_postings == index.n_stale_postings
-    assert loaded.staleness_budget == index.staleness_budget
+    for left, right in zip(loaded._postings.runs, index._postings.runs, strict=True):
+        np.testing.assert_array_equal(left[0], right[0])
+        np.testing.assert_array_equal(left[1], right[1])
     assert loaded.query_many(queries, threshold=0.5) == expected
     # The loaded index keeps evolving: further updates behave identically.
     extra = _corpus(56, n=6)
@@ -207,8 +206,7 @@ def test_compacted_snapshot_drops_tombstones_and_answers_identically(
     the surviving rows while preserving ids and relative order.
     """
     index = QueryIndex(
-        corpus, measure="cosine", threshold=0.6, verification=verification, seed=12,
-        staleness_budget=1.0,
+        corpus, measure="cosine", threshold=0.6, verification=verification, seed=12
     )
     index.insert(_corpus(63, n=14))
     victims = [0, 2, 7, 61, 65, 70]
@@ -229,7 +227,8 @@ def test_compacted_snapshot_drops_tombstones_and_answers_identically(
     assert loaded.n_segments == 1
     assert loaded.n_indexed == index.n_alive
     assert loaded.n_deleted == 0
-    assert loaded.n_stale_postings == 0
+    ((_, rows),) = loaded._postings.runs  # one run of the renumbered alive rows
+    assert rows.max() < loaded.n_indexed
 
     def by_id(instance, results):
         ids = instance.ids
@@ -293,11 +292,12 @@ def test_compacting_save_does_not_mutate_the_live_index(tmp_path, corpus, querie
     assert widths_after == widths_before
 
 
-@pytest.mark.parametrize("legacy_version", [1, 2])
+@pytest.mark.parametrize("legacy_version", [1, 2, 3])
 def test_legacy_archive_versions_are_rejected_as_unsupported(tmp_path, corpus, legacy_version):
-    """v1/v2 snapshots are refused as unsupported, not reported as corrupt.
+    """v1/v2/v3 snapshots are refused as unsupported, not reported as corrupt.
 
-    No writer has produced them since v3; the readers are gone.  An intact
+    No writer has produced v1/v2 since v3, nor v3 (postings as a member
+    sequence, rebuilt on load) since v4; the readers are gone.  An intact
     snapshot of another version is not damaged, so the error is the plain
     "version not supported" ``ValueError``.
     """

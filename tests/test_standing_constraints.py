@@ -239,7 +239,7 @@ def test_the_seam_check_sees_what_it_is_for():
         "        pass\n"
     )
     assert fired_seams(source, "s.py") == ({"wal_append", "flat_replace"}, ["s.py:3"])
-    assert {"pool_start", "serving_probe", "serving_estimates", "serving_exact"} <= documented_seams()
+    assert {"pool_start", "serving_estimates", "serving_exact"} <= documented_seams()
 
 
 # --------------------------------------------------------------------- #
