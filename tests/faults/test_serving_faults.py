@@ -58,7 +58,8 @@ def test_kill_one_worker_top_k_estimate_bit_identical(
     assert ranked == serial_answers["topk_estimate"]
 
 
-@pytest.mark.parametrize("event", ["serving_exact"])
+# An exactly ranked top-k runs no BayesLSH rounds, so it never reaches ``serving_estimates``.
+@pytest.mark.parametrize("event", ["pool_start", "serving_exact"])
 def test_kill_one_worker_top_k_exact_bit_identical(
     serving_index, query_batch, serial_answers, event
 ):
@@ -83,7 +84,7 @@ def test_kill_every_worker_falls_back_fully_serial(
     assert answers == serial_answers["query"]
 
 
-@pytest.mark.parametrize("event", ["serving_exact"])
+@pytest.mark.parametrize("event", EVENTS)
 def test_hung_worker_recovers_via_round_timeout(
     serving_index, query_batch, serial_answers, event
 ):
@@ -97,12 +98,12 @@ def test_hung_worker_recovers_via_round_timeout(
     assert answers == serial_answers["query"]
 
 
-@pytest.mark.parametrize("tag", ["exact"])
+@pytest.mark.parametrize("tag", ["batch", "exact"])
 def test_dropped_request_recovers_via_round_timeout(
     serving_index, query_batch, serial_answers, tag
 ):
-    """A swallowed parent→worker exact request looks like a hang; the
-    deadline recovers it."""
+    """A swallowed parent→worker batch hand-off or exact request looks like
+    a hang; the deadline recovers it."""
     with faults.inject() as plan:
         plan.drop_messages(1, tag=tag)
         answers = serving_index.query_many(

@@ -150,11 +150,12 @@ def test_incremental_insert_equals_scratch_build(measure, verification):
     assert grown.top_k_many(queries, k=5) == scratch.top_k_many(queries, k=5)
 
 
-def test_delete_filters_immediately_and_merges_preserve_answers():
+@pytest.mark.parametrize("measure", MEASURES)
+def test_delete_filters_immediately_and_merges_preserve_answers(measure):
     corpus = _random_collection(13, n=60)
     queries = corpus[:8]
     index = QueryIndex(
-        corpus[:40], measure="cosine", threshold=0.6, verification="exact", seed=5
+        corpus[:40], measure=measure, threshold=0.6, verification="exact", seed=5
     )
     victims = list(range(0, 12))
     assert index.delete(victims) == 12
@@ -169,7 +170,7 @@ def test_delete_filters_immediately_and_merges_preserve_answers():
     index.insert(corpus[40:])
     assert len(index._postings.runs) == 1
     reference = QueryIndex(
-        corpus, measure="cosine", threshold=0.6, verification="exact", seed=5
+        corpus, measure=measure, threshold=0.6, verification="exact", seed=5
     )
     reference.delete(victims)
     assert reference.query_many(queries, threshold=0.4) == index.query_many(
